@@ -46,6 +46,19 @@ void BM_HmacSha256(benchmark::State& state) {
                 [&](size_t) { benchmark::DoNotOptimize(HmacSha256(key, msg)); });
 }
 
+void BM_HmacSha256Key(benchmark::State& state) {
+  HmacSha256Key key(Bytes(32, 0x11));
+  Bytes msg(static_cast<size_t>(state.range(0)), 0xab);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.Mac(msg));
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * msg.size()));
+
+  SampleAndEmit("hmac_sha256_key/bytes=" + std::to_string(msg.size()), 5000,
+                [&](size_t) { benchmark::DoNotOptimize(key.Mac(msg)); });
+}
+
 void BM_MerkleBuild(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::vector<Hash256> leaves;
@@ -194,6 +207,7 @@ void BM_TransferVerify(benchmark::State& state) {
 
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
+BENCHMARK(BM_HmacSha256Key)->Arg(32)->Arg(64)->Arg(1024);
 BENCHMARK(BM_MerkleBuild)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_MerkleProveVerify)->Arg(256)->Arg(4096);
 BENCHMARK(BM_SignVerify);

@@ -2,8 +2,10 @@
 //
 // Consensus orders compact block *hashes*; the bodies travel beside the
 // protocol (broadcast at proposal time, fetched on demand) and land here,
-// keyed by header hash. Put() verifies the body against its own header,
-// so a fabricated or corrupted body can never alias an honest hash.
+// keyed by header hash. Put() verifies a new body against its own header,
+// so a fabricated or corrupted body can never alias an honest hash; a body
+// re-delivered under a stored hash is compared with the stored one instead
+// of being re-hashed.
 #ifndef PBC_BLOCK_STORE_H_
 #define PBC_BLOCK_STORE_H_
 
@@ -17,11 +19,13 @@ namespace pbc::block {
 
 class BlockStore {
  public:
-  /// Inserts `body` keyed by its header hash after verifying the header
-  /// commits to the body (Merkle root check). Returns false — and stores
-  /// nothing — for a body that fails verification; returns true for both
-  /// fresh inserts and idempotent re-inserts.
-  bool Put(ledger::Block body);
+  /// Inserts a copy of `body` keyed by its header hash after verifying the
+  /// header commits to the body (Merkle root check). A body whose hash is
+  /// already stored is accepted only if it equals the stored body, with no
+  /// Merkle tree rebuilt. Returns false — and stores nothing — for a body
+  /// that fails either check; returns true for both fresh inserts and
+  /// idempotent re-inserts.
+  bool Put(const ledger::Block& body);
 
   /// The stored body for `hash`, or nullptr. Pointers remain valid until
   /// the entry is erased.

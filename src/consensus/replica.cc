@@ -1,6 +1,7 @@
 #include "consensus/replica.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "block/builder.h"
 #include "obs/obs.h"
@@ -71,12 +72,12 @@ Batch Replica::TakeBatch() {
     ref.block_hash = body.header.Hash();
     ref.ref_txn_count = static_cast<uint32_t>(body.txns.size());
 
+    blocks_.Put(body);
     auto msg = std::make_shared<BlockBodyMsg>();
-    msg->body = body;
+    msg->body = std::move(body);
     for (sim::NodeId peer : cfg_.replicas) {
       if (peer != id()) Send(peer, msg);
     }
-    blocks_.Put(std::move(body));
     return ref;
   }
 
@@ -188,6 +189,8 @@ void Replica::DrainDeliveries() {
     auto it = out_of_order_.find(next_deliver_);
     if (it == out_of_order_.end()) break;
     Batch& b = it->second;
+    // Root of the stored (hence verified) body this batch resolves to.
+    std::optional<crypto::Hash256> body_root;
     if (b.block_ref && !b.empty()) {
       const ledger::Block* body = blocks_.Get(b.block_hash);
       if (body == nullptr) {
@@ -198,6 +201,7 @@ void Replica::DrainDeliveries() {
       }
       b.txns = body->txns;
       b.block_ref = false;
+      body_root = body->header.txn_root;
     }
     // Drop transactions that already committed at an earlier sequence:
     // with rotating proposers several leaders may batch the same client
@@ -209,6 +213,7 @@ void Replica::DrainDeliveries() {
     for (auto& t : b.txns) {
       if (committed_ids_.count(t.id) == 0) fresh.push_back(std::move(t));
     }
+    if (fresh.size() != b.txns.size()) body_root.reset();
     b.txns = std::move(fresh);
     for (const auto& t : b.txns) {
       committed_ids_.insert(t.id);
@@ -238,8 +243,14 @@ void Replica::DrainDeliveries() {
     }
 #endif
     if (!b.txns.empty()) {
-      ledger::Block block = ledger::Block::Make(
-          chain_.height(), chain_.TipHash(), b.txns, /*timestamp_us=*/0);
+      // An unfiltered body keeps its txn list, so its root carries over
+      // instead of being rebuilt; Append re-checks the root either way.
+      ledger::Block block =
+          body_root ? ledger::Block{{chain_.height(), chain_.TipHash(),
+                                     *body_root, /*timestamp_us=*/0},
+                                    b.txns}
+                    : ledger::Block::Make(chain_.height(), chain_.TipHash(),
+                                          b.txns, /*timestamp_us=*/0);
       pbc::Status s = chain_.Append(std::move(block));
       (void)s;  // Append of a self-built block cannot fail.
     }

@@ -2,18 +2,12 @@
 
 namespace pbc::crypto {
 
-namespace {
-Bytes DigestToBytes(const Hash256& h) {
-  return Bytes(h.bytes.begin(), h.bytes.end());
-}
-}  // namespace
-
 Signature PrivateKey::Sign(const Bytes& message) const {
-  return Signature{id_, HmacSha256(secret_, message)};
+  return Signature{id_, mac_key_.Mac(message)};
 }
 
 Signature PrivateKey::Sign(const Hash256& digest) const {
-  return Sign(DigestToBytes(digest));
+  return Signature{id_, mac_key_.Mac(digest)};
 }
 
 PrivateKey KeyRegistry::Register(IdentityId id) {
@@ -27,18 +21,18 @@ PrivateKey KeyRegistry::RegisterDeterministic(IdentityId id, uint64_t seed) {
   h.Update(std::string("pbc-key-derivation"));
   Hash256 secret = h.Finalize();
   Bytes key(secret.bytes.begin(), secret.bytes.end());
-  keys_[id] = key;
-  return PrivateKey(id, key);
+  keys_[id] = HmacSha256Key(key);
+  return PrivateKey(id, std::move(key));
 }
 
 bool KeyRegistry::Verify(const Bytes& message, const Signature& sig) const {
   auto it = keys_.find(sig.signer);
-  if (it == keys_.end()) return false;
-  return HmacSha256(it->second, message) == sig.tag;
+  return it != keys_.end() && it->second.Mac(message) == sig.tag;
 }
 
 bool KeyRegistry::Verify(const Hash256& digest, const Signature& sig) const {
-  return Verify(DigestToBytes(digest), sig);
+  auto it = keys_.find(sig.signer);
+  return it != keys_.end() && it->second.Mac(digest) == sig.tag;
 }
 
 }  // namespace pbc::crypto

@@ -40,7 +40,7 @@ class PrivateKey {
  public:
   PrivateKey() = default;
   explicit PrivateKey(IdentityId id, Bytes secret)
-      : id_(id), secret_(std::move(secret)) {}
+      : id_(id), secret_(std::move(secret)), mac_key_(secret_) {}
 
   /// Produces an authentication tag over `message`.
   Signature Sign(const Bytes& message) const;
@@ -52,6 +52,7 @@ class PrivateKey {
  private:
   IdentityId id_ = 0;
   Bytes secret_;
+  HmacSha256Key mac_key_;  // secret_ with its HMAC pads absorbed
 };
 
 /// \brief The membership service: maps identities to verification keys.
@@ -79,7 +80,7 @@ class KeyRegistry {
   // Ordered: the registry is membership state shared by every honest
   // node; keeping it address-independent means any future enumeration
   // (snapshots, audits, serialization) is deterministic by construction.
-  std::map<IdentityId, Bytes> keys_;
+  std::map<IdentityId, HmacSha256Key> keys_;
   uint64_t counter_ = 0;
 };
 

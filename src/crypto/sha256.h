@@ -51,15 +51,34 @@ class Sha256 {
   static Hash256 Digest(const std::string& data);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   std::array<uint32_t, 8> state_;
   uint64_t total_len_ = 0;
   std::array<uint8_t, 64> buffer_{};
   size_t buffer_len_ = 0;
 };
 
-/// \brief HMAC-SHA256 (RFC 2104).
+/// \brief An HMAC-SHA256 (RFC 2104) key with its ipad and opad blocks
+/// already absorbed: each MAC copies two hasher states and needs no heap
+/// allocation; a MAC over a 32-byte digest costs two compressions.
+class HmacSha256Key {
+ public:
+  HmacSha256Key() : HmacSha256Key(Bytes{}) {}
+  explicit HmacSha256Key(const Bytes& key);
+
+  Hash256 Mac(const uint8_t* message, size_t len) const;
+  Hash256 Mac(const Bytes& message) const {
+    return Mac(message.data(), message.size());
+  }
+  Hash256 Mac(const Hash256& digest) const {
+    return Mac(digest.bytes.data(), digest.bytes.size());
+  }
+
+ private:
+  Sha256 inner_;  // after absorbing key ^ ipad
+  Sha256 outer_;  // after absorbing key ^ opad
+};
+
+/// \brief HMAC-SHA256 (RFC 2104) under a one-off key.
 Hash256 HmacSha256(const Bytes& key, const Bytes& message);
 
 struct Hash256Hasher {

@@ -52,6 +52,8 @@ struct Op {
   static Op Compute(int64_t rounds) {
     return {OpCode::kCompute, "", "", "", rounds};
   }
+
+  bool operator==(const Op&) const = default;
 };
 
 /// \brief A client transaction.
@@ -70,6 +72,8 @@ struct Transaction {
 
   /// Content digest used for ledger inclusion and signatures.
   crypto::Hash256 Digest() const;
+
+  bool operator==(const Transaction&) const = default;
 };
 
 /// \brief Read interface execution runs against (latest state or snapshot).

@@ -155,6 +155,34 @@ TEST(BlockStoreTest, RejectsBodyThatFailsItsOwnHeader) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+TEST(BlockStoreTest, RedeliveryUnderStoredHashMustEqualStoredBody) {
+  ledger::Block b = BlockBuilder::Seal(
+      0, crypto::Hash256{},
+      {T(1, {Op::Write("a", "x")}), T(2, {Op::Write("b", "y")})}, 0);
+  const crypto::Hash256 h = b.header.Hash();
+  BlockStore store;
+  ASSERT_TRUE(store.Put(b));
+
+  // Same header (hence same hash), different bodies: none may replace or
+  // pass as the stored one.
+  ledger::Block tampered = b;
+  tampered.txns[1].ops[0].value = "forged";
+  ledger::Block truncated = b;
+  truncated.txns.pop_back();
+  ledger::Block reordered = b;
+  std::swap(reordered.txns[0], reordered.txns[1]);
+  for (const ledger::Block* forged : {&tampered, &truncated, &reordered}) {
+    ASSERT_EQ(forged->header.Hash(), h);
+    EXPECT_FALSE(store.Put(*forged));
+  }
+  ASSERT_NE(store.Get(h), nullptr);
+  EXPECT_EQ(store.Get(h)->txns, b.txns);
+  EXPECT_TRUE(store.Get(h)->VerifyTxnRoot());
+
+  EXPECT_TRUE(store.Put(b));  // identical re-delivery
+  EXPECT_EQ(store.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Conflict graph.
 // ---------------------------------------------------------------------------

@@ -313,6 +313,41 @@ TEST(BlockPipelineTest, PartitionedFollowerFetchesMissedBodies) {
   EXPECT_GT(cluster.replica(3)->block_store().size(), 0u);
 }
 
+TEST(BlockPipelineTest, RepeatedCommittedTxnIsDroppedAndChainRootRebuilt) {
+  // HotStuff pipelines proposals: the next view's leader seals its own
+  // pool before the previous block commits, so a later block repeats
+  // client txns that an earlier block commits first. Delivery drops the
+  // repeats; the chain block then holds fewer txns than the body it came
+  // from and must get a freshly computed root, not the body's.
+  World w(65);
+  Cluster<HotStuffReplica> cluster(&w.net, &w.registry, 4, BlockConfig(10));
+  size_t partially_filtered = 0;
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    cluster.replica(i)->set_commit_listener(
+        [&partially_filtered](sim::NodeId, uint64_t, const Batch& b) {
+          if (!b.txns.empty() && b.txns.size() < b.ref_txn_count) {
+            ++partially_filtered;
+          }
+        });
+  }
+  w.net.Start();
+  SubmitN(&cluster, 5);
+  w.sim.Run(w.sim.now() + 6'000);  // the timer cut seals txns 0..4
+  SubmitN(&cluster, 5, /*base=*/100);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10));
+  w.sim.Run(w.sim.now() + 2'000'000);
+  EXPECT_GT(partially_filtered, 0u) << "no block repeated a committed txn";
+  EXPECT_TRUE(cluster.ChainsConsistent());
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    const auto& chain = cluster.replica(i)->chain();
+    EXPECT_TRUE(chain.Audit().ok()) << "replica " << i;
+    // Every delivered txn reached the chain: no Append was refused.
+    uint64_t chained = 0;
+    for (const auto& block : chain.blocks()) chained += block.txns.size();
+    EXPECT_EQ(chained, cluster.replica(i)->committed_txns()) << "replica " << i;
+  }
+}
+
 TYPED_TEST(BftProtocolTest, BlockModeSafeUnderEquivocatingLeader) {
   // Equivocating proposers fall back to inline payloads; honest replicas
   // keep sealing blocks. Safety must hold across the mixed chain.

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "crypto/auth.h"
 #include "crypto/group.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 
 namespace pbc::crypto {
 namespace {
@@ -58,6 +61,86 @@ TEST(Sha256Test, ExactBlockBoundaries) {
   }
 }
 
+// --- SHA-256 kernels: SHA-NI against the portable reference ----------------
+
+Bytes RandomBytes(Rng* rng, size_t len) {
+  Bytes out(len);
+  for (auto& b : out) b = static_cast<uint8_t>(rng->NextU64(256));
+  return out;
+}
+
+// Whole-message SHA-256 driven by one kernel: pads `msg` to full blocks
+// and compresses them, independent of Sha256's buffering.
+Hash256 DigestWith(internal::Sha256CompressFn compress, const Bytes& msg) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  uint64_t bit_len = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back((bit_len >> (8 * i)) & 0xff);
+  compress(state, padded.data(), padded.size() / 64);
+  Hash256 out;
+  for (int i = 0; i < 32; ++i) {
+    out.bytes[i] = (state[i / 4] >> (24 - 8 * (i % 4))) & 0xff;
+  }
+  return out;
+}
+
+TEST(Sha256KernelTest, PortableKernelMatchesNistVector) {
+  EXPECT_EQ(
+      DigestWith(internal::Sha256CompressPortable, ToBytes("abc")).ToHex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256KernelTest, IncrementalHasherMatchesPortableKernel) {
+  // Whichever kernel Sha256 dispatched to, random messages fed through
+  // random Update split points hash exactly as the portable reference.
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes msg = RandomBytes(&rng, rng.NextU64(1025));
+    Sha256 h;
+    size_t pos = 0;
+    while (pos < msg.size()) {
+      size_t take = std::min<size_t>(msg.size() - pos, rng.NextU64(200));
+      h.Update(msg.data() + pos, take);
+      pos += take;
+    }
+    ASSERT_EQ(h.Finalize(), DigestWith(internal::Sha256CompressPortable, msg))
+        << "len=" << msg.size();
+  }
+}
+
+TEST(Sha256KernelTest, ShaNiMatchesPortableByteForByte) {
+  if (!internal::CpuHasShaNi()) GTEST_SKIP() << "CPU lacks SHA-NI";
+#if PBC_SHA256_HAVE_SHANI
+  Rng rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes msg = RandomBytes(&rng, rng.NextU64(1025));
+    ASSERT_EQ(DigestWith(internal::Sha256CompressShaNi, msg),
+              DigestWith(internal::Sha256CompressPortable, msg))
+        << "len=" << msg.size();
+  }
+  // Multi-block calls from an arbitrary chaining state.
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t blocks = 1 + rng.NextU64(32);
+    Bytes data = RandomBytes(&rng, blocks * 64);
+    uint32_t portable[8], shani[8];
+    for (auto& word : portable) word = static_cast<uint32_t>(rng.NextU64());
+    std::memcpy(shani, portable, sizeof(shani));
+    internal::Sha256CompressPortable(portable, data.data(), blocks);
+    internal::Sha256CompressShaNi(shani, data.data(), blocks);
+    ASSERT_EQ(0, std::memcmp(portable, shani, sizeof(shani)))
+        << "blocks=" << blocks;
+  }
+#endif
+}
+
+TEST(Sha256KernelTest, DispatchPicksShaNiExactlyWhenAvailable) {
+  EXPECT_EQ(internal::Sha256Compress() == internal::Sha256CompressPortable,
+            !internal::CpuHasShaNi());
+}
+
 TEST(Hash256Test, ZeroAndOrdering) {
   EXPECT_TRUE(Hash256::Zero().IsZero());
   EXPECT_FALSE(Sha256::Digest(std::string("x")).IsZero());
@@ -98,6 +181,25 @@ TEST(HmacTest, Rfc4231Case3LongKeyPath) {
 TEST(HmacTest, DifferentKeysDifferentTags) {
   Bytes msg = ToBytes("payload");
   EXPECT_NE(HmacSha256(ToBytes("k1"), msg), HmacSha256(ToBytes("k2"), msg));
+}
+
+TEST(HmacTest, PrecomputedKeyMatchesOneOffHmac) {
+  // Key lengths straddle the 64-byte block: short, exact, and hashed-first.
+  Rng rng(99);
+  for (size_t key_len : {0u, 1u, 20u, 32u, 63u, 64u, 65u, 131u}) {
+    Bytes key = RandomBytes(&rng, key_len);
+    HmacSha256Key mac(key);
+    for (size_t msg_len : {0u, 1u, 32u, 55u, 56u, 64u, 200u}) {
+      Bytes msg = RandomBytes(&rng, msg_len);
+      EXPECT_EQ(mac.Mac(msg), HmacSha256(key, msg))
+          << "key_len=" << key_len << " msg_len=" << msg_len;
+    }
+    Hash256 digest = Sha256::Digest(key);
+    EXPECT_EQ(mac.Mac(digest),
+              HmacSha256(key, Bytes(digest.bytes.begin(), digest.bytes.end())));
+  }
+  EXPECT_EQ(HmacSha256Key().Mac(ToBytes("m")),
+            HmacSha256(Bytes{}, ToBytes("m")));
 }
 
 // --- Merkle trees ----------------------------------------------------------
@@ -216,6 +318,10 @@ TEST(AuthTest, DigestSigning) {
   PrivateKey key = registry.Register(3);
   Hash256 digest = Sha256::Digest(std::string("block"));
   EXPECT_TRUE(registry.Verify(digest, key.Sign(digest)));
+  // A digest is signed as its 32 raw bytes.
+  Bytes raw(digest.bytes.begin(), digest.bytes.end());
+  EXPECT_EQ(key.Sign(digest).tag, HmacSha256(key.secret(), raw));
+  EXPECT_TRUE(registry.Verify(raw, key.Sign(digest)));
 }
 
 // --- Group & Pedersen ------------------------------------------------------
