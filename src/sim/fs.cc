@@ -16,8 +16,10 @@ void Fs::Append(const std::string& path, const std::string& bytes) {
   files_[path].current += bytes;
 }
 
-void Fs::WriteFile(const std::string& path, const std::string& bytes) {
-  files_[path].current = bytes;
+void Fs::WriteFile(const std::string& path, std::string bytes) {
+  File& file = files_[path];
+  if (file.synced > 0) file.Detach();
+  file.current = std::move(bytes);
 }
 
 bool Fs::Read(const std::string& path, std::string* out) const {
@@ -39,8 +41,10 @@ uint64_t Fs::Size(const std::string& path) const {
 void Fs::Truncate(const std::string& path, uint64_t new_size) {
   auto it = files_.find(path);
   if (it == files_.end()) return;
-  if (new_size < it->second.current.size()) {
-    it->second.current.resize(new_size);
+  File& file = it->second;
+  if (new_size < file.current.size()) {
+    if (new_size < file.synced) file.Detach();
+    file.current.resize(new_size);
   }
 }
 
@@ -64,16 +68,18 @@ bool Fs::Fsync(const std::string& path) {
     }
     return true;
   }
-  it->second.durable = it->second.current;
+  File& file = it->second;
+  file.synced = file.current.size();
+  file.detached.reset();
   return true;
 }
 
 void Fs::Rename(const std::string& from, const std::string& to) {
-  auto it = files_.find(from);
-  if (it == files_.end()) return;
-  File moved = it->second;
-  files_.erase(it);
-  files_[to] = std::move(moved);
+  auto node = files_.extract(from);
+  if (node.empty()) return;
+  files_.erase(to);
+  node.key() = to;
+  files_.insert(std::move(node));
 }
 
 void Fs::Remove(const std::string& path) { files_.erase(path); }
@@ -114,27 +120,32 @@ void Fs::Crash(const std::string& prefix) {
   // order — the crash outcome is a pure function of the shim's seed.
   for (auto& [path, file] : files_) {
     if (!HasPrefix(path, prefix)) continue;
-    if (tear_ppm > 0 && !file.durable.empty()) {
+    uint64_t durable = file.durable_size();
+    if (tear_ppm > 0 && durable > 0) {
       // Torn sector write: the drive's cache acknowledged the flush but
       // lost power mid-destage, so the tail of the *durable* content —
       // at most tear_ppm millionths of the last 4 KiB — never reached
       // the platter.
-      uint64_t window =
-          std::min<uint64_t>(file.durable.size(), 4096);
+      uint64_t window = std::min<uint64_t>(durable, 4096);
       uint64_t chop = rng_.NextU64(window * tear_ppm / 1'000'000 + 1);
       if (chop > 0) {
-        file.durable.resize(file.durable.size() - chop);
+        durable -= chop;
         ++tears_[prefix];
       }
     }
-    file.current = file.durable;
+    if (file.detached) {
+      file.current = std::move(*file.detached);
+      file.detached.reset();
+    }
+    file.current.resize(durable);
+    file.synced = durable;
   }
 }
 
 FsImage Fs::DurableImage(const std::string& prefix) const {
   FsImage image;
   for (const auto& [path, file] : files_) {
-    if (HasPrefix(path, prefix)) image[path] = file.durable;
+    if (HasPrefix(path, prefix)) image[path] = file.durable();
   }
   return image;
 }

@@ -1,9 +1,15 @@
 // Deterministic in-memory filesystem: the only I/O surface the durable
 // storage layer (src/store) is allowed to touch (enforced by detlint's
-// `raw-filesystem` rule). Every file carries two byte strings — the
-// *current* content the writer sees, and the *durable* content that
-// survives a crash — so fsync semantics, torn writes, and lost flushes
-// are modeled explicitly instead of trusting the host OS.
+// `raw-filesystem` rule). Every file has *current* content (what the
+// writer sees) and *durable* content (what survives a crash), so fsync
+// semantics, torn writes, and lost flushes are modeled explicitly
+// instead of trusting the host OS.
+//
+// Storage model: durable content is kept as a synced prefix of current
+// content — `current[0, synced)` — so Append and Fsync are O(appended
+// bytes) and O(1), and each file holds one byte string. Only a WriteFile
+// or Truncate that would overwrite synced bytes first copies the durable
+// bytes out into a detached string, which the next honoured Fsync drops.
 //
 // Determinism argument: the shim holds no wall-clock state and performs
 // no host I/O. Its only nondeterministic-looking behavior — how many
@@ -34,6 +40,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,7 +62,7 @@ class Fs {
   void Append(const std::string& path, const std::string& bytes);
 
   /// Replaces the file's current content (creating it if absent).
-  void WriteFile(const std::string& path, const std::string& bytes);
+  void WriteFile(const std::string& path, std::string bytes);
 
   /// Reads current content. Returns false if the file does not exist.
   bool Read(const std::string& path, std::string* out) const;
@@ -119,9 +126,24 @@ class Fs {
   uint64_t crashes() const { return crashes_; }
 
  private:
+  // Durable content is `detached` when set, else the prefix
+  // `current[0, synced)`.
   struct File {
     std::string current;
-    std::string durable;
+    uint64_t synced = 0;
+    std::optional<std::string> detached;
+
+    uint64_t durable_size() const {
+      return detached ? detached->size() : synced;
+    }
+    std::string durable() const {
+      return detached ? *detached : current.substr(0, synced);
+    }
+    /// Copies the durable bytes out before current content below
+    /// `synced` is overwritten.
+    void Detach() {
+      if (!detached) detached = current.substr(0, synced);
+    }
   };
 
   bool LosingFlushes(const std::string& path) const;

@@ -21,8 +21,8 @@ LogScan ScanLog(const std::string& data) {
     dec.GetU32(&len);
     dec.GetU32(&crc);
     if (dec.remaining() < len) break;  // incomplete trailing frame
-    std::string payload(*dec.data, dec.pos, len);
-    if (Crc32(payload) != crc) break;  // torn or corrupt frame
+    if (Crc32(data.data() + dec.pos, len) != crc) break;  // torn or corrupt
+    std::string payload(data, dec.pos, len);
     ledger::Block block;
     if (!DecodeBlock(payload, &block)) break;
     // Chain linkage: a frame that decodes but does not extend the prefix
@@ -46,21 +46,26 @@ void BlockLog::Append(const ledger::Block& block) {
 
 void BlockLog::Sync() { fs_->Fsync(path_); }
 
-LogScan BlockLog::RecoverAndTruncate(bool mutate_off_by_one) {
+LogScan BlockLog::RecoverAndTruncate(bool mutate_off_by_one,
+                                     uint64_t* valid_frames) {
   std::string data;
   fs_->Read(path_, &data);
+  const uint64_t size = data.size();
   LogScan scan = ScanLog(data);
+  if (valid_frames != nullptr) *valid_frames = scan.blocks.size();
   uint64_t cut = scan.valid_bytes;
   if (mutate_off_by_one && scan.torn && cut > 0) {
     cut -= 1;  // canary bug: eats the last byte of the last valid frame
+    data.resize(cut);
+    scan = ScanLog(data);
+  } else {
+    scan.torn = false;  // the kept bytes end exactly at the valid prefix
   }
-  if (cut < data.size()) {
+  if (cut < size) {
     fs_->Truncate(path_, cut);
     fs_->Fsync(path_);
   }
-  std::string kept;
-  fs_->Read(path_, &kept);
-  return ScanLog(kept);
+  return scan;
 }
 
 }  // namespace pbc::store

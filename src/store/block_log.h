@@ -51,7 +51,12 @@ class BlockLog {
   /// --mutate-recovery`): when a torn tail is truncated, cut one byte too
   /// far — into the last valid frame — silently losing an fsynced block.
   /// The durable-synced-commit invariant must catch this.
-  LogScan RecoverAndTruncate(bool mutate_off_by_one);
+  ///
+  /// The log is scanned once; only a mutated cut is rescanned. If
+  /// `valid_frames` is non-null it receives the frame count of the valid
+  /// prefix before any cut.
+  LogScan RecoverAndTruncate(bool mutate_off_by_one,
+                             uint64_t* valid_frames = nullptr);
 
   const std::string& path() const { return path_; }
 

@@ -6,39 +6,71 @@ namespace pbc::store {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrc[0] is the classic byte-at-a-time table, and
+// kCrc[k][b] is the CRC contribution of byte b followed by k zero bytes,
+// so eight input bytes fold into the register with eight lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
-uint32_t Crc32(const std::string& bytes) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+uint32_t Crc32(const char* data, size_t len) {
+  static const CrcTables kCrc = MakeCrcTables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (char ch : bytes) {
-    c = kTable[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint32_t lo = c ^ LoadLe32(p);
+    uint32_t hi = LoadLe32(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+        kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = kCrc[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
 
+uint32_t Crc32(const std::string& bytes) {
+  return Crc32(bytes.data(), bytes.size());
+}
+
 void PutU32(std::string* out, uint32_t v) {
+  char buf[4];
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
   }
+  out->append(buf, sizeof(buf));
 }
 
 void PutU64(std::string* out, uint64_t v) {
+  char buf[8];
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
   }
+  out->append(buf, sizeof(buf));
 }
 
 void PutString(std::string* out, const std::string& s) {

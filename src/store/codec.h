@@ -6,6 +6,7 @@
 #ifndef PBC_STORE_CODEC_H_
 #define PBC_STORE_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -14,9 +15,14 @@
 
 namespace pbc::store {
 
-/// CRC-32 (IEEE 802.3 polynomial, table-driven) over `bytes`. Used as the
-/// per-frame integrity check in the block log and snapshot files.
+/// CRC-32 (IEEE 802.3 polynomial, table-driven, slicing-by-8) over
+/// `bytes`. Used as the per-frame integrity check in the block log and
+/// snapshot files.
 uint32_t Crc32(const std::string& bytes);
+
+/// Same CRC over `len` bytes at `data`, so a frame can be checked in
+/// place inside a larger buffer.
+uint32_t Crc32(const char* data, size_t len);
 
 // Little-endian primitive append / cursor-based extract.
 void PutU32(std::string* out, uint32_t v);

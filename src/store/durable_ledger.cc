@@ -13,10 +13,16 @@ std::string LogPath(const std::string& dir) { return dir + "/blocks.log"; }
 // The canonical transaction-application idiom (identical to the KV model
 // checker's ApplyToModel), so durable state and model state are
 // byte-comparable: versions advance only when a txn produced writes.
+// Written keys are added to `written` when it is non-null.
 void ApplyTxn(const txn::Transaction& txn, KvStore* kv,
-              uint64_t* next_version) {
+              uint64_t* next_version, std::set<Key>* written = nullptr) {
   txn::ExecResult result = txn::Execute(txn, txn::LatestReader(kv));
   if (!result.writes.empty()) {
+    if (written != nullptr) {
+      for (const WriteAccess& w : result.writes.writes()) {
+        written->insert(w.key);
+      }
+    }
     kv->ApplyBatch(result.writes, (*next_version)++);
   }
 }
@@ -27,8 +33,9 @@ DurableLedger::DurableLedger(sim::Fs* fs, Options opts)
     : fs_(fs), opts_(std::move(opts)), log_(fs, LogPath(opts_.dir)) {}
 
 void DurableLedger::ApplyBlockToState(const ledger::Block& block) {
+  std::set<Key>* dirty = opts_.snapshot_interval == 0 ? nullptr : &dirty_;
   for (const txn::Transaction& t : block.txns) {
-    ApplyTxn(t, &kv_, &next_version_);
+    ApplyTxn(t, &kv_, &next_version_, dirty);
   }
   ++kv_height_;
 }
@@ -51,8 +58,11 @@ void DurableLedger::MaybeSnapshot() {
   }
   // kv_ is exactly the state after block durable_height_-1 here: Persist
   // applies blocks and advances durable_height_ in lockstep.
-  WriteSnapshot(fs_, opts_.dir,
-                CaptureSnapshot(kv_, durable_height_, next_version_));
+  EncodeSnapshotDelta(snapshot_, dirty_, kv_, durable_height_, next_version_,
+                      &snapshot_scratch_);
+  snapshot_.swap(snapshot_scratch_);
+  dirty_.clear();
+  WriteSnapshot(fs_, opts_.dir, durable_height_, snapshot_);
   last_snapshot_height_ = durable_height_;
 }
 
@@ -60,9 +70,9 @@ DurableLedger::Recovered DurableLedger::RecoverFromImage(
     const sim::FsImage& image, const std::string& dir,
     bool mutate_off_by_one, bool use_snapshot) {
   Recovered rec;
-  std::string data;
+  const std::string no_log;
   auto log_it = image.find(LogPath(dir));
-  if (log_it != image.end()) data = log_it->second;
+  const std::string& data = log_it == image.end() ? no_log : log_it->second;
 
   LogScan scan = ScanLog(data);
   if (mutate_off_by_one && scan.torn && scan.valid_bytes > 0) {
@@ -105,11 +115,8 @@ DurableLedger::Recovered DurableLedger::RecoverFromImage(
 DurableLedger::RecoveryReport DurableLedger::RecoverAndResync(
     const ledger::Chain& chain) {
   RecoveryReport report;
-  std::string data;
-  fs_->Read(log_.path(), &data);
-  report.valid_frames = ScanLog(data).blocks.size();
-
-  LogScan kept = log_.RecoverAndTruncate(opts_.mutate_recovery);
+  LogScan kept =
+      log_.RecoverAndTruncate(opts_.mutate_recovery, &report.valid_frames);
   report.recovered_height = kept.blocks.size();
   durable_height_ = kept.blocks.size();
 

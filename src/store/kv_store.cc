@@ -12,7 +12,7 @@ Result<VersionedValue> KvStore::Get(const Key& key) const {
   }
   const Entry& e = it->second.back();
   if (e.is_delete) return Status::NotFound("key deleted: " + key);
-  return VersionedValue{e.value, e.version};
+  return e.vv;
 }
 
 Result<VersionedValue> KvStore::GetAt(const Key& key, Version version) const {
@@ -22,19 +22,19 @@ Result<VersionedValue> KvStore::GetAt(const Key& key, Version version) const {
   // Largest entry with entry.version <= version.
   auto pos = std::upper_bound(
       chain.begin(), chain.end(), version,
-      [](Version v, const Entry& e) { return v < e.version; });
+      [](Version v, const Entry& e) { return v < e.vv.version; });
   if (pos == chain.begin()) {
     return Status::NotFound("key not visible at snapshot: " + key);
   }
   --pos;
   if (pos->is_delete) return Status::NotFound("key deleted at snapshot: " + key);
-  return VersionedValue{pos->value, pos->version};
+  return pos->vv;
 }
 
 Version KvStore::VersionOf(const Key& key) const {
   auto it = chains_.find(key);
   if (it == chains_.end() || it->second.empty()) return kNeverWritten;
-  return it->second.back().version;
+  return it->second.back().vv.version;
 }
 
 Status KvStore::ApplyBatch(const WriteBatch& batch, Version commit_version) {
@@ -43,11 +43,11 @@ Status KvStore::ApplyBatch(const WriteBatch& batch, Version commit_version) {
   }
   for (const auto& w : batch.writes()) {
     auto& chain = chains_[w.key];
-    if (!chain.empty() && chain.back().version == commit_version) {
+    if (!chain.empty() && chain.back().vv.version == commit_version) {
       // Last-writer-wins inside one batch.
-      chain.back() = Entry{commit_version, w.value, w.is_delete};
+      chain.back() = Entry{{w.value, commit_version}, w.is_delete};
     } else {
-      chain.push_back(Entry{commit_version, w.value, w.is_delete});
+      chain.push_back(Entry{{w.value, commit_version}, w.is_delete});
     }
   }
   last_committed_ = commit_version;
@@ -67,7 +67,7 @@ bool KvStore::SameLatestState(const KvStore& other) const {
     std::map<Key, Value> out;
     for (const auto& [k, chain] : s.chains_) {
       if (!chain.empty() && !chain.back().is_delete) {
-        out[k] = chain.back().value;
+        out[k] = chain.back().vv.value;
       }
     }
     return out;
@@ -79,7 +79,7 @@ void KvStore::ForEachLatest(
     const std::function<void(const Key&, const VersionedValue&)>& fn) const {
   for (const auto& [k, chain] : chains_) {
     if (!chain.empty() && !chain.back().is_delete) {
-      fn(k, VersionedValue{chain.back().value, chain.back().version});
+      fn(k, chain.back().vv);
     }
   }
 }

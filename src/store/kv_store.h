@@ -116,8 +116,7 @@ class KvStore {
 
  private:
   struct Entry {
-    Version version;
-    Value value;
+    VersionedValue vv;
     bool is_delete;
   };
   // Per-key version chain, ascending by version.

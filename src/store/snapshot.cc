@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "store/block_log.h"
 #include "store/codec.h"
@@ -32,6 +33,83 @@ std::string EncodeSnapshot(const SnapshotData& snap) {
     PutU64(&payload, e.version);
   }
   return EncodeFrame(payload);
+}
+
+namespace {
+
+// Snapshot file layout: frame header [u32 len][u32 crc], then the payload
+// fields height, next_version, last_committed and entry count (u64 each),
+// then the entries [u32 klen][key][u32 vlen][value][u64 version].
+constexpr size_t kFrameHeaderBytes = 8;
+constexpr size_t kEntriesStart = kFrameHeaderBytes + 4 * 8;
+
+uint32_t U32At(const std::string& bytes, size_t at) {
+  Decoder dec{&bytes, at};
+  uint32_t v = 0;
+  dec.GetU32(&v);
+  return v;
+}
+
+// Overwrites `width` bytes at `at` with `v`, little-endian.
+void StoreLe(std::string* out, size_t at, uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+}
+
+}  // namespace
+
+void EncodeSnapshotDelta(const std::string& prev, const std::set<Key>& dirty,
+                         const KvStore& kv, uint64_t height,
+                         uint64_t next_version, std::string* out) {
+  out->assign(kEntriesStart, '\0');  // header and fields, patched below
+  uint64_t count = 0;
+  auto reencode = [&](const Key& key) {
+    Result<VersionedValue> vv = kv.Get(key);
+    if (!vv.ok()) return;  // deleted since `prev`: the entry goes away
+    PutString(out, key);
+    PutString(out, vv->value);
+    PutU64(out, vv->version);
+    ++count;
+  };
+
+  // Both `prev`'s entries and `dirty` are in key order: merge them. Clean
+  // entries accumulate into a verbatim run [run, pos) of `prev`, flushed
+  // whenever a dirty key has to be emitted in between.
+  auto dirty_it = dirty.begin();
+  size_t pos = prev.empty() ? 0 : kEntriesStart;
+  size_t run = pos;
+  while (pos < prev.size()) {
+    uint32_t klen = U32At(prev, pos);
+    std::string_view key(prev.data() + pos + 4, klen);
+    size_t next = pos + 4 + klen;
+    next += 4 + U32At(prev, next) + 8;
+    bool replaced = false;
+    for (; dirty_it != dirty.end() && !replaced; ++dirty_it) {
+      int cmp = std::string_view(*dirty_it).compare(key);
+      if (cmp > 0) break;
+      out->append(prev, run, pos - run);
+      run = pos;
+      reencode(*dirty_it);
+      replaced = cmp == 0;
+    }
+    if (replaced) {
+      run = next;
+    } else {
+      ++count;
+    }
+    pos = next;
+  }
+  out->append(prev, run, pos - run);
+  for (; dirty_it != dirty.end(); ++dirty_it) reencode(*dirty_it);
+
+  StoreLe(out, kFrameHeaderBytes, height, 8);
+  StoreLe(out, kFrameHeaderBytes + 8, next_version, 8);
+  StoreLe(out, kFrameHeaderBytes + 16, kv.last_committed(), 8);
+  StoreLe(out, kFrameHeaderBytes + 24, count, 8);
+  size_t len = out->size() - kFrameHeaderBytes;
+  StoreLe(out, 0, len, 4);
+  StoreLe(out, 4, Crc32(out->data() + kFrameHeaderBytes, len), 4);
 }
 
 bool DecodeSnapshot(const std::string& file_content, SnapshotData* out) {
@@ -111,11 +189,11 @@ std::string SnapshotPath(const std::string& dir, uint64_t height) {
 
 std::string ManifestPath(const std::string& dir) { return dir + "/MANIFEST"; }
 
-void WriteSnapshot(sim::Fs* fs, const std::string& dir,
-                   const SnapshotData& snap) {
-  const std::string final_path = SnapshotPath(dir, snap.height);
+void WriteSnapshot(sim::Fs* fs, const std::string& dir, uint64_t height,
+                   std::string file_content) {
+  const std::string final_path = SnapshotPath(dir, height);
   const std::string tmp_path = final_path + ".tmp";
-  fs->WriteFile(tmp_path, EncodeSnapshot(snap));
+  fs->WriteFile(tmp_path, std::move(file_content));
   fs->Fsync(tmp_path);  // the barrier that defeats the rename hazard
   fs->Rename(tmp_path, final_path);
 
@@ -124,9 +202,9 @@ void WriteSnapshot(sim::Fs* fs, const std::string& dir,
   if (fs->Read(ManifestPath(dir), &manifest_content)) {
     DecodeManifest(manifest_content, &heights);  // corrupt -> start fresh
   }
-  heights.erase(std::remove(heights.begin(), heights.end(), snap.height),
+  heights.erase(std::remove(heights.begin(), heights.end(), height),
                 heights.end());
-  heights.insert(heights.begin(), snap.height);
+  heights.insert(heights.begin(), height);
   while (heights.size() > 2) {
     fs->Remove(SnapshotPath(dir, heights.back()));
     heights.pop_back();

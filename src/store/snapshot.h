@@ -16,6 +16,7 @@
 #define PBC_STORE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,21 @@ SnapshotData CaptureSnapshot(const KvStore& kv, uint64_t height,
                              uint64_t next_version);
 
 /// CRC-framed snapshot file content / its inverse (false on corruption).
+/// The writer builds files with EncodeSnapshotDelta; EncodeSnapshot of a
+/// CaptureSnapshot is the full encoding it must byte-equal.
 std::string EncodeSnapshot(const SnapshotData& snap);
 bool DecodeSnapshot(const std::string& file_content, SnapshotData* out);
+
+/// Builds the snapshot file content of `kv` at `height` into `*out` by
+/// merging `prev` — an earlier EncodeSnapshotDelta output for the same
+/// store, or empty — with the keys written since: runs of `prev` entries
+/// whose keys are not in `dirty` are copied verbatim, and only dirty keys
+/// are re-encoded from `kv`. When `dirty` holds every key written since
+/// `prev` was built, the result byte-equals
+/// EncodeSnapshot(CaptureSnapshot(kv, height, next_version)).
+void EncodeSnapshotDelta(const std::string& prev, const std::set<Key>& dirty,
+                         const KvStore& kv, uint64_t height,
+                         uint64_t next_version, std::string* out);
 
 /// Rebuilds a KvStore whose latest state equals the captured one:
 /// entries grouped by version, applied in ascending version order.
@@ -59,10 +73,11 @@ bool DecodeManifest(const std::string& file_content,
 std::string SnapshotPath(const std::string& dir, uint64_t height);
 std::string ManifestPath(const std::string& dir);
 
-/// Runs the full write protocol against `fs`, pruning manifest entries
-/// beyond the newest two (older snapshot files are removed).
-void WriteSnapshot(sim::Fs* fs, const std::string& dir,
-                   const SnapshotData& snap);
+/// Runs the full write protocol against `fs` for the encoded snapshot
+/// `file_content` at `height`, pruning manifest entries beyond the newest
+/// two (older snapshot files are removed).
+void WriteSnapshot(sim::Fs* fs, const std::string& dir, uint64_t height,
+                   std::string file_content);
 
 }  // namespace pbc::store
 

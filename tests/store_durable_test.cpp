@@ -6,11 +6,13 @@
 // exactly the invariant that owns its failure mode.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "check/durable.h"
 #include "check/invariants.h"
+#include "common/rng.h"
 #include "ledger/block.h"
 #include "ledger/chain.h"
 #include "sim/fs.h"
@@ -161,6 +163,130 @@ TEST(SimFsTest, RenameBeforeSyncLosesContentButKeepsName) {
   EXPECT_EQ(got, "payload");
 }
 
+// Durable content is a synced prefix of the current bytes; these pin the
+// cases where the shim must copy the durable bytes out first.
+TEST(SimFsTest, WriteFileOverSyncedBytesKeepsOldDurableContent) {
+  sim::Fs fs(1);
+  fs.WriteFile("n0/f", "old-durable");
+  ASSERT_TRUE(fs.Fsync("n0/f"));
+  fs.WriteFile("n0/f", "new");
+  std::string got;
+  ASSERT_TRUE(fs.Read("n0/f", &got));
+  EXPECT_EQ(got, "new");
+  EXPECT_EQ(fs.DurableImage("n0/").at("n0/f"), "old-durable");
+  fs.Crash("n0/");
+  ASSERT_TRUE(fs.Read("n0/f", &got));
+  EXPECT_EQ(got, "old-durable");
+}
+
+TEST(SimFsTest, TruncateBelowSyncedThenCrashRestoresDurableContent) {
+  sim::Fs fs(1);
+  fs.Append("n0/f", "abcdef");
+  ASSERT_TRUE(fs.Fsync("n0/f"));
+  fs.Truncate("n0/f", 2);
+  fs.Append("n0/f", "XY");  // overwrites what used to be synced bytes
+  std::string got;
+  ASSERT_TRUE(fs.Read("n0/f", &got));
+  EXPECT_EQ(got, "abXY");
+  fs.Crash("n0/");
+  ASSERT_TRUE(fs.Read("n0/f", &got));
+  EXPECT_EQ(got, "abcdef");
+
+  // A truncation that stays above the synced length needs no copy and
+  // still loses only unsynced bytes.
+  fs.Append("n0/f", "ghi");
+  fs.Truncate("n0/f", 7);
+  fs.Crash("n0/");
+  ASSERT_TRUE(fs.Read("n0/f", &got));
+  EXPECT_EQ(got, "abcdef");
+}
+
+TEST(SimFsTest, LostFlushAfterCopyOutKeepsOldDurableContent) {
+  sim::Fs fs(1);
+  fs.WriteFile("n0/f", "durable");
+  ASSERT_TRUE(fs.Fsync("n0/f"));
+  fs.SetLoseFlushes("n0/", true);
+  fs.WriteFile("n0/f", "rewritten");  // forces the copy-out
+  EXPECT_TRUE(fs.Fsync("n0/f"));      // the disk lies
+  fs.Append("n0/f", "-more");
+  EXPECT_TRUE(fs.Fsync("n0/f"));
+  EXPECT_EQ(fs.fsyncs_dropped("n0/"), 2u);
+  fs.Crash("n0/");
+  std::string got;
+  ASSERT_TRUE(fs.Read("n0/f", &got));
+  EXPECT_EQ(got, "durable");
+
+  fs.SetLoseFlushes("n0/", false);
+  fs.WriteFile("n0/f", "rewritten");
+  ASSERT_TRUE(fs.Fsync("n0/f"));  // an honoured flush drops the old copy
+  fs.Crash("n0/");
+  ASSERT_TRUE(fs.Read("n0/f", &got));
+  EXPECT_EQ(got, "rewritten");
+}
+
+TEST(SimFsTest, TearOnASyncedPrefixChopsOnlyTheDurableTail) {
+  sim::Fs fs(7);
+  const std::string synced(100, 'x');
+  int attempts = 0;
+  std::string got;
+  while (fs.tears("n0/") == 0 && attempts < 200) {
+    fs.WriteFile("n0/f", synced);
+    fs.Fsync("n0/f");
+    fs.Append("n0/f", std::string(50, 'y'));  // past the barrier
+    fs.SetPendingTear("n0/", 1'000'000);
+    fs.Crash("n0/");
+    ASSERT_TRUE(fs.Read("n0/f", &got));
+    EXPECT_EQ(got, synced.substr(0, got.size()));  // never a 'y'
+    ++attempts;
+  }
+  ASSERT_GE(fs.tears("n0/"), 1u) << "no tear in " << attempts << " crashes";
+  EXPECT_LT(got.size(), synced.size());
+}
+
+TEST(SimFsTest, RenameKeepsTheSyncedPrefix) {
+  sim::Fs fs(1);
+  fs.Append("n0/a", "abc");
+  ASSERT_TRUE(fs.Fsync("n0/a"));
+  fs.Append("n0/a", "def");
+  fs.WriteFile("n0/b", "replaced");
+  fs.Rename("n0/a", "n0/b");
+  EXPECT_FALSE(fs.Exists("n0/a"));
+  std::string got;
+  ASSERT_TRUE(fs.Read("n0/b", &got));
+  EXPECT_EQ(got, "abcdef");
+  fs.Crash("n0/");
+  ASSERT_TRUE(fs.Read("n0/b", &got));
+  EXPECT_EQ(got, "abc");
+}
+
+// --- Codec -------------------------------------------------------------------
+
+uint32_t BitwiseCrc32(const char* data, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= static_cast<uint8_t>(data[i]);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CodecTest, Crc32MatchesBitwiseReference) {
+  EXPECT_EQ(store::Crc32(std::string("123456789")), 0xCBF43926u);
+  Rng rng(5);
+  std::string buf(400, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.NextU64(256));
+  for (int i = 0; i < 500; ++i) {
+    size_t offset = rng.NextU64(64);
+    size_t len = rng.NextU64(301);
+    EXPECT_EQ(store::Crc32(buf.data() + offset, len),
+              BitwiseCrc32(buf.data() + offset, len))
+        << "offset " << offset << " len " << len;
+  }
+  EXPECT_EQ(store::Crc32(buf), BitwiseCrc32(buf.data(), buf.size()));
+}
+
 // --- Block log framing + recovery -------------------------------------------
 
 TEST(BlockLogTest, ScanAcceptsCleanChainedFrames) {
@@ -291,7 +417,8 @@ TEST(SnapshotTest, WriteSnapshotPrunesToNewestTwo) {
   b.Put("k", "v");
   ASSERT_TRUE(kv.ApplyBatch(b, 1).ok());
   for (uint64_t h : {2u, 4u, 6u}) {
-    store::WriteSnapshot(&fs, "n0", store::CaptureSnapshot(kv, h, 2));
+    store::WriteSnapshot(
+        &fs, "n0", h, store::EncodeSnapshot(store::CaptureSnapshot(kv, h, 2)));
   }
   std::string manifest;
   ASSERT_TRUE(fs.Read(store::ManifestPath("n0"), &manifest));
@@ -427,6 +554,86 @@ TEST(DurableLedgerTest, HonestRecoverAndResyncRestoresTheFullLog) {
       fs.DurableImage("n0/"), "n0", false);
   EXPECT_EQ(rec.height, 2u);
   EXPECT_EQ(rec.state, ReplayChainState(chain, 2));
+}
+
+// Snapshots are built from the previous snapshot plus the keys written
+// since. Every snap-<h> file must still byte-equal the full encoding of an
+// independently replayed store at height h — across snapshot intervals,
+// multi-block persists, keys that land before, between and after existing
+// ones, and a torn crash followed by RecoverAndResync.
+TEST(DurableLedgerTest, DeltaSnapshotsByteEqualTheFullEncoding) {
+  for (uint64_t interval : {1u, 2u, 3u}) {
+    SCOPED_TRACE("snapshot_interval " + std::to_string(interval));
+    sim::Fs fs(interval);
+    Rng rng(100 + interval);
+    ledger::Chain chain;
+    store::DurableLedger::Options opts;
+    opts.dir = "n0";
+    opts.snapshot_interval = interval;
+    store::DurableLedger ledger(&fs, opts);
+
+    store::KvStore oracle;
+    uint64_t next_version = 1;
+    std::map<uint64_t, std::string> expected;  // height -> full encoding
+    uint64_t crash_height = 0;  // snapshot files up to here may be torn
+    uint64_t checked = 0;
+    txn::TxnId id = 0;
+    // Decimal suffixes interleave lexicographically ("k5" < "k50" < "k6"),
+    // so fresh keys keep landing between, before and after old ones.
+    auto key = [&] { return "k" + std::to_string(rng.NextU64(300)); };
+
+    for (int step = 0; step < 40; ++step) {
+      for (uint64_t b = 0, n = 1 + rng.NextU64(2); b < n; ++b) {
+        std::vector<txn::Transaction> txns;
+        for (uint64_t i = 0, m = 1 + rng.NextU64(8); i < m; ++i) {
+          txn::Transaction t;
+          t.id = ++id;
+          switch (rng.NextU64(4)) {
+            case 0:
+              t.ops.push_back(txn::Op::Write(
+                  key(), txn::EncodeInt(static_cast<int64_t>(rng.NextU64(9)))));
+              break;
+            case 1:
+              t.ops.push_back(txn::Op::Increment(key(), 1 + rng.NextU64(9)));
+              break;
+            case 2:
+              t.ops.push_back(txn::Op::Transfer(key(), key(),
+                                                1 + rng.NextU64(20)));
+              break;
+            default:
+              t.ops.push_back(txn::Op::Read(key()));  // writes nothing
+          }
+          txns.push_back(std::move(t));
+        }
+        AppendBlock(&chain, std::move(txns));
+        for (const txn::Transaction& t : chain.at(chain.height() - 1).txns) {
+          txn::ExecResult r = txn::Execute(t, txn::LatestReader(&oracle));
+          if (!r.writes.empty()) oracle.ApplyBatch(r.writes, next_version++);
+        }
+        expected[chain.height()] = store::EncodeSnapshot(
+            store::CaptureSnapshot(oracle, chain.height(), next_version));
+      }
+      ledger.Persist(chain);
+
+      if (step == 20) {
+        fs.SetPendingTear("n0/", 1'000'000);
+        fs.Crash("n0/");
+        crash_height = chain.height();
+        ledger.RecoverAndResync(chain);
+      }
+      for (const std::string& path : fs.List("n0/snap-")) {
+        uint64_t h = std::stoull(path.substr(std::string("n0/snap-").size()));
+        if (h <= crash_height) continue;
+        std::string got;
+        ASSERT_TRUE(fs.Read(path, &got));
+        ASSERT_EQ(expected.count(h), 1u) << path;
+        EXPECT_TRUE(got == expected[h]) << path << " differs from the oracle";
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 10u);
+    EXPECT_GT(fs.tears("n0/"), 0u);
+  }
 }
 
 // --- Checker broken-fakes: each trips exactly its invariant ------------------
