@@ -1,5 +1,6 @@
 #include "arch/architecture.h"
 
+#include "block/conflict.h"
 #include "obs/metrics.h"
 #include "store/durable_ledger.h"
 
@@ -37,10 +38,10 @@ void OxArchitecture::ProcessBlock(
 
 void OxiiArchitecture::ProcessBlock(
     const std::vector<txn::Transaction>& block) {
-  // Order phase artifact: the dependency graph the orderers would attach.
-  auto graph = txn::DependencyGraph::Build(block);
+  // Order phase artifact: the conflict graph the orderers would attach.
+  auto graph = block::ConflictGraph::Build(block);
   stats_.dag_edges += graph.num_edges();
-  auto exec_stats = txn::ExecuteDag(block, graph, pool_, &store_);
+  auto exec_stats = txn::ExecuteDag(block, graph.Levels(), pool_, &store_);
   stats_.dag_levels += exec_stats.levels;
   stats_.committed += block.size();
   AppendLedgerBlock(block);

@@ -26,7 +26,6 @@
 #include "common/thread_pool.h"
 #include "ledger/chain.h"
 #include "store/kv_store.h"
-#include "txn/dependency_graph.h"
 #include "txn/executor.h"
 #include "txn/transaction.h"
 
@@ -48,7 +47,7 @@ struct ArchStats {
   uint64_t early_aborted = 0;  ///< filtered before validation (FabricSharp)
   uint64_t reordered = 0;      ///< txns moved by intra-block reordering
   uint64_t reexecuted = 0;     ///< re-run post-validation (XOX)
-  uint64_t dag_edges = 0;      ///< conflict edges seen by OXII orderers
+  uint64_t dag_edges = 0;      ///< reduced conflict edges (OXII/FastFabric)
   uint64_t dag_levels = 0;     ///< cumulative parallel levels (OXII)
 };
 
@@ -105,7 +104,7 @@ class OxArchitecture : public Architecture {
   void ProcessBlock(const std::vector<txn::Transaction>& block) override;
 };
 
-/// \brief OXII (ParBlockchain): dependency graph + parallel execution.
+/// \brief OXII (ParBlockchain): conflict graph + parallel execution.
 class OxiiArchitecture : public Architecture {
  public:
   using Architecture::Architecture;

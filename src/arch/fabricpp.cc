@@ -4,7 +4,7 @@ namespace pbc::arch {
 
 void FabricPPArchitecture::ProcessBlock(
     const std::vector<txn::Transaction>& block) {
-  auto endorsed = EndorseAll(block);
+  auto endorsed = block::EndorseAll(block, store_, 0, pool_);
   ReorderResult plan = ReorderBlock(endorsed, /*minimal_aborts=*/false);
   stats_.aborted += plan.aborted.size();
   for (size_t i : plan.aborted) endorsed[i].valid = false;
@@ -20,7 +20,7 @@ void FabricPPArchitecture::ProcessBlock(
 
 void FabricSharpArchitecture::ProcessBlock(
     const std::vector<txn::Transaction>& block) {
-  auto endorsed = EndorseAll(block);
+  auto endorsed = block::EndorseAll(block, store_, 0, pool_);
 
   // Early filter: transactions whose reads are already stale against the
   // current state can never pass validation in any intra-block order —

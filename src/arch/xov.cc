@@ -4,19 +4,6 @@
 
 namespace pbc::arch {
 
-std::vector<Endorsed> XovBase::EndorseAll(
-    const std::vector<txn::Transaction>& block) {
-  std::vector<Endorsed> endorsed(block.size());
-  store::Version snapshot = store_.last_committed();
-  const store::KvStore* cstore = &store_;
-  pool_->ParallelFor(block.size(), [&](size_t i) {
-    endorsed[i].txn = &block[i];
-    endorsed[i].result =
-        txn::Execute(block[i], txn::SnapshotReader(cstore, snapshot));
-  });
-  return endorsed;
-}
-
 void XovBase::ChargeValidation(const txn::Transaction& txn) const {
   block::ChargeValidationCost(txn, validation_cost_);
 }
@@ -36,7 +23,7 @@ std::vector<txn::Transaction> XovBase::GateBlock(
 
 void XovArchitecture::ProcessBlock(
     const std::vector<txn::Transaction>& block) {
-  auto endorsed = EndorseAll(block);
+  auto endorsed = block::EndorseAll(block, store_, 0, pool_);
   // Serial validation pipeline: the per-txn checks run one by one before
   // the single commit scan.
   for (const auto& e : endorsed) ChargeValidation(*e.txn);
@@ -48,8 +35,8 @@ void XovArchitecture::ProcessBlock(
 void FastFabricArchitecture::ProcessBlock(
     const std::vector<txn::Transaction>& block) {
   // FastFabric = the parallel block validator: endorsement and the
-  // per-transaction checks fan out over the pool (level-parallel across
-  // the conflict graph); only the MVCC gate stays serial.
+  // per-transaction checks fan out over the pool in one flat loop
+  // (block::EndorseAll); only the MVCC gate stays serial.
   block::ParallelValidator validator(pool_, &store_, validation_cost_);
   std::vector<bool> valid = validator.ProcessBlock(block);
   stats_.committed += validator.stats().committed;
@@ -66,7 +53,7 @@ void FastFabricArchitecture::ProcessBlock(
 
 void XoxArchitecture::ProcessBlock(
     const std::vector<txn::Transaction>& block) {
-  auto endorsed = EndorseAll(block);
+  auto endorsed = block::EndorseAll(block, store_, 0, pool_);
   for (const auto& e : endorsed) ChargeValidation(*e.txn);
   std::vector<size_t> order(block.size());
   std::iota(order.begin(), order.end(), size_t{0});

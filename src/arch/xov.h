@@ -30,11 +30,13 @@ using Endorsed = block::Endorsed;
 
 /// \brief Shared XOV machinery.
 ///
-/// The phase boundary is explicit: EndorseAll freezes the pre-block
-/// snapshot (phase X reads it, never the live store), and the only writes
-/// happen inside the single serial block::GateAndCommit scan (phase V).
-/// Serial and parallel variants therefore agree by construction — they
-/// run the same gate over order-independent endorsements.
+/// The phase boundary is explicit: phase X is block::EndorseAll against
+/// the pre-block snapshot (it never reads the live store), called with
+/// validation cost 0 so each variant charges validation its own way; the
+/// only writes happen inside the single serial block::GateAndCommit scan
+/// (phase V). Serial and parallel variants therefore agree by
+/// construction — they run the same gate over order-independent
+/// endorsements.
 class XovBase : public Architecture {
  public:
   /// `validation_cost_rounds`: hash rounds charged per transaction during
@@ -44,11 +46,6 @@ class XovBase : public Architecture {
       : Architecture(pool), validation_cost_(validation_cost_rounds) {}
 
  protected:
-  /// Phase X: endorse every transaction in parallel against the current
-  /// committed state (the pre-block snapshot).
-  std::vector<Endorsed> EndorseAll(
-      const std::vector<txn::Transaction>& block);
-
   /// Burns the per-transaction validation cost (deterministic hashing).
   void ChargeValidation(const txn::Transaction& txn) const;
 

@@ -4,20 +4,28 @@
 
 namespace pbc::block {
 
-void ConflictGraph::AddEdge(size_t from, size_t to, std::set<Edge>* kind) {
-  if (from == to) return;
-  kind->insert({from, to});
-  if (edges_.insert({from, to}).second) {
-    adj_[from].push_back(to);
-    ++in_degree_[to];
-  }
-}
-
 ConflictGraph ConflictGraph::Build(
     const std::vector<txn::Transaction>& txns) {
+  const size_t n = txns.size();
   ConflictGraph g;
-  g.adj_.resize(txns.size());
-  g.in_degree_.assign(txns.size(), 0);
+  g.adj_.resize(n);
+
+  // Every edge into txn i is added while i is processed, so `from → i` is
+  // a duplicate exactly when `from` already carries stamp i. One stamp
+  // vector per counter stands in for a set of edges.
+  std::vector<size_t> any(n, n), wr(n, n), rw(n, n), ww(n, n);
+  auto add = [&](size_t from, size_t to, std::vector<size_t>* kind,
+                 size_t* kind_edges) {
+    if ((*kind)[from] != to) {
+      (*kind)[from] = to;
+      ++*kind_edges;
+    }
+    if (any[from] != to) {
+      any[from] = to;
+      g.adj_[from].push_back(to);
+      ++g.num_edges_;
+    }
+  };
 
   // Per-key access history, walked in block order. Ordered map so the
   // adjacency lists come out deterministic regardless of key content.
@@ -28,21 +36,21 @@ ConflictGraph ConflictGraph::Build(
   };
   std::map<store::Key, KeyState> keys;
 
-  for (size_t i = 0; i < txns.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     for (const store::Key& k : txns[i].DeclaredReads()) {
       KeyState& st = keys[k];
       if (st.has_writer && st.last_writer != i) {
-        g.AddEdge(st.last_writer, i, &g.wr_);
+        add(st.last_writer, i, &wr, &g.wr_edges_);
       }
       st.readers_since_write.push_back(i);
     }
     for (const store::Key& k : txns[i].DeclaredWrites()) {
       KeyState& st = keys[k];
       for (size_t r : st.readers_since_write) {
-        if (r != i) g.AddEdge(r, i, &g.rw_);
+        if (r != i) add(r, i, &rw, &g.rw_edges_);
       }
       if (st.has_writer && st.last_writer != i) {
-        g.AddEdge(st.last_writer, i, &g.ww_);
+        add(st.last_writer, i, &ww, &g.ww_edges_);
       }
       st.has_writer = true;
       st.last_writer = i;

@@ -1,7 +1,9 @@
 #include "block/validator.h"
 
+#include <algorithm>
 #include <cstdlib>
 
+#include "block/conflict.h"
 #include "crypto/sha256.h"
 
 namespace pbc::block {
@@ -19,6 +21,20 @@ void ChargeValidationCost(const txn::Transaction& txn, int rounds) {
       acc.bytes[3] == 0xff && acc.bytes[4] == 0xff) {
     std::abort();  // probability ~2^-40; defeats dead-code elimination
   }
+}
+
+std::vector<Endorsed> EndorseAll(const std::vector<txn::Transaction>& txns,
+                                 const store::KvStore& store,
+                                 int validation_cost_rounds, ThreadPool* pool) {
+  std::vector<Endorsed> endorsed(txns.size());
+  store::Version snapshot = store.last_committed();
+  pool->ParallelFor(txns.size(), [&](size_t i) {
+    endorsed[i].txn = &txns[i];
+    endorsed[i].result =
+        txn::Execute(txns[i], txn::SnapshotReader(&store, snapshot));
+    ChargeValidationCost(txns[i], validation_cost_rounds);
+  });
+  return endorsed;
 }
 
 size_t GateAndCommit(std::vector<Endorsed>* endorsed,
@@ -76,39 +92,20 @@ std::vector<bool> SerialValidator::ProcessBlock(
 
 std::vector<bool> ParallelValidator::ProcessBlock(
     const std::vector<txn::Transaction>& txns) {
-  ConflictGraph graph = ConflictGraph::Build(txns);
-  store::Version snapshot = store_->last_committed();
-  const store::KvStore* cstore = store_;
-  std::vector<Endorsed> endorsed(txns.size());
-
-  // Level-parallel endorse: txns within a level are mutually conflict-free
-  // and run concurrently; the TaskGroup barrier between levels mirrors how
-  // a real validator would pipeline conflicting txns. Results cannot
-  // depend on scheduling: every execution reads the same immutable
-  // snapshot, and each worker writes only its own endorsed[i] slot.
-  auto levels = graph.Levels();
-  for (const auto& level : levels) {
-    TaskGroup group;
-    for (size_t i : level) {
-      pool_->Submit(&group, [&, i] {
-        endorsed[i].txn = &txns[i];
-        endorsed[i].result =
-            txn::Execute(txns[i], txn::SnapshotReader(cstore, snapshot));
-        ChargeValidationCost(txns[i], cost_);
-      });
-    }
-    pool_->Wait(&group);
-  }
-
+  std::vector<Endorsed> endorsed = EndorseAll(txns, *store_, cost_, pool_);
   size_t committed = GateAndCommit(&endorsed, BlockOrder(txns.size()), store_);
+  ConflictGraph graph = ConflictGraph::Build(txns);
+  auto levels = graph.Levels();
   ++stats_.blocks;
   stats_.txns += txns.size();
   stats_.committed += committed;
   stats_.aborted += txns.size() - committed;
   stats_.conflict_edges += graph.num_edges();
   stats_.levels += levels.size();
-  size_t width = graph.MaxLevelWidth();
-  if (width > stats_.max_level_width) stats_.max_level_width = width;
+  for (const auto& level : levels) {
+    stats_.max_level_width =
+        std::max<uint64_t>(stats_.max_level_width, level.size());
+  }
   return Flags(endorsed);
 }
 

@@ -14,18 +14,18 @@
 //      so later txns in the scan see them — exactly Fabric's
 //      validate-and-commit loop.
 //
-// ParallelValidator runs stage 1 level-by-level over the block's conflict
-// graph on thread-pool TaskGroups; SerialValidator runs it in block order
-// on the caller's thread. Their outputs (validity flags + final store
-// state) are byte-identical by construction, which tests/block_test.cpp
-// pins across seeds and job counts.
+// ParallelValidator runs stage 1 as one flat EndorseAll over the thread
+// pool — no conflict-level barriers, since stage 1 only reads the
+// snapshot; SerialValidator runs it in block order on the caller's thread.
+// Their outputs (validity flags + final store state) are byte-identical by
+// construction, which tests/block_test.cpp pins across seeds and job
+// counts.
 #ifndef PBC_BLOCK_VALIDATOR_H_
 #define PBC_BLOCK_VALIDATOR_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "block/conflict.h"
 #include "common/thread_pool.h"
 #include "store/kv_store.h"
 #include "txn/transaction.h"
@@ -40,8 +40,9 @@ struct Endorsed {
 };
 
 /// \brief Per-validator counters, accumulated across blocks. The conflict
-/// fields describe the parallel validator's scheduling shape; benches emit
-/// them next to the thread pool's steal counts.
+/// fields describe the shape of the parallel validator's blocks (how much
+/// a level schedule could overlap); benches emit them next to the thread
+/// pool's steal counts.
 struct ValidatorStats {
   uint64_t blocks = 0;
   uint64_t txns = 0;
@@ -55,6 +56,16 @@ struct ValidatorStats {
 /// \brief Burns `rounds` of hashing per txn — models signature +
 /// endorsement-policy checking, the work FastFabric parallelizes.
 void ChargeValidationCost(const txn::Transaction& txn, int rounds);
+
+/// \brief Stage 1, the one parallel endorse loop: executes every txn of
+/// `txns` on `pool` against the snapshot at store.last_committed() and
+/// charges `validation_cost_rounds` of ChargeValidationCost in the same
+/// job. Each job writes only its own slot, so the result does not depend
+/// on scheduling. Shared by ParallelValidator and the arch layer's XOV
+/// family (which pass cost 0 and charge validation serially).
+std::vector<Endorsed> EndorseAll(const std::vector<txn::Transaction>& txns,
+                                 const store::KvStore& store,
+                                 int validation_cost_rounds, ThreadPool* pool);
 
 /// \brief The serial MVCC gate, shared by both validators and the arch
 /// layer (xov / fabricpp — the latter feeds a reordered `order`).
@@ -93,10 +104,10 @@ class ParallelValidator {
                     int validation_cost_rounds = 0)
       : pool_(pool), store_(store), cost_(validation_cost_rounds) {}
 
-  /// Builds the block's conflict graph, executes each antichain level
-  /// concurrently (TaskGroup per level) against the pre-block snapshot,
-  /// then runs the serial gate in block order. Byte-identical to
-  /// SerialValidator for any pool size.
+  /// Endorses the block with EndorseAll, then runs the serial gate in
+  /// block order. Byte-identical to SerialValidator for any pool size.
+  /// The block's conflict graph is built only for the shape counters in
+  /// stats().
   std::vector<bool> ProcessBlock(const std::vector<txn::Transaction>& txns);
 
   const ValidatorStats& stats() const { return stats_; }

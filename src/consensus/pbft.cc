@@ -190,22 +190,20 @@ void PbftReplica::TryCommit(uint64_t seq) {
   if (votes.size() >= cfg_.BftQuorum()) {
     slot.committed = true;
     DeliverCommitted(seq, slot.batch);
-    MaybeCheckpoint(last_delivered_seq());
   }
 }
 
-void PbftReplica::MaybeCheckpoint(uint64_t delivered_seq) {
-  if (delivered_seq < last_checkpoint_sent_ + cfg_.checkpoint_interval) {
+void PbftReplica::OnDelivered(uint64_t seq) {
+  if (cfg_.checkpoint_interval != 0 && seq % cfg_.checkpoint_interval != 0) {
     return;
   }
-  last_checkpoint_sent_ = delivered_seq;
   auto cp = std::make_shared<PbftCheckpoint>();
-  cp->seq = delivered_seq;
+  cp->seq = seq;
   crypto::Sha256 h;
-  h.UpdateU64(delivered_seq);
+  h.UpdateU64(seq);
   h.Update(chain().TipHash());
   cp->state_digest = h.Finalize();
-  cp->sig = Sign(BindDigest("pbft-cp", 0, delivered_seq, cp->state_digest));
+  cp->sig = Sign(BindDigest("pbft-cp", 0, seq, cp->state_digest));
   Broadcast(cfg_.replicas, cp);
 }
 

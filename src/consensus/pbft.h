@@ -138,8 +138,10 @@ class PbftReplica : public Replica {
   void SendPrepare(uint64_t seq, const crypto::Hash256& digest);
   void SendCommit(uint64_t seq, const crypto::Hash256& digest);
 
-  // Checkpoints.
-  void MaybeCheckpoint(uint64_t delivered_seq);
+  // Checkpoints: every replica checkpoints each multiple of
+  // checkpoint_interval at exactly that seq, so their digests agree even
+  // when out-of-order commits drain several seqs at once.
+  void OnDelivered(uint64_t seq) override;
   void HandleCheckpoint(sim::NodeId from, const PbftCheckpoint& m);
 
   // View change.
@@ -173,7 +175,6 @@ class PbftReplica : public Replica {
   std::map<uint64_t, std::map<crypto::Hash256, std::set<sim::NodeId>>>
       checkpoint_votes_;
   uint64_t stable_checkpoint_ = 0;
-  uint64_t last_checkpoint_sent_ = 0;
 
   // View change.
   bool in_view_change_ = false;

@@ -256,7 +256,7 @@ void Replica::DrainDeliveries() {
     }
     if (listener_) listener_(id(), next_deliver_, b);
     out_of_order_.erase(it);
-    ++next_deliver_;
+    OnDelivered(next_deliver_++);
   }
 }
 

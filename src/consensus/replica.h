@@ -154,6 +154,11 @@ class Replica : public sim::Node {
   bool EnsureBodyOrFetch(sim::NodeId from, const sim::MessagePtr& msg,
                          const Batch& batch);
 
+  /// Called once per sequence as it is delivered in order, after the
+  /// chain holds it: last_delivered_seq() == seq and chain() is the state
+  /// at seq, however many sequences one drain delivers.
+  virtual void OnDelivered(uint64_t /*seq*/) {}
+
   /// Signs a protocol digest with this replica's key.
   crypto::Signature Sign(const crypto::Hash256& digest) const {
     return key_.Sign(digest);

