@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.h"
-
 namespace pbc::consensus {
 
 crypto::Hash256 HsTreeNode::ComputeHash(const crypto::Hash256& parent,
@@ -61,11 +59,7 @@ void HotStuffReplica::OnStart() {
   if (byzantine_mode() == ByzantineMode::kSilent) return;
   ArmViewTimer();
   // Kick the pipeline: everyone announces view 1 to its leader.
-  auto nv = std::make_shared<HsNewView>();
-  nv->view = view_;
-  nv->high_qc = high_qc_;
-  nv->sig = Sign(VoteDigest(view_, high_qc_.node_hash));
-  Send(LeaderOf(view_), nv);
+  SendNewView(/*by_timeout=*/false);
   // Poll for late-arriving client transactions when idle.
   SetTimer(1000, [this] { OnStartPoll(); });
 }
@@ -85,9 +79,7 @@ bool HotStuffReplica::HasPendingWork() const {
 }
 
 void HotStuffReplica::ArmViewTimer() {
-  uint64_t epoch = ++timer_epoch_;
-  SetTimer(cfg_.timeout_us, [this, epoch] {
-    if (epoch != timer_epoch_) return;
+  ArmTimer(&timer_epoch_, cfg_.timeout_us, [this] {
     if (!HasPendingWork()) {
       ArmViewTimer();
       return;
@@ -95,11 +87,7 @@ void HotStuffReplica::ArmViewTimer() {
     ++timeouts_;
     // Only timeout-driven view advances are "view changes" in the PBFT
     // sense; happy-path pipelining through EnterView is normal progress.
-    PBC_OBS_COUNT(network()->metrics(), "consensus.view_changes", 1);
-    PBC_OBS_COUNT(network()->metrics(), "hotstuff.view_changes", 1);
-    PBC_OBS_TRACE(network()->trace(), network()->now(),
-                  obs::TraceKind::kViewChange, id(), id(), "hs-timeout",
-                  view_ + 1);
+    CountViewChange("hotstuff.view_changes", "hs-timeout", view_ + 1);
     EnterView(view_ + 1, /*by_timeout=*/true);
   });
 }
@@ -108,13 +96,17 @@ void HotStuffReplica::EnterView(uint64_t view, bool by_timeout) {
   if (view <= view_) return;
   view_ = view;
   ArmViewTimer();
+  SendNewView(by_timeout);
+  MaybePropose();
+}
+
+void HotStuffReplica::SendNewView(bool by_timeout) {
   auto nv = std::make_shared<HsNewView>();
   nv->view = view_;
   nv->high_qc = high_qc_;
   nv->timeout = by_timeout;
   nv->sig = Sign(VoteDigest(view_, high_qc_.node_hash));
   Send(LeaderOf(view_), nv);
-  MaybePropose();
 }
 
 void HotStuffReplica::MaybePropose() {
@@ -136,64 +128,46 @@ void HotStuffReplica::MaybePropose() {
 
   Batch batch = TakeBatch();
   proposed_views_.insert(view_);
+  auto make = [&](Batch b) {
+    auto m = std::make_shared<HsProposal>();
+    m->node.parent = parent->hash;
+    m->node.view = view_;
+    m->node.depth = parent->depth + 1;
+    m->node.batch = std::move(b);
+    m->node.justify = high_qc_;
+    m->node.hash =
+        HsTreeNode::ComputeHash(parent->hash, view_, m->node.batch.Digest());
+    m->sig = Sign(VoteDigest(view_, m->node.hash));
+    return m;
+  };
 
   if (byzantine_mode() == ByzantineMode::kEquivocate) {
-    Batch forked = batch;
-    txn::Transaction evil;
-    evil.id = 0xE0110000000000ULL + view_;
-    evil.ops.push_back(txn::Op::Write("evil", "fork"));
-    forked.txns.push_back(evil);
+    Batch forked = Forked(batch, 0xE0110000000000ULL + view_);
     for (size_t i = 0; i < cfg_.n(); ++i) {
-      const Batch& b = (i < cfg_.n() / 2) ? batch : forked;
-      auto m = std::make_shared<HsProposal>();
-      m->node.parent = parent->hash;
-      m->node.view = view_;
-      m->node.depth = parent->depth + 1;
-      m->node.batch = b;
-      m->node.justify = high_qc_;
-      m->node.hash =
-          HsTreeNode::ComputeHash(parent->hash, view_, b.Digest());
-      m->sig = Sign(VoteDigest(view_, m->node.hash));
-      Send(cfg_.replicas[i], m);
+      Send(cfg_.replicas[i], make(i < cfg_.n() / 2 ? batch : forked));
     }
     return;
   }
-
-  auto m = std::make_shared<HsProposal>();
-  m->node.parent = parent->hash;
-  m->node.view = view_;
-  m->node.depth = parent->depth + 1;
-  m->node.batch = std::move(batch);
-  m->node.justify = high_qc_;
-  m->node.hash =
-      HsTreeNode::ComputeHash(parent->hash, view_, m->node.batch.Digest());
-  m->sig = Sign(VoteDigest(view_, m->node.hash));
-  Broadcast(cfg_.replicas, m);
+  Broadcast(cfg_.replicas, make(std::move(batch)));
 }
 
-void HotStuffReplica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
-  if (byzantine_mode() == ByzantineMode::kSilent) return;
-  if (HandleBlockMessage(from, msg)) return;
-  const char* t = msg->type();
-  if (t == std::string("hs-proposal")) {
-    const auto& proposal = static_cast<const HsProposal&>(*msg);
+void HotStuffReplica::OnProtocolMessage(sim::NodeId from,
+                                        const sim::MessagePtr& msg) {
+  if (const auto* proposal = sim::As<HsProposal>(*msg)) {
     // The vote rule checks client authenticity against the block body;
     // park the proposal until the body (broadcast alongside) arrives.
-    if (!EnsureBodyOrFetch(from, msg, proposal.node.batch)) return;
-    HandleProposal(from, proposal);
-  } else if (t == std::string("hs-vote")) {
-    HandleVote(from, static_cast<const HsVote&>(*msg));
-  } else if (t == std::string("hs-newview")) {
-    HandleNewView(from, static_cast<const HsNewView&>(*msg));
+    if (!EnsureBodyOrFetch(from, msg, proposal->node.batch)) return;
+    HandleProposal(from, *proposal);
+  } else if (const auto* vote = sim::As<HsVote>(*msg)) {
+    HandleVote(from, *vote);
+  } else if (const auto* nv = sim::As<HsNewView>(*msg)) {
+    HandleNewView(from, *nv);
   }
 }
 
 void HotStuffReplica::HandleProposal(sim::NodeId from, const HsProposal& m) {
   if (from != LeaderOf(m.node.view)) return;
-  if (!VerifyPeer(VoteDigest(m.node.view, m.node.hash), m.sig) ||
-      m.sig.signer != from) {
-    return;
-  }
+  if (!VerifyFrom(from, VoteDigest(m.node.view, m.node.hash), m.sig)) return;
   if (HsTreeNode::ComputeHash(m.node.parent, m.node.view,
                               m.node.batch.Digest()) != m.node.hash) {
     return;
@@ -231,10 +205,7 @@ void HotStuffReplica::HandleProposal(sim::NodeId from, const HsProposal& m) {
 }
 
 void HotStuffReplica::HandleVote(sim::NodeId from, const HsVote& m) {
-  if (!VerifyPeer(VoteDigest(m.view, m.node_hash), m.sig) ||
-      m.sig.signer != from) {
-    return;
-  }
+  if (!VerifyFrom(from, VoteDigest(m.view, m.node_hash), m.sig)) return;
   auto& voters = votes_[m.node_hash];
   voters.insert(from);
   if (voters.size() >= cfg_.n() - cfg_.f) {
@@ -244,8 +215,7 @@ void HotStuffReplica::HandleVote(sim::NodeId from, const HsVote& m) {
 }
 
 void HotStuffReplica::HandleNewView(sim::NodeId from, const HsNewView& m) {
-  if (!VerifyPeer(VoteDigest(m.view, m.high_qc.node_hash), m.sig) ||
-      m.sig.signer != from) {
+  if (!VerifyFrom(from, VoteDigest(m.view, m.high_qc.node_hash), m.sig)) {
     return;
   }
   ProcessQC(m.high_qc);

@@ -37,21 +37,21 @@ struct HsTreeNode {
                                      const crypto::Hash256& batch_digest);
 };
 
-struct HsProposal : sim::Message {
+struct HsProposal : sim::Typed<HsProposal> {
   HsTreeNode node;
   crypto::Signature sig;
-  const char* type() const override { return "hs-proposal"; }
+  static constexpr char kType[] = "hs-proposal";
   size_t ByteSize() const override { return 160 + node.batch.WireBytes(); }
 };
 
-struct HsVote : sim::Message {
+struct HsVote : sim::Typed<HsVote> {
   uint64_t view = 0;
   crypto::Hash256 node_hash;
   crypto::Signature sig;
-  const char* type() const override { return "hs-vote"; }
+  static constexpr char kType[] = "hs-vote";
 };
 
-struct HsNewView : sim::Message {
+struct HsNewView : sim::Typed<HsNewView> {
   uint64_t view = 0;  ///< the view being entered
   QuorumCert high_qc;
   /// True when the sender entered `view` because its pacemaker timed out
@@ -60,7 +60,7 @@ struct HsNewView : sim::Message {
   /// fallback races the vote quorum and forks the happy path.
   bool timeout = false;
   crypto::Signature sig;
-  const char* type() const override { return "hs-newview"; }
+  static constexpr char kType[] = "hs-newview";
 };
 
 /// \brief A chained-HotStuff replica.
@@ -70,7 +70,6 @@ class HotStuffReplica : public Replica {
                   crypto::PrivateKey key, const crypto::KeyRegistry* registry);
 
   void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::MessagePtr& msg) override;
 
   uint64_t view() const { return view_; }
   sim::NodeId LeaderOf(uint64_t view) const {
@@ -79,19 +78,11 @@ class HotStuffReplica : public Replica {
   const QuorumCert& high_qc() const { return high_qc_; }
   uint64_t timeouts() const { return timeouts_; }
 
-  ReplicaStatus Status() const override {
-    ReplicaStatus status;
-    status.commit_index = last_delivered_seq();
-    status.view = view_;
-    status.is_leader = LeaderOf(view_) == id();
-    status.knows_leader = true;
-    status.leader_index = static_cast<size_t>(view_ % cfg_.n());
-    status.knows_next_leader = true;
-    status.next_leader_index = static_cast<size_t>((view_ + 1) % cfg_.n());
-    return status;
-  }
+  ReplicaStatus Status() const override { return RotatingStatus(view_); }
 
  private:
+  void OnProtocolMessage(sim::NodeId from,
+                         const sim::MessagePtr& msg) override;
   void OnStartPoll();
   void HandleProposal(sim::NodeId from, const HsProposal& m);
   void HandleVote(sim::NodeId from, const HsVote& m);
@@ -105,6 +96,9 @@ class HotStuffReplica : public Replica {
   /// Applies the three-chain commit rule triggered by a new QC.
   void TryCommitFrom(const QuorumCert& qc);
   void EnterView(uint64_t view, bool by_timeout = false);
+  /// Announces entry into `view_` (with this replica's high QC) to its
+  /// leader.
+  void SendNewView(bool by_timeout);
   void ArmViewTimer();
   bool HasPendingWork() const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.h"
-
 namespace pbc::consensus {
 
 namespace {
@@ -18,14 +16,12 @@ PaxosReplica::PaxosReplica(sim::NodeId id, sim::Network* net,
 void PaxosReplica::OnStart() { ArmLivenessTimer(); }
 
 void PaxosReplica::ArmLivenessTimer() {
-  uint64_t epoch = ++timer_epoch_;
   uint64_t learned_then = last_learned_;
   // Randomized (like Raft's election timeout) so one proposer wins.
   // NextU64 tolerates timeout_us == 0 by returning 0.
   sim::Time t = cfg_.timeout_us +
                 network()->simulator()->rng()->NextU64(cfg_.timeout_us);
-  SetTimer(t, [this, epoch, learned_then] {
-    if (epoch != timer_epoch_) return;
+  ArmTimer(&timer_epoch_, t, [this, learned_then] {
     bool pending = pool_size() > 0 || !proposing_.empty();
     bool progressed = last_learned_ > learned_then;
     if (pending && !progressed && !leading_) {
@@ -39,11 +35,7 @@ void PaxosReplica::ArmLivenessTimer() {
 
 void PaxosReplica::TryBecomeLeader() {
   ++round_;
-  PBC_OBS_COUNT(network()->metrics(), "consensus.view_changes", 1);
-  PBC_OBS_COUNT(network()->metrics(), "paxos.leader_attempts", 1);
-  PBC_OBS_TRACE(network()->trace(), network()->now(),
-                obs::TraceKind::kViewChange, id(), id(), "paxos-prepare",
-                round_);
+  CountViewChange("paxos.leader_attempts", "paxos-prepare", round_);
   // Round must exceed any ballot seen, or our prepare is dead on arrival.
   while (MakeBallot(round_) <= promised_) ++round_;
   my_ballot_ = MakeBallot(round_);
@@ -55,19 +47,18 @@ void PaxosReplica::TryBecomeLeader() {
   Broadcast(cfg_.replicas, p);
 }
 
-void PaxosReplica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
-  if (HandleBlockMessage(from, msg)) return;
-  const char* t = msg->type();
-  if (t == std::string("paxos-prepare")) {
-    HandlePrepare(from, static_cast<const PaxosPrepare&>(*msg));
-  } else if (t == std::string("paxos-promise")) {
-    HandlePromise(from, static_cast<const PaxosPromise&>(*msg));
-  } else if (t == std::string("paxos-accept")) {
-    HandleAccept(from, static_cast<const PaxosAccept&>(*msg));
-  } else if (t == std::string("paxos-accepted")) {
-    HandleAccepted(from, static_cast<const PaxosAccepted&>(*msg));
-  } else if (t == std::string("paxos-commit")) {
-    HandleCommit(from, static_cast<const PaxosCommit&>(*msg));
+void PaxosReplica::OnProtocolMessage(sim::NodeId from,
+                                     const sim::MessagePtr& msg) {
+  if (const auto* p = sim::As<PaxosPrepare>(*msg)) {
+    HandlePrepare(from, *p);
+  } else if (const auto* pr = sim::As<PaxosPromise>(*msg)) {
+    HandlePromise(from, *pr);
+  } else if (const auto* a = sim::As<PaxosAccept>(*msg)) {
+    HandleAccept(from, *a);
+  } else if (const auto* ad = sim::As<PaxosAccepted>(*msg)) {
+    HandleAccepted(from, *ad);
+  } else if (const auto* c = sim::As<PaxosCommit>(*msg)) {
+    HandleCommit(from, *c);
   }
 }
 

@@ -27,13 +27,13 @@ namespace pbc::consensus {
 /// Ballot number: (round << 16) | proposer-index, totally ordered.
 using Ballot = uint64_t;
 
-struct PaxosPrepare : sim::Message {
+struct PaxosPrepare : sim::Typed<PaxosPrepare> {
   Ballot ballot = 0;
   uint64_t first_slot = 1;  ///< prepare covers [first_slot, ∞)
-  const char* type() const override { return "paxos-prepare"; }
+  static constexpr char kType[] = "paxos-prepare";
 };
 
-struct PaxosPromise : sim::Message {
+struct PaxosPromise : sim::Typed<PaxosPromise> {
   Ballot ballot = 0;
   /// Previously accepted (ballot, value) per slot ≥ first_slot.
   struct Accepted {
@@ -43,7 +43,7 @@ struct PaxosPromise : sim::Message {
   };
   std::vector<Accepted> accepted;
   uint64_t last_committed = 0;
-  const char* type() const override { return "paxos-promise"; }
+  static constexpr char kType[] = "paxos-promise";
   size_t ByteSize() const override {
     size_t bytes = 64;
     for (const auto& a : accepted) bytes += 32 + a.value.WireBytes();
@@ -51,24 +51,24 @@ struct PaxosPromise : sim::Message {
   }
 };
 
-struct PaxosAccept : sim::Message {
+struct PaxosAccept : sim::Typed<PaxosAccept> {
   Ballot ballot = 0;
   uint64_t slot = 0;
   Batch value;
-  const char* type() const override { return "paxos-accept"; }
+  static constexpr char kType[] = "paxos-accept";
   size_t ByteSize() const override { return 80 + value.WireBytes(); }
 };
 
-struct PaxosAccepted : sim::Message {
+struct PaxosAccepted : sim::Typed<PaxosAccepted> {
   Ballot ballot = 0;
   uint64_t slot = 0;
-  const char* type() const override { return "paxos-accepted"; }
+  static constexpr char kType[] = "paxos-accepted";
 };
 
-struct PaxosCommit : sim::Message {
+struct PaxosCommit : sim::Typed<PaxosCommit> {
   uint64_t slot = 0;
   Batch value;
-  const char* type() const override { return "paxos-commit"; }
+  static constexpr char kType[] = "paxos-commit";
   size_t ByteSize() const override { return 72 + value.WireBytes(); }
 };
 
@@ -79,7 +79,6 @@ class PaxosReplica : public Replica {
                crypto::PrivateKey key, const crypto::KeyRegistry* registry);
 
   void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::MessagePtr& msg) override;
 
   bool IsLeader() const { return leading_; }
   Ballot ballot() const { return my_ballot_; }
@@ -98,6 +97,8 @@ class PaxosReplica : public Replica {
   }
 
  private:
+  void OnProtocolMessage(sim::NodeId from,
+                         const sim::MessagePtr& msg) override;
   // Proposer.
   void TryBecomeLeader();
   void HandlePromise(sim::NodeId from, const PaxosPromise& m);

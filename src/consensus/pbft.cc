@@ -2,35 +2,12 @@
 
 #include <algorithm>
 
-#include "obs/obs.h"
-
 namespace pbc::consensus {
-
-namespace {
-// Extra transaction appended by an equivocating primary to fork a batch.
-txn::Transaction EvilTxn(uint64_t seq) {
-  txn::Transaction t;
-  t.id = 0xE01100000000ULL + seq;
-  t.ops.push_back(txn::Op::Write("evil", "fork"));
-  return t;
-}
-}  // namespace
 
 PbftReplica::PbftReplica(sim::NodeId id, sim::Network* net,
                          ClusterConfig config, crypto::PrivateKey key,
                          const crypto::KeyRegistry* registry)
     : Replica(id, net, std::move(config), std::move(key), registry) {}
-
-crypto::Hash256 PbftReplica::BindDigest(const char* tag, uint64_t view,
-                                        uint64_t seq,
-                                        const crypto::Hash256& digest) const {
-  crypto::Sha256 h;
-  h.Update(std::string(tag));
-  h.UpdateU64(view);
-  h.UpdateU64(seq);
-  h.Update(digest);
-  return h.Finalize();
-}
 
 void PbftReplica::OnStart() {
   if (byzantine_mode() == ByzantineMode::kSilent) return;
@@ -39,26 +16,23 @@ void PbftReplica::OnStart() {
   ScheduleProposeTick(std::max<sim::Time>(1000, cfg_.timeout_us / 20));
 }
 
-void PbftReplica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
-  if (byzantine_mode() == ByzantineMode::kSilent) return;
-  if (HandleBlockMessage(from, msg)) return;
-  const char* t = msg->type();
-  if (t == std::string("pbft-preprepare")) {
-    const auto& pp = static_cast<const PbftPrePrepare&>(*msg);
+void PbftReplica::OnProtocolMessage(sim::NodeId from,
+                                    const sim::MessagePtr& msg) {
+  if (const auto* pp = sim::As<PbftPrePrepare>(*msg)) {
     // The client-authenticity check below needs the block body; park the
     // pre-prepare until it arrives (it travels beside the proposal).
-    if (!EnsureBodyOrFetch(from, msg, pp.batch)) return;
-    HandlePrePrepare(from, pp);
-  } else if (t == std::string("pbft-prepare")) {
-    HandlePrepare(from, static_cast<const PbftPrepare&>(*msg));
-  } else if (t == std::string("pbft-commit")) {
-    HandleCommit(from, static_cast<const PbftCommit&>(*msg));
-  } else if (t == std::string("pbft-checkpoint")) {
-    HandleCheckpoint(from, static_cast<const PbftCheckpoint&>(*msg));
-  } else if (t == std::string("pbft-viewchange")) {
-    HandleViewChange(from, static_cast<const PbftViewChange&>(*msg));
-  } else if (t == std::string("pbft-newview")) {
-    HandleNewView(from, static_cast<const PbftNewView&>(*msg));
+    if (!EnsureBodyOrFetch(from, msg, pp->batch)) return;
+    HandlePrePrepare(from, *pp);
+  } else if (const auto* p = sim::As<PbftPrepare>(*msg)) {
+    HandlePrepare(from, *p);
+  } else if (const auto* c = sim::As<PbftCommit>(*msg)) {
+    HandleCommit(from, *c);
+  } else if (const auto* cp = sim::As<PbftCheckpoint>(*msg)) {
+    HandleCheckpoint(from, *cp);
+  } else if (const auto* vc = sim::As<PbftViewChange>(*msg)) {
+    HandleViewChange(from, *vc);
+  } else if (const auto* nv = sim::As<PbftNewView>(*msg)) {
+    HandleNewView(from, *nv);
   }
 }
 
@@ -69,30 +43,26 @@ void PbftReplica::MaybePropose() {
     Batch batch = TakeBatch();
     if (batch.empty()) break;
     uint64_t seq = next_seq_++;
+    auto make = [&](Batch b) {
+      auto m = std::make_shared<PbftPrePrepare>();
+      m->view = view_;
+      m->seq = seq;
+      m->batch = std::move(b);
+      m->digest = m->batch.Digest();
+      m->sig = Sign(BindDigest("pbft-pp", view_, seq, m->digest));
+      return m;
+    };
 
     if (byzantine_mode() == ByzantineMode::kEquivocate) {
       // Send conflicting pre-prepares to the two halves of the cluster.
-      Batch forked = batch;
-      forked.txns.push_back(EvilTxn(seq));
+      Batch forked = Forked(batch, 0xE01100000000ULL + seq);
       for (size_t i = 0; i < cfg_.n(); ++i) {
-        const Batch& b = (i < cfg_.n() / 2) ? batch : forked;
-        auto m = std::make_shared<PbftPrePrepare>();
-        m->view = view_;
-        m->seq = seq;
-        m->batch = b;
-        m->digest = b.Digest();
-        m->sig = Sign(BindDigest("pbft-pp", view_, seq, m->digest));
-        Send(cfg_.replicas[i], m);
+        Send(cfg_.replicas[i], make(i < cfg_.n() / 2 ? batch : forked));
       }
       continue;
     }
 
-    auto m = std::make_shared<PbftPrePrepare>();
-    m->view = view_;
-    m->seq = seq;
-    m->batch = std::move(batch);
-    m->digest = m->batch.Digest();
-    m->sig = Sign(BindDigest("pbft-pp", view_, seq, m->digest));
+    auto m = make(std::move(batch));
     Slot& slot = log_[seq];
     slot.view = view_;
     slot.has_preprepare = true;
@@ -108,8 +78,8 @@ void PbftReplica::HandlePrePrepare(sim::NodeId from, const PbftPrePrepare& m) {
   if (m.view != view_ || in_view_change_) return;
   if (from != PrimaryOf(m.view)) return;
   if (!InWindow(m.seq)) return;
-  if (!VerifyPeer(BindDigest("pbft-pp", m.view, m.seq, m.digest), m.sig) ||
-      m.sig.signer != from) {
+  if (!VerifyFrom(from, BindDigest("pbft-pp", m.view, m.seq, m.digest),
+                  m.sig)) {
     return;
   }
   if (m.batch.Digest() != m.digest) return;
@@ -145,8 +115,8 @@ void PbftReplica::SendPrepare(uint64_t seq, const crypto::Hash256& digest) {
 
 void PbftReplica::HandlePrepare(sim::NodeId from, const PbftPrepare& m) {
   if (m.view != view_ || !InWindow(m.seq)) return;
-  if (!VerifyPeer(BindDigest("pbft-p", m.view, m.seq, m.digest), m.sig) ||
-      m.sig.signer != from) {
+  if (!VerifyFrom(from, BindDigest("pbft-p", m.view, m.seq, m.digest),
+                  m.sig)) {
     return;
   }
   digest_prepares_[m.seq][m.digest].insert(from);
@@ -175,8 +145,8 @@ void PbftReplica::SendCommit(uint64_t seq, const crypto::Hash256& digest) {
 
 void PbftReplica::HandleCommit(sim::NodeId from, const PbftCommit& m) {
   if (!InWindow(m.seq)) return;
-  if (!VerifyPeer(BindDigest("pbft-c", m.view, m.seq, m.digest), m.sig) ||
-      m.sig.signer != from) {
+  if (!VerifyFrom(from, BindDigest("pbft-c", m.view, m.seq, m.digest),
+                  m.sig)) {
     return;
   }
   digest_commits_[m.seq][m.digest].insert(from);
@@ -208,8 +178,8 @@ void PbftReplica::OnDelivered(uint64_t seq) {
 }
 
 void PbftReplica::HandleCheckpoint(sim::NodeId from, const PbftCheckpoint& m) {
-  if (!VerifyPeer(BindDigest("pbft-cp", 0, m.seq, m.state_digest), m.sig) ||
-      m.sig.signer != from) {
+  if (!VerifyFrom(from, BindDigest("pbft-cp", 0, m.seq, m.state_digest),
+                  m.sig)) {
     return;
   }
   auto& votes = checkpoint_votes_[m.seq][m.state_digest];
@@ -230,12 +200,8 @@ void PbftReplica::HandleCheckpoint(sim::NodeId from, const PbftCheckpoint& m) {
 }
 
 void PbftReplica::ArmProgressTimer() {
-  uint64_t epoch = ++timer_epoch_;
   delivered_at_last_tick_ = last_delivered_seq();
-  SetTimer(cfg_.timeout_us, [this, epoch] {
-    if (epoch != timer_epoch_) return;
-    OnProgressTimeout();
-  });
+  ArmTimer(&timer_epoch_, cfg_.timeout_us, [this] { OnProgressTimeout(); });
 }
 
 void PbftReplica::OnProgressTimeout() {
@@ -264,11 +230,7 @@ void PbftReplica::StartViewChange(uint64_t target_view) {
   in_view_change_ = true;
   target_view_ = target_view;
   ++view_changes_;
-  PBC_OBS_COUNT(network()->metrics(), "consensus.view_changes", 1);
-  PBC_OBS_COUNT(network()->metrics(), "pbft.view_changes", 1);
-  PBC_OBS_TRACE(network()->trace(), network()->now(),
-                obs::TraceKind::kViewChange, id(), id(), "pbft-viewchange",
-                target_view);
+  CountViewChange("pbft.view_changes", "pbft-viewchange", target_view);
 
   auto vc = std::make_shared<PbftViewChange>();
   vc->new_view = target_view;
@@ -278,26 +240,20 @@ void PbftReplica::StartViewChange(uint64_t target_view) {
       vc->prepared.push_back({seq, slot.view, slot.digest, slot.batch});
     }
   }
-  crypto::Sha256 h;
-  h.UpdateU64(target_view);
-  h.UpdateU64(vc->last_delivered);
-  for (const auto& p : vc->prepared) h.Update(p.digest);
-  vc->sig = Sign(BindDigest("pbft-vc", target_view, vc->last_delivered,
-                            h.Finalize()));
+  vc->sig = Sign(ViewChangeDigest(*vc));
   Broadcast(cfg_.replicas, vc);
 }
 
-void PbftReplica::HandleViewChange(sim::NodeId from, const PbftViewChange& m) {
+crypto::Hash256 PbftReplica::ViewChangeDigest(const PbftViewChange& vc) {
   crypto::Sha256 h;
-  h.UpdateU64(m.new_view);
-  h.UpdateU64(m.last_delivered);
-  for (const auto& p : m.prepared) h.Update(p.digest);
-  if (!VerifyPeer(BindDigest("pbft-vc", m.new_view, m.last_delivered,
-                             h.Finalize()),
-                  m.sig) ||
-      m.sig.signer != from) {
-    return;
-  }
+  h.UpdateU64(vc.new_view);
+  h.UpdateU64(vc.last_delivered);
+  for (const auto& p : vc.prepared) h.Update(p.digest);
+  return BindDigest("pbft-vc", vc.new_view, vc.last_delivered, h.Finalize());
+}
+
+void PbftReplica::HandleViewChange(sim::NodeId from, const PbftViewChange& m) {
+  if (!VerifyFrom(from, ViewChangeDigest(m), m.sig)) return;
   if (m.new_view <= view_) return;
   vc_msgs_[m.new_view][from] = m;
 
@@ -360,10 +316,10 @@ void PbftReplica::HandleViewChange(sim::NodeId from, const PbftViewChange& m) {
 
 void PbftReplica::HandleNewView(sim::NodeId from, const PbftNewView& m) {
   if (from != PrimaryOf(m.new_view)) return;
-  if (!VerifyPeer(BindDigest("pbft-nv", m.new_view, m.preprepares.size(),
+  if (!VerifyFrom(from,
+                  BindDigest("pbft-nv", m.new_view, m.preprepares.size(),
                              crypto::Hash256::Zero()),
-                  m.sig) ||
-      m.sig.signer != from) {
+                  m.sig)) {
     return;
   }
   if (m.new_view < view_) return;

@@ -29,45 +29,45 @@ struct PreparedProof {
   Batch batch;
 };
 
-struct PbftPrePrepare : sim::Message {
+struct PbftPrePrepare : sim::Typed<PbftPrePrepare> {
   uint64_t view = 0;
   uint64_t seq = 0;
   Batch batch;
   crypto::Hash256 digest;
   crypto::Signature sig;
-  const char* type() const override { return "pbft-preprepare"; }
+  static constexpr char kType[] = "pbft-preprepare";
   size_t ByteSize() const override { return 96 + batch.WireBytes(); }
 };
 
-struct PbftPrepare : sim::Message {
+struct PbftPrepare : sim::Typed<PbftPrepare> {
   uint64_t view = 0;
   uint64_t seq = 0;
   crypto::Hash256 digest;
   crypto::Signature sig;
-  const char* type() const override { return "pbft-prepare"; }
+  static constexpr char kType[] = "pbft-prepare";
 };
 
-struct PbftCommit : sim::Message {
+struct PbftCommit : sim::Typed<PbftCommit> {
   uint64_t view = 0;
   uint64_t seq = 0;
   crypto::Hash256 digest;
   crypto::Signature sig;
-  const char* type() const override { return "pbft-commit"; }
+  static constexpr char kType[] = "pbft-commit";
 };
 
-struct PbftCheckpoint : sim::Message {
+struct PbftCheckpoint : sim::Typed<PbftCheckpoint> {
   uint64_t seq = 0;
   crypto::Hash256 state_digest;
   crypto::Signature sig;
-  const char* type() const override { return "pbft-checkpoint"; }
+  static constexpr char kType[] = "pbft-checkpoint";
 };
 
-struct PbftViewChange : sim::Message {
+struct PbftViewChange : sim::Typed<PbftViewChange> {
   uint64_t new_view = 0;
   uint64_t last_delivered = 0;
   std::vector<PreparedProof> prepared;
   crypto::Signature sig;
-  const char* type() const override { return "pbft-viewchange"; }
+  static constexpr char kType[] = "pbft-viewchange";
   size_t ByteSize() const override {
     size_t bytes = 96;
     for (const auto& p : prepared) bytes += 64 + p.batch.WireBytes();
@@ -75,11 +75,11 @@ struct PbftViewChange : sim::Message {
   }
 };
 
-struct PbftNewView : sim::Message {
+struct PbftNewView : sim::Typed<PbftNewView> {
   uint64_t new_view = 0;
   std::vector<PbftPrePrepare> preprepares;
   crypto::Signature sig;
-  const char* type() const override { return "pbft-newview"; }
+  static constexpr char kType[] = "pbft-newview";
   size_t ByteSize() const override {
     size_t bytes = 96;
     for (const auto& pp : preprepares) bytes += 32 + pp.ByteSize();
@@ -94,7 +94,6 @@ class PbftReplica : public Replica {
               crypto::PrivateKey key, const crypto::KeyRegistry* registry);
 
   void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::MessagePtr& msg) override;
 
   uint64_t view() const { return view_; }
   sim::NodeId PrimaryOf(uint64_t view) const {
@@ -104,17 +103,7 @@ class PbftReplica : public Replica {
   uint64_t stable_checkpoint() const { return stable_checkpoint_; }
   uint64_t view_changes() const { return view_changes_; }
 
-  ReplicaStatus Status() const override {
-    ReplicaStatus status;
-    status.commit_index = last_delivered_seq();
-    status.view = view_;
-    status.is_leader = IsPrimary();
-    status.knows_leader = true;
-    status.leader_index = static_cast<size_t>(view_ % cfg_.n());
-    status.knows_next_leader = true;
-    status.next_leader_index = static_cast<size_t>((view_ + 1) % cfg_.n());
-    return status;
-  }
+  ReplicaStatus Status() const override { return RotatingStatus(view_); }
 
  private:
   struct Slot {
@@ -126,6 +115,9 @@ class PbftReplica : public Replica {
     bool committed = false;
     bool proposed_by_me = false;
   };
+
+  void OnProtocolMessage(sim::NodeId from,
+                         const sim::MessagePtr& msg) override;
 
   // Normal case.
   void ScheduleProposeTick(sim::Time tick);
@@ -151,8 +143,8 @@ class PbftReplica : public Replica {
   void HandleViewChange(sim::NodeId from, const PbftViewChange& m);
   void HandleNewView(sim::NodeId from, const PbftNewView& m);
 
-  crypto::Hash256 BindDigest(const char* tag, uint64_t view, uint64_t seq,
-                             const crypto::Hash256& digest) const;
+  /// Signed digest of a view-change message.
+  static crypto::Hash256 ViewChangeDigest(const PbftViewChange& vc);
 
   bool InWindow(uint64_t seq) const {
     return seq > stable_checkpoint_ && seq <= stable_checkpoint_ + kWindow;

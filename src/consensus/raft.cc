@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.h"
-
 namespace pbc::consensus {
 
 RaftReplica::RaftReplica(sim::NodeId id, sim::Network* net,
@@ -14,27 +12,19 @@ RaftReplica::RaftReplica(sim::NodeId id, sim::Network* net,
 void RaftReplica::OnStart() { ResetElectionTimer(); }
 
 void RaftReplica::ResetElectionTimer() {
-  uint64_t epoch = ++election_epoch_;
   // Randomized timeout in [T, 2T) — the classic split-vote breaker.
   // NextU64 tolerates timeout_us == 0 (degenerate immediate-timeout
   // configs used in tests) by returning 0.
   sim::Time t = cfg_.timeout_us +
                 network()->simulator()->rng()->NextU64(cfg_.timeout_us);
-  SetTimer(t, [this, epoch] {
-    if (epoch != election_epoch_) return;
-    OnElectionTimeout();
-  });
+  ArmTimer(&election_epoch_, t, [this] { OnElectionTimeout(); });
 }
 
 void RaftReplica::OnElectionTimeout() {
   if (role_ == Role::kLeader) return;
   role_ = Role::kCandidate;
   ++term_;
-  PBC_OBS_COUNT(network()->metrics(), "consensus.view_changes", 1);
-  PBC_OBS_COUNT(network()->metrics(), "raft.elections", 1);
-  PBC_OBS_TRACE(network()->trace(), network()->now(),
-                obs::TraceKind::kViewChange, id(), id(), "raft-election",
-                term_);
+  CountViewChange("raft.elections", "raft-election", term_);
   voted_for_ = id();
   votes_ = {id()};
   auto rv = std::make_shared<RaftRequestVote>();
@@ -73,7 +63,6 @@ void RaftReplica::BecomeLeader() {
 
 void RaftReplica::HeartbeatTick() {
   if (role_ != Role::kLeader) return;
-  uint64_t epoch = ++heartbeat_epoch_;
 
   // Batch pending client transactions into a new log entry.
   if (pool_size() > 0) {
@@ -88,10 +77,7 @@ void RaftReplica::HeartbeatTick() {
   }
   AdvanceCommitIndex();
 
-  SetTimer(cfg_.timeout_us / 5, [this, epoch] {
-    if (epoch != heartbeat_epoch_) return;
-    HeartbeatTick();
-  });
+  ArmTimer(&heartbeat_epoch_, cfg_.timeout_us / 5, [this] { HeartbeatTick(); });
 }
 
 void RaftReplica::SendAppendTo(size_t peer_index) {
@@ -107,17 +93,16 @@ void RaftReplica::SendAppendTo(size_t peer_index) {
   Send(cfg_.replicas[peer_index], ae);
 }
 
-void RaftReplica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
-  if (HandleBlockMessage(from, msg)) return;
-  const char* t = msg->type();
-  if (t == std::string("raft-reqvote")) {
-    HandleRequestVote(from, static_cast<const RaftRequestVote&>(*msg));
-  } else if (t == std::string("raft-votereply")) {
-    HandleVoteReply(from, static_cast<const RaftVoteReply&>(*msg));
-  } else if (t == std::string("raft-append")) {
-    HandleAppendEntries(from, static_cast<const RaftAppendEntries&>(*msg));
-  } else if (t == std::string("raft-appendreply")) {
-    HandleAppendReply(from, static_cast<const RaftAppendReply&>(*msg));
+void RaftReplica::OnProtocolMessage(sim::NodeId from,
+                                    const sim::MessagePtr& msg) {
+  if (const auto* rv = sim::As<RaftRequestVote>(*msg)) {
+    HandleRequestVote(from, *rv);
+  } else if (const auto* vr = sim::As<RaftVoteReply>(*msg)) {
+    HandleVoteReply(from, *vr);
+  } else if (const auto* ae = sim::As<RaftAppendEntries>(*msg)) {
+    HandleAppendEntries(from, *ae);
+  } else if (const auto* ar = sim::As<RaftAppendReply>(*msg)) {
+    HandleAppendReply(from, *ar);
   }
 }
 

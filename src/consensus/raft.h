@@ -23,26 +23,26 @@ struct RaftEntry {
   Batch batch;
 };
 
-struct RaftRequestVote : sim::Message {
+struct RaftRequestVote : sim::Typed<RaftRequestVote> {
   uint64_t term = 0;
   uint64_t last_log_index = 0;
   uint64_t last_log_term = 0;
-  const char* type() const override { return "raft-reqvote"; }
+  static constexpr char kType[] = "raft-reqvote";
 };
 
-struct RaftVoteReply : sim::Message {
+struct RaftVoteReply : sim::Typed<RaftVoteReply> {
   uint64_t term = 0;
   bool granted = false;
-  const char* type() const override { return "raft-votereply"; }
+  static constexpr char kType[] = "raft-votereply";
 };
 
-struct RaftAppendEntries : sim::Message {
+struct RaftAppendEntries : sim::Typed<RaftAppendEntries> {
   uint64_t term = 0;
   uint64_t prev_log_index = 0;
   uint64_t prev_log_term = 0;
   std::vector<RaftEntry> entries;
   uint64_t leader_commit = 0;
-  const char* type() const override { return "raft-append"; }
+  static constexpr char kType[] = "raft-append";
   size_t ByteSize() const override {
     size_t bytes = 96;
     for (const auto& e : entries) bytes += 32 + e.batch.WireBytes();
@@ -50,11 +50,11 @@ struct RaftAppendEntries : sim::Message {
   }
 };
 
-struct RaftAppendReply : sim::Message {
+struct RaftAppendReply : sim::Typed<RaftAppendReply> {
   uint64_t term = 0;
   bool success = false;
   uint64_t match_index = 0;  ///< on success, highest replicated index
-  const char* type() const override { return "raft-appendreply"; }
+  static constexpr char kType[] = "raft-appendreply";
 };
 
 /// \brief A Raft replica ordering transaction batches.
@@ -66,7 +66,6 @@ class RaftReplica : public Replica {
               crypto::PrivateKey key, const crypto::KeyRegistry* registry);
 
   void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::MessagePtr& msg) override;
 
   Role role() const { return role_; }
   uint64_t term() const { return term_; }
@@ -90,6 +89,8 @@ class RaftReplica : public Replica {
   }
 
  private:
+  void OnProtocolMessage(sim::NodeId from,
+                         const sim::MessagePtr& msg) override;
   void ResetElectionTimer();
   void OnElectionTimeout();
   void BecomeLeader();

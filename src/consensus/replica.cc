@@ -117,21 +117,60 @@ bool Replica::KnownClientTxns(const Batch& batch) const {
   return true;
 }
 
-bool Replica::HandleBlockMessage(sim::NodeId from, const sim::MessagePtr& msg) {
-  if (const auto* body = dynamic_cast<const BlockBodyMsg*>(msg.get())) {
+void Replica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
+  if (byzantine_ == ByzantineMode::kSilent) return;
+  if (const auto* body = sim::As<BlockBodyMsg>(*msg)) {
     OnBlockBody(body->body);
-    return true;
-  }
-  if (const auto* fetch = dynamic_cast<const BlockFetchMsg*>(msg.get())) {
+  } else if (const auto* fetch = sim::As<BlockFetchMsg>(*msg)) {
     const ledger::Block* stored = blocks_.Get(fetch->hash);
     if (stored != nullptr) {
       auto reply = std::make_shared<BlockBodyMsg>();
       reply->body = *stored;
       Send(from, reply);
     }
-    return true;
+  } else {
+    OnProtocolMessage(from, msg);
   }
-  return false;
+}
+
+crypto::Hash256 Replica::BindDigest(const char* tag, uint64_t a, uint64_t b,
+                                    const crypto::Hash256& digest) {
+  crypto::Sha256 h;
+  h.Update(std::string(tag));
+  h.UpdateU64(a);
+  h.UpdateU64(b);
+  h.Update(digest);
+  return h.Finalize();
+}
+
+void Replica::CountViewChange([[maybe_unused]] const char* metric,
+                              [[maybe_unused]] const char* tag,
+                              [[maybe_unused]] uint64_t view) const {
+  PBC_OBS_COUNT(network()->metrics(), "consensus.view_changes", 1);
+  PBC_OBS_COUNT(network()->metrics(), metric, 1);
+  PBC_OBS_TRACE(network()->trace(), network()->now(),
+                obs::TraceKind::kViewChange, id(), id(), tag, view);
+}
+
+Batch Replica::Forked(const Batch& batch, txn::TxnId evil_id) {
+  Batch forked = batch;
+  txn::Transaction evil;
+  evil.id = evil_id;
+  evil.ops.push_back(txn::Op::Write("evil", "fork"));
+  forked.txns.push_back(std::move(evil));
+  return forked;
+}
+
+ReplicaStatus Replica::RotatingStatus(uint64_t view) const {
+  ReplicaStatus status;
+  status.commit_index = last_delivered_seq();
+  status.view = view;
+  status.leader_index = static_cast<size_t>(view % cfg_.n());
+  status.is_leader = cfg_.replicas[status.leader_index] == id();
+  status.knows_leader = true;
+  status.knows_next_leader = true;
+  status.next_leader_index = static_cast<size_t>((view + 1) % cfg_.n());
+  return status;
 }
 
 void Replica::OnBlockBody(const ledger::Block& body) {

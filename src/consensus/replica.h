@@ -43,36 +43,44 @@ struct ReplicaStatus {
 
 /// \brief Block body dissemination: sent by a proposer alongside its
 /// block-ref proposal, and by any replica answering a fetch.
-struct BlockBodyMsg : sim::Message {
+struct BlockBodyMsg : sim::Typed<BlockBodyMsg> {
   ledger::Block body;
-  const char* type() const override { return "block-body"; }
+  static constexpr char kType[] = "block-body";
   size_t ByteSize() const override { return 80 + body.txns.size() * 64; }
 };
 
 /// \brief Pull request for a block body this replica ordered but never
 /// received (lost to a crash, partition, or a Byzantine proposer).
-struct BlockFetchMsg : sim::Message {
+struct BlockFetchMsg : sim::Typed<BlockFetchMsg> {
   crypto::Hash256 hash;
-  const char* type() const override { return "block-fetch"; }
+  static constexpr char kType[] = "block-fetch";
   size_t ByteSize() const override { return 40; }
 };
 
-/// \brief Common replica machinery.
+/// \brief The replica skeleton every protocol shares.
 ///
-/// Protocol subclasses implement agreement and call `DeliverCommitted`
-/// with (sequence, batch) pairs; this class buffers out-of-order arrivals,
-/// appends non-empty batches to the replica's chain in sequence order, and
-/// tracks committed transaction ids so re-proposals are deduplicated.
+/// A protocol writes only its agreement rules: `OnProtocolMessage`
+/// (dispatching with `sim::As<T>`), its handlers, and `Status()` when
+/// leadership is not a plain rotation (`RotatingStatus`). It calls
+/// `DeliverCommitted` with (sequence, batch) pairs; this class buffers
+/// out-of-order arrivals, appends non-empty batches to the replica's chain
+/// in sequence order, and tracks committed transaction ids so re-proposals
+/// are deduplicated.
+///
+/// `OnMessage` is the one prelude: a silent replica drops everything,
+/// block body/fetch traffic is served here, and the rest reaches
+/// `OnProtocolMessage`. Handlers authenticate with `VerifyFrom`, arm
+/// epoch-guarded timers with `ArmTimer`, and record view changes with
+/// `CountViewChange`.
 ///
 /// Block mode (cfg_.block.enabled): TakeBatch seals pool transactions into
 /// a `ledger::Block` under the cut rules, broadcasts the body, and returns
 /// a compact block-ref batch for the protocol to order. Delivery resolves
 /// refs through the local block store, stalling (and fetching) when a body
-/// has not arrived yet. Protocols opt in with two hooks:
-///  * OnMessage first line: `if (HandleBlockMessage(from, msg)) return;`
-///  * body-dependent handlers (client-authenticity checks): guard with
-///    `if (!EnsureBodyOrFetch(from, msg, batch)) return;` — the message is
-///    parked and re-dispatched through OnMessage when the body lands.
+/// has not arrived yet. Body-dependent handlers (client-authenticity
+/// checks) guard with `if (!EnsureBodyOrFetch(from, msg, batch)) return;`
+/// — the message is parked and re-dispatched through OnMessage when the
+/// body lands.
 class Replica : public sim::Node {
  public:
   Replica(sim::NodeId id, sim::Network* net, ClusterConfig config,
@@ -103,6 +111,10 @@ class Replica : public sim::Node {
   ByzantineMode byzantine_mode() const { return byzantine_; }
 
   const ClusterConfig& config() const { return cfg_; }
+
+  /// Final prelude (see the class comment); protocols implement
+  /// OnProtocolMessage instead.
+  void OnMessage(sim::NodeId from, const sim::MessagePtr& msg) final;
 
   /// Leadership/progress snapshot (see ReplicaStatus). The base knows
   /// only commit progress; protocol subclasses overlay leadership.
@@ -143,9 +155,10 @@ class Replica : public sim::Node {
   /// EnsureBodyOrFetch first; a missing body fails closed).
   bool KnownClientTxns(const Batch& batch) const;
 
-  /// Dispatches block-body / block-fetch traffic. Protocols call this at
-  /// the top of OnMessage; returns true when the message was consumed.
-  bool HandleBlockMessage(sim::NodeId from, const sim::MessagePtr& msg);
+  /// Every message the prelude does not consume: protocol traffic from a
+  /// replica that is not silent.
+  virtual void OnProtocolMessage(sim::NodeId from,
+                                 const sim::MessagePtr& msg) = 0;
 
   /// True when `batch` is inline, empty, or its body is stored locally.
   /// Otherwise parks `msg` keyed by the block hash, broadcasts a fetch,
@@ -168,6 +181,37 @@ class Replica : public sim::Node {
                   const crypto::Signature& sig) const {
     return registry_->Verify(digest, sig);
   }
+  /// True iff `sig` is `from`'s own valid signature over `digest`.
+  bool VerifyFrom(sim::NodeId from, const crypto::Hash256& digest,
+                  const crypto::Signature& sig) const {
+    return sig.signer == from && VerifyPeer(digest, sig);
+  }
+  /// H(tag || a || b || digest): binds a digest to its protocol step and
+  /// position (view/seq, height/round) before signing.
+  static crypto::Hash256 BindDigest(const char* tag, uint64_t a, uint64_t b,
+                                    const crypto::Hash256& digest);
+
+  /// Bumps `*epoch` and runs `fn` after `delay` only if `*epoch` is still
+  /// that value then: re-arming drops the earlier fire, `++*epoch`
+  /// cancels. A crash in between cancels it too (see Node::SetTimer).
+  template <class F>
+  void ArmTimer(uint64_t* epoch, sim::Time delay, F fn) {
+    SetTimer(delay, [epoch, armed = ++*epoch, fn = std::move(fn)] {
+      if (*epoch == armed) fn();
+    });
+  }
+
+  /// One view change: bumps `consensus.view_changes` and the protocol's
+  /// own `metric`, and traces kViewChange labelled `tag` at `view`.
+  void CountViewChange(const char* metric, const char* tag,
+                       uint64_t view) const;
+
+  /// `batch` plus one fabricated transaction `evil_id`: the half of an
+  /// equivocating proposer's fork that honest replicas must refuse.
+  static Batch Forked(const Batch& batch, txn::TxnId evil_id);
+
+  /// Status when view `view` is led by cfg_.replicas[view % n].
+  ReplicaStatus RotatingStatus(uint64_t view) const;
 
   ClusterConfig cfg_;
 

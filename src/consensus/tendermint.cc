@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/obs.h"
-
 namespace pbc::consensus {
 
 TendermintReplica::TendermintReplica(sim::NodeId id, sim::Network* net,
@@ -11,17 +9,6 @@ TendermintReplica::TendermintReplica(sim::NodeId id, sim::Network* net,
                                      crypto::PrivateKey key,
                                      const crypto::KeyRegistry* registry)
     : Replica(id, net, std::move(config), std::move(key), registry) {}
-
-crypto::Hash256 TendermintReplica::BindDigest(
-    const char* tag, uint64_t height, uint64_t round,
-    const crypto::Hash256& digest) const {
-  crypto::Sha256 h;
-  h.Update(std::string(tag));
-  h.UpdateU64(height);
-  h.UpdateU64(round);
-  h.Update(digest);
-  return h.Finalize();
-}
 
 size_t TendermintReplica::ProposerIndexFor(uint64_t height,
                                            uint64_t round) const {
@@ -88,10 +75,7 @@ void TendermintReplica::StartRound(uint64_t round) {
   step_ = Step::kPropose;
   if (round > 0) {
     // Rounds past the first are Tendermint's view-change equivalent.
-    PBC_OBS_COUNT(network()->metrics(), "consensus.view_changes", 1);
-    PBC_OBS_COUNT(network()->metrics(), "tendermint.extra_rounds", 1);
-    PBC_OBS_TRACE(network()->trace(), network()->now(),
-                  obs::TraceKind::kViewChange, id(), id(), "tm-round", round);
+    CountViewChange("tendermint.extra_rounds", "tm-round", round);
   }
   size_t proposer = ProposerIndexFor(height_, round_);
   if (cfg_.replicas[proposer] == id() &&
@@ -133,41 +117,33 @@ void TendermintReplica::SchedulePendingProposal() {
 }
 
 void TendermintReplica::BroadcastProposal(const Batch& batch) {
+  auto make = [&](const Batch& b) {
+    auto m = std::make_shared<TmProposal>();
+    m->height = height_;
+    m->round = round_;
+    m->batch = b;
+    m->digest = b.Digest();
+    m->sig = Sign(BindDigest("tm-prop", height_, round_, m->digest));
+    return m;
+  };
   if (byzantine_mode() == ByzantineMode::kEquivocate) {
-    Batch forked = batch;
-    txn::Transaction evil;
-    evil.id = 0xE011000000000000ULL + height_ * 1000 + round_;
-    evil.ops.push_back(txn::Op::Write("evil", "fork"));
-    forked.txns.push_back(evil);
+    Batch forked =
+        Forked(batch, 0xE011000000000000ULL + height_ * 1000 + round_);
     for (size_t i = 0; i < cfg_.n(); ++i) {
-      const Batch& b = (i < cfg_.n() / 2) ? batch : forked;
-      auto m = std::make_shared<TmProposal>();
-      m->height = height_;
-      m->round = round_;
-      m->batch = b;
-      m->digest = b.Digest();
-      m->sig = Sign(BindDigest("tm-prop", height_, round_, m->digest));
-      Send(cfg_.replicas[i], m);
+      Send(cfg_.replicas[i], make(i < cfg_.n() / 2 ? batch : forked));
     }
     return;
   }
-  auto m = std::make_shared<TmProposal>();
-  m->height = height_;
-  m->round = round_;
-  m->batch = batch;
-  m->digest = batch.Digest();
-  m->sig = Sign(BindDigest("tm-prop", height_, round_, m->digest));
-  Broadcast(cfg_.replicas, m);
+  Broadcast(cfg_.replicas, make(batch));
 }
 
 void TendermintReplica::ArmStepTimeout(Step step) {
-  uint64_t epoch = ++timer_epoch_;
   uint64_t h = height_;
   uint64_t r = round_;
   // Timeouts grow with round number so lagging validators resynchronize.
   sim::Time t = cfg_.timeout_us * (1 + r);
-  SetTimer(t, [this, epoch, h, r, step] {
-    if (epoch != timer_epoch_ || h != height_ || r != round_) return;
+  ArmTimer(&timer_epoch_, t, [this, h, r, step] {
+    if (h != height_ || r != round_) return;
     if (byzantine_mode() == ByzantineMode::kSilent) return;
     switch (step) {
       case Step::kPropose:
@@ -203,22 +179,18 @@ void TendermintReplica::CastVote(bool precommit,
   Broadcast(cfg_.replicas, v);
 }
 
-void TendermintReplica::OnMessage(sim::NodeId from,
-                                  const sim::MessagePtr& msg) {
-  if (byzantine_mode() == ByzantineMode::kSilent) return;
-  if (HandleBlockMessage(from, msg)) return;
+void TendermintReplica::OnProtocolMessage(sim::NodeId from,
+                                          const sim::MessagePtr& msg) {
   const char* t = msg->type();
-  if (t == std::string("tm-proposal")) {
-    const auto& proposal = static_cast<const TmProposal&>(*msg);
+  if (const auto* proposal = sim::As<TmProposal>(*msg)) {
     // Prevoting checks client authenticity against the block body; park
     // the proposal until the body (broadcast alongside it) arrives.
-    if (!EnsureBodyOrFetch(from, msg, proposal.batch)) return;
-    HandleProposal(from, proposal);
-  } else if (t == std::string("tm-prevote") ||
-             t == std::string("tm-precommit")) {
+    if (!EnsureBodyOrFetch(from, msg, proposal->batch)) return;
+    HandleProposal(from, *proposal);
+  } else if (t == TmVote::kPrevote || t == TmVote::kPrecommit) {
     HandleVote(from, static_cast<const TmVote&>(*msg));
-  } else if (t == std::string("tm-decision")) {
-    HandleDecision(from, static_cast<const TmDecision&>(*msg));
+  } else if (const auto* decision = sim::As<TmDecision>(*msg)) {
+    HandleDecision(from, *decision);
   }
 }
 
@@ -256,9 +228,8 @@ void TendermintReplica::HandleProposal(sim::NodeId from,
     MaybeHelpLaggard(from, m.height);
     return;
   }
-  if (!VerifyPeer(BindDigest("tm-prop", m.height, m.round, m.digest),
-                  m.sig) ||
-      m.sig.signer != from) {
+  if (!VerifyFrom(from, BindDigest("tm-prop", m.height, m.round, m.digest),
+                  m.sig)) {
     return;
   }
   if (cfg_.replicas[ProposerIndexFor(m.height, m.round)] != from) return;
@@ -295,10 +266,10 @@ void TendermintReplica::HandleVote(sim::NodeId from, const TmVote& m) {
     MaybeHelpLaggard(from, m.height);
     return;
   }
-  if (!VerifyPeer(BindDigest(m.precommit ? "tm-pc" : "tm-pv", m.height,
+  if (!VerifyFrom(from,
+                  BindDigest(m.precommit ? "tm-pc" : "tm-pv", m.height,
                              m.round, m.digest),
-                  m.sig) ||
-      m.sig.signer != from) {
+                  m.sig)) {
     return;
   }
   Activate();

@@ -20,13 +20,13 @@
 
 namespace pbc::consensus {
 
-struct TmProposal : sim::Message {
+struct TmProposal : sim::Typed<TmProposal> {
   uint64_t height = 0;
   uint64_t round = 0;
   Batch batch;
   crypto::Hash256 digest;
   crypto::Signature sig;
-  const char* type() const override { return "tm-proposal"; }
+  static constexpr char kType[] = "tm-proposal";
   size_t ByteSize() const override { return 96 + batch.WireBytes(); }
 };
 
@@ -37,8 +37,10 @@ struct TmVote : sim::Message {
   uint64_t round = 0;
   crypto::Hash256 digest;
   crypto::Signature sig;
+  static constexpr char kPrevote[] = "tm-prevote";
+  static constexpr char kPrecommit[] = "tm-precommit";
   const char* type() const override {
-    return precommit ? "tm-precommit" : "tm-prevote";
+    return precommit ? kPrecommit : kPrevote;
   }
 };
 
@@ -47,13 +49,13 @@ struct TmVote : sim::Message {
 /// receives traffic from a peer at an earlier height replies with the
 /// decision for that height (Tendermint's block-sync, reduced to its
 /// essence). The receiver verifies every signature before committing.
-struct TmDecision : sim::Message {
+struct TmDecision : sim::Typed<TmDecision> {
   uint64_t height = 0;
   uint64_t round = 0;
   crypto::Hash256 digest;
   Batch batch;
   std::vector<crypto::Signature> precommit_sigs;
-  const char* type() const override { return "tm-decision"; }
+  static constexpr char kType[] = "tm-decision";
   size_t ByteSize() const override {
     return 96 + batch.WireBytes() + precommit_sigs.size() * 40;
   }
@@ -67,7 +69,6 @@ class TendermintReplica : public Replica {
                     const crypto::KeyRegistry* registry);
 
   void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::MessagePtr& msg) override;
   void SubmitTransaction(txn::Transaction txn) override;
 
   uint64_t height() const { return height_; }
@@ -91,6 +92,8 @@ class TendermintReplica : public Replica {
  private:
   enum class Step { kPropose, kPrevote, kPrecommit };
 
+  void OnProtocolMessage(sim::NodeId from,
+                         const sim::MessagePtr& msg) override;
   void Activate();
   void StartRound(uint64_t round);
   /// Block mode: the proposer's pool has txns but no cut is due yet;
@@ -118,9 +121,6 @@ class TendermintReplica : public Replica {
   bool SuperMajority(uint64_t power) const {
     return power * 3 > cfg_.TotalPower() * 2;
   }
-
-  crypto::Hash256 BindDigest(const char* tag, uint64_t height, uint64_t round,
-                             const crypto::Hash256& digest) const;
 
   uint64_t height_ = 1;
   uint64_t round_ = 0;

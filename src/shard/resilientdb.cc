@@ -4,12 +4,12 @@ namespace pbc::shard {
 
 namespace {
 
-struct RdbShareMsg : sim::Message {
+struct RdbShareMsg : sim::Typed<RdbShareMsg> {
   uint32_t cluster = 0;
   uint64_t index = 0;
   bool noop = true;
   txn::Transaction txn;
-  const char* type() const override { return "rdb-share"; }
+  static constexpr char kType[] = "rdb-share";
   size_t ByteSize() const override {
     return noop ? 48 : 96 + txn.ops.size() * 48;
   }
@@ -24,12 +24,11 @@ class RdbGateway : public sim::Node {
       : sim::Node(id, net), system_(system), cluster_(cluster) {}
 
   void OnMessage(sim::NodeId, const sim::MessagePtr& msg) override {
-    if (msg->type() == std::string("rdb-share")) {
-      const auto& m = static_cast<const RdbShareMsg&>(*msg);
+    if (const auto* m = sim::As<RdbShareMsg>(*msg)) {
       ResilientDbSystem::Slot slot;
-      slot.noop = m.noop;
-      slot.txn = m.txn;
-      system_->OnShare(cluster_, m.cluster, m.index, slot);
+      slot.noop = m->noop;
+      slot.txn = m->txn;
+      system_->OnShare(cluster_, m->cluster, m->index, slot);
     }
   }
 

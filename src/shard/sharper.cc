@@ -4,17 +4,17 @@ namespace pbc::shard {
 
 namespace {
 
-struct SpProposeMsg : sim::Message {
+struct SpProposeMsg : sim::Typed<SpProposeMsg> {
   txn::Transaction txn;
-  const char* type() const override { return "sp-propose"; }
+  static constexpr char kType[] = "sp-propose";
   size_t ByteSize() const override { return 96 + txn.ops.size() * 48; }
 };
 
-struct SpAckMsg : sim::Message {
+struct SpAckMsg : sim::Typed<SpAckMsg> {
   txn::TxnId id = 0;
   ShardId from = 0;
   bool ok = false;
-  const char* type() const override { return "sp-ack"; }
+  static constexpr char kType[] = "sp-ack";
 };
 
 txn::Transaction Marker(ShardCluster* cluster, const std::string& tag) {
@@ -33,13 +33,10 @@ class SharperGateway : public sim::Node {
       : sim::Node(id, net), system_(system), shard_(shard) {}
 
   void OnMessage(sim::NodeId, const sim::MessagePtr& msg) override {
-    const char* t = msg->type();
-    if (t == std::string("sp-propose")) {
-      const auto& m = static_cast<const SpProposeMsg&>(*msg);
-      system_->OnPropose(shard_, m.txn);
-    } else if (t == std::string("sp-ack")) {
-      const auto& m = static_cast<const SpAckMsg&>(*msg);
-      system_->OnAck(shard_, m.id, m.from, m.ok);
+    if (const auto* m = sim::As<SpProposeMsg>(*msg)) {
+      system_->OnPropose(shard_, m->txn);
+    } else if (const auto* a = sim::As<SpAckMsg>(*msg)) {
+      system_->OnAck(shard_, a->id, a->from, a->ok);
     }
   }
 

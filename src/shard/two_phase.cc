@@ -15,24 +15,24 @@ void ExportShardStats(const ShardStats& stats, obs::MetricsRegistry* m) {
 
 namespace {
 
-struct CsPrepareMsg : sim::Message {
+struct CsPrepareMsg : sim::Typed<CsPrepareMsg> {
   txn::Transaction txn;
   uint32_t coordinator = 0;
-  const char* type() const override { return "2pc-prepare"; }
+  static constexpr char kType[] = "2pc-prepare";
   size_t ByteSize() const override { return 96 + txn.ops.size() * 48; }
 };
 
-struct CsVoteMsg : sim::Message {
+struct CsVoteMsg : sim::Typed<CsVoteMsg> {
   txn::TxnId id = 0;
   ShardId shard = 0;
   bool ok = false;
-  const char* type() const override { return "2pc-vote"; }
+  static constexpr char kType[] = "2pc-vote";
 };
 
-struct CsDecideMsg : sim::Message {
+struct CsDecideMsg : sim::Typed<CsDecideMsg> {
   txn::TxnId id = 0;
   bool commit = false;
-  const char* type() const override { return "2pc-decide"; }
+  static constexpr char kType[] = "2pc-decide";
 };
 
 txn::Transaction Marker(ShardCluster* cluster, const std::string& tag) {
@@ -55,16 +55,14 @@ class TwoPhaseGateway : public sim::Node {
       : sim::Node(id, net), system_(system), role_(role), index_(index) {}
 
   void OnMessage(sim::NodeId, const sim::MessagePtr& msg) override {
-    const char* t = msg->type();
-    if (t == std::string("2pc-prepare") && role_ == Role::kShard) {
-      const auto& m = static_cast<const CsPrepareMsg&>(*msg);
-      system_->ShardOnPrepare(index_, m.txn, m.coordinator);
-    } else if (t == std::string("2pc-vote") && role_ == Role::kCoordinator) {
-      const auto& m = static_cast<const CsVoteMsg&>(*msg);
-      system_->CoordinatorOnVote(index_, m.id, m.shard, m.ok);
-    } else if (t == std::string("2pc-decide") && role_ == Role::kShard) {
-      const auto& m = static_cast<const CsDecideMsg&>(*msg);
-      system_->ShardOnDecide(index_, m.id, m.commit);
+    if (role_ == Role::kShard) {
+      if (const auto* m = sim::As<CsPrepareMsg>(*msg)) {
+        system_->ShardOnPrepare(index_, m->txn, m->coordinator);
+      } else if (const auto* d = sim::As<CsDecideMsg>(*msg)) {
+        system_->ShardOnDecide(index_, d->id, d->commit);
+      }
+    } else if (const auto* v = sim::As<CsVoteMsg>(*msg)) {
+      system_->CoordinatorOnVote(index_, v->id, v->shard, v->ok);
     }
   }
 

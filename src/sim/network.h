@@ -38,15 +38,30 @@ namespace pbc::sim {
 
 using NodeId = uint32_t;
 
-/// \brief Base class for protocol messages. Protocols subclass this and
-/// dispatch on `type()`.
+/// \brief Base class for protocol messages. A concrete message derives
+/// `Typed<Self>` and names itself with `static constexpr char kType[]`;
+/// receivers dispatch with `As<T>`.
 struct Message {
   virtual ~Message() = default;
-  /// Stable type tag used for dispatch and logging.
+  /// Stable type name used for dispatch, metrics and logging.
   virtual const char* type() const = 0;
   /// Approximate wire size in bytes (for bandwidth accounting).
   virtual size_t ByteSize() const { return 64; }
 };
+
+/// \brief Message base whose `type()` is `T::kType`. Every T returns the
+/// same pointer, so the name doubles as an address tag for `As<T>`.
+template <class T>
+struct Typed : Message {
+  const char* type() const final { return T::kType; }
+};
+
+/// \brief `msg` as a T when it is one, else nullptr. One pointer compare
+/// on the type tag: no string compare, no RTTI.
+template <class T>
+const T* As(const Message& msg) {
+  return msg.type() == T::kType ? static_cast<const T*>(&msg) : nullptr;
+}
 
 using MessagePtr = std::shared_ptr<const Message>;
 
@@ -89,8 +104,9 @@ class Node {
 
   /// Schedules `fn` after `delay`. The timer is cancelled if this node is
   /// crashed at firing time OR has crashed at any point since the timer
-  /// was armed (a crash-recover cycle wipes pending timers — a recovered
-  /// node re-arms its own timers from OnStart/OnMessage).
+  /// was armed (a crash-recover cycle wipes pending timers). Recover does
+  /// not call OnStart, so a recovered node re-arms only the timers its
+  /// message handlers arm.
   void SetTimer(Time delay, std::function<void()> fn);
 
  protected:

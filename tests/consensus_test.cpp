@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "check/harness.h"
 #include "consensus/cluster.h"
 #include "consensus/hotstuff.h"
+#include "consensus/paxos.h"
 #include "consensus/pbft.h"
 #include "consensus/raft.h"
 #include "consensus/tendermint.h"
+#include "obs/metrics.h"
 
 namespace pbc::consensus {
 namespace {
@@ -145,12 +149,22 @@ TYPED_TEST(BftProtocolTest, ToleratesCrashedLeaderViaViewChange) {
 
 TYPED_TEST(BftProtocolTest, SafeUnderSilentByzantineReplica) {
   World w(8);
+  obs::MetricsRegistry metrics;
+  w.net.AttachObs(&metrics, nullptr);
   Cluster<TypeParam> cluster(&w.net, &w.registry, 4);
   cluster.replica(2)->set_byzantine_mode(ByzantineMode::kSilent);
   w.net.Start();
   SubmitN(&cluster, 20);
   ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 20, /*skip=*/{2}));
   EXPECT_TRUE(cluster.ChainsConsistent());
+  // The silent replica sent nothing on any link.
+  const std::string from_silent =
+      "net.link." + std::to_string(cluster.replica(2)->id()) + "->";
+  for (const auto& [name, counter] : metrics.counters()) {
+    if (name.rfind(from_silent, 0) == 0) {
+      EXPECT_EQ(counter.value(), 0u) << name;
+    }
+  }
 }
 
 TYPED_TEST(BftProtocolTest, SafeUnderEquivocatingLeader) {
@@ -366,6 +380,100 @@ TYPED_TEST(BftProtocolTest, BlockModeSafeUnderEquivocatingLeader) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Replica skeleton: tag dispatch and epoch-guarded timers.
+// ---------------------------------------------------------------------------
+
+// Every tagged consensus message must round-trip through sim::As<T> and
+// match no other type. TmVote carries two names and is covered below.
+template <typename M>
+class MessageTagTest : public ::testing::Test {};
+using TaggedMessages = ::testing::Types<
+    BlockBodyMsg, BlockFetchMsg, PbftPrePrepare, PbftPrepare, PbftCommit,
+    PbftCheckpoint, PbftViewChange, PbftNewView, HsProposal, HsVote,
+    HsNewView, TmProposal, TmDecision, RaftRequestVote, RaftVoteReply,
+    RaftAppendEntries, RaftAppendReply, PaxosPrepare, PaxosPromise,
+    PaxosAccept, PaxosAccepted, PaxosCommit>;
+TYPED_TEST_SUITE(MessageTagTest, TaggedMessages);
+
+TYPED_TEST(MessageTagTest, RoundTripsThroughAs) {
+  using Sibling = std::conditional_t<std::is_same_v<TypeParam, BlockBodyMsg>,
+                                     BlockFetchMsg, BlockBodyMsg>;
+  TypeParam msg;
+  Sibling other;
+  EXPECT_EQ(msg.type(), TypeParam::kType);
+  EXPECT_EQ(sim::As<TypeParam>(msg), &msg);
+  EXPECT_EQ(sim::As<TypeParam>(other), nullptr);
+  EXPECT_EQ(sim::As<Sibling>(msg), nullptr);
+}
+
+// A laggard's vote (prevote or precommit) reaches HandleVote, which
+// answers with the decision certificate for the laggard's height.
+TEST(TendermintTest, BothVoteNamesReachHandleVote) {
+  World w(54);
+  Cluster<TendermintReplica> cluster(&w.net, &w.registry, 4);
+  w.net.Start();
+  SubmitN(&cluster, 1);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 1));
+  w.sim.RunAll();
+  ASSERT_EQ(cluster.replica(0)->height(), 2u);
+  for (bool precommit : {false, true}) {
+    auto vote = std::make_shared<TmVote>();
+    vote->precommit = precommit;
+    vote->height = 1;
+    uint64_t sent = w.net.stats().messages_sent;
+    w.net.Send(cluster.replica(1)->id(), cluster.replica(0)->id(), vote);
+    w.sim.RunAll();
+    // The vote itself plus the replica's decision reply.
+    EXPECT_EQ(w.net.stats().messages_sent, sent + 2) << vote->type();
+  }
+}
+
+// A bare replica exposing the shared timer helper.
+class TimerProbe : public Replica {
+ public:
+  using Replica::ArmTimer;
+  using Replica::Replica;
+
+ private:
+  void OnProtocolMessage(sim::NodeId, const sim::MessagePtr&) override {}
+};
+
+TEST(ReplicaTest, ArmTimerFiresOnlyTheLatestLiveArm) {
+  World w(55);
+  ClusterConfig cfg;
+  cfg.replicas = {0};
+  TimerProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
+                   &w.registry);
+  uint64_t epoch = 0;
+  std::vector<int> fired;
+  auto arm = [&](int tag) {
+    size_t pending = w.sim.pending_events();
+    probe.ArmTimer(&epoch, 100, [&fired, tag] { fired.push_back(tag); });
+    EXPECT_EQ(w.sim.pending_events(), pending + 1);
+  };
+
+  arm(1);
+  arm(2);  // re-arming drops the earlier fire
+  w.sim.RunAll();
+  EXPECT_EQ(fired, std::vector<int>{2});
+
+  arm(3);
+  ++epoch;  // cancel
+  w.sim.RunAll();
+  EXPECT_EQ(fired, std::vector<int>{2});
+
+  arm(4);
+  w.net.Crash(0);  // a crash-recover cycle between arm and fire cancels it
+  w.net.Recover(0);
+  w.sim.RunAll();
+  EXPECT_EQ(fired, std::vector<int>{2});
+
+  arm(5);
+  w.sim.RunAll();
+  EXPECT_EQ(fired, (std::vector<int>{2, 5}));
 }
 
 // ---------------------------------------------------------------------------

@@ -246,8 +246,8 @@ TEST(ObsMacrosTest, NullRegistryAndTraceAreSafe) {
 
 // --- End-to-end determinism through the simulator --------------------------
 
-struct ObsPingMsg : sim::Message {
-  const char* type() const override { return "obs-ping"; }
+struct ObsPingMsg : sim::Typed<ObsPingMsg> {
+  static constexpr char kType[] = "obs-ping";
 };
 
 class SinkNode : public sim::Node {

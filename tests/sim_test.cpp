@@ -67,9 +67,9 @@ TEST(SimulatorTest, RunStopsAtDeadline) {
 
 // --- Network ---------------------------------------------------------------
 
-struct PingMsg : Message {
+struct PingMsg : Typed<PingMsg> {
   int payload = 0;
-  const char* type() const override { return "ping"; }
+  static constexpr char kType[] = "ping";
 };
 
 class EchoNode : public Node {
@@ -83,6 +83,20 @@ class EchoNode : public Node {
   NodeId last_from = 9999;
   std::vector<int> received;
 };
+
+struct PongMsg : Typed<PongMsg> {
+  static constexpr char kType[] = "pong";
+};
+
+TEST(MessageTest, AsMatchesOwnTypeOnly) {
+  PingMsg ping;
+  PongMsg pong;
+  EXPECT_EQ(As<PingMsg>(ping), &ping);
+  EXPECT_EQ(As<PongMsg>(pong), &pong);
+  EXPECT_EQ(As<PongMsg>(ping), nullptr);
+  EXPECT_EQ(As<PingMsg>(pong), nullptr);
+  EXPECT_STREQ(ping.type(), "ping");
+}
 
 std::shared_ptr<PingMsg> Ping(int v) {
   auto m = std::make_shared<PingMsg>();
