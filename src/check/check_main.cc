@@ -14,45 +14,24 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
-#include "check/adversary.h"
 #include "check/runner.h"
 
 namespace {
 
 void Usage() {
+  std::fprintf(stderr, "usage: check_runner [options]\n");
+  for (const pbc::check::RunFlag& flag : pbc::check::RunFlags()) {
+    std::string head = std::string(flag.name) + " " +
+                       (flag.metavar ? flag.metavar : "");
+    std::string help = flag.help;
+    for (size_t at = 0; (at = help.find('\n', at)) != std::string::npos;) {
+      help.insert(++at, 24, ' ');
+    }
+    std::fprintf(stderr, "  %-21s %s\n", head.c_str(), help.c_str());
+  }
   std::fprintf(
       stderr,
-      "usage: check_runner [options]\n"
-      "  --protocol P[,P...]   pbft|raft|hotstuff|tendermint|paxos|sharper"
-      "|ahl|all (default all)\n"
-      "  --nemesis PROF[;PROF] fault profile(s); each PROF is a CSV of\n"
-      "                        crash,partition,delay,byzantine,torn-write,\n"
-      "                        lost-flush|none (default crash; torn-write\n"
-      "                        and lost-flush need --durable)\n"
-      "  --seeds N             seeds per grid cell (default 20)\n"
-      "  --seed-base N         first seed (default 0)\n"
-      "  --cluster-size N[,N]  replicas per cluster (default 4)\n"
-      "  --num-shards N        shards for sharper/ahl (default 2)\n"
-      "  --txns N              client transactions per run (default 40)\n"
-      "  --mutate-quorum N     TEST-ONLY quorum slack; sweeps must catch\n"
-      "  --block-max-txns N    run through the consensus block pipeline\n"
-      "                        with size cut N (0 = inline batches)\n"
-      "  --adversary MODE      random|leader|quorum|churn (default random).\n"
-      "                        Non-random modes run the state-aware\n"
-      "                        adaptive adversary (consensus protocols;\n"
-      "                        sharded cells reduce to random)\n"
-      "  --clock-skew PPM      per-node clock-rate skew, alternated +/-PPM\n"
-      "                        across nodes (0 = off)\n"
-      "  --durable             attach per-replica durable ledgers (block\n"
-      "                        log + snapshots over the sim filesystem)\n"
-      "                        and the crash-recovery invariants; enables\n"
-      "                        the torn-write / lost-flush nemesis tokens\n"
-      "                        (consensus cells; sharded reduce to\n"
-      "                        non-durable)\n"
-      "  --mutate-recovery     TEST-ONLY off-by-one torn-tail truncation\n"
-      "                        in recovery; durable sweeps must catch\n"
       "  --no-shrink           report failures without shrinking\n"
       "  --shrink-budget N     max replays per failure (default 32)\n"
       "  --jobs N              worker threads (default: hardware\n"
@@ -60,19 +39,12 @@ void Usage() {
       "                        byte-identical for every N; only wall_ms\n"
       "                        changes\n"
       "  --report PATH         write the JSON report to PATH\n"
-      "  --quiet               no per-run progress lines\n");
-}
-
-std::vector<std::string> SplitList(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t end = s.find(sep, start);
-    if (end == std::string::npos) end = s.size();
-    if (end > start) out.push_back(s.substr(start, end - start));
-    start = end + 1;
+      "  --quiet               no per-run progress lines\n"
+      "protocols:");
+  for (const std::string& p : pbc::check::KnownProtocols()) {
+    std::fprintf(stderr, " %s", p.c_str());
   }
-  return out;
+  std::fprintf(stderr, "\n");
 }
 
 }  // namespace
@@ -94,50 +66,17 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (!std::strcmp(arg, "--protocol")) {
-      options.protocols = SplitList(need_value(i++), ',');
-    } else if (!std::strcmp(arg, "--nemesis")) {
-      options.nemeses = SplitList(need_value(i++), ';');
-    } else if (!std::strcmp(arg, "--seeds")) {
-      options.seeds = std::strtoull(need_value(i++), nullptr, 10);
-    } else if (!std::strcmp(arg, "--seed-base")) {
-      options.seed_base = std::strtoull(need_value(i++), nullptr, 10);
-    } else if (!std::strcmp(arg, "--cluster-size")) {
-      options.cluster_sizes.clear();
-      for (const std::string& s : SplitList(need_value(i++), ',')) {
-        options.cluster_sizes.push_back(std::strtoull(s.c_str(), nullptr, 10));
-      }
-    } else if (!std::strcmp(arg, "--num-shards")) {
-      options.num_shards =
-          static_cast<uint32_t>(std::strtoul(need_value(i++), nullptr, 10));
-    } else if (!std::strcmp(arg, "--txns")) {
-      options.txns = std::strtoull(need_value(i++), nullptr, 10);
-    } else if (!std::strcmp(arg, "--mutate-quorum")) {
-      options.quorum_slack =
-          static_cast<uint32_t>(std::strtoul(need_value(i++), nullptr, 10));
-    } else if (!std::strcmp(arg, "--block-max-txns")) {
-      options.block_max_txns = std::strtoull(need_value(i++), nullptr, 10);
-    } else if (!std::strcmp(arg, "--adversary")) {
-      options.adversary = need_value(i++);
-      pbc::check::AdversaryMode parsed;
-      if (!pbc::check::ParseAdversaryMode(options.adversary, &parsed)) {
-        std::fprintf(stderr, "check_runner: unknown adversary mode %s\n",
-                     options.adversary.c_str());
-        Usage();
-        return 2;
-      }
-    } else if (!std::strcmp(arg, "--clock-skew")) {
-      options.clock_skew_ppm = std::strtoll(need_value(i++), nullptr, 10);
-    } else if (!std::strcmp(arg, "--durable")) {
-      options.durable = true;
-    } else if (!std::strcmp(arg, "--mutate-recovery")) {
-      options.mutate_recovery = true;
+    bool ok = true;  // false: the value after `arg` is malformed
+    if (const pbc::check::RunFlag* flag = pbc::check::FindRunFlag(arg)) {
+      std::string value = flag->metavar ? need_value(i++) : "";
+      ok = flag->sweep ? flag->sweep(value, &options)
+                       : flag->parse(value, &options.base);
     } else if (!std::strcmp(arg, "--no-shrink")) {
       options.shrink = false;
     } else if (!std::strcmp(arg, "--shrink-budget")) {
-      options.shrink_budget = std::strtoull(need_value(i++), nullptr, 10);
+      ok = pbc::check::ParseCount(need_value(i++), &options.shrink_budget);
     } else if (!std::strcmp(arg, "--jobs")) {
-      options.jobs = std::strtoull(need_value(i++), nullptr, 10);
+      ok = pbc::check::ParseCount(need_value(i++), &options.jobs);
     } else if (!std::strcmp(arg, "--report")) {
       report_path = need_value(i++);
     } else if (!std::strcmp(arg, "--quiet")) {
@@ -150,11 +89,12 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
-  }
-  if (options.seeds == 0 || options.protocols.empty() ||
-      options.nemeses.empty() || options.cluster_sizes.empty()) {
-    Usage();
-    return 2;
+    if (!ok) {
+      std::fprintf(stderr, "check_runner: bad value '%s' for %s\n", argv[i],
+                   arg);
+      Usage();
+      return 2;
+    }
   }
 
   // detlint:allow(wall-clock) wall_ms is operator telemetry, kept out of

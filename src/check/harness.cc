@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
+#include <type_traits>
 
 #include "check/adversary.h"
 #include "check/durable.h"
@@ -24,13 +24,10 @@ constexpr sim::Time kConsensusHorizon = 60'000'000;
 constexpr sim::Time kShardHorizon = 300'000'000;
 constexpr sim::Time kCheckInterval = 500'000;
 
-bool IsSharded(const std::string& protocol) {
-  return protocol == "sharper" || protocol == "ahl";
-}
-
+/// Simulated-time budget per family, matching the repo's test ceilings.
 sim::Time HorizonFor(const RunConfig& cfg) {
-  if (cfg.horizon_us != 0) return cfg.horizon_us;
-  return IsSharded(cfg.protocol) ? kShardHorizon : kConsensusHorizon;
+  return InFamily(cfg.protocol, ProtocolFamily::kSharded) ? kShardHorizon
+                                                          : kConsensusHorizon;
 }
 
 /// Stable 64-bit mix of every run-determining field, so distinct configs
@@ -125,8 +122,9 @@ txn::Transaction TransferTxn(size_t i) {
 
 template <typename R>
 RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
-                     const NemesisSchedule* explicit_schedule, bool bft) {
+                     const NemesisSchedule* explicit_schedule) {
   const sim::Time horizon = HorizonFor(cfg);
+  const bool bft = InFamily(cfg.protocol, ProtocolFamily::kBft);
   World w(MixSeed(cfg));
 
   consensus::ClusterConfig cc;
@@ -362,42 +360,10 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
 
 // --- Sharded-system runs ---------------------------------------------------
 
-/// Adapter over the two shard systems so one harness body serves both.
-struct ShardSut {
-  std::unique_ptr<shard::SharperSystem> sharper;
-  std::unique_ptr<shard::TwoPhaseShardSystem> ahl;
-
-  void Submit(txn::Transaction t) {
-    if (sharper) {
-      sharper->Submit(std::move(t));
-    } else {
-      ahl->Submit(std::move(t));
-    }
-  }
-  void SetListeners(shard::TxnListener done,
-                    shard::ShardOutcomeListener outcome) {
-    if (sharper) {
-      sharper->set_listener(std::move(done));
-      sharper->set_shard_outcome_listener(std::move(outcome));
-    } else {
-      ahl->set_listener(std::move(done));
-      ahl->set_shard_outcome_listener(std::move(outcome));
-    }
-  }
-  int64_t TotalBalance() const {
-    return sharper ? sharper->TotalBalance() : ahl->TotalBalance();
-  }
-  shard::ShardCluster* cluster(size_t i) const {
-    if (sharper) return sharper->shard(static_cast<uint32_t>(i));
-    uint32_t shards = ahl->num_shards();
-    return i < shards ? ahl->shard(static_cast<uint32_t>(i))
-                      : ahl->coordinator(static_cast<uint32_t>(i - shards));
-  }
-  size_t num_clusters() const {
-    return sharper ? sharper->num_shards() : ahl->num_shards() + 1;
-  }
-};
-
+/// One harness body serves both shard systems: they share the
+/// Submit/listener/TotalBalance surface, and AHL adds one coordinator
+/// cluster after its shards.
+template <typename System>
 RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
                    const NemesisSchedule* explicit_schedule) {
   const sim::Time horizon = HorizonFor(cfg);
@@ -415,19 +381,22 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   const uint32_t shards = cfg.num_shards;
   const size_t rps = cfg.cluster_size;
 
-  ShardSut sut;
-  if (cfg.protocol == "sharper") {
-    sut.sharper = std::make_unique<shard::SharperSystem>(
-        &w.net, &w.registry, shards, rps, cc);
+  std::unique_ptr<System> sut;
+  if constexpr (std::is_same_v<System, shard::SharperSystem>) {
+    sut = std::make_unique<System>(&w.net, &w.registry, shards, rps, cc);
   } else {
     shard::TwoPhaseConfig tp = shard::TwoPhaseConfig::Ahl(shards, rps);
     tp.cluster = cc;
-    sut.ahl = std::make_unique<shard::TwoPhaseShardSystem>(&w.net,
-                                                           &w.registry, tp);
+    sut = std::make_unique<System>(&w.net, &w.registry, tp);
+  }
+  std::vector<shard::ShardCluster*> clusters;
+  for (uint32_t s = 0; s < shards; ++s) clusters.push_back(sut->shard(s));
+  if constexpr (std::is_same_v<System, shard::TwoPhaseShardSystem>) {
+    clusters.push_back(sut->coordinator(0));
   }
 
   NemesisTopology topo;
-  for (size_t c = 0; c < sut.num_clusters(); ++c) {
+  for (size_t c = 0; c < clusters.size(); ++c) {
     NemesisTopology::Group group;
     sim::NodeId base = static_cast<sim::NodeId>(c * (rps + 1));
     for (size_t i = 0; i < rps; ++i) {
@@ -456,24 +425,23 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   CheckerSuite suite(&w.sim);
   // Replica agreement within each cluster (cross-cluster chains are
   // independent ledgers, so one checker per cluster).
-  for (size_t c = 0; c < sut.num_clusters(); ++c) {
-    suite.Add(std::make_unique<ChainAgreementChecker>([&sut, c] {
+  auto add_chains = [](shard::ShardCluster* sc,
+                       std::vector<const ledger::Chain*>* v) {
+    auto* cluster = sc->consensus();
+    for (size_t i = 0; i < cluster->size(); ++i) {
+      v->push_back(&cluster->replica(i)->chain());
+    }
+  };
+  for (shard::ShardCluster* sc : clusters) {
+    suite.Add(std::make_unique<ChainAgreementChecker>([add_chains, sc] {
       std::vector<const ledger::Chain*> v;
-      auto* cluster = sut.cluster(c)->consensus();
-      for (size_t i = 0; i < cluster->size(); ++i) {
-        v.push_back(&cluster->replica(i)->chain());
-      }
+      add_chains(sc, &v);
       return v;
     }));
   }
-  auto all_chains = [&sut] {
+  auto all_chains = [add_chains, &clusters] {
     std::vector<const ledger::Chain*> v;
-    for (size_t c = 0; c < sut.num_clusters(); ++c) {
-      auto* cluster = sut.cluster(c)->consensus();
-      for (size_t i = 0; i < cluster->size(); ++i) {
-        v.push_back(&cluster->replica(i)->chain());
-      }
-    }
+    for (shard::ShardCluster* sc : clusters) add_chains(sc, &v);
     return v;
   };
   suite.Add(std::make_unique<ChainLinkageChecker>(all_chains));
@@ -502,20 +470,20 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   };
 
   std::map<txn::TxnId, int64_t> deposit_amounts;
-  sut.SetListeners(
-      [progress, &deposit_amounts](txn::TxnId id, bool ok) {
-        progress->results[id] = ok;
-        auto it = deposit_amounts.find(id);
-        if (ok && it != deposit_amounts.end()) {
-          progress->deposited += it->second;
-        }
-      },
+  sut->set_listener([progress, &deposit_amounts](txn::TxnId id, bool ok) {
+    progress->results[id] = ok;
+    auto it = deposit_amounts.find(id);
+    if (ok && it != deposit_amounts.end()) {
+      progress->deposited += it->second;
+    }
+  });
+  sut->set_shard_outcome_listener(
       [atomicity, &w](shard::ShardId s, txn::TxnId id, bool commit) {
         atomicity->OnShardOutcome(s, id, commit, w.sim.now());
       });
 
   suite.Add(std::make_unique<BalanceConservationChecker>(
-      [&sut] { return sut.TotalBalance(); },
+      [&sut] { return sut->TotalBalance(); },
       [progress] { return progress->deposited; },
       [progress, atomicity] {
         return progress->results.size() >= progress->submitted &&
@@ -533,7 +501,7 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
       t.ops.push_back(txn::Op::Increment(account(s, i), 100));
       deposit_amounts[t.id] = 100;
       ++progress->submitted;
-      w.sim.Schedule(0, [&sut, t] { sut.Submit(t); });
+      w.sim.Schedule(0, [&sut, t] { sut->Submit(t); });
     }
   }
   // Transfers paced from 5 s to half the horizon; every third one crosses
@@ -561,7 +529,7 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
     }
     ++progress->submitted;
     w.sim.Schedule(t0 + static_cast<sim::Time>(i) * spacing,
-                   [&sut, t] { sut.Submit(t); });
+                   [&sut, t] { sut->Submit(t); });
   }
   suite.StartPeriodic(kCheckInterval, horizon);
 
@@ -579,109 +547,76 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   return result;
 }
 
+/// The protocol table: the one place that names each protocol, its family
+/// and how to run it.
+struct ProtocolSpec {
+  const char* name;
+  ProtocolFamily family;
+  RunResult (*run)(const RunConfig&, const NemesisProfile&,
+                   const NemesisSchedule*);
+};
+
+constexpr ProtocolSpec kProtocols[] = {
+    {"pbft", ProtocolFamily::kBft, RunCluster<consensus::PbftReplica>},
+    {"raft", ProtocolFamily::kCft, RunCluster<consensus::RaftReplica>},
+    {"hotstuff", ProtocolFamily::kBft, RunCluster<consensus::HotStuffReplica>},
+    {"tendermint", ProtocolFamily::kBft,
+     RunCluster<consensus::TendermintReplica>},
+    {"paxos", ProtocolFamily::kCft, RunCluster<consensus::PaxosReplica>},
+    {"sharper", ProtocolFamily::kSharded, RunShard<shard::SharperSystem>},
+    {"ahl", ProtocolFamily::kSharded, RunShard<shard::TwoPhaseShardSystem>},
+};
+
+const ProtocolSpec* FindProtocol(const std::string& name) {
+  for (const ProtocolSpec& spec : kProtocols) {
+    if (name == spec.name) return &spec;
+  }
+  return nullptr;
+}
+
+RunResult ConfigError(std::string detail) {
+  RunResult bad;
+  bad.violations.push_back({"config", std::move(detail), 0});
+  return bad;
+}
+
 RunResult Dispatch(const RunConfig& cfg,
                    const NemesisSchedule* explicit_schedule) {
   NemesisProfile profile;
   if (!NemesisProfile::Parse(cfg.nemesis, &profile)) {
-    RunResult bad;
-    bad.violations.push_back(
-        {"config", "unknown nemesis profile: " + cfg.nemesis, 0});
-    return bad;
+    return ConfigError("unknown nemesis profile: " + cfg.nemesis);
   }
   AdversaryMode adversary = AdversaryMode::kRandom;
   if (!ParseAdversaryMode(cfg.adversary, &adversary)) {
-    RunResult bad;
-    bad.violations.push_back(
-        {"config", "unknown adversary mode: " + cfg.adversary, 0});
-    return bad;
+    return ConfigError("unknown adversary mode: " + cfg.adversary);
   }
   if ((profile.torn_write || profile.lost_flush) && !cfg.durable) {
-    RunResult bad;
-    bad.violations.push_back(
-        {"config",
-         "nemesis profile '" + cfg.nemesis +
-             "' injects disk faults and requires --durable",
-         0});
-    return bad;
+    return ConfigError("nemesis profile '" + cfg.nemesis +
+                       "' injects disk faults and requires --durable");
   }
   if (cfg.mutate_recovery && !cfg.durable) {
-    RunResult bad;
-    bad.violations.push_back(
-        {"config", "--mutate-recovery requires --durable", 0});
-    return bad;
+    return ConfigError("--mutate-recovery requires --durable");
   }
-  if (cfg.durable && IsSharded(cfg.protocol)) {
-    // The durable layer persists per-replica consensus chains; the sharded
-    // systems route commits through gateways with their own ledgers, which
-    // this PR does not cover. Sweep expansion reduces these cells to
-    // non-durable instead of erroring.
-    RunResult bad;
-    bad.violations.push_back(
-        {"config", "durable mode is not supported for sharded protocols", 0});
-    return bad;
+  if (InFamily(cfg.protocol, ProtocolFamily::kSharded)) {
+    // The durable layer persists per-replica consensus chains, but sharded
+    // systems commit through gateways with their own ledgers. Adaptive
+    // modes split one cluster at its quorum edge, which the sharded
+    // topologies forbid (NemesisTopology::partition_whole_network).
+    // SweepOptions::Expand reduces such cells instead of erroring.
+    if (cfg.durable) {
+      return ConfigError("durable mode is not supported for sharded protocols");
+    }
+    if (adversary != AdversaryMode::kRandom) {
+      return ConfigError("adversary mode '" + cfg.adversary +
+                         "' is not supported for sharded protocols");
+    }
   }
-  if (adversary != AdversaryMode::kRandom && IsSharded(cfg.protocol)) {
-    // Adaptive modes partition/crash at the quorum edge of one cluster;
-    // the sharded topologies forbid exactly those arbitrary whole-network
-    // splits (see NemesisTopology::partition_whole_network). Sweep
-    // expansion reduces these cells to "random" instead of erroring.
-    RunResult bad;
-    bad.violations.push_back(
-        {"config",
-         "adversary mode '" + cfg.adversary +
-             "' is not supported for sharded protocols",
-         0});
-    return bad;
-  }
-  if (cfg.protocol == "pbft") {
-    return RunCluster<consensus::PbftReplica>(cfg, profile, explicit_schedule,
-                                              /*bft=*/true);
-  }
-  if (cfg.protocol == "hotstuff") {
-    return RunCluster<consensus::HotStuffReplica>(cfg, profile,
-                                                  explicit_schedule,
-                                                  /*bft=*/true);
-  }
-  if (cfg.protocol == "tendermint") {
-    return RunCluster<consensus::TendermintReplica>(cfg, profile,
-                                                    explicit_schedule,
-                                                    /*bft=*/true);
-  }
-  if (cfg.protocol == "raft") {
-    return RunCluster<consensus::RaftReplica>(cfg, profile, explicit_schedule,
-                                              /*bft=*/false);
-  }
-  if (cfg.protocol == "paxos") {
-    return RunCluster<consensus::PaxosReplica>(cfg, profile,
-                                               explicit_schedule,
-                                               /*bft=*/false);
-  }
-  if (IsSharded(cfg.protocol)) {
-    return RunShard(cfg, profile, explicit_schedule);
-  }
-  RunResult bad;
-  bad.violations.push_back(
-      {"config", "unknown protocol: " + cfg.protocol, 0});
-  return bad;
+  const ProtocolSpec* spec = FindProtocol(cfg.protocol);
+  if (spec == nullptr) return ConfigError("unknown protocol: " + cfg.protocol);
+  return spec->run(cfg, profile, explicit_schedule);
 }
 
 }  // namespace
-
-std::string RunConfig::ReproLine() const {
-  std::ostringstream os;
-  os << "check_runner --protocol " << protocol << " --cluster-size "
-     << cluster_size;
-  if (IsSharded(protocol)) os << " --num-shards " << num_shards;
-  os << " --nemesis " << nemesis << " --txns " << txns << " --seeds 1"
-     << " --seed-base " << seed;
-  if (quorum_slack > 0) os << " --mutate-quorum " << quorum_slack;
-  if (block_max_txns > 0) os << " --block-max-txns " << block_max_txns;
-  if (adversary != "random") os << " --adversary " << adversary;
-  if (clock_skew_ppm != 0) os << " --clock-skew " << clock_skew_ppm;
-  if (durable) os << " --durable";
-  if (mutate_recovery) os << " --mutate-recovery";
-  return os.str();
-}
 
 obs::Json RunConfig::ToJson() const {
   obs::Json j = obs::Json::Object()
@@ -691,7 +626,9 @@ obs::Json RunConfig::ToJson() const {
                     .Set("seed", seed)
                     .Set("txns", static_cast<uint64_t>(txns))
                     .Set("horizon_us", HorizonFor(*this));
-  if (IsSharded(protocol)) j.Set("num_shards", num_shards);
+  if (InFamily(protocol, ProtocolFamily::kSharded)) {
+    j.Set("num_shards", num_shards);
+  }
   if (quorum_slack > 0) j.Set("quorum_slack", quorum_slack);
   if (block_max_txns > 0) {
     j.Set("block_max_txns", static_cast<uint64_t>(block_max_txns));
@@ -713,7 +650,14 @@ RunResult RunWithSchedule(const RunConfig& config,
 }
 
 std::vector<std::string> KnownProtocols() {
-  return {"pbft", "raft", "hotstuff", "tendermint", "paxos", "sharper", "ahl"};
+  std::vector<std::string> names;
+  for (const ProtocolSpec& spec : kProtocols) names.push_back(spec.name);
+  return names;
+}
+
+bool InFamily(const std::string& protocol, ProtocolFamily family) {
+  const ProtocolSpec* spec = FindProtocol(protocol);
+  return spec != nullptr && spec->family == family;
 }
 
 }  // namespace pbc::check

@@ -32,11 +32,8 @@ struct RunConfig {
   uint64_t seed = 0;
   /// Client transactions submitted, paced over the first half of the run.
   size_t txns = 40;
-  /// Simulated-time budget; 0 = auto (60 s for consensus clusters, 300 s
-  /// for the sharded systems, matching the repo's test ceilings).
-  sim::Time horizon_us = 0;
-  /// TEST-ONLY mutation: widens accepted quorums by this many votes (see
-  /// ClusterConfig::quorum_slack_for_test). The sweeps must catch > 0.
+  /// TEST-ONLY mutation: ClusterConfig::quorum_slack_for_test, which
+  /// lowers BftQuorum/MajorityQuorum. The sweeps must catch > 0.
   uint32_t quorum_slack = 0;
   /// > 0 enables the consensus block pipeline (ClusterConfig::block) with
   /// this size cut; 0 keeps the seed's inline-batch path.
@@ -61,9 +58,10 @@ struct RunConfig {
   /// BlockLog::RecoverAndTruncate). The durable sweeps must catch it.
   bool mutate_recovery = false;
 
-  /// A command line that replays exactly this run.
+  /// A command line that replays exactly this run (see RunFlags()).
   std::string ReproLine() const;
   obs::Json ToJson() const;
+  bool operator==(const RunConfig&) const = default;
 };
 
 /// \brief Outcome of one deterministic run.
@@ -100,9 +98,17 @@ RunResult RunOne(const RunConfig& config);
 RunResult RunWithSchedule(const RunConfig& config,
                           const NemesisSchedule& schedule);
 
-/// \brief Protocols RunOne understands; "all" in sweep options expands to
-/// this list.
+/// \brief A protocol's fault model: BFT (f = (n-1)/3, one may be
+/// Byzantine), CFT ((n-1)/2 crashes) or sharded (crashes per shard).
+enum class ProtocolFamily { kBft, kCft, kSharded };
+
+/// \brief Protocols RunOne understands, in the protocol table's order;
+/// "all" in sweep options expands to this list.
 std::vector<std::string> KnownProtocols();
+
+/// \brief Whether the protocol table lists `protocol` under `family`
+/// (false for unknown protocols).
+bool InFamily(const std::string& protocol, ProtocolFamily family);
 
 }  // namespace pbc::check
 

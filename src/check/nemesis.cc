@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 namespace pbc::check {
 
@@ -32,6 +33,16 @@ constexpr KindRow kKindTable[] = {
 };
 static_assert(std::size(kKindTable) == std::size(kAllNemesisKinds),
               "kind name table out of sync with kAllNemesisKinds");
+
+/// NemesisProfile's tokens, in ToString's order.
+constexpr std::pair<const char*, bool NemesisProfile::*> kProfileTokens[] = {
+    {"crash", &NemesisProfile::crash},
+    {"partition", &NemesisProfile::partition},
+    {"delay", &NemesisProfile::delay},
+    {"byzantine", &NemesisProfile::byzantine},
+    {"torn-write", &NemesisProfile::torn_write},
+    {"lost-flush", &NemesisProfile::lost_flush},
+};
 
 const char* ModeName(consensus::ByzantineMode mode) {
   switch (mode) {
@@ -72,37 +83,20 @@ bool NemesisProfile::Parse(const std::string& csv, NemesisProfile* out) {
   std::stringstream ss(csv);
   std::string token;
   while (std::getline(ss, token, ',')) {
-    if (token == "crash") {
-      out->crash = true;
-    } else if (token == "partition") {
-      out->partition = true;
-    } else if (token == "delay") {
-      out->delay = true;
-    } else if (token == "byzantine") {
-      out->byzantine = true;
-    } else if (token == "torn-write") {
-      out->torn_write = true;
-    } else if (token == "lost-flush") {
-      out->lost_flush = true;
-    } else {
-      return false;
-    }
+    const auto* it = std::find_if(
+        std::begin(kProfileTokens), std::end(kProfileTokens),
+        [&token](const auto& t) { return token == t.first; });
+    if (it == std::end(kProfileTokens)) return false;
+    out->*(it->second) = true;
   }
   return true;
 }
 
 std::string NemesisProfile::ToString() const {
   std::string s;
-  auto add = [&s](const char* t) {
-    if (!s.empty()) s += ",";
-    s += t;
-  };
-  if (crash) add("crash");
-  if (partition) add("partition");
-  if (delay) add("delay");
-  if (byzantine) add("byzantine");
-  if (torn_write) add("torn-write");
-  if (lost_flush) add("lost-flush");
+  for (const auto& [name, field] : kProfileTokens) {
+    if (this->*field) s += (s.empty() ? "" : ",") + std::string(name);
+  }
   return s.empty() ? "none" : s;
 }
 

@@ -2,80 +2,220 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
-#include <set>
+#include <sstream>
 #include <utility>
+
+#include "check/adversary.h"
 
 namespace pbc::check {
 
 namespace {
 
-bool SupportsByzantine(const std::string& protocol) {
-  return protocol == "pbft" || protocol == "hotstuff" ||
-         protocol == "tendermint";
+std::vector<std::string> SplitList(const std::string& s, char sep) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  while (start <= s.size()) {
+    size_t end = s.find(sep, start);
+    if (end == std::string::npos) end = s.size();
+    if (end > start) out.push_back(s.substr(start, end - start));
+    start = end + 1;
+  }
+  return out;
 }
+
+template <typename T>
+bool ParseValue(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+bool ParseValue(const std::string& s, std::string* out) {
+  *out = s;
+  return !s.empty();
+}
+bool ParseValue(const std::string&, bool* out) { return *out = true; }
+
+template <typename T>
+std::string Text(const T& v) {
+  return std::to_string(v);
+}
+std::string Text(const std::string& v) { return v; }
+std::string Text(bool) { return ""; }
+
+using Printed = std::optional<std::string>;
+
+/// Prints a field's value; unless `kAlways`, only while it differs from
+/// the RunConfig default.
+template <auto kField, bool kAlways = false>
+Printed Print(const RunConfig& c) {
+  if (!kAlways && c.*kField == RunConfig().*kField) return std::nullopt;
+  return Text(c.*kField);
+}
+template <auto kField>
+bool Parse(const std::string& value, RunConfig* c) {
+  return ParseValue(value, &(c->*kField));
+}
+/// check_runner reads a grid axis as a `kSep`-separated list.
+template <auto kAxis, char kSep>
+bool ParseAxis(const std::string& list, SweepOptions* o) {
+  auto& axis = o->*kAxis;
+  axis.clear();
+  for (const std::string& item : SplitList(list, kSep)) {
+    if (!ParseValue(item, &axis.emplace_back())) return false;
+  }
+  return !axis.empty();
+}
+
+const RunFlag kRunFlags[] = {
+    {"--protocol", "P[,P...]", "protocol(s) listed below, or all (default)",
+     Print<&RunConfig::protocol, true>, Parse<&RunConfig::protocol>,
+     ParseAxis<&SweepOptions::protocols, ','>},
+    {"--cluster-size", "N[,N]", "replicas per cluster (default 4)",
+     Print<&RunConfig::cluster_size, true>, Parse<&RunConfig::cluster_size>,
+     ParseAxis<&SweepOptions::cluster_sizes, ','>},
+    {"--num-shards", "N", "shards for sharper/ahl (default 2)",
+     [](const RunConfig& c) -> Printed {
+       if (!InFamily(c.protocol, ProtocolFamily::kSharded)) return std::nullopt;
+       return Text(c.num_shards);
+     },
+     Parse<&RunConfig::num_shards>},
+    {"--nemesis", "PROF[;PROF]",
+     "fault profile(s); each PROF is a CSV of crash,\n"
+     "partition,delay,byzantine,torn-write,lost-flush\n"
+     "or none (default crash; disk faults need --durable)",
+     Print<&RunConfig::nemesis, true>, Parse<&RunConfig::nemesis>,
+     ParseAxis<&SweepOptions::nemeses, ';'>},
+    {"--txns", "N", "client transactions per run (default 40)",
+     Print<&RunConfig::txns, true>, Parse<&RunConfig::txns>},
+    // A repro line names one run; check_runner reads the count itself.
+    {"--seeds", "N", "seeds per grid cell (default 20)",
+     [](const RunConfig&) -> Printed { return "1"; },
+     [](const std::string& v, RunConfig*) { return v == "1"; },
+     [](const std::string& v, SweepOptions* o) {
+       return ParseValue(v, &o->seeds) && o->seeds > 0;
+     }},
+    {"--seed-base", "N", "first seed (default 0)",
+     Print<&RunConfig::seed, true>, Parse<&RunConfig::seed>},
+    {"--mutate-quorum", "N",
+     "TEST-ONLY: lower BftQuorum and MajorityQuorum\n"
+     "(PBFT, Raft, Paxos; not HotStuff or Tendermint)\n"
+     "by N votes; sweeps must catch it",
+     Print<&RunConfig::quorum_slack>, Parse<&RunConfig::quorum_slack>},
+    {"--block-max-txns", "N",
+     "run the consensus block pipeline with size cut N\n"
+     "(default 0: inline batches)",
+     Print<&RunConfig::block_max_txns>, Parse<&RunConfig::block_max_txns>},
+    {"--adversary", "MODE",
+     "random|leader|quorum|churn (default random); the\n"
+     "others run the adaptive adversary (not sharded)",
+     Print<&RunConfig::adversary>,
+     [](const std::string& v, RunConfig* c) {
+       AdversaryMode mode;
+       c->adversary = v;
+       return ParseAdversaryMode(v, &mode);
+     }},
+    {"--clock-skew", "PPM", "per-node clock skew, alternated +/-PPM (0 = off)",
+     Print<&RunConfig::clock_skew_ppm>, Parse<&RunConfig::clock_skew_ppm>},
+    {"--durable", nullptr,
+     "per-replica durable ledgers on the sim filesystem\n"
+     "and crash-recovery invariants (not sharded)",
+     Print<&RunConfig::durable>, Parse<&RunConfig::durable>},
+    {"--mutate-recovery", nullptr,
+     "TEST-ONLY off-by-one torn-tail truncation in\n"
+     "recovery; durable sweeps must catch it",
+     Print<&RunConfig::mutate_recovery>, Parse<&RunConfig::mutate_recovery>},
+};
 
 }  // namespace
 
-std::vector<RunConfig> SweepOptions::Expand() const {
-  std::vector<std::string> protos;
-  for (const std::string& p : protocols) {
-    if (p == "all") {
-      std::vector<std::string> known = KnownProtocols();
-      protos.insert(protos.end(), known.begin(), known.end());
-    } else {
-      protos.push_back(p);
+std::span<const RunFlag> RunFlags() { return kRunFlags; }
+
+const RunFlag* FindRunFlag(const std::string& name) {
+  for (const RunFlag& flag : kRunFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+bool ParseCount(const std::string& s, size_t* out) {
+  return ParseValue(s, out);
+}
+
+std::string RunConfig::ReproLine() const {
+  std::string line = "check_runner";
+  for (const RunFlag& flag : kRunFlags) {
+    Printed value = flag.print(*this);
+    if (!value) continue;
+    line += std::string(" ") + flag.name;
+    if (flag.metavar != nullptr) line += " " + *value;
+  }
+  return line;
+}
+
+bool ParseReproLine(const std::string& line, RunConfig* cfg,
+                    std::string* error) {
+  std::istringstream in(line);
+  std::vector<std::string> args{std::istream_iterator<std::string>(in), {}};
+  RunConfig parsed;
+  // Skips a leading "check_runner".
+  for (size_t i = !args.empty() && args[0] == "check_runner";
+       i < args.size(); ++i) {
+    const std::string& name = args[i];
+    const RunFlag* flag = FindRunFlag(name);
+    std::string value = flag && flag->metavar && i + 1 < args.size()
+                            ? args[++i]
+                            : std::string();
+    if (flag == nullptr || !flag->parse(value, &parsed)) {
+      *error = "unknown run flag or bad value: " + name + " " + value;
+      return false;
     }
   }
+  *cfg = std::move(parsed);
+  return true;
+}
+
+std::vector<RunConfig> SweepOptions::Expand() const {
   std::vector<RunConfig> cells;
-  // "proto|adversary|nemesis|size" dedup after reduction.
-  std::set<std::string> seen;
-  for (const std::string& proto : protos) {
-    // Sharded topologies cannot host the adaptive modes (they partition
-    // at the quorum edge — exactly the arbitrary splits those topologies
-    // forbid); reduce to the random generator like the byzantine-token
-    // reduction below.
-    const bool sharded = proto == "sharper" || proto == "ahl";
-    std::string adv = sharded ? "random" : adversary;
-    // The durable layer wraps per-replica consensus chains; sharded cells
-    // reduce to non-durable (and shed the disk-fault tokens below).
-    const bool dur = sharded ? false : durable;
-    for (const std::string& nemesis : nemeses) {
-      NemesisProfile profile;
-      if (!NemesisProfile::Parse(nemesis, &profile)) continue;
-      if (profile.byzantine && !SupportsByzantine(proto)) {
-        profile.byzantine = false;
+  for (const std::string& entry : protocols) {
+    for (const std::string& proto :
+         entry == "all" ? KnownProtocols() : std::vector<std::string>{entry}) {
+      RunConfig cell = base;
+      cell.protocol = proto;
+      if (InFamily(proto, ProtocolFamily::kSharded)) {
+        // Sharded cells host neither adaptive modes nor the durable layer
+        // (see RunOne's config errors).
+        cell.adversary = "random";
+        cell.durable = false;
+      } else {
+        // MixSeed reads num_shards, which no other family's repro line
+        // prints.
+        cell.num_shards = RunConfig().num_shards;
       }
-      if (!dur) {
-        // Disk faults need a disk: without the durable layer the tokens
-        // would be rejected by the harness, so strip them like the
-        // byzantine reduction.
-        profile.torn_write = false;
-        profile.lost_flush = false;
-      }
-      std::string reduced = profile.ToString();
-      // Adaptive modes ignore the generated profile entirely: normalize
-      // it in the cell so {leader × crash} and {leader × delay} do not
-      // masquerade as distinct coverage.
-      if (adv != "random") reduced = "none";
-      for (size_t size : cluster_sizes) {
-        std::string key = proto + "|" + adv + "|" + reduced + "|" +
-                          std::to_string(size) + (dur ? "|durable" : "");
-        if (!seen.insert(key).second) continue;
-        RunConfig cfg;
-        cfg.protocol = proto;
-        cfg.cluster_size = size;
-        cfg.num_shards = num_shards;
-        cfg.nemesis = reduced;
-        cfg.txns = txns;
-        cfg.quorum_slack = quorum_slack;
-        cfg.block_max_txns = block_max_txns;
-        cfg.adversary = adv;
-        cfg.clock_skew_ppm = clock_skew_ppm;
-        cfg.durable = dur;
-        cfg.mutate_recovery = dur && mutate_recovery;
-        cells.push_back(std::move(cfg));
+      cell.mutate_recovery = cell.durable && base.mutate_recovery;
+      for (const std::string& nemesis : nemeses) {
+        NemesisProfile profile;
+        if (!NemesisProfile::Parse(nemesis, &profile)) continue;
+        if (!InFamily(proto, ProtocolFamily::kBft)) profile.byzantine = false;
+        if (!cell.durable) {
+          // Disk faults need a disk (RunOne rejects them without one).
+          profile.torn_write = false;
+          profile.lost_flush = false;
+        }
+        cell.nemesis = profile.ToString();
+        // Adaptive modes ignore the generated profile entirely: normalize
+        // it in the cell so {leader × crash} and {leader × delay} do not
+        // masquerade as distinct coverage.
+        if (cell.adversary != "random") cell.nemesis = "none";
+        for (size_t size : cluster_sizes) {
+          cell.cluster_size = size;
+          if (std::find(cells.begin(), cells.end(), cell) == cells.end()) {
+            cells.push_back(cell);
+          }
+        }
       }
     }
   }
@@ -301,7 +441,7 @@ SweepReport RunSweep(const SweepOptions& options, const ProgressFn& progress) {
   std::vector<RunConfig> cells;
   for (RunConfig cell : options.Expand()) {
     for (size_t i = 0; i < options.seeds; ++i) {
-      cell.seed = options.seed_base + i;
+      cell.seed = options.base.seed + i;
       cells.push_back(cell);
     }
   }

@@ -7,6 +7,8 @@
 
 #include <functional>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,37 +19,18 @@
 namespace pbc::check {
 
 /// \brief The sweep grid: every (protocol, cluster size, nemesis) cell runs
-/// `seeds` consecutive seeds starting at `seed_base`.
+/// `seeds` consecutive seeds starting at `base.seed`.
 struct SweepOptions {
+  /// Every cell's run settings. Its `protocol`, `nemesis` and
+  /// `cluster_size` are ignored (the axes below set them), and `seed` is
+  /// the grid's first seed.
+  RunConfig base;
   /// Protocol names; "all" expands to KnownProtocols().
   std::vector<std::string> protocols = {"all"};
   /// Nemesis profile CSVs (each one cell, e.g. {"crash", "crash,partition"}).
   std::vector<std::string> nemeses = {"crash"};
   std::vector<size_t> cluster_sizes = {4};
   size_t seeds = 20;
-  uint64_t seed_base = 0;
-  size_t txns = 40;
-  uint32_t num_shards = 2;
-  /// TEST-ONLY quorum mutation, forwarded to every run (see RunConfig).
-  uint32_t quorum_slack = 0;
-  /// > 0 runs every cell through the consensus block pipeline with this
-  /// size cut (see RunConfig::block_max_txns).
-  size_t block_max_txns = 0;
-  /// Adversary mode for every cell ("random" | "leader" | "quorum" |
-  /// "churn"); sharded protocols reduce non-random modes back to
-  /// "random" (see RunConfig::adversary), deduping like the byzantine
-  /// reduction.
-  std::string adversary = "random";
-  /// Per-node clock-skew ppm for every cell (see RunConfig).
-  int64_t clock_skew_ppm = 0;
-  /// Run every cell with the durable storage layer attached (see
-  /// RunConfig::durable); sharded protocols reduce back to non-durable
-  /// (with disk-fault nemesis tokens stripped), deduping like the
-  /// byzantine reduction.
-  bool durable = false;
-  /// TEST-ONLY recovery mutation, forwarded to durable cells (see
-  /// RunConfig::mutate_recovery).
-  bool mutate_recovery = false;
   /// Shrink each failure's schedule before reporting.
   bool shrink = true;
   /// Max replays ShrinkFailure may spend per failure.
@@ -65,11 +48,44 @@ struct SweepOptions {
   /// Not part of the report — scheduler behavior is nondeterministic.
   obs::MetricsRegistry* scheduler_metrics = nullptr;
 
-  /// Grid cells with the "byzantine" token dropped for protocols that
-  /// cannot host a Byzantine replica (CFT, sharded) are skipped when the
-  /// reduced profile duplicates another cell.
+  /// One config per grid cell, reduced to what the protocol's family can
+  /// host: the "byzantine" token is dropped outside BFT protocols, and
+  /// sharded protocols run the random adversary, non-durable (without the
+  /// disk-fault tokens) and with `base.num_shards`, which other protocols
+  /// leave at its default. A reduced cell that duplicates another is
+  /// skipped.
   std::vector<RunConfig> Expand() const;
 };
+
+/// \brief One per-run command-line flag. RunFlags() is the only place a
+/// run flag is defined: ReproLine prints through it, ParseReproLine reads
+/// a repro line back, and check_runner parses and documents its options.
+struct RunFlag {
+  const char* name;
+  const char* metavar;  ///< nullptr for a switch
+  const char* help;
+  /// The value ReproLine prints, or nullopt to leave the flag out.
+  std::optional<std::string> (*print)(const RunConfig&);
+  /// Sets the flag's field of one run; false when `value` is malformed.
+  bool (*parse)(const std::string& value, RunConfig*);
+  /// check_runner's reading of a grid axis (a list) or the seed count;
+  /// nullptr when it parses into SweepOptions::base.
+  bool (*sweep)(const std::string& value, SweepOptions*) = nullptr;
+};
+
+/// \brief The run-flag table, in ReproLine's order.
+std::span<const RunFlag> RunFlags();
+const RunFlag* FindRunFlag(const std::string& name);
+
+/// \brief Parses a whole string as a decimal count, as the numeric run
+/// flags do; false on anything else (sign, suffix, overflow, empty).
+bool ParseCount(const std::string& s, size_t* out);
+
+/// \brief Parses a RunConfig::ReproLine, with or without "check_runner",
+/// over RunConfig defaults, in any flag order. Returns false with a reason
+/// on an unknown flag, a bad value, or more than one run (`--seeds N>1`).
+bool ParseReproLine(const std::string& line, RunConfig* cfg,
+                    std::string* error);
 
 /// \brief One failing run, with its shrunk repro.
 struct SweepFailure {
@@ -79,8 +95,8 @@ struct SweepFailure {
   /// Window ids of the shrunk (locally minimal) schedule; equals the full
   /// window set when shrinking is disabled or the failure needs them all.
   std::vector<uint64_t> shrunk_windows;
-  /// The shrunk schedule itself (replay with `check_runner --replay` or
-  /// RunWithSchedule).
+  /// The shrunk schedule itself (replay with RunWithSchedule; `repro`
+  /// alone reruns the whole generated schedule).
   NemesisSchedule shrunk_schedule;
   size_t shrink_replays = 0;
 

@@ -79,10 +79,14 @@ struct ClusterConfig {
   /// Voting power per replica (Tendermint). Empty = equal weights.
   std::vector<uint64_t> voting_power;
 
-  /// TEST-ONLY fault injection: shrinks every quorum by this many votes.
-  /// Production configs must leave it 0 — a slack of 1 re-creates the
-  /// classic off-by-one quorum bug (accepting 2f votes where 2f+1 are
-  /// required), which the src/check invariant sweeps must detect.
+  /// TEST-ONLY fault injection: lowers BftQuorum() and MajorityQuorum()
+  /// by this many votes, and no other threshold. PBFT's commit, checkpoint
+  /// and view-change quorums, Raft and Paxos read it; HotStuff's n - f,
+  /// Tendermint's SuperMajority, PBFT's 2f prepare count and every f + 1
+  /// join rule do not. Production configs must leave it 0 — a slack of 1
+  /// re-creates the classic off-by-one quorum bug (accepting 2f votes
+  /// where 2f+1 are required), which the src/check invariant sweeps must
+  /// detect.
   uint32_t quorum_slack_for_test = 0;
 
   size_t n() const { return replicas.size(); }

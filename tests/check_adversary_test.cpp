@@ -1,7 +1,7 @@
 // Tests for the adaptive adversary layer (src/check/adversary.*), the
 // clock-skew nemesis, and the hardened serialization/corpus plumbing:
 //  * exhaustiveness — every NemesisKind round-trips through the name
-//    table, Describe(), ToJson() and the seeds.txt line parser; every
+//    table, Describe(), ToJson() and the repro-line parser; every
 //    AdversaryMode round-trips through its name table;
 //  * a fault-budget property over 200 seeded adaptive schedules across
 //    all four adversary modes (max_faulty never exceeded at any instant,
@@ -12,7 +12,9 @@
 //    composition with the adversary;
 //  * the known PBFT no-state-transfer gap, pinned as an expected
 //    liveness gap under sustained leader churn (this test flips red the
-//    day state transfer lands — update it then).
+//    day state transfer lands — update it then);
+//  * the known PBFT quorum gap above n = 4 (f stays 1), pinned as an
+//    expected chain-agreement violation.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -23,7 +25,7 @@
 #include "check/adversary.h"
 #include "check/harness.h"
 #include "check/nemesis.h"
-#include "seed_corpus.h"
+#include "check/runner.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -102,9 +104,10 @@ TEST(SeedCorpusParserTest, AcceptsEveryAdversaryModeToken) {
   for (AdversaryMode mode : kAllAdversaryModes) {
     RunConfig cfg;
     std::string error;
-    std::string line =
-        "pbft none 7 adversary=" + std::string(AdversaryModeName(mode));
-    ASSERT_TRUE(ParseSeedCorpusLine(line, &cfg, &error)) << error;
+    std::string line = "--protocol pbft --nemesis none --seeds 1 "
+                       "--seed-base 7 --adversary " +
+                       std::string(AdversaryModeName(mode));
+    ASSERT_TRUE(ParseReproLine(line, &cfg, &error)) << error;
     EXPECT_EQ(cfg.adversary, AdversaryModeName(mode));
     EXPECT_EQ(cfg.seed, 7u);
   }
@@ -113,26 +116,36 @@ TEST(SeedCorpusParserTest, AcceptsEveryAdversaryModeToken) {
 TEST(SeedCorpusParserTest, ParsesTrailingTokensInAnyOrder) {
   RunConfig cfg;
   std::string error;
-  ASSERT_TRUE(ParseSeedCorpusLine("raft none 2 skew=100000 adversary=churn",
-                                  &cfg, &error))
+  ASSERT_TRUE(ParseReproLine("--clock-skew 100000 --adversary churn "
+                             "--seed-base 2 --protocol raft",
+                             &cfg, &error))
       << error;
+  EXPECT_EQ(cfg.protocol, "raft");
+  EXPECT_EQ(cfg.seed, 2u);
   EXPECT_EQ(cfg.adversary, "churn");
   EXPECT_EQ(cfg.clock_skew_ppm, 100'000);
   RunConfig cfg2;
-  ASSERT_TRUE(ParseSeedCorpusLine("pbft none 2 adversary=leader block=25",
-                                  &cfg2, &error))
+  ASSERT_TRUE(ParseReproLine("check_runner --durable --block-max-txns 25 "
+                             "--protocol pbft --adversary leader",
+                             &cfg2, &error))
       << error;
   EXPECT_EQ(cfg2.block_max_txns, 25u);
   EXPECT_EQ(cfg2.adversary, "leader");
+  EXPECT_TRUE(cfg2.durable);
 }
 
 TEST(SeedCorpusParserTest, RejectsMalformedLines) {
   RunConfig cfg;
   std::string error;
-  EXPECT_FALSE(ParseSeedCorpusLine("pbft none", &cfg, &error));
-  EXPECT_FALSE(ParseSeedCorpusLine("pbft none 1 meteor=3", &cfg, &error));
-  EXPECT_FALSE(
-      ParseSeedCorpusLine("pbft none 1 adversary=meteor", &cfg, &error));
+  EXPECT_FALSE(ParseReproLine("--protocol", &cfg, &error));
+  EXPECT_FALSE(ParseReproLine("--txns 2x", &cfg, &error));
+  EXPECT_FALSE(ParseReproLine("--seeds 2", &cfg, &error))
+      << "a repro line names exactly one run";
+  EXPECT_FALSE(ParseReproLine("--no-shrink", &cfg, &error))
+      << "sweep settings are not run flags";
+  EXPECT_FALSE(ParseReproLine("pbft none 1", &cfg, &error));
+  EXPECT_FALSE(ParseReproLine("--protocol pbft --meteor 3", &cfg, &error));
+  EXPECT_FALSE(ParseReproLine("--adversary meteor", &cfg, &error));
   EXPECT_NE(error.find("meteor"), std::string::npos);
 }
 
@@ -525,6 +538,44 @@ TEST(StateTransferGapTest, PbftChurnStrandsLaggardsRaftCatchesUp) {
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.committed_min, r.committed) << "seed=" << seed;
   }
+}
+
+// --- Known gap: PBFT keeps f = 1 above n = 4 --------------------------------
+
+// Cluster keeps ClusterConfig's default f = 1 at every n >= 4 (see
+// consensus/cluster.h), so at n = 7 PBFT commits on BftQuorum() = 2f+1 = 3
+// votes, and two 3-vote quorums need not intersect; HotStuff waits for
+// n - f = 6. The harness budgets the honest (n-1)/3 = 2 faults, so a
+// {4,5,6}|{0,1,2,3} partition plus one crash forks PBFT's chain. Pinned,
+// not fixed: deriving f from n also moves PBFT's simulated commit latency,
+// so the fix lands with a re-baselined benchmark (ROADMAP). This test flips
+// red the day it does; replace it with a positive test then.
+bool ForksChain(const std::string& repro) {
+  RunConfig cfg;
+  std::string error;
+  EXPECT_TRUE(ParseReproLine(repro, &cfg, &error)) << error;
+  for (const Violation& v : RunOne(cfg).violations) {
+    if (v.invariant == "chain-agreement") return true;
+  }
+  return false;
+}
+
+TEST(PbftQuorumGapTest, LargeClustersCommitOnNonIntersectingQuorums) {
+  const std::string at7 =
+      "--cluster-size 7 --nemesis crash,partition --txns 40 --seeds 1 "
+      "--seed-base 17";
+  EXPECT_TRUE(ForksChain("--protocol pbft " + at7))
+      << "PBFT at n=7 no longer forks: did f start following n? Update "
+         "this pin.";
+  for (const char* seed : {"7", "18", "24"}) {
+    EXPECT_TRUE(ForksChain("--protocol pbft --cluster-size 6 --nemesis "
+                           "crash,partition --txns 40 --seed-base " +
+                           std::string(seed)))
+        << "n=6 seed " << seed;
+  }
+  // The control: HotStuff's n - f quorum survives the same schedule, so
+  // the fork is PBFT's quorum size, not the harness's fault budget.
+  EXPECT_FALSE(ForksChain("--protocol hotstuff " + at7));
 }
 
 }  // namespace

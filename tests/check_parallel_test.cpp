@@ -8,8 +8,6 @@
 // cancellation is exercised, not just clean runs.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,25 +19,8 @@
 namespace pbc::check {
 namespace {
 
-std::vector<RunConfig> LoadSeedCorpus() {
-  std::ifstream in(PBC_SEEDS_FILE);
-  EXPECT_TRUE(in.is_open()) << "missing " << PBC_SEEDS_FILE;
-  std::vector<RunConfig> cells;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    RunConfig cfg;
-    std::string error;
-    EXPECT_TRUE(ParseSeedCorpusLine(line, &cfg, &error))
-        << error << "\n  corpus line: " << line;
-    cfg.txns = 20;
-    cells.push_back(std::move(cfg));
-  }
-  return cells;
-}
-
-std::string SweepDump(const SweepOptions& base, size_t jobs) {
-  SweepOptions options = base;
+std::string SweepDump(const SweepOptions& grid, size_t jobs) {
+  SweepOptions options = grid;
   options.jobs = jobs;
   return RunSweep(options).ToJson().Dump();
 }
@@ -60,16 +41,16 @@ TEST(CheckParallelTest, SeedCorpusReportIsByteIdenticalAcrossJobs) {
 // --- Grid expansion path (what `check_runner --jobs N` executes) ------------
 
 TEST(CheckParallelTest, GridReportIsByteIdenticalAcrossJobs) {
-  SweepOptions base;
-  base.protocols = {"pbft", "raft"};
-  base.nemeses = {"crash", "crash,partition"};
-  base.seeds = 4;
-  base.txns = 15;
-  std::string golden = SweepDump(base, 1);
-  EXPECT_EQ(golden, SweepDump(base, 2));
-  EXPECT_EQ(golden, SweepDump(base, 8));
+  SweepOptions grid;
+  grid.protocols = {"pbft", "raft"};
+  grid.nemeses = {"crash", "crash,partition"};
+  grid.seeds = 4;
+  grid.base.txns = 15;
+  std::string golden = SweepDump(grid, 1);
+  EXPECT_EQ(golden, SweepDump(grid, 2));
+  EXPECT_EQ(golden, SweepDump(grid, 8));
   // jobs=0 means hardware concurrency — still the same bytes.
-  EXPECT_EQ(golden, SweepDump(base, 0));
+  EXPECT_EQ(golden, SweepDump(grid, 0));
 }
 
 // --- Block pipeline determinism ---------------------------------------------
@@ -80,18 +61,18 @@ TEST(CheckParallelTest, GridReportIsByteIdenticalAcrossJobs) {
 // body dissemination, and fetch-on-miss to every run — none of it may
 // introduce schedule nondeterminism.
 TEST(CheckParallelTest, BlockModeFaultedReportIsByteIdenticalAcrossJobs) {
-  SweepOptions base;
-  base.protocols = {"pbft", "raft", "tendermint"};
-  base.nemeses = {"crash", "crash,partition"};
-  base.seeds = 3;
-  base.txns = 20;
-  base.block_max_txns = 10;
-  std::string golden = SweepDump(base, 1);
+  SweepOptions grid;
+  grid.protocols = {"pbft", "raft", "tendermint"};
+  grid.nemeses = {"crash", "crash,partition"};
+  grid.seeds = 3;
+  grid.base.txns = 20;
+  grid.base.block_max_txns = 10;
+  std::string golden = SweepDump(grid, 1);
   // Same options, fresh sweep: identically-seeded faulted block-mode
   // runs reproduce the exact trace/metrics bytes.
-  EXPECT_EQ(golden, SweepDump(base, 1));
-  EXPECT_EQ(golden, SweepDump(base, 4));
-  EXPECT_EQ(golden, SweepDump(base, 8));
+  EXPECT_EQ(golden, SweepDump(grid, 1));
+  EXPECT_EQ(golden, SweepDump(grid, 4));
+  EXPECT_EQ(golden, SweepDump(grid, 8));
 }
 
 // Block mode must change the runs (different MixSeed stream, sealing
@@ -119,20 +100,20 @@ TEST(CheckParallelTest, BlockModeIsNotASilentNoOp) {
 // first-failure cancellation — must also be deterministic: same shrunk
 // windows, same charged replay counts, same report bytes as a serial run.
 TEST(CheckParallelTest, MutationCanaryShrinksIdenticallyInParallel) {
-  SweepOptions base;
-  base.protocols = {"pbft"};
-  base.nemeses = {"crash,partition"};
-  base.seeds = 30;
-  base.txns = 20;
-  base.quorum_slack = 1;
+  SweepOptions grid;
+  grid.protocols = {"pbft"};
+  grid.nemeses = {"crash,partition"};
+  grid.seeds = 30;
+  grid.base.txns = 20;
+  grid.base.quorum_slack = 1;
 
-  SweepOptions serial = base;
+  SweepOptions serial = grid;
   serial.jobs = 1;
   SweepReport golden = RunSweep(serial);
   ASSERT_FALSE(golden.failures.empty())
       << "quorum mutation survived the sweep";
 
-  SweepOptions parallel = base;
+  SweepOptions parallel = grid;
   parallel.jobs = 4;
   SweepReport report = RunSweep(parallel);
   EXPECT_EQ(golden.ToJson().Dump(), report.ToJson().Dump());
@@ -155,16 +136,16 @@ TEST(CheckParallelTest, MutationCanaryShrinksIdenticallyInParallel) {
 // introduce schedule nondeterminism: the sweep report must stay
 // byte-identical for every --jobs value.
 TEST(CheckParallelTest, DurableFaultedReportIsByteIdenticalAcrossJobs) {
-  SweepOptions base;
-  base.protocols = {"pbft", "raft"};
-  base.nemeses = {"crash,torn-write", "crash,lost-flush"};
-  base.seeds = 3;
-  base.txns = 20;
-  base.durable = true;
-  std::string golden = SweepDump(base, 1);
-  EXPECT_EQ(golden, SweepDump(base, 1));  // fresh serial sweep: same bytes
-  EXPECT_EQ(golden, SweepDump(base, 4));
-  EXPECT_EQ(golden, SweepDump(base, 8));
+  SweepOptions grid;
+  grid.protocols = {"pbft", "raft"};
+  grid.nemeses = {"crash,torn-write", "crash,lost-flush"};
+  grid.seeds = 3;
+  grid.base.txns = 20;
+  grid.base.durable = true;
+  std::string golden = SweepDump(grid, 1);
+  EXPECT_EQ(golden, SweepDump(grid, 1));  // fresh serial sweep: same bytes
+  EXPECT_EQ(golden, SweepDump(grid, 4));
+  EXPECT_EQ(golden, SweepDump(grid, 8));
 }
 
 // Durable mode must change the runs (different MixSeed stream, fsync
@@ -195,21 +176,21 @@ TEST(CheckParallelTest, DurableModeIsNotASilentNoOp) {
 // only wakes on a durably torn log tail, so it needs a torn-write crash
 // window followed by a recovery, which about half these seeds produce.
 TEST(CheckParallelTest, RecoveryMutationCanaryIsCaughtAndShrinks) {
-  SweepOptions base;
-  base.protocols = {"pbft"};
-  base.nemeses = {"crash,torn-write"};
-  base.seeds = 10;
-  base.txns = 40;
-  base.durable = true;
-  base.mutate_recovery = true;
+  SweepOptions grid;
+  grid.protocols = {"pbft"};
+  grid.nemeses = {"crash,torn-write"};
+  grid.seeds = 10;
+  grid.base.txns = 40;
+  grid.base.durable = true;
+  grid.base.mutate_recovery = true;
 
-  SweepOptions serial = base;
+  SweepOptions serial = grid;
   serial.jobs = 1;
   SweepReport golden = RunSweep(serial);
   ASSERT_FALSE(golden.failures.empty())
       << "recovery mutation survived the sweep";
 
-  SweepOptions parallel = base;
+  SweepOptions parallel = grid;
   parallel.jobs = 4;
   SweepReport report = RunSweep(parallel);
   EXPECT_EQ(golden.ToJson().Dump(), report.ToJson().Dump());
@@ -227,8 +208,8 @@ TEST(CheckParallelTest, RecoveryMutationCanaryIsCaughtAndShrinks) {
 
   // Without the mutation the identical sweep is clean: the catch above is
   // the canary, not a broken durable path.
-  SweepOptions healthy = base;
-  healthy.mutate_recovery = false;
+  SweepOptions healthy = grid;
+  healthy.base.mutate_recovery = false;
   healthy.jobs = 4;
   EXPECT_TRUE(RunSweep(healthy).ok())
       << "durable sweep fails even without the canary";
@@ -243,23 +224,23 @@ TEST(CheckParallelTest, RecoveryMutationCanaryIsCaughtAndShrinks) {
 // parallel shrinker is exercised, not just clean runs; the clock-skew
 // overlay rides along to cover its MixSeed/report plumbing too.
 TEST(CheckParallelTest, AdversaryReportIsByteIdenticalAcrossJobs) {
-  SweepOptions base;
-  base.protocols = {"pbft", "raft", "hotstuff"};
-  base.nemeses = {"none"};
-  base.adversary = "leader";
-  base.seeds = 6;
-  base.txns = 20;
-  base.quorum_slack = 1;
-  std::string golden = SweepDump(base, 1);
-  EXPECT_EQ(golden, SweepDump(base, 4));
-  EXPECT_EQ(golden, SweepDump(base, 8));
+  SweepOptions grid;
+  grid.protocols = {"pbft", "raft", "hotstuff"};
+  grid.nemeses = {"none"};
+  grid.base.adversary = "leader";
+  grid.seeds = 6;
+  grid.base.txns = 20;
+  grid.base.quorum_slack = 1;
+  std::string golden = SweepDump(grid, 1);
+  EXPECT_EQ(golden, SweepDump(grid, 4));
+  EXPECT_EQ(golden, SweepDump(grid, 8));
 
   SweepOptions skewed;
   skewed.protocols = {"raft", "tendermint"};
   skewed.nemeses = {"crash"};
-  skewed.clock_skew_ppm = 150'000;
+  skewed.base.clock_skew_ppm = 150'000;
   skewed.seeds = 4;
-  skewed.txns = 15;
+  skewed.base.txns = 15;
   std::string skew_golden = SweepDump(skewed, 1);
   EXPECT_EQ(skew_golden, SweepDump(skewed, 8));
 }
@@ -273,10 +254,10 @@ TEST(CheckParallelTest, LeaderAdversaryOuthuntsRandomNemesis) {
   SweepOptions leader;
   leader.protocols = {"pbft"};
   leader.nemeses = {"none"};
-  leader.adversary = "leader";
+  leader.base.adversary = "leader";
   leader.seeds = 10;
-  leader.txns = 20;
-  leader.quorum_slack = 1;
+  leader.base.txns = 20;
+  leader.base.quorum_slack = 1;
   leader.jobs = 4;
   SweepReport hunted = RunSweep(leader);
   ASSERT_FALSE(hunted.failures.empty())
@@ -290,7 +271,7 @@ TEST(CheckParallelTest, LeaderAdversaryOuthuntsRandomNemesis) {
   EXPECT_LE(failure.shrunk_windows.size(), 2u);
 
   SweepOptions random = leader;
-  random.adversary = "random";
+  random.base.adversary = "random";
   random.nemeses = {"crash,partition", "crash,partition,delay,byzantine"};
   SweepReport missed = RunSweep(random);
   EXPECT_TRUE(missed.ok())
@@ -306,7 +287,7 @@ TEST(CheckParallelTest, ParallelSweepExportsSchedulerMetrics) {
   options.protocols = {"raft"};
   options.nemeses = {"crash"};
   options.seeds = 6;
-  options.txns = 15;
+  options.base.txns = 15;
   options.jobs = 3;
   options.scheduler_metrics = &registry;
   SweepReport report = RunSweep(options);
@@ -324,7 +305,7 @@ TEST(CheckParallelTest, SerialSweepLeavesSchedulerMetricsUntouched) {
   options.protocols = {"raft"};
   options.nemeses = {"crash"};
   options.seeds = 2;
-  options.txns = 15;
+  options.base.txns = 15;
   options.jobs = 1;
   options.scheduler_metrics = &registry;
   RunSweep(options);

@@ -4,9 +4,11 @@
 // canary, and replay of the committed seed corpus (tests/seeds.txt).
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 
+#include "check/adversary.h"
 #include "check/harness.h"
 #include "check/invariants.h"
 #include "check/nemesis.h"
@@ -318,8 +320,8 @@ TEST(MutationCanaryTest, BrokenQuorumIsCaughtAndShrinks) {
   options.protocols = {"pbft"};
   options.nemeses = {"crash,partition"};
   options.seeds = 30;
-  options.txns = 20;
-  options.quorum_slack = 1;
+  options.base.txns = 20;
+  options.base.quorum_slack = 1;
   SweepReport report = RunSweep(options);
   ASSERT_FALSE(report.failures.empty())
       << "quorum mutation survived the sweep";
@@ -341,51 +343,139 @@ TEST(MutationCanaryTest, HealthyQuorumPassesSameSweep) {
   options.protocols = {"pbft"};
   options.nemeses = {"crash,partition"};
   options.seeds = 30;
-  options.txns = 20;
+  options.base.txns = 20;
   SweepReport report = RunSweep(options);
   EXPECT_TRUE(report.ok());
 }
 
 // --- Seed corpus ------------------------------------------------------------
 
-// tests/seeds.txt: one "<protocol> <nemesis> <seed> [block=<N>]
-// [adversary=<mode>] [skew=<ppm>] [durable=1]" per line (see
-// tests/seed_corpus.h for the grammar). Seeds that once found a bug (or
-// exercised an interesting schedule) are committed here and replayed on
-// every CTest run.
+// tests/seeds.txt: one check_runner repro line per run, minus the
+// "check_runner" prefix (see tests/seed_corpus.h). Seeds that once found a
+// bug (or exercised an interesting schedule) are committed here and
+// replayed on every CTest run.
 TEST(SeedCorpusTest, ReplaysClean) {
-  std::ifstream in(PBC_SEEDS_FILE);
-  ASSERT_TRUE(in.is_open()) << "missing " << PBC_SEEDS_FILE;
-  std::string line;
-  size_t replayed = 0;
   size_t block_mode = 0;
   size_t adaptive = 0;
   size_t skewed = 0;
   size_t durable = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    RunConfig cfg;
-    std::string error;
-    ASSERT_TRUE(ParseSeedCorpusLine(line, &cfg, &error))
-        << error << "\n  corpus line: " << line;
+  std::vector<RunConfig> corpus = LoadSeedCorpus();
+  for (const RunConfig& cfg : corpus) {
     if (cfg.block_max_txns > 0) ++block_mode;
     if (cfg.adversary != "random") ++adaptive;
     if (cfg.clock_skew_ppm != 0) ++skewed;
     if (cfg.durable) ++durable;
-    cfg.txns = 20;
     RunResult result = RunOne(cfg);
     for (const Violation& v : result.violations) {
       ADD_FAILURE() << "[" << v.invariant << "] " << v.detail
-                    << "\n  corpus line: " << line
                     << "\n  repro: " << cfg.ReproLine();
     }
-    ++replayed;
   }
-  EXPECT_GE(replayed, 10u) << "corpus unexpectedly small";
+  EXPECT_GE(corpus.size(), 10u) << "corpus unexpectedly small";
   EXPECT_GE(block_mode, 5u) << "block-pipeline corpus coverage too thin";
   EXPECT_GE(adaptive, 6u) << "adaptive-adversary corpus coverage too thin";
   EXPECT_GE(skewed, 3u) << "clock-skew corpus coverage too thin";
   EXPECT_GE(durable, 8u) << "durable-storage corpus coverage too thin";
+}
+
+// --- Repro lines -------------------------------------------------------------
+
+void ExpectRoundTrip(const RunConfig& cfg) {
+  RunConfig parsed;
+  std::string error;
+  ASSERT_TRUE(ParseReproLine(cfg.ReproLine(), &parsed, &error))
+      << error << "\n  line: " << cfg.ReproLine();
+  EXPECT_EQ(parsed, cfg) << "line: " << cfg.ReproLine() << "\n  parsed: "
+                         << parsed.ReproLine();
+}
+
+// Every corpus line is a repro line as ReproLine prints it, so a failure's
+// repro output can be pasted into the corpus and the corpus can be pasted
+// onto a check_runner command line.
+TEST(ReproLineTest, CorpusLinesAreCanonicalReproLines) {
+  std::vector<std::string> lines;
+  std::vector<RunConfig> corpus = LoadSeedCorpus(&lines);
+  ASSERT_EQ(corpus.size(), lines.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(corpus[i].ReproLine(), "check_runner " + lines[i]);
+    ExpectRoundTrip(corpus[i]);
+  }
+}
+
+// Every cell of a grid that spans all seven protocols and every run flag
+// at a non-default value parses back to itself.
+TEST(ReproLineTest, ExpandedGridCellsRoundTrip) {
+  SweepOptions grid;
+  grid.protocols = {"all"};
+  grid.nemeses = {"crash", "crash,partition,delay,byzantine",
+                  "crash,torn-write,lost-flush"};
+  grid.cluster_sizes = {4, 7};
+  grid.base.txns = 25;
+  grid.base.num_shards = 3;
+  grid.base.seed = 11;
+  grid.base.quorum_slack = 1;
+  grid.base.block_max_txns = 16;
+  grid.base.clock_skew_ppm = -150'000;
+  grid.base.mutate_recovery = true;
+  std::set<std::string> modes;
+  size_t cells = 0;
+  for (AdversaryMode mode : kAllAdversaryModes) {
+    for (bool durable : {false, true}) {
+      grid.base.adversary = AdversaryModeName(mode);
+      grid.base.durable = durable;
+      for (const RunConfig& cell : grid.Expand()) {
+        ExpectRoundTrip(cell);
+        modes.insert(cell.adversary);
+        ++cells;
+      }
+    }
+  }
+  EXPECT_EQ(modes.size(), std::size(kAllAdversaryModes));
+  EXPECT_GT(cells, 100u);
+}
+
+// The corpus pins the output of every flag but the two mutations.
+TEST(ReproLineTest, PrintsTheMutationFlags) {
+  RunConfig everything;
+  everything.cluster_size = 7;
+  everything.quorum_slack = 1;
+  everything.block_max_txns = 25;
+  everything.adversary = "leader";
+  everything.clock_skew_ppm = 150'000;
+  everything.durable = true;
+  everything.mutate_recovery = true;
+  EXPECT_EQ(everything.ReproLine(),
+            "check_runner --protocol pbft --cluster-size 7 --nemesis crash "
+            "--txns 40 --seeds 1 --seed-base 0 --mutate-quorum 1 "
+            "--block-max-txns 25 --adversary leader --clock-skew 150000 "
+            "--durable --mutate-recovery");
+}
+
+// Expand leaves a non-sharded cell's num_shards at its default: ReproLine
+// does not print it there, but MixSeed reads it, so any other value would
+// print a repro line that replays a different run.
+TEST(ReproLineTest, NonShardedCellsKeepDefaultShardCount) {
+  SweepOptions grid;
+  grid.protocols = {"pbft", "ahl"};
+  grid.base.num_shards = 3;
+  std::vector<RunConfig> cells = grid.Expand();
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].num_shards, RunConfig().num_shards);
+  EXPECT_EQ(cells[1].num_shards, 3u);
+}
+
+// Expand takes protocol, nemesis and cluster size from the axes alone.
+TEST(ReproLineTest, AxesOverrideTheBaseConfig) {
+  SweepOptions grid;
+  grid.protocols = {"pbft"};
+  grid.base.protocol = "raft";
+  grid.base.nemesis = "delay";
+  grid.base.cluster_size = 5;
+  std::vector<RunConfig> cells = grid.Expand();
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].protocol, "pbft");
+  EXPECT_EQ(cells[0].nemesis, "crash");
+  EXPECT_EQ(cells[0].cluster_size, 4u);
 }
 
 }  // namespace

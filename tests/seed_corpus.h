@@ -1,63 +1,33 @@
-// Shared parser for tests/seeds.txt corpus lines, used by check_test,
-// check_parallel_test and check_adversary_test so the three suites cannot
-// drift on the line grammar.
-//
-// Grammar (whitespace-separated):
-//   <protocol> <nemesis-profile> <seed> [block=<N>] [adversary=<mode>]
-//                                       [skew=<ppm>] [durable=1]
-// Trailing tokens may appear in any order. `block=<N>` replays through
-// the consensus block pipeline with size cut N; `adversary=<mode>` runs
-// the state-aware adaptive adversary (the profile should be "none" — it
-// is ignored in adaptive modes); `skew=<ppm>` applies the alternating
-// ±ppm per-node clock-skew overlay; `durable=1` attaches the durable
-// storage layer + crash-recovery invariants (required for profiles with
-// torn-write / lost-flush).
+// Loader for tests/seeds.txt, shared by check_test and check_parallel_test:
+// each non-comment line is a check_runner repro line without its
+// "check_runner" prefix, parsed by ParseReproLine.
 #ifndef PBC_TESTS_SEED_CORPUS_H_
 #define PBC_TESTS_SEED_CORPUS_H_
 
-#include <sstream>
-#include <string>
+#include <gtest/gtest.h>
 
-#include "check/adversary.h"
-#include "check/harness.h"
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "check/runner.h"
 
 namespace pbc::check {
 
-/// Parses one non-comment corpus line into `cfg`. Returns false (with a
-/// reason in `error`) on malformed lines or unknown tokens/modes.
-inline bool ParseSeedCorpusLine(const std::string& line, RunConfig* cfg,
-                                std::string* error) {
-  std::istringstream fields(line);
-  if (!(fields >> cfg->protocol >> cfg->nemesis >> cfg->seed)) {
-    *error = "expected '<protocol> <nemesis> <seed>'";
-    return false;
+/// Parses every corpus run; `lines` (optional) receives each raw line.
+inline std::vector<RunConfig> LoadSeedCorpus(
+    std::vector<std::string>* lines = nullptr) {
+  std::ifstream in(PBC_SEEDS_FILE);
+  EXPECT_TRUE(in.is_open()) << "missing " << PBC_SEEDS_FILE;
+  std::vector<RunConfig> cells;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::string error;
+    EXPECT_TRUE(ParseReproLine(line, &cells.emplace_back(), &error))
+        << error << "\n  corpus line: " << line;
+    if (lines != nullptr) lines->push_back(line);
   }
-  std::string token;
-  while (fields >> token) {
-    if (token.rfind("block=", 0) == 0) {
-      cfg->block_max_txns = std::stoull(token.substr(6));
-    } else if (token.rfind("adversary=", 0) == 0) {
-      cfg->adversary = token.substr(10);
-      AdversaryMode mode;
-      if (!ParseAdversaryMode(cfg->adversary, &mode)) {
-        *error = "unknown adversary mode '" + cfg->adversary + "'";
-        return false;
-      }
-    } else if (token.rfind("skew=", 0) == 0) {
-      cfg->clock_skew_ppm = std::stoll(token.substr(5));
-    } else if (token.rfind("durable=", 0) == 0) {
-      std::string value = token.substr(8);
-      if (value != "0" && value != "1") {
-        *error = "durable= takes 0 or 1, got '" + value + "'";
-        return false;
-      }
-      cfg->durable = value == "1";
-    } else {
-      *error = "unknown corpus token '" + token + "'";
-      return false;
-    }
-  }
-  return true;
+  return cells;
 }
 
 }  // namespace pbc::check
