@@ -58,7 +58,7 @@ void RunContended(benchmark::State& state, const char* label) {
     }
     state.PauseTiming();
     committed = arch.stats().committed;
-    aborted = arch.stats().aborted + arch.stats().early_aborted;
+    aborted = arch.stats().aborted;
     total = kBlocks * kBlockSize;
     reg.Clear();
     arch.ExportMetrics(&reg);

@@ -84,7 +84,7 @@ void RunVariant(benchmark::State& state, const char* label) {
     }
     state.PauseTiming();
     committed = arch.stats().committed;
-    aborted = arch.stats().aborted + arch.stats().early_aborted;
+    aborted = arch.stats().aborted;
     reexecuted = arch.stats().reexecuted;
     reordered = arch.stats().reordered;
     reg.Clear();

@@ -2,7 +2,6 @@
 
 #include "block/conflict.h"
 #include "obs/metrics.h"
-#include "store/durable_ledger.h"
 
 namespace pbc::arch {
 
@@ -11,7 +10,6 @@ void Architecture::ExportMetrics(obs::MetricsRegistry* m) const {
   m->GetCounter("arch.blocks")->Add(stats_.blocks);
   m->GetCounter("arch.committed")->Add(stats_.committed);
   m->GetCounter("arch.aborted")->Add(stats_.aborted);
-  m->GetCounter("arch.early_aborted")->Add(stats_.early_aborted);
   m->GetCounter("arch.reordered")->Add(stats_.reordered);
   m->GetCounter("arch.reexecuted")->Add(stats_.reexecuted);
   m->GetCounter("arch.dag_edges")->Add(stats_.dag_edges);
@@ -26,7 +24,6 @@ void Architecture::AppendLedgerBlock(
       chain_.height(), chain_.TipHash(), std::move(effective));
   Status s = chain_.Append(std::move(block));
   (void)s;
-  if (durable_ != nullptr) durable_->Persist(chain_);
 }
 
 void OxArchitecture::ProcessBlock(
@@ -40,9 +37,10 @@ void OxiiArchitecture::ProcessBlock(
     const std::vector<txn::Transaction>& block) {
   // Order phase artifact: the conflict graph the orderers would attach.
   auto graph = block::ConflictGraph::Build(block);
+  auto levels = graph.Levels();
   stats_.dag_edges += graph.num_edges();
-  auto exec_stats = txn::ExecuteDag(block, graph.Levels(), pool_, &store_);
-  stats_.dag_levels += exec_stats.levels;
+  stats_.dag_levels += levels.size();
+  txn::ExecuteDag(block, levels, pool_, &store_);
   stats_.committed += block.size();
   AppendLedgerBlock(block);
 }

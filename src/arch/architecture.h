@@ -33,22 +33,17 @@ namespace pbc::obs {
 class MetricsRegistry;
 }  // namespace pbc::obs
 
-namespace pbc::store {
-class DurableLedger;
-}  // namespace pbc::store
-
 namespace pbc::arch {
 
 /// \brief Counters accumulated across processed blocks.
 struct ArchStats {
   uint64_t blocks = 0;
-  uint64_t committed = 0;      ///< transactions whose effects applied
-  uint64_t aborted = 0;        ///< discarded due to read-write conflicts
-  uint64_t early_aborted = 0;  ///< filtered before validation (FabricSharp)
-  uint64_t reordered = 0;      ///< txns moved by intra-block reordering
-  uint64_t reexecuted = 0;     ///< re-run post-validation (XOX)
-  uint64_t dag_edges = 0;      ///< reduced conflict edges (OXII/FastFabric)
-  uint64_t dag_levels = 0;     ///< cumulative parallel levels (OXII)
+  uint64_t committed = 0;   ///< transactions whose effects applied
+  uint64_t aborted = 0;     ///< discarded due to read-write conflicts
+  uint64_t reordered = 0;   ///< txns moved by intra-block reordering
+  uint64_t reexecuted = 0;  ///< re-run post-validation (XOX)
+  uint64_t dag_edges = 0;   ///< reduced conflict edges (OXII/FastFabric)
+  uint64_t dag_levels = 0;  ///< cumulative conflict levels (OXII/FastFabric)
 };
 
 /// \brief Common interface: feed ordered blocks, observe state + ledger.
@@ -63,11 +58,6 @@ class Architecture {
   /// the ledger and updates the state store.
   virtual void ProcessBlock(const std::vector<txn::Transaction>& block) = 0;
 
-  /// Consumes an ordered block body as produced by the consensus layer's
-  /// block pipeline (derived classes re-export this via a using-declaration
-  /// so the overload survives their ProcessBlock override).
-  void ProcessBlock(const ledger::Block& block) { ProcessBlock(block.txns); }
-
   const store::KvStore& store() const { return store_; }
   const ledger::Chain& chain() const { return chain_; }
   const ArchStats& stats() const { return stats_; }
@@ -75,13 +65,6 @@ class Architecture {
   /// Dumps the cumulative ArchStats into `m` as "arch.*" counters (no-op
   /// when `m` is nullptr). Used by the benches' JSON emitters.
   void ExportMetrics(obs::MetricsRegistry* m) const;
-
-  /// Attaches a durable ledger (not owned; may be nullptr to detach):
-  /// every ledger block appended from then on is persisted through it —
-  /// the architecture-level commit path of the durability layer.
-  void AttachDurableLedger(store::DurableLedger* durable) {
-    durable_ = durable;
-  }
 
  protected:
   /// Appends the given transactions as the next ledger block (no-op when
@@ -92,14 +75,12 @@ class Architecture {
   store::KvStore store_;
   ledger::Chain chain_;
   ArchStats stats_;
-  store::DurableLedger* durable_ = nullptr;
 };
 
 /// \brief OX: execute every transaction sequentially in block order.
 class OxArchitecture : public Architecture {
  public:
   using Architecture::Architecture;
-  using Architecture::ProcessBlock;
   const char* name() const override { return "OX"; }
   void ProcessBlock(const std::vector<txn::Transaction>& block) override;
 };
@@ -108,7 +89,6 @@ class OxArchitecture : public Architecture {
 class OxiiArchitecture : public Architecture {
  public:
   using Architecture::Architecture;
-  using Architecture::ProcessBlock;
   const char* name() const override { return "OXII"; }
   void ProcessBlock(const std::vector<txn::Transaction>& block) override;
 };

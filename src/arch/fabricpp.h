@@ -1,5 +1,11 @@
 // Fabric++ and FabricSharp architectures: XOV plus intra-block reordering
 // (see reorder.h for the algorithms and the modeling notes).
+//
+// Both systems also filter, before ordering, transactions whose reads are
+// already stale. Here endorsement runs at block entry against
+// last_committed() — the very state such a filter would check — so no
+// transaction can be stale on arrival and the filter is subsumed: only
+// the reorder plan and the gate decide aborts.
 #ifndef PBC_ARCH_FABRICPP_H_
 #define PBC_ARCH_FABRICPP_H_
 
@@ -13,20 +19,27 @@ namespace pbc::arch {
 class FabricPPArchitecture : public XovBase {
  public:
   using XovBase::XovBase;
-  using Architecture::ProcessBlock;
   const char* name() const override { return "Fabric++"; }
-  void ProcessBlock(const std::vector<txn::Transaction>& block) override;
+
+ protected:
+  std::vector<size_t> GateOrder(
+      const std::vector<Endorsed>& endorsed) override {
+    return ReorderBlock(endorsed, /*minimal_aborts=*/false).order;
+  }
 };
 
-/// \brief FabricSharp: early-filter transactions that can never commit
-/// (stale reads at ordering time), then reorder aborting only a minimal
-/// feedback vertex set.
+/// \brief FabricSharp: reorder, aborting only a greedy feedback vertex
+/// set of the block's dependency cycles.
 class FabricSharpArchitecture : public XovBase {
  public:
   using XovBase::XovBase;
-  using Architecture::ProcessBlock;
   const char* name() const override { return "FabricSharp"; }
-  void ProcessBlock(const std::vector<txn::Transaction>& block) override;
+
+ protected:
+  std::vector<size_t> GateOrder(
+      const std::vector<Endorsed>& endorsed) override {
+    return ReorderBlock(endorsed, /*minimal_aborts=*/true).order;
+  }
 };
 
 }  // namespace pbc::arch

@@ -35,8 +35,13 @@ std::vector<std::vector<size_t>> BuildConflictGraph(
 
 namespace {
 
+using Adjacency = std::vector<std::vector<size_t>>;
+
+// Tarjan over the vertices not `masked`; edges into masked vertices are
+// ignored, so a masked vertex behaves as if deleted from the graph.
 struct TarjanState {
-  const std::vector<std::vector<size_t>>* adj;
+  const Adjacency* adj;
+  const std::vector<bool>* masked;
   std::vector<int> index, lowlink;
   std::vector<bool> on_stack;
   std::vector<size_t> stack;
@@ -48,6 +53,7 @@ struct TarjanState {
     stack.push_back(v);
     on_stack[v] = true;
     for (size_t w : (*adj)[v]) {
+      if ((*masked)[w]) continue;
       if (index[w] < 0) {
         Visit(w);
         lowlink[v] = std::min(lowlink[v], lowlink[w]);
@@ -69,121 +75,105 @@ struct TarjanState {
   }
 };
 
-// Greedy feedback vertex set inside one SCC: repeatedly remove the vertex
-// with the largest (in-degree × out-degree) until the remaining subgraph
-// is acyclic, recursing on residual SCCs.
-void BreakCycles(const std::vector<std::vector<size_t>>& adjacency,
-                 std::vector<size_t> members, std::set<size_t>* removed) {
-  if (members.size() <= 1) return;
-  std::set<size_t> alive(members.begin(), members.end());
+std::vector<std::vector<size_t>> MaskedSccs(const Adjacency& adjacency,
+                                            const std::vector<bool>& masked) {
+  TarjanState st;
+  st.adj = &adjacency;
+  st.masked = &masked;
+  size_t n = adjacency.size();
+  st.index.assign(n, -1);
+  st.lowlink.assign(n, 0);
+  st.on_stack.assign(n, false);
+  for (size_t v = 0; v < n; ++v) {
+    if (!masked[v] && st.index[v] < 0) st.Visit(v);
+  }
+  return st.sccs;
+}
 
-  // Degrees restricted to the alive subgraph.
-  auto pick_victim = [&]() {
-    std::map<size_t, size_t> in_deg, out_deg;
-    for (size_t u : alive) {
+// Greedy feedback vertex set inside one SCC: while the remaining members
+// still hold a cycle, remove the vertex on a cycle with the largest
+// (in-degree + 1) × (out-degree + 1) among the remaining members, lowest
+// index first on ties. A member that no longer lies on any cycle is never
+// a victim: only non-trivial SCCs of the residual graph are scored.
+void BreakCycles(const Adjacency& adjacency, const std::vector<size_t>& scc,
+                 std::vector<bool>* removed) {
+  size_t n = adjacency.size();
+  std::vector<bool> masked(n, true);
+  for (size_t v : scc) masked[v] = false;
+  for (;;) {
+    std::vector<size_t> in_deg(n, 0), out_deg(n, 0);
+    for (size_t u : scc) {
+      if (masked[u]) continue;
       for (size_t v : adjacency[u]) {
-        if (alive.count(v) > 0) {
-          out_deg[u]++;
-          in_deg[v]++;
+        if (masked[v]) continue;
+        ++out_deg[u];
+        ++in_deg[v];
+      }
+    }
+    size_t victim = n;
+    size_t best_score = 0;
+    for (const auto& residual : MaskedSccs(adjacency, masked)) {
+      // Self-loops cannot occur: a txn never conflicts with itself.
+      if (residual.size() < 2) continue;
+      for (size_t u : residual) {
+        size_t score = (in_deg[u] + 1) * (out_deg[u] + 1);
+        if (score > best_score || (score == best_score && u < victim)) {
+          best_score = score;
+          victim = u;
         }
       }
     }
-    size_t best = *alive.begin();
-    size_t best_score = 0;
-    for (size_t u : alive) {
-      size_t score = (in_deg[u] + 1) * (out_deg[u] + 1);
-      if (score > best_score) {
-        best_score = score;
-        best = u;
-      }
-    }
-    return best;
-  };
-
-  // Remove victims until the alive subgraph has no non-trivial SCC.
-  for (;;) {
-    // Build subgraph with compact ids.
-    std::vector<size_t> ids(alive.begin(), alive.end());
-    std::map<size_t, size_t> to_compact;
-    for (size_t i = 0; i < ids.size(); ++i) to_compact[ids[i]] = i;
-    std::vector<std::vector<size_t>> sub(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      for (size_t v : adjacency[ids[i]]) {
-        auto it = to_compact.find(v);
-        if (it != to_compact.end()) sub[i].push_back(it->second);
-      }
-    }
-    auto sccs = StronglyConnectedComponents(sub);
-    bool cyclic = false;
-    for (const auto& scc : sccs) {
-      if (scc.size() > 1) {
-        cyclic = true;
-        break;
-      }
-      // Self-loops cannot occur: a txn never conflicts with itself.
-    }
-    if (!cyclic) return;
-    size_t victim = pick_victim();
-    removed->insert(victim);
-    alive.erase(victim);
-    if (alive.size() <= 1) return;
+    if (victim == n) return;
+    masked[victim] = true;
+    (*removed)[victim] = true;
   }
 }
 
 }  // namespace
 
 std::vector<std::vector<size_t>> StronglyConnectedComponents(
-    const std::vector<std::vector<size_t>>& adjacency) {
-  TarjanState st;
-  st.adj = &adjacency;
-  size_t n = adjacency.size();
-  st.index.assign(n, -1);
-  st.lowlink.assign(n, 0);
-  st.on_stack.assign(n, false);
-  for (size_t v = 0; v < n; ++v) {
-    if (st.index[v] < 0) st.Visit(v);
-  }
-  return st.sccs;
+    const Adjacency& adjacency) {
+  return MaskedSccs(adjacency, std::vector<bool>(adjacency.size(), false));
 }
 
 ReorderResult ReorderBlock(const std::vector<Endorsed>& endorsed,
                            bool minimal_aborts) {
   size_t n = endorsed.size();
-  auto adjacency = BuildConflictGraph(endorsed);
-  auto sccs = StronglyConnectedComponents(adjacency);
+  Adjacency adjacency = BuildConflictGraph(endorsed);
 
-  std::set<size_t> removed;
-  for (const auto& scc : sccs) {
-    if (scc.size() <= 1) continue;
+  std::vector<bool> removed(n, false);
+  for (const auto& scc : StronglyConnectedComponents(adjacency)) {
+    if (scc.size() < 2) continue;
     if (minimal_aborts) {
       BreakCycles(adjacency, scc, &removed);  // FabricSharp
     } else {
-      removed.insert(scc.begin(), scc.end());  // Fabric++
+      for (size_t v : scc) removed[v] = true;  // Fabric++
     }
   }
 
   // Kahn topological sort of the surviving vertices, preferring original
   // block order among ready vertices (stable, deterministic).
+  ReorderResult result;
   std::vector<size_t> in_deg(n, 0);
   for (size_t u = 0; u < n; ++u) {
-    if (removed.count(u) > 0) continue;
+    if (removed[u]) {
+      result.aborted.push_back(u);
+      continue;
+    }
     for (size_t v : adjacency[u]) {
-      if (removed.count(v) == 0) ++in_deg[v];
+      if (!removed[v]) ++in_deg[v];
     }
   }
-  ReorderResult result;
-  result.aborted.assign(removed.begin(), removed.end());
   std::set<size_t> ready;
   for (size_t u = 0; u < n; ++u) {
-    if (removed.count(u) == 0 && in_deg[u] == 0) ready.insert(u);
+    if (!removed[u] && in_deg[u] == 0) ready.insert(u);
   }
   while (!ready.empty()) {
     size_t u = *ready.begin();
     ready.erase(ready.begin());
     result.order.push_back(u);
     for (size_t v : adjacency[u]) {
-      if (removed.count(v) > 0) continue;
-      if (--in_deg[v] == 0) ready.insert(v);
+      if (!removed[v] && --in_deg[v] == 0) ready.insert(v);
     }
   }
   return result;

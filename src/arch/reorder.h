@@ -11,11 +11,17 @@
 //                in a non-trivial SCC), then commits the rest in
 //                topological order. Conservative, simple, strictly fewer
 //                aborts than plain Fabric on conflicting workloads.
-//   FabricSharp (modeled): aborts only a (greedy) feedback vertex set —
-//                the minimum cuts it can find — so strictly fewer aborts
-//                than Fabric++'s whole-SCC policy; additionally it filters
-//                transactions whose reads are already stale against the
-//                current state *before* spending validation work on them.
+//   FabricSharp (modeled): aborts only a (greedy) feedback vertex set, so
+//                never more than Fabric++'s whole-SCC policy. Both
+//                systems' early filter of already-stale reads is subsumed
+//                here: endorsement runs at block entry, so nothing is
+//                stale before the gate (fabricpp.h).
+//
+// The reorder graph is not block::ConflictGraph. It is built from the
+// rwsets endorsement observed rather than from declared ops, it has edges
+// in both index directions, and it may contain cycles; ConflictGraph is a
+// forward-only DAG for level scheduling. One graph serving both would
+// have to branch on its caller.
 #ifndef PBC_ARCH_REORDER_H_
 #define PBC_ARCH_REORDER_H_
 
@@ -30,7 +36,7 @@ namespace pbc::arch {
 struct ReorderResult {
   /// Commit order (indices into the endorsed block), cycle members removed.
   std::vector<size_t> order;
-  /// Indices aborted to break cycles.
+  /// Indices aborted to break cycles, ascending.
   std::vector<size_t> aborted;
 };
 
@@ -44,7 +50,9 @@ std::vector<std::vector<size_t>> BuildConflictGraph(
 ///
 /// `minimal_aborts == false` → Fabric++ policy (abort whole SCCs);
 /// `minimal_aborts == true`  → FabricSharp policy (greedy feedback vertex
-/// set).
+/// set: while a cycle remains, abort the vertex on a cycle with the
+/// largest (in+1)·(out+1), degrees counted among the remaining members of
+/// its SCC; the lowest index breaks ties).
 ReorderResult ReorderBlock(const std::vector<Endorsed>& endorsed,
                            bool minimal_aborts);
 

@@ -8,6 +8,7 @@
 //   XOX Fabric    — adds a post-order execution step that deterministically
 //                   re-executes invalidated transactions against fresh
 //                   state instead of aborting them.
+//   Fabric++ / FabricSharp — gate in a reordered order (fabricpp.h).
 //
 // Endorsement is simulated execution: it produces a read set (with observed
 // versions) and a write set but does NOT mutate state — exactly Fabric's
@@ -28,12 +29,12 @@ namespace pbc::arch {
 /// directly.
 using Endorsed = block::Endorsed;
 
-/// \brief Shared XOV machinery.
+/// \brief The XOV pipeline, stated once; each variant overrides only
+/// what makes it differ from plain Fabric.
 ///
 /// The phase boundary is explicit: phase X is block::EndorseAll against
-/// the pre-block snapshot (it never reads the live store), called with
-/// validation cost 0 so each variant charges validation its own way; the
-/// only writes happen inside the single serial block::GateAndCommit scan
+/// the pre-block snapshot (it never reads the live store); the only
+/// writes happen inside the single serial block::GateAndCommit scan
 /// (phase V). Serial and parallel variants therefore agree by
 /// construction — they run the same gate over order-independent
 /// endorsements.
@@ -45,16 +46,25 @@ class XovBase : public Architecture {
   XovBase(ThreadPool* pool, int validation_cost_rounds = 0)
       : Architecture(pool), validation_cost_(validation_cost_rounds) {}
 
+  /// Endorses the block, charges validation, gates in GateOrder(),
+  /// re-executes what the gate invalidated if ReexecutesInvalid(), and
+  /// appends the effective transactions to the ledger.
+  void ProcessBlock(const std::vector<txn::Transaction>& block) override;
+
  protected:
-  /// Burns the per-transaction validation cost (deterministic hashing).
-  void ChargeValidation(const txn::Transaction& txn) const;
+  /// The order the gate visits `endorsed` in; an index left out aborts
+  /// without reaching the gate. Default: block order.
+  virtual std::vector<size_t> GateOrder(const std::vector<Endorsed>& endorsed);
 
-  /// Phase V: runs the serial MVCC gate over `endorsed` visiting indices
-  /// in `order`, updates committed/aborted stats, and returns the
-  /// effective transactions in commit order.
-  std::vector<txn::Transaction> GateBlock(std::vector<Endorsed>* endorsed,
-                                          const std::vector<size_t>& order);
+  /// Whether validation cost is charged inside EndorseAll's parallel loop
+  /// rather than serially, in gate order, before the gate.
+  virtual bool ValidatesInParallel() const { return false; }
 
+  /// Whether transactions the gate invalidates re-execute against fresh
+  /// state instead of aborting.
+  virtual bool ReexecutesInvalid() const { return false; }
+
+ private:
   int validation_cost_;
 };
 
@@ -62,20 +72,24 @@ class XovBase : public Architecture {
 class XovArchitecture : public XovBase {
  public:
   using XovBase::XovBase;
-  using Architecture::ProcessBlock;
   const char* name() const override { return "XOV"; }
-  void ProcessBlock(const std::vector<txn::Transaction>& block) override;
 };
 
-/// \brief FastFabric: the expensive per-transaction validation checks run
-/// in parallel; only the (cheap) sequential commit step is serial. Driven
-/// by block::ParallelValidator on the work-stealing pool.
+/// \brief FastFabric, the parallel block validator: the expensive
+/// per-transaction validation checks run in the parallel endorse loop;
+/// only the (cheap) MVCC gate is serial.
 class FastFabricArchitecture : public XovBase {
  public:
   using XovBase::XovBase;
-  using Architecture::ProcessBlock;
   const char* name() const override { return "FastFabric"; }
+
+  /// Runs the XOV pipeline, then adds the block's conflict-graph shape to
+  /// dag_edges/dag_levels. The graph schedules nothing: stage 1 is one
+  /// flat loop, since endorsement only reads the snapshot.
   void ProcessBlock(const std::vector<txn::Transaction>& block) override;
+
+ protected:
+  bool ValidatesInParallel() const override { return true; }
 };
 
 /// \brief XOX Fabric: invalidated transactions are re-executed
@@ -83,9 +97,10 @@ class FastFabricArchitecture : public XovBase {
 class XoxArchitecture : public XovBase {
  public:
   using XovBase::XovBase;
-  using Architecture::ProcessBlock;
   const char* name() const override { return "XOX"; }
-  void ProcessBlock(const std::vector<txn::Transaction>& block) override;
+
+ protected:
+  bool ReexecutesInvalid() const override { return true; }
 };
 
 }  // namespace pbc::arch

@@ -3,8 +3,8 @@
 //
 // Both transaction-processing families the survey contrasts read it. OXII
 // (ParBlockchain) executes its levels in order, each level in parallel
-// (arch/architecture.cc); the parallel Fabric validator reports its shape
-// (block/validator.h). Edges are counted by kind — WR (write then read),
+// (arch/architecture.cc); FastFabric, the parallel Fabric validator,
+// reports its shape (arch/xov.cc). Edges are counted by kind — WR (write then read),
 // RW (read then write), WW (write then write) — because the per-kind
 // counts are the bench-visible "how parallel is this block" signal.
 #ifndef PBC_BLOCK_CONFLICT_H_

@@ -1,9 +1,7 @@
 #include "block/validator.h"
 
-#include <algorithm>
 #include <cstdlib>
 
-#include "block/conflict.h"
 #include "crypto/sha256.h"
 
 namespace pbc::block {
@@ -56,57 +54,21 @@ size_t GateAndCommit(std::vector<Endorsed>* endorsed,
   return committed;
 }
 
-namespace {
-
-std::vector<size_t> BlockOrder(size_t n) {
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  return order;
-}
-
-std::vector<bool> Flags(const std::vector<Endorsed>& endorsed) {
-  std::vector<bool> flags(endorsed.size());
-  for (size_t i = 0; i < endorsed.size(); ++i) flags[i] = endorsed[i].valid;
-  return flags;
-}
-
-}  // namespace
-
 std::vector<bool> SerialValidator::ProcessBlock(
     const std::vector<txn::Transaction>& txns) {
   store::Version snapshot = store_->last_committed();
   std::vector<Endorsed> endorsed(txns.size());
+  std::vector<size_t> order(txns.size());
   for (size_t i = 0; i < txns.size(); ++i) {
     endorsed[i].txn = &txns[i];
     endorsed[i].result =
         txn::Execute(txns[i], txn::SnapshotReader(store_, snapshot));
-    ChargeValidationCost(txns[i], cost_);
+    order[i] = i;
   }
-  size_t committed = GateAndCommit(&endorsed, BlockOrder(txns.size()), store_);
-  ++stats_.blocks;
-  stats_.txns += txns.size();
-  stats_.committed += committed;
-  stats_.aborted += txns.size() - committed;
-  return Flags(endorsed);
-}
-
-std::vector<bool> ParallelValidator::ProcessBlock(
-    const std::vector<txn::Transaction>& txns) {
-  std::vector<Endorsed> endorsed = EndorseAll(txns, *store_, cost_, pool_);
-  size_t committed = GateAndCommit(&endorsed, BlockOrder(txns.size()), store_);
-  ConflictGraph graph = ConflictGraph::Build(txns);
-  auto levels = graph.Levels();
-  ++stats_.blocks;
-  stats_.txns += txns.size();
-  stats_.committed += committed;
-  stats_.aborted += txns.size() - committed;
-  stats_.conflict_edges += graph.num_edges();
-  stats_.levels += levels.size();
-  for (const auto& level : levels) {
-    stats_.max_level_width =
-        std::max<uint64_t>(stats_.max_level_width, level.size());
-  }
-  return Flags(endorsed);
+  GateAndCommit(&endorsed, order, store_);
+  std::vector<bool> flags(txns.size());
+  for (size_t i = 0; i < txns.size(); ++i) flags[i] = endorsed[i].valid;
+  return flags;
 }
 
 }  // namespace pbc::block

@@ -2,26 +2,19 @@
 
 namespace pbc::txn {
 
-BlockExecStats ExecuteSerial(const std::vector<Transaction>& txns,
-                             store::KvStore* store) {
-  BlockExecStats stats;
+void ExecuteSerial(const std::vector<Transaction>& txns,
+                   store::KvStore* store) {
   for (const auto& t : txns) {
     ExecResult r = Execute(t, LatestReader(store));
     if (!r.writes.empty()) {
       store->ApplyBatch(r.writes, store->last_committed() + 1);
     }
-    ++stats.executed;
   }
-  stats.levels = txns.size();
-  return stats;
 }
 
-BlockExecStats ExecuteDag(const std::vector<Transaction>& txns,
-                          const std::vector<std::vector<size_t>>& levels,
-                          ThreadPool* pool, store::KvStore* store) {
-  BlockExecStats stats;
-  stats.levels = levels.size();
-
+void ExecuteDag(const std::vector<Transaction>& txns,
+                const std::vector<std::vector<size_t>>& levels,
+                ThreadPool* pool, store::KvStore* store) {
   for (const auto& level : levels) {
     // Execute the whole level in parallel against the current state.
     // Transactions within a level are conflict-free, so their reads cannot
@@ -33,14 +26,12 @@ BlockExecStats ExecuteDag(const std::vector<Transaction>& txns,
     });
     // Apply effects in block order (the level is ascending) for a
     // deterministic version history.
-    for (size_t i = 0; i < level.size(); ++i) {
-      if (!results[i].writes.empty()) {
-        store->ApplyBatch(results[i].writes, store->last_committed() + 1);
+    for (const auto& r : results) {
+      if (!r.writes.empty()) {
+        store->ApplyBatch(r.writes, store->last_committed() + 1);
       }
-      ++stats.executed;
     }
   }
-  return stats;
 }
 
 }  // namespace pbc::txn

@@ -9,19 +9,11 @@
 
 namespace pbc::txn {
 
-/// \brief Per-block execution statistics.
-struct BlockExecStats {
-  size_t executed = 0;
-  size_t levels = 0;  ///< DAG levels (1 for serial execution per txn)
-};
-
-/// \brief Executes every transaction sequentially in block order and applies
-/// effects immediately (the OX architecture's execution phase).
-///
-/// `base_version` is the last committed version; transaction i commits at
-/// base_version + i + 1.
-BlockExecStats ExecuteSerial(const std::vector<Transaction>& txns,
-                             store::KvStore* store);
+/// \brief Executes every transaction sequentially in the given order and
+/// applies each one's effects at last_committed()+1 before the next runs
+/// (the OX architecture's execution phase, and XOX's re-execution step).
+void ExecuteSerial(const std::vector<Transaction>& txns,
+                   store::KvStore* store);
 
 /// \brief OXII execution: executes each level of the block's conflict
 /// DAG in parallel on `pool`, applying each level's effects before the
@@ -29,9 +21,9 @@ BlockExecStats ExecuteSerial(const std::vector<Transaction>& txns,
 /// (block::ConflictGraph::Levels(): indices into `txns`, ascending within
 /// a level). Conflicting transactions observe each other's writes exactly
 /// as in serial order, so the final state equals ExecuteSerial's.
-BlockExecStats ExecuteDag(const std::vector<Transaction>& txns,
-                          const std::vector<std::vector<size_t>>& levels,
-                          ThreadPool* pool, store::KvStore* store);
+void ExecuteDag(const std::vector<Transaction>& txns,
+                const std::vector<std::vector<size_t>>& levels,
+                ThreadPool* pool, store::KvStore* store);
 
 }  // namespace pbc::txn
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "arch/architecture.h"
 #include "arch/fabricpp.h"
 #include "arch/reorder.h"
 #include "arch/xov.h"
 #include "common/rng.h"
+#include "store/kv_store.h"
 
 namespace pbc::arch {
 namespace {
@@ -37,6 +41,44 @@ std::vector<Transaction> HotBlock(int n, txn::TxnId base = 0) {
   return block;
 }
 
+// Random block of `n` txns over `keys` keys, 1–3 Read/Write/Increment
+// ops each.
+std::vector<Transaction> RandomBlock(Rng* rng, size_t n, uint64_t keys,
+                                     txn::TxnId base) {
+  std::vector<Transaction> block;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Op> ops;
+    size_t num_ops = 1 + rng->NextU64(3);
+    for (size_t o = 0; o < num_ops; ++o) {
+      std::string k = "k" + std::to_string(rng->NextU64(keys));
+      switch (rng->NextU64(3)) {
+        case 0:
+          ops.push_back(Op::Read(k));
+          break;
+        case 1:
+          ops.push_back(Op::Write(k, "v" + std::to_string(rng->NextU64())));
+          break;
+        default:
+          ops.push_back(Op::Increment(k, 1 + rng->NextU64(9)));
+      }
+    }
+    block.push_back(T(base + i, std::move(ops)));
+  }
+  return block;
+}
+
+// Canonical latest-state dump, so "same state" comparisons are literal
+// byte comparisons.
+std::string DumpState(const store::KvStore& s) {
+  std::string out;
+  s.ForEachLatest(
+      [&out](const store::Key& k, const store::VersionedValue& v) {
+        out += k + "=" + v.value + "@" + std::to_string(v.version) + ";";
+      });
+  out += "last=" + std::to_string(s.last_committed());
+  return out;
+}
+
 template <typename A>
 std::unique_ptr<A> Make(ThreadPool* pool) {
   return std::make_unique<A>(pool);
@@ -59,7 +101,7 @@ TYPED_TEST(ArchCommonTest, CommitsDisjointBlockEntirely) {
   auto arch = Make<TypeParam>(&pool);
   arch->ProcessBlock(DisjointBlock(20));
   EXPECT_EQ(arch->stats().committed, 20u);
-  EXPECT_EQ(arch->stats().aborted + arch->stats().early_aborted, 0u);
+  EXPECT_EQ(arch->stats().aborted, 0u);
   for (int i = 0; i < 20; ++i) {
     auto v = arch->store().Get("key" + std::to_string(i));
     ASSERT_TRUE(v.ok()) << i;
@@ -191,6 +233,58 @@ TEST(FastFabricTest, SameSemanticsAsXov) {
   EXPECT_TRUE(xov.store().SameLatestState(ff.store()));
 }
 
+// FastFabric, the parallel validator, must match the serial oracle —
+// same final state, same committed/aborted counts, same ledger txns —
+// for every seed and every pool width.
+TEST(FastFabricTest, MatchesSerialValidatorAcrossSeedsAndJobs) {
+  constexpr int kBlocks = 3;
+  constexpr size_t kTxnsPerBlock = 40;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    for (size_t jobs : {1u, 2u, 8u}) {
+      ThreadPool pool(jobs);
+      FastFabricArchitecture ff(&pool, /*validation_cost_rounds=*/5);
+      store::KvStore oracle;
+      block::SerialValidator serial(&oracle);
+      uint64_t committed = 0;
+      std::vector<txn::TxnId> valid_ids;
+      Rng rng(seed);
+      for (int b = 0; b < kBlocks; ++b) {
+        auto block = RandomBlock(&rng, kTxnsPerBlock, 8,
+                                 static_cast<txn::TxnId>(b) * 1000);
+        ff.ProcessBlock(block);
+        std::vector<bool> flags = serial.ProcessBlock(block);
+        for (size_t i = 0; i < block.size(); ++i) {
+          if (flags[i]) valid_ids.push_back(block[i].id);
+        }
+        committed += std::count(flags.begin(), flags.end(), true);
+      }
+      std::string where =
+          "seed=" + std::to_string(seed) + " jobs=" + std::to_string(jobs);
+      EXPECT_EQ(DumpState(ff.store()), DumpState(oracle)) << where;
+      EXPECT_EQ(ff.stats().committed, committed) << where;
+      EXPECT_EQ(ff.stats().aborted, kBlocks * kTxnsPerBlock - committed)
+          << where;
+      std::vector<txn::TxnId> ledger_ids;
+      for (uint64_t h = 0; h < ff.chain().height(); ++h) {
+        for (const auto& t : ff.chain().at(h).txns) ledger_ids.push_back(t.id);
+      }
+      EXPECT_EQ(ledger_ids, valid_ids) << where;
+    }
+  }
+}
+
+// FastFabric reports its blocks' conflict-graph shape.
+TEST(FastFabricTest, ReportsConflictShape) {
+  ThreadPool pool(4);
+  FastFabricArchitecture ff(&pool);
+  ff.ProcessBlock({T(0, {Op::Write("a", "x")}),
+                   T(1, {Op::Read("a"), Op::Write("b", "y")}),
+                   T(2, {Op::Write("c", "z")})});
+  EXPECT_EQ(ff.stats().blocks, 1u);
+  EXPECT_GE(ff.stats().dag_edges, 1u);
+  EXPECT_EQ(ff.stats().dag_levels, 2u);  // {t0,t2} then {t1}
+}
+
 // ---------------------------------------------------------------------------
 // Reordering (Fabric++ / FabricSharp).
 // ---------------------------------------------------------------------------
@@ -308,26 +402,99 @@ TEST(FabricSharpTest, FewerAbortsThanFabricPPUnderContention) {
     fpp.ProcessBlock(block);
     fsharp.ProcessBlock(block);
   }
-  EXPECT_LT(fsharp.stats().aborted + fsharp.stats().early_aborted,
-            fpp.stats().aborted + fpp.stats().early_aborted);
+  EXPECT_LT(fsharp.stats().aborted, fpp.stats().aborted);
   EXPECT_GT(fsharp.stats().committed, fpp.stats().committed);
 }
 
-TEST(FabricSharpTest, EarlyFilterCatchesCrossBlockStaleness) {
+// Once t2 is aborted, t0 lies on no cycle (only t3 <-> t4 remains), so
+// it must not be a victim even though it scores as high as t3 and t4.
+TEST(FabricSharpTest, AbortsOnlyTxnsOnARemainingCycle) {
+  std::vector<Transaction> block = {
+      T(0, {Op::Read("a"), Op::Write("b", "x")}),
+      T(1, {Op::Read("a"), Op::Write("a", "x")}),
+      T(2, {Op::Increment("b", 1), Op::Write("a", "x")}),
+      T(3, {Op::Increment("b", 1), Op::Write("b", "x")}),
+      T(4, {Op::Read("b"), Op::Write("b", "x")}),
+  };
   ThreadPool pool(2);
+  auto plan = ReorderBlock(Endorse(nullptr, block, &pool),
+                           /*minimal_aborts=*/true);
+  EXPECT_EQ(plan.aborted, (std::vector<size_t>{2, 3}));
+  EXPECT_EQ(plan.order, (std::vector<size_t>{4, 0, 1}));
+
   FabricSharpArchitecture fsharp(&pool);
-  fsharp.ProcessBlock({T(1, {Op::Write("k", "v1")})});
-  // Stale read is impossible here (endorsement is per block), so simulate
-  // staleness with an intra-block pattern FabricSharp early-filters:
-  // nothing is stale at entry, so early_aborted stays 0; but a second
-  // block whose transactions read a key written in that same second block
-  // cannot be early-filtered. Verify early filter fires on genuinely stale
-  // reads by endorsing against an old snapshot via two conflicting blocks.
-  fsharp.ProcessBlock({T(2, {Op::Increment("k2", 1)}),
-                       T(3, {Op::Increment("k2", 1)})});
-  // One of t2/t3 aborted (cycle), none early (state was fresh).
-  EXPECT_EQ(fsharp.stats().early_aborted, 0u);
-  EXPECT_EQ(fsharp.stats().aborted, 1u);
+  fsharp.ProcessBlock(block);
+  EXPECT_EQ(fsharp.stats().committed, 3u);
+  EXPECT_EQ(fsharp.stats().aborted, 2u);
+}
+
+// ReorderBlock's contract on seeded random blocks, for both policies:
+// order and aborted partition the block; every reader->writer edge
+// between survivors points forward in the order; Fabric++ aborts exactly
+// the non-trivial SCCs; FabricSharp aborts a subset of them, never more;
+// and through the architecture the gate aborts nothing beyond the plan.
+TEST(ReorderPropertyTest, PlansAreTopologicalAndAbortOnlyCycleMembers) {
+  ThreadPool pool(2);
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    FabricPPArchitecture fpp(&pool);
+    FabricSharpArchitecture fsharp(&pool);
+    for (int b = 0; b < 8; ++b) {
+      auto block = RandomBlock(&rng, 2 + rng.NextU64(60), 1 + rng.NextU64(12),
+                               static_cast<txn::TxnId>(b) * 100);
+      for (XovBase* arch : std::initializer_list<XovBase*>{&fpp, &fsharp}) {
+        const bool minimal = arch == &fsharp;
+        auto endorsed =
+            block::EndorseAll(block, arch->store(), /*cost=*/0, &pool);
+        auto adjacency = BuildConflictGraph(endorsed);
+        std::vector<size_t> on_cycle;
+        for (const auto& scc : StronglyConnectedComponents(adjacency)) {
+          if (scc.size() > 1) on_cycle.insert(on_cycle.end(), scc.begin(),
+                                              scc.end());
+        }
+        std::sort(on_cycle.begin(), on_cycle.end());
+        auto plan = ReorderBlock(endorsed, minimal);
+        std::string where = std::string(arch->name()) +
+                            " seed=" + std::to_string(seed) +
+                            " block=" + std::to_string(b);
+
+        std::vector<size_t> pos(block.size(), block.size());
+        for (size_t p = 0; p < plan.order.size(); ++p) {
+          pos[plan.order[p]] = p;
+        }
+        std::vector<size_t> all = plan.order;
+        all.insert(all.end(), plan.aborted.begin(), plan.aborted.end());
+        std::sort(all.begin(), all.end());
+        std::vector<size_t> expect_all(block.size());
+        std::iota(expect_all.begin(), expect_all.end(), size_t{0});
+        EXPECT_EQ(all, expect_all) << where;
+        for (size_t u : plan.order) {
+          for (size_t v : adjacency[u]) {
+            if (pos[v] == block.size()) continue;  // v aborted
+            EXPECT_LT(pos[u], pos[v]) << where;
+          }
+        }
+        if (minimal) {
+          EXPECT_TRUE(std::includes(on_cycle.begin(), on_cycle.end(),
+                                    plan.aborted.begin(), plan.aborted.end()))
+              << where;
+          EXPECT_LE(plan.aborted.size(),
+                    ReorderBlock(endorsed, false).aborted.size())
+              << where;
+        } else {
+          EXPECT_EQ(plan.aborted, on_cycle) << where;
+        }
+
+        ArchStats before = arch->stats();
+        arch->ProcessBlock(block);
+        EXPECT_EQ(arch->stats().aborted - before.aborted, plan.aborted.size())
+            << where;
+        EXPECT_EQ(arch->stats().committed - before.committed,
+                  plan.order.size())
+            << where;
+      }
+    }
+  }
 }
 
 TEST(ArchStatsTest, OxiiRecordsGraphMetrics) {
@@ -446,17 +613,6 @@ TEST(SnapshotBoundaryTest, IntraBlockConflictPinnedAcrossValidators) {
   fsharp.ProcessBlock(block);
   EXPECT_EQ(fsharp.stats().committed, 2u);
   EXPECT_TRUE(fsharp.store().SameLatestState(fpp.store()));
-}
-
-// Architectures consume consensus-ordered ledger::Block bodies directly.
-TEST(SnapshotBoundaryTest, ProcessBlockAcceptsLedgerBlockBodies) {
-  ThreadPool pool(2);
-  XovArchitecture xov(&pool);
-  ledger::Block body = ledger::Block::Make(
-      0, crypto::Hash256{}, DisjointBlock(5), /*timestamp_us=*/7);
-  xov.ProcessBlock(body);
-  EXPECT_EQ(xov.stats().committed, 5u);
-  EXPECT_EQ(xov.chain().height(), 1u);
 }
 
 }  // namespace

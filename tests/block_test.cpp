@@ -1,7 +1,7 @@
 // Unit + property tests for the block pipeline (src/block): Fabric-style
 // cut rules, sealed-block hash stability, the classified conflict graph,
-// the shared MVCC gate, and the serial/parallel validator equivalence the
-// design leans on (DESIGN.md §11).
+// and the shared MVCC gate (DESIGN.md §11). FastFabric's equivalence with
+// SerialValidator is pinned in tests/arch_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "block/store.h"
 #include "block/validator.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace pbc::block {
 namespace {
@@ -26,18 +25,6 @@ Transaction T(txn::TxnId id, std::vector<Op> ops) {
   t.id = id;
   t.ops = std::move(ops);
   return t;
-}
-
-// Canonical latest-state dump, so "same state" comparisons are literal
-// byte comparisons.
-std::string DumpState(const store::KvStore& s) {
-  std::string out;
-  s.ForEachLatest(
-      [&out](const store::Key& k, const store::VersionedValue& v) {
-        out += k + "=" + v.value + "@" + std::to_string(v.version) + ";";
-      });
-  out += "last=" + std::to_string(s.last_committed());
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -425,88 +412,6 @@ TEST(GateAndCommitTest, BlindWriteWriteConflictBothCommit) {
   auto endorsed = EndorseAgainstSnapshot(txns, store);
   EXPECT_EQ(GateAndCommit(&endorsed, {0, 1}, &store), 2u);
   EXPECT_EQ(store.Get("k").ValueOrDie().value, "second");
-}
-
-// ---------------------------------------------------------------------------
-// Serial/parallel equivalence (the tentpole property).
-// ---------------------------------------------------------------------------
-
-std::vector<Transaction> RandomBlock(Rng* rng, size_t n, txn::TxnId base) {
-  std::vector<Transaction> txns;
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<Op> ops;
-    size_t num_ops = 1 + rng->NextU64(3);
-    for (size_t o = 0; o < num_ops; ++o) {
-      std::string key = "k" + std::to_string(rng->NextU64(8));
-      switch (rng->NextU64(3)) {
-        case 0:
-          ops.push_back(Op::Read(key));
-          break;
-        case 1:
-          ops.push_back(Op::Write(key, "v" + std::to_string(rng->NextU64())));
-          break;
-        default:
-          ops.push_back(Op::Increment(key, 1 + rng->NextU64(9)));
-          break;
-      }
-    }
-    txns.push_back(T(base + i, std::move(ops)));
-  }
-  return txns;
-}
-
-// ParallelValidator must be byte-identical to SerialValidator — same
-// validity flags, same final state, same commit counters — for every seed
-// and every pool width.
-TEST(ValidatorEquivalenceTest, ParallelMatchesSerialAcrossSeedsAndJobs) {
-  constexpr size_t kBlocks = 3;
-  constexpr size_t kTxnsPerBlock = 40;
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    // Serial reference.
-    store::KvStore serial_store;
-    SerialValidator serial(&serial_store);
-    std::vector<std::vector<bool>> serial_flags;
-    {
-      Rng rng(seed);
-      for (size_t b = 0; b < kBlocks; ++b) {
-        serial_flags.push_back(serial.ProcessBlock(
-            RandomBlock(&rng, kTxnsPerBlock, b * 1000)));
-      }
-    }
-    std::string golden = DumpState(serial_store);
-
-    for (size_t jobs : {1u, 2u, 8u}) {
-      ThreadPool pool(jobs);
-      store::KvStore par_store;
-      ParallelValidator parallel(&pool, &par_store);
-      Rng rng(seed);
-      for (size_t b = 0; b < kBlocks; ++b) {
-        EXPECT_EQ(parallel.ProcessBlock(
-                      RandomBlock(&rng, kTxnsPerBlock, b * 1000)),
-                  serial_flags[b])
-            << "seed=" << seed << " jobs=" << jobs << " block=" << b;
-      }
-      EXPECT_EQ(DumpState(par_store), golden)
-          << "seed=" << seed << " jobs=" << jobs;
-      EXPECT_EQ(parallel.stats().committed, serial.stats().committed);
-      EXPECT_EQ(parallel.stats().aborted, serial.stats().aborted);
-    }
-    EXPECT_EQ(serial.stats().txns, kBlocks * kTxnsPerBlock);
-  }
-}
-
-// The parallel validator also reports its scheduling shape.
-TEST(ValidatorEquivalenceTest, ParallelValidatorReportsConflictShape) {
-  ThreadPool pool(4);
-  store::KvStore store;
-  ParallelValidator validator(&pool, &store);
-  validator.ProcessBlock({T(0, {Op::Write("a", "x")}),
-                          T(1, {Op::Read("a"), Op::Write("b", "y")}),
-                          T(2, {Op::Write("c", "z")})});
-  EXPECT_EQ(validator.stats().blocks, 1u);
-  EXPECT_GE(validator.stats().conflict_edges, 1u);
-  EXPECT_EQ(validator.stats().levels, 2u);       // {t0,t2} then {t1}
-  EXPECT_EQ(validator.stats().max_level_width, 2u);
 }
 
 }  // namespace
