@@ -23,7 +23,7 @@ namespace pbc::bench {
 /// A simulated world with a fresh network + registry. A metrics registry
 /// and trace log are attached up front, so every instrumented layer
 /// (simulator, network, consensus, sharding) records into `metrics` and
-/// `trace` when the build has PBC_ENABLE_OBS; without it they stay empty.
+/// `trace`.
 struct SimWorld {
   explicit SimWorld(uint64_t seed, sim::Time base_latency_us = 500,
                     sim::Time jitter_us = 200)

@@ -19,11 +19,7 @@ void Architecture::ExportMetrics(obs::MetricsRegistry* m) const {
 void Architecture::AppendLedgerBlock(
     std::vector<txn::Transaction> effective) {
   ++stats_.blocks;
-  if (effective.empty()) return;
-  ledger::Block block = ledger::Block::Make(
-      chain_.height(), chain_.TipHash(), std::move(effective));
-  Status s = chain_.Append(std::move(block));
-  (void)s;
+  if (!effective.empty()) chain_.Append(std::move(effective));
 }
 
 void OxArchitecture::ProcessBlock(

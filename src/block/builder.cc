@@ -2,37 +2,6 @@
 
 namespace pbc::block {
 
-void BlockBuilder::Add(txn::Transaction txn, sim::Time now_us) {
-  pending_.push_back({std::move(txn), now_us});
-}
-
-bool BlockBuilder::CutDue(sim::Time now_us) const {
-  return rules_.CutDue(pending_.size(), oldest_arrival_us(), now_us);
-}
-
-std::vector<txn::Transaction> BlockBuilder::TakeCut(sim::Time now_us) {
-  if (!CutDue(now_us)) return {};
-  std::vector<txn::Transaction> out;
-  size_t take = pending_.size() < rules_.max_txns ? pending_.size()
-                                                  : rules_.max_txns;
-  out.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    out.push_back(std::move(pending_.front().txn));
-    pending_.pop_front();
-  }
-  return out;
-}
-
-std::vector<txn::Transaction> BlockBuilder::Flush() {
-  std::vector<txn::Transaction> out;
-  out.reserve(pending_.size());
-  while (!pending_.empty()) {
-    out.push_back(std::move(pending_.front().txn));
-    pending_.pop_front();
-  }
-  return out;
-}
-
 ledger::Block BlockBuilder::Seal(uint64_t height,
                                  const crypto::Hash256& prev_hash,
                                  std::vector<txn::Transaction> txns,

@@ -1,17 +1,16 @@
-// Deterministic block batching at the leader/proposer (ROADMAP item 1).
+// Deterministic block cutting and sealing at the leader/proposer.
 //
 // Hyperledger Fabric's ordering service and every system BLOCKBENCH
 // measures cut *blocks* out of the pending transaction stream under two
 // rules — a size cut (block is full) and a timer cut (oldest pending
 // transaction has waited too long) — because block size is the dominant
-// throughput knob of the whole pipeline. The builder reproduces exactly
-// those rules over simulated time: cut decisions are a pure function of
-// (pending transactions, arrival times, now), so a seeded run cuts
-// byte-identical blocks on every replay.
+// throughput knob of the whole pipeline. `CutRules` states those rules
+// over simulated time: a cut decision is a pure function of (pending
+// count, oldest arrival, now), so a seeded run cuts byte-identical blocks
+// on every replay. The pool they cut from is `consensus::Replica`'s.
 #ifndef PBC_BLOCK_BUILDER_H_
 #define PBC_BLOCK_BUILDER_H_
 
-#include <deque>
 #include <vector>
 
 #include "ledger/block.h"
@@ -28,8 +27,7 @@ struct CutRules {
   /// waited this long (µs of simulated time). 0 disables the timer cut.
   sim::Time max_delay_us = 5000;
 
-  /// Pure cut predicate shared by the builder and the consensus replicas
-  /// (which keep their own pools for dedup but follow the same policy).
+  /// Pure cut predicate over the caller's pool.
   bool CutDue(size_t pending, sim::Time oldest_arrival_us,
               sim::Time now_us) const {
     if (pending == 0) return false;
@@ -39,52 +37,15 @@ struct CutRules {
   }
 };
 
-/// \brief Batches a transaction stream into blocks under CutRules.
-///
-/// Standalone use (arch pipelines, benches, tests): Add() transactions as
-/// they arrive, TakeCut() whenever the caller's timer fires, Flush() at
-/// end of stream. The builder never invents order: blocks preserve
-/// arrival order, so identical input streams yield identical blocks.
+/// \brief Seals a cut into a block body.
 class BlockBuilder {
  public:
-  explicit BlockBuilder(CutRules rules) : rules_(rules) {}
-
-  /// Appends a pending transaction with its arrival time (µs, simulated).
-  void Add(txn::Transaction txn, sim::Time now_us);
-
-  /// True when the cut rules say a block should be cut at `now_us`.
-  bool CutDue(sim::Time now_us) const;
-
-  /// Cuts up to max_txns transactions if a cut is due; returns an empty
-  /// vector otherwise. Never returns a partial block early: either the
-  /// size rule or the timer rule fired.
-  std::vector<txn::Transaction> TakeCut(sim::Time now_us);
-
-  /// Flush-on-idle: cuts whatever is pending regardless of the rules
-  /// (stream end, leader handover). Empty when nothing is pending.
-  std::vector<txn::Transaction> Flush();
-
-  size_t pending() const { return pending_.size(); }
-  /// Arrival time of the oldest pending txn (0 when empty).
-  sim::Time oldest_arrival_us() const {
-    return pending_.empty() ? 0 : pending_.front().arrival_us;
-  }
-  const CutRules& rules() const { return rules_; }
-
-  /// Seals a cut into a hash-chained block body. `height`/`prev_hash`
+  /// Seals `txns` into a hash-chained block body. `height`/`prev_hash`
   /// position the block; `timestamp_us` is the (simulated) cut time. The
   /// header hash is the identity consensus orders in place of the body.
   static ledger::Block Seal(uint64_t height, const crypto::Hash256& prev_hash,
                             std::vector<txn::Transaction> txns,
                             sim::Time timestamp_us);
-
- private:
-  struct Pending {
-    txn::Transaction txn;
-    sim::Time arrival_us;
-  };
-  CutRules rules_;
-  std::deque<Pending> pending_;
 };
 
 }  // namespace pbc::block

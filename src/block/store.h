@@ -27,17 +27,14 @@ class BlockStore {
   /// idempotent re-inserts.
   bool Put(const ledger::Block& body);
 
-  /// The stored body for `hash`, or nullptr. Pointers remain valid until
-  /// the entry is erased.
+  /// The stored body for `hash`, or nullptr. Pointers stay valid for the
+  /// store's lifetime (bodies are never removed).
   const ledger::Block* Get(const crypto::Hash256& hash) const;
 
   bool Contains(const crypto::Hash256& hash) const {
     return bodies_.count(hash) > 0;
   }
   size_t size() const { return bodies_.size(); }
-
-  /// Drops one body (delivered blocks whose body is no longer needed).
-  void Erase(const crypto::Hash256& hash) { bodies_.erase(hash); }
 
  private:
   // Ordered map: deterministic iteration should anyone ever walk it.

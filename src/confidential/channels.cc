@@ -9,10 +9,7 @@ void Channel::CommitBlock(const std::vector<txn::Transaction>& txns) {
       store_.ApplyBatch(r.writes, store_.last_committed() + 1);
     }
   }
-  ledger::Block block =
-      ledger::Block::Make(chain_.height(), chain_.TipHash(), txns);
-  Status s = chain_.Append(std::move(block));
-  (void)s;
+  chain_.Append(txns);
 }
 
 Status ChannelSystem::CreateChannel(ChannelId id,

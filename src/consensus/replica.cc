@@ -1,7 +1,7 @@
 #include "consensus/replica.h"
 
 #include <algorithm>
-#include <optional>
+#include <iterator>
 
 #include "block/builder.h"
 #include "obs/obs.h"
@@ -16,29 +16,29 @@ Replica::Replica(sim::NodeId id, sim::Network* net, ClusterConfig config,
       registry_(registry) {}
 
 void Replica::SubmitTransaction(txn::Transaction txn) {
-  seen_ids_.insert(txn.id);
-  if (pool_ids_.count(txn.id) > 0 || committed_ids_.count(txn.id) > 0) return;
-#if PBC_OBS_ENABLED
-  // Commit-latency bookkeeping, only for metric-attached runs (the map
-  // stays empty otherwise and never influences protocol behavior).
-  if (network()->metrics() != nullptr) {
-    submit_time_us_.emplace(txn.id, network()->now());
+  sim::Time now = network()->now();
+  auto [it, fresh] = txns_.try_emplace(txn.id);
+  TxnRecord& rec = it->second;
+  rec.submitted = true;
+  if (fresh) {
+    rec.submit_us = now;
+  } else if (rec.state != TxnState::kTaken) {
+    return;  // already pooled, or a replay of a committed txn
   }
-#endif
-  if (cfg_.block.enabled) arrival_us_.emplace(txn.id, network()->now());
-  pool_ids_.insert(txn.id);
-  pool_.push_back(std::move(txn));
+  // New, or taken by a proposal that failed: join the back of the pool.
+  rec.state = TxnState::kPooled;
+  rec.slot = pool_.insert(pool_.end(), PooledTxn{std::move(txn), now});
 }
 
-void Replica::ErasePoolTxn(txn::TxnId id) {
-  if (pool_ids_.erase(id) == 0) return;
-  arrival_us_.erase(id);
-  for (auto pit = pool_.begin(); pit != pool_.end(); ++pit) {
-    if (pit->id == id) {
-      pool_.erase(pit);
-      break;
-    }
+std::vector<txn::Transaction> Replica::TakeFromPool(size_t max) {
+  std::vector<txn::Transaction> out;
+  out.reserve(std::min(max, pool_.size()));
+  while (!pool_.empty() && out.size() < max) {
+    txns_.find(pool_.front().txn.id)->second.state = TxnState::kTaken;
+    out.push_back(std::move(pool_.front().txn));
+    pool_.pop_front();
   }
+  return out;
 }
 
 Batch Replica::TakeBatch() {
@@ -47,25 +47,12 @@ Batch Replica::TakeBatch() {
   // equivocation forks (which append a fabricated txn) well-formed.
   if (cfg_.block.enabled && byzantine_ == ByzantineMode::kHonest) {
     block::CutRules rules{cfg_.block.max_txns, cfg_.block.max_delay_us};
-    sim::Time oldest = 0;
-    if (!pool_.empty()) {
-      auto it = arrival_us_.find(pool_.front().id);
-      oldest = it == arrival_us_.end() ? 0 : it->second;
-    }
+    sim::Time oldest = pool_.empty() ? 0 : pool_.front().arrival_us;
     if (!rules.CutDue(pool_.size(), oldest, network()->now())) return {};
 
-    std::vector<txn::Transaction> txns;
-    size_t take = std::min(pool_.size(), rules.max_txns);
-    txns.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      arrival_us_.erase(pool_.front().id);
-      pool_ids_.erase(pool_.front().id);
-      txns.push_back(std::move(pool_.front()));
-      pool_.pop_front();
-    }
     ledger::Block body = block::BlockBuilder::Seal(
-        sealed_blocks_++, crypto::Hash256::Zero(), std::move(txns),
-        network()->now());
+        sealed_blocks_++, crypto::Hash256::Zero(),
+        TakeFromPool(rules.max_txns), network()->now());
 
     Batch ref;
     ref.block_ref = true;
@@ -82,39 +69,33 @@ Batch Replica::TakeBatch() {
   }
 
   Batch batch;
-  while (!pool_.empty() && batch.txns.size() < cfg_.batch_size) {
-    arrival_us_.erase(pool_.front().id);
-    batch.txns.push_back(std::move(pool_.front()));
-    pool_.pop_front();
-    pool_ids_.erase(batch.txns.back().id);
-  }
+  batch.txns = TakeFromPool(cfg_.batch_size);
   return batch;
 }
 
+const std::vector<txn::Transaction>* Replica::BatchTxns(
+    const Batch& batch) const {
+  if (!batch.block_ref) return &batch.txns;
+  const ledger::Block* body = blocks_.Get(batch.block_hash);
+  return body == nullptr ? nullptr : &body->txns;
+}
+
 void Replica::ReturnToPool(const Batch& batch) {
-  // Re-submit preserving dedup rules.
-  if (batch.block_ref) {
-    const ledger::Block* body = blocks_.Get(batch.block_hash);
-    if (body == nullptr) return;  // body lost; peers re-fetch on commit
-    for (const auto& t : body->txns) SubmitTransaction(t);
-    return;
-  }
-  for (const auto& t : batch.txns) SubmitTransaction(t);
+  // Re-submit under the table's rules: only taken txns re-join the pool.
+  // A lost body returns nothing; peers re-fetch it on commit.
+  const std::vector<txn::Transaction>* txns = BatchTxns(batch);
+  if (txns == nullptr) return;
+  for (const auto& t : *txns) SubmitTransaction(t);
 }
 
 bool Replica::KnownClientTxns(const Batch& batch) const {
-  if (batch.block_ref) {
-    const ledger::Block* body = blocks_.Get(batch.block_hash);
-    if (body == nullptr) return false;  // fail closed without the body
-    for (const auto& t : body->txns) {
-      if (seen_ids_.count(t.id) == 0) return false;
-    }
-    return true;
-  }
-  for (const auto& t : batch.txns) {
-    if (seen_ids_.count(t.id) == 0) return false;
-  }
-  return true;
+  const std::vector<txn::Transaction>* txns = BatchTxns(batch);
+  if (txns == nullptr) return false;  // fail closed without the body
+  return std::all_of(txns->begin(), txns->end(),
+                     [this](const txn::Transaction& t) {
+                       auto it = txns_.find(t.id);
+                       return it != txns_.end() && it->second.submitted;
+                     });
 }
 
 void Replica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
@@ -143,9 +124,8 @@ crypto::Hash256 Replica::BindDigest(const char* tag, uint64_t a, uint64_t b,
   return h.Finalize();
 }
 
-void Replica::CountViewChange([[maybe_unused]] const char* metric,
-                              [[maybe_unused]] const char* tag,
-                              [[maybe_unused]] uint64_t view) const {
+void Replica::CountViewChange(const char* metric, const char* tag,
+                              uint64_t view) const {
   PBC_OBS_COUNT(network()->metrics(), "consensus.view_changes", 1);
   PBC_OBS_COUNT(network()->metrics(), metric, 1);
   PBC_OBS_TRACE(network()->trace(), network()->now(),
@@ -224,12 +204,20 @@ void Replica::DeliverCommitted(uint64_t seq, Batch batch) {
 }
 
 void Replica::DrainDeliveries() {
+  obs::MetricsRegistry* metrics = network()->metrics();
+  auto committed = [this](const txn::Transaction& t) {
+    auto rit = txns_.find(t.id);
+    return rit != txns_.end() && rit->second.state == TxnState::kCommitted;
+  };
   while (true) {
     auto it = out_of_order_.find(next_deliver_);
     if (it == out_of_order_.end()) break;
     Batch& b = it->second;
-    // Root of the stored (hence verified) body this batch resolves to.
-    std::optional<crypto::Hash256> body_root;
+    // Drop transactions that already committed at an earlier sequence:
+    // with rotating proposers several leaders may batch the same client
+    // transaction (clients submit to all replicas). Every replica filters
+    // deterministically against the same committed records, so chains
+    // stay identical. This mirrors Fabric's txid-based replay check.
     if (b.block_ref && !b.empty()) {
       const ledger::Block* body = blocks_.Get(b.block_hash);
       if (body == nullptr) {
@@ -238,60 +226,32 @@ void Replica::DrainDeliveries() {
         RequestBody(b.block_hash);
         break;
       }
-      b.txns = body->txns;
+      // The body alone is what the ref's digest names; any txns a
+      // Byzantine proposer attached to the ref are discarded.
+      b.txns.clear();
+      std::remove_copy_if(body->txns.begin(), body->txns.end(),
+                          std::back_inserter(b.txns), committed);
       b.block_ref = false;
-      body_root = body->header.txn_root;
+    } else {
+      std::erase_if(b.txns, committed);
     }
-    // Drop transactions that already committed at an earlier sequence:
-    // with rotating proposers several leaders may batch the same client
-    // transaction (clients submit to all replicas). Every replica filters
-    // deterministically against the same committed-id set, so chains stay
-    // identical. This mirrors Fabric's txid-based replay check.
-    std::vector<txn::Transaction> fresh;
-    fresh.reserve(b.txns.size());
-    for (auto& t : b.txns) {
-      if (committed_ids_.count(t.id) == 0) fresh.push_back(std::move(t));
-    }
-    if (fresh.size() != b.txns.size()) body_root.reset();
-    b.txns = std::move(fresh);
+    PBC_OBS_COUNT(metrics, "consensus.committed_txns", b.txns.size());
     for (const auto& t : b.txns) {
-      committed_ids_.insert(t.id);
-      // A committed txn may still sit in the pool if it was submitted to
-      // several replicas; purge lazily.
-      ErasePoolTxn(t.id);
+      // A txn delivered without being submitted here gets its record now.
+      TxnRecord& rec = txns_[t.id];
+      if (rec.state == TxnState::kPooled) pool_.erase(rec.slot);
+      if (rec.submitted && rec.state != TxnState::kCommitted) {
+        PBC_OBS_HIST_RECORD(metrics, "consensus.commit_latency_us",
+                            network()->now() - rec.submit_us);
+      }
+      rec.state = TxnState::kCommitted;
     }
     committed_txns_ += b.txns.size();
-#if PBC_OBS_ENABLED
-    if (network()->metrics() != nullptr) {
-      PBC_OBS_COUNT(network()->metrics(), "consensus.committed_txns",
-                    b.txns.size());
-      for (const auto& t : b.txns) {
-        auto sit = submit_time_us_.find(t.id);
-        if (sit != submit_time_us_.end()) {
-          PBC_OBS_HIST_RECORD(network()->metrics(),
-                              "consensus.commit_latency_us",
-                              network()->now() - sit->second);
-          submit_time_us_.erase(sit);
-        }
-      }
-    }
     if (!b.txns.empty()) {
       PBC_OBS_TRACE(network()->trace(), network()->now(),
                     obs::TraceKind::kCommit, id(), id(), "batch",
                     next_deliver_);
-    }
-#endif
-    if (!b.txns.empty()) {
-      // An unfiltered body keeps its txn list, so its root carries over
-      // instead of being rebuilt; Append re-checks the root either way.
-      ledger::Block block =
-          body_root ? ledger::Block{{chain_.height(), chain_.TipHash(),
-                                     *body_root, /*timestamp_us=*/0},
-                                    b.txns}
-                    : ledger::Block::Make(chain_.height(), chain_.TipHash(),
-                                          b.txns, /*timestamp_us=*/0);
-      pbc::Status s = chain_.Append(std::move(block));
-      (void)s;  // Append of a self-built block cannot fail.
+      chain_.Append(b.txns);
     }
     if (listener_) listener_(id(), next_deliver_, b);
     out_of_order_.erase(it);

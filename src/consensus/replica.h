@@ -4,10 +4,10 @@
 #ifndef PBC_CONSENSUS_REPLICA_H_
 #define PBC_CONSENSUS_REPLICA_H_
 
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
-#include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,8 +64,14 @@ struct BlockFetchMsg : sim::Typed<BlockFetchMsg> {
 /// leadership is not a plain rotation (`RotatingStatus`). It calls
 /// `DeliverCommitted` with (sequence, batch) pairs; this class buffers
 /// out-of-order arrivals, appends non-empty batches to the replica's chain
-/// in sequence order, and tracks committed transaction ids so re-proposals
-/// are deduplicated.
+/// in sequence order, and drops txns that already committed, so
+/// re-proposals are deduplicated.
+///
+/// One table keyed by txn id holds everything the replica knows about a
+/// txn: whether a client submitted it here, when it was first submitted,
+/// and whether it is pooled, taken by a proposal, or committed. The pool
+/// is one FIFO of live txns with their arrival times; the table points at
+/// each pooled txn's entry, so a commit removes it in O(1).
 ///
 /// `OnMessage` is the one prelude: a silent replica drops everything,
 /// block body/fetch traffic is served here, and the rest reaches
@@ -222,20 +228,40 @@ class Replica : public sim::Node {
   void OnBlockBody(const ledger::Block& body);
   /// Broadcasts a fetch for `hash` with a deterministic retry timer.
   void RequestBody(const crypto::Hash256& hash);
-  void ErasePoolTxn(txn::TxnId id);
+  /// Pops up to `max` txns off the pool's front, marking them taken.
+  std::vector<txn::Transaction> TakeFromPool(size_t max);
+  /// The txns `batch` carries: its own, or its stored body's (nullptr
+  /// when the body has not arrived).
+  const std::vector<txn::Transaction>* BatchTxns(const Batch& batch) const;
+
+  struct PooledTxn {
+    txn::Transaction txn;
+    sim::Time arrival_us;  ///< drives the timer cut in block mode
+  };
+  enum class TxnState : uint8_t {
+    kTaken,      ///< neither pooled nor committed: cut into a proposal
+    kPooled,     ///< waiting in pool_ at `slot`
+    kCommitted,  ///< delivered; later submits and proposals are replays
+  };
+  /// One per txn id seen here, by submission or by delivery. Never
+  /// erased: committed records are the replay check's memory.
+  struct TxnRecord {
+    TxnState state = TxnState::kTaken;
+    /// A client submitted it here (see KnownClientTxns). A txn that
+    /// commits without that, e.g. a Byzantine leader's fabrication, is
+    /// not.
+    bool submitted = false;
+    sim::Time submit_us = 0;  ///< first submission: commit-latency origin
+    std::list<PooledTxn>::iterator slot;  ///< valid while kPooled
+  };
 
   crypto::PrivateKey key_;
   const crypto::KeyRegistry* registry_;
 
-  std::deque<txn::Transaction> pool_;
-  std::set<txn::TxnId> pool_ids_;
-  std::set<txn::TxnId> committed_ids_;
-  std::set<txn::TxnId> seen_ids_;  // everything ever submitted (monotone)
+  std::list<PooledTxn> pool_;  ///< live pooled txns, oldest first
+  std::unordered_map<txn::TxnId, TxnRecord> txns_;  ///< lookups only
 
   ledger::Chain chain_;
-  // Submit timestamps for commit-latency histograms; populated only when
-  // the network has a metrics registry attached (see replica.cc).
-  std::map<txn::TxnId, sim::Time> submit_time_us_;
   std::map<uint64_t, Batch> out_of_order_;
   uint64_t next_deliver_ = 1;
   uint64_t committed_txns_ = 0;
@@ -244,8 +270,6 @@ class Replica : public sim::Node {
 
   // --- Block pipeline state --------------------------------------------
   block::BlockStore blocks_;
-  /// Pool arrival times (block mode only) driving the timer-cut rule.
-  std::map<txn::TxnId, sim::Time> arrival_us_;
   /// Local count of blocks this replica sealed (header height source).
   uint64_t sealed_blocks_ = 0;
   /// Protocol messages waiting for a body, keyed by block hash.

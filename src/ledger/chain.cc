@@ -2,18 +2,8 @@
 
 namespace pbc::ledger {
 
-Status Chain::Append(Block block) {
-  if (block.header.height != blocks_.size()) {
-    return Status::InvalidArgument("block height mismatch");
-  }
-  if (block.header.prev_hash != TipHash()) {
-    return Status::Corruption("prev-hash does not match chain tip");
-  }
-  if (!block.VerifyTxnRoot()) {
-    return Status::Corruption("transaction merkle root mismatch");
-  }
-  blocks_.push_back(std::move(block));
-  return Status::OK();
+void Chain::Append(std::vector<txn::Transaction> txns) {
+  blocks_.push_back(Block::Make(height(), TipHash(), std::move(txns)));
 }
 
 Status Chain::Audit() const {

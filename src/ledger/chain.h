@@ -11,13 +11,13 @@ namespace pbc::ledger {
 
 /// \brief A hash-chained sequence of blocks.
 ///
-/// `Append` enforces the chain invariants (height and prev-hash linkage,
-/// transaction-root correctness); `Audit` re-verifies the whole chain so
-/// any post-hoc tampering with a stored block is detected.
+/// `Append` seals each block at the tip, so height, prev-hash linkage and
+/// the txn Merkle root hold by construction; `Audit` re-verifies the whole
+/// chain so any post-hoc tampering with a stored block is detected.
 class Chain {
  public:
-  /// Appends `block`, validating height, linkage, and the txn Merkle root.
-  Status Append(Block block);
+  /// Appends `Block::Make(height(), TipHash(), txns)`.
+  void Append(std::vector<txn::Transaction> txns);
 
   /// Full integrity audit: recompute every link and Merkle root.
   Status Audit() const;
@@ -41,7 +41,7 @@ class Chain {
 
   /// True iff both chains contain identical block hashes (replica
   /// agreement check used by consensus property tests). A prefix match is
-  /// not enough: lengths must agree too when `exact` is true.
+  /// not enough: lengths must agree too.
   bool SameAs(const Chain& other) const;
 
   /// True iff the shorter chain is a prefix of the longer one (the safety

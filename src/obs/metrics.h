@@ -4,10 +4,9 @@
 // Design constraints (see DESIGN.md §7 "Observability"):
 //  * deterministic — registries are plain data keyed by std::map, so two
 //    same-seed runs produce byte-identical dumps;
-//  * optional — every producer takes a nullable registry pointer and the
-//    `PBC_OBS_*` macros in obs/obs.h compile to no-ops when the CMake
-//    option PBC_ENABLE_OBS is OFF, so instrumentation is zero-overhead
-//    when disabled;
+//  * optional — every producer takes a nullable registry pointer, and the
+//    `PBC_OBS_*` macros in obs/obs.h reduce to one nullptr check when no
+//    registry is attached;
 //  * cheap — counters are a map lookup at attach points that already do
 //    allocation-scale work (message sends, block commits).
 #ifndef PBC_OBS_METRICS_H_

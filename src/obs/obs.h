@@ -1,25 +1,16 @@
 // Instrumentation macros. All metric/trace attach points in the hot paths
-// (network sends, commit delivery, view changes) go through these so that
-// configuring CMake with -DPBC_ENABLE_OBS=OFF compiles every site down to
-// nothing: the arguments sit inside unevaluated sizeof() expressions, so
-// no code is generated and no "unused variable" warnings appear.
-//
-// When enabled (the default), each site is a nullptr check + map lookup,
-// active only for runs that attached a registry/trace via
-// Network::AttachObs / Simulator::AttachMetrics. Instrumentation never
-// feeds back into protocol behavior, so enabling it cannot change any
-// simulation outcome (the determinism tests assert exactly that).
+// (network sends, commit delivery, view changes) go through these. Each
+// site is a nullptr check, plus a map lookup only for runs that attached
+// a registry/trace via Network::AttachObs / Simulator::AttachMetrics; a
+// null sink means off, and the arguments are then not evaluated.
+// Instrumentation never feeds back into protocol behavior, so attaching
+// it cannot change any simulation outcome (the determinism tests assert
+// exactly that).
 #ifndef PBC_OBS_OBS_H_
 #define PBC_OBS_OBS_H_
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#ifndef PBC_OBS_ENABLED
-#define PBC_OBS_ENABLED 0
-#endif
-
-#if PBC_OBS_ENABLED
 
 #define PBC_OBS_COUNT(reg, name, delta)                  \
   do {                                                   \
@@ -49,34 +40,5 @@
     if (pbc_obs_t_ != nullptr)                           \
       pbc_obs_t_->Record(at, kind, a, b, label, arg);    \
   } while (0)
-
-#else  // !PBC_OBS_ENABLED
-
-#define PBC_OBS_COUNT(reg, name, delta)         \
-  do {                                          \
-    (void)sizeof(reg);                          \
-    (void)sizeof(delta);                        \
-  } while (0)
-#define PBC_OBS_GAUGE_SET(reg, name, value)     \
-  do {                                          \
-    (void)sizeof(reg);                          \
-    (void)sizeof(value);                        \
-  } while (0)
-#define PBC_OBS_HIST_RECORD(reg, name, value)   \
-  do {                                          \
-    (void)sizeof(reg);                          \
-    (void)sizeof(value);                        \
-  } while (0)
-#define PBC_OBS_TRACE(trace, at, kind, a, b, label, arg) \
-  do {                                                   \
-    (void)sizeof(trace);                                 \
-    (void)sizeof(at);                                    \
-    (void)sizeof(kind);                                  \
-    (void)sizeof(a);                                     \
-    (void)sizeof(b);                                     \
-    (void)sizeof(arg);                                   \
-  } while (0)
-
-#endif  // PBC_OBS_ENABLED
 
 #endif  // PBC_OBS_OBS_H_

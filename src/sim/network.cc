@@ -107,7 +107,7 @@ bool Network::CanDeliver(NodeId from, NodeId to) const {
 }
 
 void Network::CountDrop(NodeId from, NodeId to, const Message& msg,
-                        [[maybe_unused]] const char* reason) {
+                        const char* reason) {
   ++stats_.messages_dropped;
   PBC_OBS_COUNT(metrics_, "net.dropped", 1);
   PBC_OBS_COUNT(metrics_, std::string("net.dropped.") + reason, 1);

@@ -56,48 +56,6 @@ TEST(CutRulesTest, ZeroDelayDisablesTimerCut) {
 }
 
 // ---------------------------------------------------------------------------
-// Builder.
-// ---------------------------------------------------------------------------
-
-TEST(BlockBuilderTest, TakeCutEmptyUntilARuleFires) {
-  BlockBuilder b(CutRules{4, 5000});
-  for (int i = 0; i < 3; ++i) b.Add(T(i, {Op::Increment("k", 1)}), 0);
-  EXPECT_TRUE(b.TakeCut(100).empty());
-  EXPECT_EQ(b.pending(), 3u);
-  b.Add(T(3, {Op::Increment("k", 1)}), 100);
-  auto cut = b.TakeCut(100);  // size cut
-  ASSERT_EQ(cut.size(), 4u);
-  EXPECT_EQ(b.pending(), 0u);
-}
-
-TEST(BlockBuilderTest, SizeCutCapsAtMaxTxnsAndPreservesArrivalOrder) {
-  BlockBuilder b(CutRules{4, 5000});
-  for (int i = 0; i < 10; ++i) b.Add(T(100 + i, {Op::Increment("k", 1)}), 0);
-  auto cut = b.TakeCut(0);
-  ASSERT_EQ(cut.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(cut[i].id, txn::TxnId(100 + i));
-  EXPECT_EQ(b.pending(), 6u);
-}
-
-TEST(BlockBuilderTest, TimerCutTakesPartialBlock) {
-  BlockBuilder b(CutRules{100, 5000});
-  b.Add(T(1, {Op::Increment("k", 1)}), 0);
-  b.Add(T(2, {Op::Increment("k", 1)}), 2000);
-  EXPECT_TRUE(b.TakeCut(4999).empty());
-  auto cut = b.TakeCut(5000);  // oldest waited exactly max_delay
-  EXPECT_EQ(cut.size(), 2u);
-}
-
-TEST(BlockBuilderTest, FlushOnIdleDrainsRegardlessOfRules) {
-  BlockBuilder b(CutRules{100, 0});
-  b.Add(T(1, {Op::Increment("k", 1)}), 0);
-  b.Add(T(2, {Op::Increment("k", 1)}), 0);
-  EXPECT_TRUE(b.TakeCut(1'000'000).empty());  // no rule fires
-  EXPECT_EQ(b.Flush().size(), 2u);
-  EXPECT_TRUE(b.Flush().empty());
-}
-
-// ---------------------------------------------------------------------------
 // Sealed-block identity (what consensus orders in place of the body).
 // ---------------------------------------------------------------------------
 

@@ -27,16 +27,6 @@ txn::Transaction KvTxn(txn::TxnId id) {
   return t;
 }
 
-// A fake "replica set": hand-built chains a broken implementation might
-// produce. Appends one block per call, chaining correctly.
-void AppendBlock(ledger::Chain* chain, std::vector<txn::Transaction> txns) {
-  ASSERT_TRUE(chain
-                  ->Append(ledger::Block::Make(chain->height(),
-                                               chain->TipHash(),
-                                               std::move(txns)))
-                  .ok());
-}
-
 std::vector<Violation> RunChecker(InvariantChecker* checker) {
   std::vector<Violation> out;
   checker->Check(/*now=*/123, &out);
@@ -47,9 +37,9 @@ std::vector<Violation> RunChecker(InvariantChecker* checker) {
 
 TEST(ChainAgreementCheckerTest, AcceptsConsistentPrefixes) {
   ledger::Chain a, b;
-  AppendBlock(&a, {KvTxn(1)});
-  AppendBlock(&a, {KvTxn(2)});
-  AppendBlock(&b, {KvTxn(1)});  // b is one block behind — still a prefix
+  a.Append({KvTxn(1)});
+  a.Append({KvTxn(2)});
+  b.Append({KvTxn(1)});  // b is one block behind — still a prefix
   ChainAgreementChecker checker([&] {
     return std::vector<const ledger::Chain*>{&a, &b};
   });
@@ -58,8 +48,8 @@ TEST(ChainAgreementCheckerTest, AcceptsConsistentPrefixes) {
 
 TEST(ChainAgreementCheckerTest, CatchesForkedReplicas) {
   ledger::Chain a, b;
-  AppendBlock(&a, {KvTxn(1)});
-  AppendBlock(&b, {KvTxn(2)});  // same height, different block: a fork
+  a.Append({KvTxn(1)});
+  b.Append({KvTxn(2)});  // same height, different block: a fork
   ChainAgreementChecker checker([&] {
     return std::vector<const ledger::Chain*>{&a, &b};
   });
@@ -71,9 +61,9 @@ TEST(ChainAgreementCheckerTest, CatchesForkedReplicas) {
 
 TEST(ChainLinkageCheckerTest, CatchesTamperedBlock) {
   ledger::Chain good, bad;
-  AppendBlock(&good, {KvTxn(1)});
-  AppendBlock(&bad, {KvTxn(1)});
-  AppendBlock(&bad, {KvTxn(2)});
+  good.Append({KvTxn(1)});
+  bad.Append({KvTxn(1)});
+  bad.Append({KvTxn(2)});
   // Tamper with history behind the chain's back: the Merkle root in the
   // stored header no longer matches the transactions.
   bad.MutableBlockForTest(0)->txns.push_back(KvTxn(99));
@@ -88,8 +78,8 @@ TEST(ChainLinkageCheckerTest, CatchesTamperedBlock) {
 
 TEST(CommitValidityCheckerTest, CatchesForeignAndDuplicateTxns) {
   ledger::Chain chain;
-  AppendBlock(&chain, {KvTxn(1), KvTxn(2)});
-  AppendBlock(&chain, {KvTxn(99), KvTxn(2)});  // 99 foreign, 2 duplicated
+  chain.Append({KvTxn(1), KvTxn(2)});
+  chain.Append({KvTxn(99), KvTxn(2)});  // 99 foreign, 2 duplicated
   CommitValidityChecker checker(
       [&] { return std::vector<const ledger::Chain*>{&chain}; },
       [](txn::TxnId id) { return id >= 1 && id <= 10; });

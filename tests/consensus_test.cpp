@@ -431,11 +431,17 @@ TEST(TendermintTest, BothVoteNamesReachHandleVote) {
   }
 }
 
-// A bare replica exposing the shared timer helper.
-class TimerProbe : public Replica {
+// A protocol-less replica: exposes the skeleton's pool, delivery and
+// timer hooks so tests can drive them directly.
+class ReplicaProbe : public Replica {
  public:
   using Replica::ArmTimer;
+  using Replica::DeliverCommitted;
+  using Replica::Forked;
+  using Replica::KnownClientTxns;
   using Replica::Replica;
+  using Replica::ReturnToPool;
+  using Replica::TakeBatch;
 
  private:
   void OnProtocolMessage(sim::NodeId, const sim::MessagePtr&) override {}
@@ -445,8 +451,8 @@ TEST(ReplicaTest, ArmTimerFiresOnlyTheLatestLiveArm) {
   World w(55);
   ClusterConfig cfg;
   cfg.replicas = {0};
-  TimerProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
-                   &w.registry);
+  ReplicaProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
+                     &w.registry);
   uint64_t epoch = 0;
   std::vector<int> fired;
   auto arm = [&](int tag) {
@@ -474,6 +480,134 @@ TEST(ReplicaTest, ArmTimerFiresOnlyTheLatestLiveArm) {
   arm(5);
   w.sim.RunAll();
   EXPECT_EQ(fired, (std::vector<int>{2, 5}));
+}
+
+std::vector<txn::TxnId> Ids(const Batch& batch) {
+  std::vector<txn::TxnId> ids;
+  for (const auto& t : batch.txns) ids.push_back(t.id);
+  return ids;
+}
+
+Batch Inline(std::vector<txn::Transaction> txns) {
+  Batch batch;
+  batch.txns = std::move(txns);
+  return batch;
+}
+
+// Moves simulated time to `t` (the probe arms no timers of its own).
+void AdvanceTo(World* w, sim::Time t) {
+  w->sim.Schedule(t - w->sim.now(), [] {});
+  w->sim.RunAll();
+}
+
+// The pool's transitions, one assertion per rule: submit → pool → take →
+// return → commit, in inline mode; then, in block mode, the timer cut's
+// clock for a returned txn.
+TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
+  World w(56);
+  obs::MetricsRegistry metrics;
+  w.net.AttachObs(&metrics, nullptr);
+  ClusterConfig cfg;
+  cfg.replicas = {0};
+  cfg.batch_size = 2;
+  ReplicaProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
+                     &w.registry);
+  auto txn = [](txn::TxnId id) { return MakeKvTxn(id, "k", "v"); };
+
+  probe.SubmitTransaction(txn(1));
+  probe.SubmitTransaction(txn(2));
+  probe.SubmitTransaction(txn(3));
+  probe.SubmitTransaction(txn(1));  // pooled: no-op
+  EXPECT_EQ(probe.pool_size(), 3u);
+
+  Batch first = probe.TakeBatch();
+  EXPECT_EQ(Ids(first), (std::vector<txn::TxnId>{1, 2}));
+  EXPECT_EQ(probe.pool_size(), 1u);
+
+  // Taken but uncommitted: a re-submit pools it again, at the back.
+  AdvanceTo(&w, 100);
+  probe.SubmitTransaction(txn(1));
+  EXPECT_EQ(probe.pool_size(), 2u);
+  Batch second = probe.TakeBatch();
+  EXPECT_EQ(Ids(second), (std::vector<txn::TxnId>{3, 1}));
+  EXPECT_EQ(probe.pool_size(), 0u);
+
+  // A failed proposal's txns re-join the pool; pooled ones stay put.
+  probe.ReturnToPool(second);
+  probe.ReturnToPool(second);
+  EXPECT_EQ(probe.pool_size(), 2u);
+
+  // Committing a pooled txn (3) takes it out of the pool; a taken one (2)
+  // was never in it. Only live pooled txns count.
+  AdvanceTo(&w, 1000);
+  probe.DeliverCommitted(1, Inline({txn(3), txn(2)}));
+  EXPECT_EQ(probe.committed_txns(), 2u);
+  EXPECT_EQ(probe.pool_size(), 1u);
+  Batch third = probe.TakeBatch();
+  EXPECT_EQ(Ids(third), (std::vector<txn::TxnId>{1}));
+
+  // A submit of a committed txn does nothing, nor does its return.
+  probe.SubmitTransaction(txn(3));
+  probe.ReturnToPool(Inline({txn(2)}));
+  EXPECT_EQ(probe.pool_size(), 0u);
+
+  // A txn that commits without being submitted here (a Byzantine
+  // leader's fabrication, 99) stays unknown; submitted ones are known.
+  AdvanceTo(&w, 3000);
+  probe.DeliverCommitted(2, Inline({txn(1), txn(99)}));
+  EXPECT_EQ(probe.committed_txns(), 4u);
+  EXPECT_TRUE(probe.KnownClientTxns(Inline({txn(1), txn(2), txn(3)})));
+  EXPECT_FALSE(probe.KnownClientTxns(Inline({txn(99)})));
+  EXPECT_FALSE(probe.KnownClientTxns(Inline({txn(1), txn(7)})));
+
+  // A committed txn proposed again at a later sequence is dropped.
+  probe.DeliverCommitted(3, Inline({txn(2), txn(99)}));
+  EXPECT_EQ(probe.committed_txns(), 4u);
+  EXPECT_EQ(probe.chain().height(), 2u);
+  EXPECT_EQ(probe.last_delivered_seq(), 3u);
+
+  // Commit latency: one sample per txn submitted here, measured from its
+  // first submission (txn 1 was re-submitted at 100, committed at 3000).
+  const obs::Histogram* latency =
+      metrics.FindHistogram("consensus.commit_latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 3u);
+  EXPECT_EQ(latency->sum(), 1000u + 1000u + 3000u);
+  EXPECT_EQ(latency->max(), 3000u);
+
+  // Block mode: the timer cut measures from a returned txn's re-pool
+  // time, not its first submission.
+  World bw(57);
+  cfg.block.enabled = true;
+  cfg.block.max_txns = 100;
+  cfg.block.max_delay_us = 5000;
+  ReplicaProbe sealer(0, &bw.net, cfg,
+                      bw.registry.RegisterDeterministic(0, 1), &bw.registry);
+  sealer.SubmitTransaction(txn(1));
+  AdvanceTo(&bw, 4999);
+  EXPECT_TRUE(sealer.TakeBatch().empty());  // waited 4999 < 5000
+  AdvanceTo(&bw, 5000);
+  Batch ref = sealer.TakeBatch();
+  ASSERT_TRUE(ref.block_ref);
+  EXPECT_EQ(ref.size(), 1u);
+  EXPECT_EQ(sealer.pool_size(), 0u);
+
+  AdvanceTo(&bw, 6000);
+  sealer.ReturnToPool(ref);  // resolves through the block store
+  EXPECT_EQ(sealer.pool_size(), 1u);
+  AdvanceTo(&bw, 10999);
+  EXPECT_TRUE(sealer.TakeBatch().empty());  // 4999 since the re-pool
+  AdvanceTo(&bw, 11000);
+  Batch again = sealer.TakeBatch();
+  ASSERT_TRUE(again.block_ref);
+
+  // A ref delivers its stored body only: a fabricated txn attached to the
+  // ref (same digest) never reaches the chain.
+  sealer.DeliverCommitted(1, ReplicaProbe::Forked(again, 99));
+  EXPECT_EQ(sealer.committed_txns(), 1u);
+  ASSERT_EQ(sealer.chain().height(), 1u);
+  EXPECT_EQ(sealer.chain().blocks().back().txns.size(), 1u);
+  EXPECT_EQ(sealer.chain().blocks().back().txns.front().id, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -237,11 +237,7 @@ TEST(ObsMacrosTest, NullRegistryAndTraceAreSafe) {
   PBC_OBS_TRACE(trace, 0, TraceKind::kSend, 0, 1, "m", 0);
   MetricsRegistry real;
   PBC_OBS_COUNT(&real, "x", 5);
-#if PBC_OBS_ENABLED
   EXPECT_EQ(real.CounterValue("x"), 5u);
-#else
-  EXPECT_EQ(real.CounterValue("x"), 0u);
-#endif
 }
 
 // --- End-to-end determinism through the simulator --------------------------
@@ -286,19 +282,15 @@ TEST(ObsDeterminismTest, SameSeedSameMetricsAndTrace) {
   auto r2 = RunInstrumented(1234);
   EXPECT_EQ(r1.first, r2.first);
   EXPECT_EQ(r1.second, r2.second);
-#if PBC_OBS_ENABLED
   EXPECT_FALSE(r1.first.empty());
-#endif
 }
 
-#if PBC_OBS_ENABLED
 TEST(ObsDeterminismTest, DifferentSeedDiverges) {
   auto r1 = RunInstrumented(1);
   auto r2 = RunInstrumented(2);
   // Jitter + drops depend on the seed, so the dumps should differ.
   EXPECT_NE(r1.first + r1.second, r2.first + r2.second);
 }
-#endif
 
 TEST(ObsNetworkTest, TraceTimestampsNonDecreasing) {
   sim::Simulator simulator(7);
@@ -310,7 +302,6 @@ TEST(ObsNetworkTest, TraceTimestampsNonDecreasing) {
   net.Start();
   for (int i = 0; i < 20; ++i) net.Send(0, 1, std::make_shared<ObsPingMsg>());
   simulator.RunAll();
-#if PBC_OBS_ENABLED
   auto events = trace.Snapshot();
   ASSERT_FALSE(events.empty());
   for (size_t i = 1; i < events.size(); ++i) {
@@ -324,7 +315,6 @@ TEST(ObsNetworkTest, TraceTimestampsNonDecreasing) {
   }
   EXPECT_EQ(sends, 20u);
   EXPECT_EQ(delivers, 20u);
-#endif
 }
 
 TEST(ObsNetworkTest, PerTypeAndPerLinkCounters) {
@@ -336,12 +326,10 @@ TEST(ObsNetworkTest, PerTypeAndPerLinkCounters) {
   net.Start();
   for (int i = 0; i < 5; ++i) net.Send(0, 1, std::make_shared<ObsPingMsg>());
   simulator.RunAll();
-#if PBC_OBS_ENABLED
   EXPECT_EQ(metrics.CounterValue("net.sent"), 5u);
   EXPECT_EQ(metrics.CounterValue("net.sent.obs-ping"), 5u);
   EXPECT_EQ(metrics.CounterValue("net.link.0->1.sent"), 5u);
   EXPECT_EQ(metrics.CounterValue("net.delivered"), 5u);
-#endif
 }
 
 }  // namespace

@@ -269,12 +269,10 @@ TEST(NetworkTest, IdenticalSeedsProduceIdenticalTraceAndMetricsBytes) {
   };
   std::string first = run(7);
   EXPECT_EQ(first, run(7));
-#ifdef PBC_OBS_ENABLED
-  // With instrumentation compiled in, the bytes must actually depend on
-  // the seed (an empty-vs-empty comparison would prove nothing).
+  // The bytes must actually depend on the seed (an empty-vs-empty
+  // comparison would prove nothing).
   EXPECT_NE(first, run(8));
   EXPECT_NE(first.find("deliver"), std::string::npos);
-#endif
 }
 
 TEST(NetworkTest, DeterministicAcrossRuns) {

@@ -34,22 +34,14 @@ txn::Transaction WriteTxn(txn::TxnId id, const std::string& key,
   return t;
 }
 
-void AppendBlock(ledger::Chain* chain, std::vector<txn::Transaction> txns) {
-  ASSERT_TRUE(chain
-                  ->Append(ledger::Block::Make(chain->height(),
-                                               chain->TipHash(),
-                                               std::move(txns)))
-                  .ok());
-}
-
 // One block whose state depends on intra-block commit order: it writes
 // the same key twice, so replaying its transactions out of order yields
 // different bytes.
 void AppendOrderSensitiveBlock(ledger::Chain* chain) {
   uint64_t h = chain->height();
   std::string key = "k" + std::to_string(h % 3);
-  AppendBlock(chain, {WriteTxn(2 * h + 1, key, "a" + std::to_string(h)),
-                      WriteTxn(2 * h + 2, key, "b" + std::to_string(h))});
+  chain->Append({WriteTxn(2 * h + 1, key, "a" + std::to_string(h)),
+                 WriteTxn(2 * h + 2, key, "b" + std::to_string(h))});
 }
 
 void BuildOrderSensitiveChain(ledger::Chain* chain, uint64_t blocks) {
@@ -605,7 +597,7 @@ TEST(DurableLedgerTest, DeltaSnapshotsByteEqualTheFullEncoding) {
           }
           txns.push_back(std::move(t));
         }
-        AppendBlock(&chain, std::move(txns));
+        chain.Append(std::move(txns));
         for (const txn::Transaction& t : chain.at(chain.height() - 1).txns) {
           txn::ExecResult r = txn::Execute(t, txn::LatestReader(&oracle));
           if (!r.writes.empty()) oracle.ApplyBatch(r.writes, next_version++);
@@ -849,7 +841,7 @@ TEST(DurableCheckerTest, OverclaimedDurabilityTripsSyncedCommitBelief) {
 TEST(DurableCheckerTest, LostFlushGatesTheBeliefCheck) {
   CheckerRig rig(1);
   rig.fs.SetLoseFlushes("n0/", true);
-  AppendBlock(&rig.chain, {WriteTxn(50, "k0", "late")});
+  rig.chain.Append({WriteTxn(50, "k0", "late")});
   rig.ledger.Persist(rig.chain);  // believes 2; platter still holds 1
   ASSERT_EQ(rig.ledger.durable_height(), 2u);
   ASSERT_GE(rig.fs.fsyncs_dropped("n0/"), 1u);
