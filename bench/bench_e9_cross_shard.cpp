@@ -31,20 +31,26 @@ constexpr uint32_t kShards = 4;
 constexpr int kTxns = 80;
 constexpr sim::Time kDeadline = 900'000'000;
 
-// WAN flavor for Saguaro/AHL comparison: links to the root/committee
-// clusters are slow, fog-level links fast. We model it with a higher
-// default latency for node ids of the committee/root cluster.
-template <typename System>
-void SetupWan(SimWorld* w, System* sys, bool root_is_far,
-              sim::NodeId far_base, size_t far_count) {
-  if (!root_is_far) return;
-  for (sim::NodeId far = far_base; far < far_base + far_count; ++far) {
-    for (sim::NodeId other = 0; other < far_base; ++other) {
-      // SetLinkLatency installs both directions (WAN RTTs are symmetric).
-      w->net.SetLinkLatency(far, other, {5000, 500});
+// WAN flavor for Saguaro/AHL comparison: links between coordinator 0 (the
+// AHL committee, or Saguaro's cloud root) and the shards are slow; fog
+// coordinators stay local.
+void SetupWan(SimWorld* w, shard::TwoPhaseShardSystem* sys) {
+  auto nodes = [](shard::ShardCluster* c) {
+    std::vector<sim::NodeId> ids;
+    for (size_t i = 0; i < c->consensus()->size(); ++i) {
+      ids.push_back(c->consensus()->replica(i)->id());
+    }
+    ids.push_back(c->gateway_id());
+    return ids;
+  };
+  for (sim::NodeId far : nodes(sys->coordinator(0))) {
+    for (uint32_t s = 0; s < sys->num_shards(); ++s) {
+      for (sim::NodeId other : nodes(sys->shard(s))) {
+        // SetLinkLatency installs both directions (WAN RTTs are symmetric).
+        w->net.SetLinkLatency(far, other, {5000, 500});
+      }
     }
   }
-  (void)sys;
 }
 
 constexpr int kCrossPercents[] = {0, 10, 30, 50, 100};
@@ -123,7 +129,7 @@ void BM_AHL(benchmark::State& state) {
     auto sys = std::make_unique<shard::TwoPhaseShardSystem>(
         &w->net, &w->registry, shard::TwoPhaseConfig::Ahl(kShards));
     // The reference committee sits "elsewhere": slow links to it.
-    SetupWan(w, sys.get(), true, /*far_base=*/kShards * 5, /*far_count=*/5);
+    SetupWan(w, sys.get());
     return sys;
   });
 }
@@ -140,7 +146,7 @@ void BM_Saguaro(benchmark::State& state) {
     auto sys = std::make_unique<shard::TwoPhaseShardSystem>(
         &w->net, &w->registry, shard::TwoPhaseConfig::Saguaro(kShards, 2));
     // Only the cloud ROOT (coordinator 0) is far; fog coordinators local.
-    SetupWan(w, sys.get(), true, /*far_base=*/kShards * 5, /*far_count=*/5);
+    SetupWan(w, sys.get());
     return sys;
   });
 }

@@ -361,8 +361,8 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
 // --- Sharded-system runs ---------------------------------------------------
 
 /// One harness body serves both shard systems: they share the
-/// Submit/listener/TotalBalance surface, and AHL adds one coordinator
-/// cluster after its shards.
+/// `shard::ShardedSystem` surface, and AHL's committee is one more of its
+/// `clusters()`.
 template <typename System>
 RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
                    const NemesisSchedule* explicit_schedule) {
@@ -389,26 +389,20 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
     tp.cluster = cc;
     sut = std::make_unique<System>(&w.net, &w.registry, tp);
   }
-  std::vector<shard::ShardCluster*> clusters;
-  for (uint32_t s = 0; s < shards; ++s) clusters.push_back(sut->shard(s));
-  if constexpr (std::is_same_v<System, shard::TwoPhaseShardSystem>) {
-    clusters.push_back(sut->coordinator(0));
-  }
+  const std::vector<shard::ShardCluster*> clusters = sut->clusters();
 
   NemesisTopology topo;
-  for (size_t c = 0; c < clusters.size(); ++c) {
+  for (shard::ShardCluster* sc : clusters) {
     NemesisTopology::Group group;
-    sim::NodeId base = static_cast<sim::NodeId>(c * (rps + 1));
-    for (size_t i = 0; i < rps; ++i) {
-      group.nodes.push_back(base + static_cast<sim::NodeId>(i));
-      topo.all_nodes.push_back(base + static_cast<sim::NodeId>(i));
+    for (size_t i = 0; i < sc->consensus()->size(); ++i) {
+      group.nodes.push_back(sc->consensus()->replica(i)->id());
+      topo.all_nodes.push_back(sc->consensus()->replica(i)->id());
     }
     group.max_faulty =
         rps >= 4 ? static_cast<uint32_t>((rps - 1) / 3) : 0;
     topo.groups.push_back(std::move(group));
-    sim::NodeId gateway = base + static_cast<sim::NodeId>(rps);
-    topo.all_nodes.push_back(gateway);
-    topo.never_crash.push_back(gateway);
+    topo.all_nodes.push_back(sc->gateway_id());
+    topo.never_crash.push_back(sc->gateway_id());
   }
   topo.partition_whole_network = false;  // see NemesisTopology docs
   topo.supports_byzantine = false;
@@ -446,7 +440,7 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   };
   suite.Add(std::make_unique<ChainLinkageChecker>(all_chains));
   // Valid ids: client transactions plus the clusters' marker-id space
-  // (ShardCluster::NextMarkerId sets bits >= 40).
+  // (ShardCluster::Marker sets bits >= 40).
   suite.Add(std::make_unique<CommitValidityChecker>(
       all_chains, [max_id = cfg.txns](txn::TxnId id) {
         return (id >= 1 && id <= max_id) || id >= (txn::TxnId{1} << 40);

@@ -1,8 +1,19 @@
 #include "shard/common.h"
 
+#include <algorithm>
+
+#include "obs/metrics.h"
 #include "obs/obs.h"
 
 namespace pbc::shard {
+
+void ExportShardStats(const ShardStats& stats, obs::MetricsRegistry* m) {
+  if (m == nullptr) return;
+  m->GetCounter("shard.intra_committed")->Add(stats.intra_committed);
+  m->GetCounter("shard.intra_aborted")->Add(stats.intra_aborted);
+  m->GetCounter("shard.cross_committed")->Add(stats.cross_committed);
+  m->GetCounter("shard.cross_aborted")->Add(stats.cross_aborted);
+}
 
 ShardId KeyToShard(const store::Key& key, uint32_t num_shards) {
   if (num_shards == 0) return 0;
@@ -80,16 +91,26 @@ bool LocalPreconditionsHold(const txn::Transaction& local,
   return true;
 }
 
+/// The gateway node: hands every protocol message to its owner's handler.
+class ShardCluster::Gateway : public sim::Node {
+ public:
+  using sim::Node::Node;
+  void OnMessage(sim::NodeId, const sim::MessagePtr& msg) override {
+    if (handler) handler(msg);
+  }
+  Handler handler;
+};
+
 ShardCluster::ShardCluster(ShardId id, sim::Network* net,
                            crypto::KeyRegistry* registry,
                            size_t replicas_per_shard,
                            sim::NodeId base_node_id,
                            consensus::ClusterConfig config)
-    : id_(id),
-      gateway_id_(base_node_id + static_cast<sim::NodeId>(replicas_per_shard)),
-      net_(net) {
+    : id_(id), net_(net) {
   cluster_ = std::make_unique<consensus::Cluster<consensus::PbftReplica>>(
       net, registry, replicas_per_shard, config, base_node_id);
+  gateway_ = std::make_unique<Gateway>(
+      base_node_id + static_cast<sim::NodeId>(replicas_per_shard), net);
   // The gateway observes every replica's commit stream and deduplicates:
   // with up to f crashed replicas, the first surviving replica to commit
   // still drives the cross-shard protocol forward.
@@ -99,6 +120,21 @@ ShardCluster::ShardCluster(ShardId id, sim::Network* net,
           OnClusterCommit(batch);
         });
   }
+}
+
+ShardCluster::~ShardCluster() = default;
+
+sim::NodeId ShardCluster::gateway_id() const { return gateway_->id(); }
+
+void ShardCluster::set_handler(Handler handler) {
+  gateway_->handler = std::move(handler);
+}
+
+txn::Transaction ShardCluster::Marker(const std::string& key) {
+  txn::Transaction m;
+  m.id = (static_cast<txn::TxnId>(id_ + 1) << 40) | next_marker_++;
+  m.ops.push_back(txn::Op::Write(key, ""));
+  return m;
 }
 
 void ShardCluster::OrderAndThen(
@@ -114,7 +150,6 @@ void ShardCluster::OrderAndThen(
 void ShardCluster::OnClusterCommit(const consensus::Batch& batch) {
   for (const auto& t : batch.txns) {
     if (!seen_.insert(t.id).second) continue;  // another replica was first
-    ++ordered_;
     auto it = pending_.find(t.id);
     if (it != pending_.end()) {
       auto fn = std::move(it->second);
@@ -129,6 +164,119 @@ void ShardCluster::Apply(const txn::Transaction& txn) {
   if (!r.writes.empty()) {
     store_.ApplyBatch(r.writes, store_.last_committed() + 1);
   }
+}
+
+ShardedSystem::ShardedSystem(sim::Network* net,
+                             crypto::KeyRegistry* registry,
+                             uint32_t num_shards, uint32_t num_coordinators,
+                             size_t replicas_per_shard,
+                             consensus::ClusterConfig cluster_config,
+                             sim::NodeId base_node_id)
+    : net_(net), num_shards_(num_shards), prepared_(num_shards) {
+  sim::NodeId next = base_node_id;
+  for (uint32_t c = 0; c < num_shards + num_coordinators; ++c) {
+    ShardId id = c < num_shards ? c : 1000 + (c - num_shards);
+    clusters_.push_back(std::make_unique<ShardCluster>(
+        id, net, registry, replicas_per_shard, next, cluster_config));
+    next += static_cast<sim::NodeId>(replicas_per_shard + 1);
+  }
+  for (ShardId s = 0; s < num_shards; ++s) {
+    shard(s)->set_handler(
+        [this, s](const sim::MessagePtr& msg) { OnShardMessage(s, msg); });
+  }
+}
+
+ShardedSystem::~ShardedSystem() = default;
+
+std::vector<ShardCluster*> ShardedSystem::clusters() const {
+  std::vector<ShardCluster*> out;
+  for (const auto& c : clusters_) out.push_back(c.get());
+  return out;
+}
+
+void ShardedSystem::Submit(txn::Transaction txn) {
+  auto involved = ShardsOf(txn, num_shards_);
+  if (involved.size() > 1) {
+    SubmitCross(std::move(txn), std::move(involved));
+    return;
+  }
+  ShardCluster* sc = shard(involved[0]);
+  sc->OrderAndThen(std::move(txn), [this, sc](const txn::Transaction& t) {
+    // The intra-shard rule (file comment of common.h).
+    auto locked = [sc](const std::vector<store::Key>& keys) {
+      return std::any_of(keys.begin(), keys.end(), [sc](const auto& k) {
+        return sc->locks()->IsLocked(k);
+      });
+    };
+    bool ok = !locked(t.DeclaredWrites()) && !locked(t.DeclaredReads()) &&
+              LocalPreconditionsHold(t, *sc->store());
+    if (ok) {
+      sc->Apply(t);
+      ++stats_.intra_committed;
+    } else {
+      ++stats_.intra_aborted;
+    }
+    if (listener_) listener_(t.id, ok);
+  });
+}
+
+bool ShardedSystem::Prepare(ShardId s, const txn::Transaction& txn) {
+  store::LockTable* locks = shard(s)->locks();
+  txn::Transaction local = ProjectToShard(txn, s, num_shards_);
+  bool ok = true;
+  for (const auto& k : local.DeclaredWrites()) {
+    ok = ok && locks->LockExclusive(k, txn.id).ok();
+  }
+  for (const auto& k : local.DeclaredReads()) {
+    ok = ok && locks->LockShared(k, txn.id).ok();
+  }
+  ok = ok && LocalPreconditionsHold(local, *shard(s)->store());
+  if (!ok) locks->UnlockAll(txn.id);
+  prepared_[s][txn.id] = txn;
+  return ok;
+}
+
+void ShardedSystem::Decide(ShardId s, txn::TxnId id, bool commit) {
+  ShardCluster* sc = shard(s);
+  auto it = prepared_[s].find(id);
+  if (it != prepared_[s].end()) {
+    if (commit) sc->Apply(ProjectToShard(it->second, s, num_shards_));
+    prepared_[s].erase(it);
+  }
+  sc->locks()->UnlockAll(id);
+  if (shard_outcome_listener_) shard_outcome_listener_(s, id, commit);
+}
+
+const txn::Transaction* ShardedSystem::Prepared(ShardId s,
+                                                txn::TxnId id) const {
+  auto it = prepared_[s].find(id);
+  return it == prepared_[s].end() ? nullptr : &it->second;
+}
+
+size_t ShardedSystem::prepared_count() const {
+  size_t n = 0;
+  for (const auto& p : prepared_) n += p.size();
+  return n;
+}
+
+void ShardedSystem::FinishCross(txn::TxnId id, bool commit) {
+  if (commit) {
+    ++stats_.cross_committed;
+  } else {
+    ++stats_.cross_aborted;
+  }
+  if (listener_) listener_(id, commit);
+}
+
+int64_t ShardedSystem::TotalBalance() const {
+  int64_t total = 0;
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    clusters_[s]->store()->ForEachLatest(
+        [&](const store::Key&, const store::VersionedValue& v) {
+          total += txn::DecodeInt(v.value);
+        });
+  }
+  return total;
 }
 
 }  // namespace pbc::shard

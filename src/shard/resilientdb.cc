@@ -17,26 +17,6 @@ struct RdbShareMsg : sim::Typed<RdbShareMsg> {
 
 }  // namespace
 
-class RdbGateway : public sim::Node {
- public:
-  RdbGateway(sim::NodeId id, sim::Network* net, ResilientDbSystem* system,
-             uint32_t cluster)
-      : sim::Node(id, net), system_(system), cluster_(cluster) {}
-
-  void OnMessage(sim::NodeId, const sim::MessagePtr& msg) override {
-    if (const auto* m = sim::As<RdbShareMsg>(*msg)) {
-      ResilientDbSystem::Slot slot;
-      slot.noop = m->noop;
-      slot.txn = m->txn;
-      system_->OnShare(cluster_, m->cluster, m->index, slot);
-    }
-  }
-
- private:
-  ResilientDbSystem* system_;
-  uint32_t cluster_;
-};
-
 ResilientDbSystem::ResilientDbSystem(sim::Network* net,
                                      crypto::KeyRegistry* registry,
                                      uint32_t num_clusters,
@@ -51,17 +31,15 @@ ResilientDbSystem::ResilientDbSystem(sim::Network* net,
   for (uint32_t c = 0; c < num_clusters; ++c) {
     clusters_.push_back(std::make_unique<ShardCluster>(
         c, net, registry, replicas_per_cluster, next, cluster_config));
-    gateways_.push_back(std::make_unique<RdbGateway>(
-        clusters_.back()->gateway_id(), net, this, c));
+    clusters_.back()->set_handler([this, c](const sim::MessagePtr& msg) {
+      if (const auto* m = sim::As<RdbShareMsg>(*msg)) {
+        OnShare(c, m->cluster, m->index, Slot{m->noop, m->txn});
+      }
+    });
     next += static_cast<sim::NodeId>(replicas_per_cluster + 1);
   }
-  for (auto& m : merge_) {
-    m.slots.resize(num_clusters);
-    m.next_index.assign(num_clusters, 0);
-  }
+  for (auto& m : merge_) m.slots.resize(num_clusters);
 }
-
-ResilientDbSystem::~ResilientDbSystem() = default;
 
 void ResilientDbSystem::Submit(uint32_t home, txn::Transaction txn) {
   ShardCluster* cluster = clusters_[home].get();
@@ -126,9 +104,7 @@ void ResilientDbSystem::MaybePublishNoop(uint32_t cluster) {
   while (local_published_[cluster] + noops_in_flight_[cluster] < max_seen) {
     ++noops_in_flight_[cluster];
     ShardCluster* cl = clusters_[cluster].get();
-    txn::Transaction noop;
-    noop.id = cl->NextMarkerId();
-    noop.ops.push_back(txn::Op::Write("rdb/noop", ""));
+    txn::Transaction noop = cl->Marker("rdb/noop");
     cl->OrderAndThen(noop, [this, cluster](const txn::Transaction&) {
       --noops_in_flight_[cluster];
       uint64_t index = local_published_[cluster]++;

@@ -22,11 +22,9 @@
 #include <optional>
 #include <vector>
 
-#include "shard/two_phase.h"  // TxnListener
+#include "shard/common.h"
 
 namespace pbc::shard {
-
-class RdbGateway;
 
 /// \brief The single-ledger clustered blockchain.
 class ResilientDbSystem {
@@ -35,7 +33,8 @@ class ResilientDbSystem {
                     uint32_t num_clusters, size_t replicas_per_cluster = 4,
                     consensus::ClusterConfig cluster_config = {},
                     sim::NodeId base_node_id = 0);
-  ~ResilientDbSystem();
+  ResilientDbSystem(const ResilientDbSystem&) = delete;
+  ResilientDbSystem& operator=(const ResilientDbSystem&) = delete;
 
   /// Submits a transaction to its home cluster (e.g. the client's region).
   void Submit(uint32_t home_cluster, txn::Transaction txn);
@@ -44,7 +43,6 @@ class ResilientDbSystem {
   uint32_t num_clusters() const {
     return static_cast<uint32_t>(clusters_.size());
   }
-  ShardCluster* cluster(uint32_t i) { return clusters_[i].get(); }
 
   /// The globally-merged state as executed by cluster `i`. All clusters
   /// converge to identical stores (asserted by tests).
@@ -53,8 +51,6 @@ class ResilientDbSystem {
   uint64_t executed() const { return executed_; }
 
  private:
-  friend class RdbGateway;
-
   struct Slot {
     bool noop = true;
     txn::Transaction txn;
@@ -70,12 +66,10 @@ class ResilientDbSystem {
 
   sim::Network* net_;
   std::vector<std::unique_ptr<ShardCluster>> clusters_;
-  std::vector<std::unique_ptr<RdbGateway>> gateways_;
 
   // Per merge-point: received slots per source cluster.
   struct MergeState {
     std::vector<std::map<uint64_t, Slot>> slots;  // [cluster][index]
-    std::vector<uint64_t> next_index;             // per cluster
     uint64_t round = 0;
   };
   std::vector<MergeState> merge_;

@@ -15,71 +15,36 @@
 #ifndef PBC_SHARD_SHARPER_H_
 #define PBC_SHARD_SHARPER_H_
 
-#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
-#include "shard/two_phase.h"  // TxnListener, ShardStats
+#include "shard/common.h"
 
 namespace pbc::shard {
 
-class SharperGateway;
-
 /// \brief The SharPer-style sharded blockchain.
-class SharperSystem {
+class SharperSystem : public ShardedSystem {
  public:
   SharperSystem(sim::Network* net, crypto::KeyRegistry* registry,
                 uint32_t num_shards, size_t replicas_per_shard = 4,
                 consensus::ClusterConfig cluster_config = {},
                 sim::NodeId base_node_id = 0);
-  ~SharperSystem();
-
-  void Submit(txn::Transaction txn);
-  void set_listener(TxnListener listener) { listener_ = std::move(listener); }
-
-  /// Observation hook for invariant checkers (src/check): fires on EVERY
-  /// involved cluster when it orders its local commit/abort of a
-  /// cross-shard transaction — unlike `set_listener`, which fires once per
-  /// transaction. Never affects protocol behavior.
-  void set_shard_outcome_listener(ShardOutcomeListener listener) {
-    shard_outcome_listener_ = std::move(listener);
-  }
-
-  ShardCluster* shard(uint32_t i) { return shards_[i].get(); }
-  uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
-  const ShardStats& stats() const { return stats_; }
-  int64_t TotalBalance() const;
 
  private:
-  friend class SharperGateway;
-
-  struct CrossState {
-    txn::Transaction txn;
-    std::vector<ShardId> involved;
-    std::map<ShardId, bool> acks;  ///< per-cluster accept/reject
-    bool prepared_locally = false;
-    bool local_ok = false;
-    bool done = false;
-  };
-
-  /// A cross-shard proposal arrived at shard `s` (from the initiator).
+  /// The initiator (lowest involved shard) fans the proposal out to every
+  /// involved shard, itself included.
+  void SubmitCross(txn::Transaction txn,
+                   std::vector<ShardId> involved) override;
+  void OnShardMessage(ShardId s, const sim::MessagePtr& msg) override;
+  /// A cross-shard proposal arrived at shard `s`.
   void OnPropose(ShardId s, const txn::Transaction& txn);
   /// Shard `from` accepted/rejected transaction `id`; delivered to `s`.
+  /// Once `s` has prepared and heard from every involved shard, it orders
+  /// its local commit/abort.
   void OnAck(ShardId s, txn::TxnId id, ShardId from, bool ok);
-  /// Checks whether shard `s` heard from every involved cluster and, if
-  /// so, orders the local commit/abort.
-  void MaybeFinish(ShardId s, txn::TxnId id);
 
-  sim::Network* net_;
-  uint32_t num_shards_;
-  std::vector<std::unique_ptr<ShardCluster>> shards_;
-  std::vector<std::unique_ptr<SharperGateway>> gateways_;
-  /// Per-shard cross-transaction state (keyed by (shard, txn id)).
-  std::vector<std::map<txn::TxnId, CrossState>> cross_;
-  ShardStats stats_;
-  TxnListener listener_;
-  ShardOutcomeListener shard_outcome_listener_;
+  /// Per shard: the accept/reject heard so far for each undecided txn.
+  std::vector<std::map<txn::TxnId, std::map<ShardId, bool>>> acks_;
 };
 
 }  // namespace pbc::shard

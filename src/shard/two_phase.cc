@@ -1,17 +1,8 @@
 #include "shard/two_phase.h"
 
-#include "obs/metrics.h"
 #include "obs/obs.h"
 
 namespace pbc::shard {
-
-void ExportShardStats(const ShardStats& stats, obs::MetricsRegistry* m) {
-  if (m == nullptr) return;
-  m->GetCounter("shard.intra_committed")->Add(stats.intra_committed);
-  m->GetCounter("shard.intra_aborted")->Add(stats.intra_aborted);
-  m->GetCounter("shard.cross_committed")->Add(stats.cross_committed);
-  m->GetCounter("shard.cross_aborted")->Add(stats.cross_aborted);
-}
 
 namespace {
 
@@ -35,42 +26,7 @@ struct CsDecideMsg : sim::Typed<CsDecideMsg> {
   static constexpr char kType[] = "2pc-decide";
 };
 
-txn::Transaction Marker(ShardCluster* cluster, const std::string& tag) {
-  txn::Transaction m;
-  m.id = cluster->NextMarkerId();
-  m.ops.push_back(txn::Op::Write("2pc/" + tag, ""));
-  return m;
-}
-
 }  // namespace
-
-/// Gateway node: receives cross-shard protocol messages and forwards them
-/// to the owning system with its role attached.
-class TwoPhaseGateway : public sim::Node {
- public:
-  enum class Role { kShard, kCoordinator };
-
-  TwoPhaseGateway(sim::NodeId id, sim::Network* net,
-                  TwoPhaseShardSystem* system, Role role, uint32_t index)
-      : sim::Node(id, net), system_(system), role_(role), index_(index) {}
-
-  void OnMessage(sim::NodeId, const sim::MessagePtr& msg) override {
-    if (role_ == Role::kShard) {
-      if (const auto* m = sim::As<CsPrepareMsg>(*msg)) {
-        system_->ShardOnPrepare(index_, m->txn, m->coordinator);
-      } else if (const auto* d = sim::As<CsDecideMsg>(*msg)) {
-        system_->ShardOnDecide(index_, d->id, d->commit);
-      }
-    } else if (const auto* v = sim::As<CsVoteMsg>(*msg)) {
-      system_->CoordinatorOnVote(index_, v->id, v->shard, v->ok);
-    }
-  }
-
- private:
-  TwoPhaseShardSystem* system_;
-  Role role_;
-  uint32_t index_;
-};
 
 TwoPhaseConfig TwoPhaseConfig::Ahl(uint32_t num_shards,
                                    size_t replicas_per_shard) {
@@ -102,30 +58,18 @@ TwoPhaseShardSystem::TwoPhaseShardSystem(sim::Network* net,
                                          crypto::KeyRegistry* registry,
                                          TwoPhaseConfig config,
                                          sim::NodeId base_node_id)
-    : config_(std::move(config)), net_(net) {
-  sim::NodeId next = base_node_id;
-  size_t stride = config_.replicas_per_shard + 1;
-  for (uint32_t s = 0; s < config_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<ShardCluster>(
-        s, net, registry, config_.replicas_per_shard, next,
-        config_.cluster));
-    gateways_.push_back(std::make_unique<TwoPhaseGateway>(
-        shards_.back()->gateway_id(), net, this,
-        TwoPhaseGateway::Role::kShard, s));
-    next += static_cast<sim::NodeId>(stride);
-  }
+    : ShardedSystem(net, registry, config.num_shards,
+                    static_cast<uint32_t>(config.coordinator_parent.size()),
+                    config.replicas_per_shard, config.cluster, base_node_id),
+      config_(std::move(config)) {
   for (uint32_t c = 0; c < config_.coordinator_parent.size(); ++c) {
-    coordinators_.push_back(std::make_unique<ShardCluster>(
-        1000 + c, net, registry, config_.replicas_per_shard, next,
-        config_.cluster));
-    gateways_.push_back(std::make_unique<TwoPhaseGateway>(
-        coordinators_.back()->gateway_id(), net, this,
-        TwoPhaseGateway::Role::kCoordinator, c));
-    next += static_cast<sim::NodeId>(stride);
+    coordinator(c)->set_handler([this, c](const sim::MessagePtr& msg) {
+      if (const auto* v = sim::As<CsVoteMsg>(*msg)) {
+        CoordinatorOnVote(c, v->id, v->shard, v->ok);
+      }
+    });
   }
 }
-
-TwoPhaseShardSystem::~TwoPhaseShardSystem() = default;
 
 uint32_t TwoPhaseShardSystem::LcaCoordinator(
     const std::vector<ShardId>& shards) const {
@@ -160,64 +104,33 @@ uint32_t TwoPhaseShardSystem::LcaCoordinator(
   return lca;
 }
 
-void TwoPhaseShardSystem::Submit(txn::Transaction txn) {
-  auto involved = ShardsOf(txn, config_.num_shards);
-  if (involved.size() == 1) {
-    ShardId s = involved[0];
-    ShardCluster* shard = shards_[s].get();
-    shard->OrderAndThen(txn, [this, s, shard](const txn::Transaction& t) {
-      // Respect coordinator-held locks (2PL): a conflicting intra-shard
-      // transaction aborts rather than slipping under a prepared txn.
-      for (const auto& k : t.DeclaredWrites()) {
-        if (shard->locks()->IsLocked(k)) {
-          ++stats_.intra_aborted;
-          Notify(t.id, false);
-          return;
-        }
-      }
-      for (const auto& k : t.DeclaredReads()) {
-        if (shard->locks()->IsLocked(k)) {
-          ++stats_.intra_aborted;
-          Notify(t.id, false);
-          return;
-        }
-      }
-      if (!LocalPreconditionsHold(t, *shard->store())) {
-        ++stats_.intra_aborted;
-        Notify(t.id, false);
-        return;
-      }
-      shard->Apply(t);
-      ++stats_.intra_committed;
-      Notify(t.id, true);
-    });
-    return;
+void TwoPhaseShardSystem::OnShardMessage(ShardId s,
+                                         const sim::MessagePtr& msg) {
+  if (const auto* m = sim::As<CsPrepareMsg>(*msg)) {
+    ShardOnPrepare(s, m->txn, m->coordinator);
+  } else if (const auto* d = sim::As<CsDecideMsg>(*msg)) {
+    ShardOnDecide(s, d->id, d->commit);
   }
-  CoordinatorBegin(LcaCoordinator(involved), std::move(txn));
 }
 
-void TwoPhaseShardSystem::CoordinatorBegin(uint32_t coord,
-                                           txn::Transaction txn) {
+void TwoPhaseShardSystem::SubmitCross(txn::Transaction txn,
+                                      std::vector<ShardId> involved) {
   PBC_OBS_COUNT(net_->metrics(), "shard.2pc.begin_rounds", 1);
-  CrossTxn state;
-  state.involved = ShardsOf(txn, config_.num_shards);
-  state.coordinator = coord;
-  state.txn = txn;
+  uint32_t coord = LcaCoordinator(involved);
   txn::TxnId id = txn.id;
-  cross_[id] = std::move(state);
+  cross_[id] = CrossTxn{std::move(txn), std::move(involved), {}, false};
 
-  ShardCluster* cc = coordinators_[coord].get();
+  ShardCluster* cc = coordinator(coord);
   cc->OrderAndThen(
-      Marker(cc, "begin/" + std::to_string(id)),
+      cc->Marker("2pc/begin/" + std::to_string(id)),
       [this, coord, id](const txn::Transaction&) {
         auto it = cross_.find(id);
         if (it == cross_.end()) return;
-        ShardCluster* cc = coordinators_[coord].get();
         for (ShardId s : it->second.involved) {
           auto msg = std::make_shared<CsPrepareMsg>();
           msg->txn = it->second.txn;
           msg->coordinator = coord;
-          net_->Send(cc->gateway_id(), shards_[s]->gateway_id(),
+          net_->Send(coordinator(coord)->gateway_id(), shard(s)->gateway_id(),
                      std::move(msg));
         }
       });
@@ -227,35 +140,17 @@ void TwoPhaseShardSystem::ShardOnPrepare(ShardId s,
                                          const txn::Transaction& txn,
                                          uint32_t coord) {
   PBC_OBS_COUNT(net_->metrics(), "shard.2pc.prepare_rounds", 1);
-  shard_pending_[txn.id] = txn;
-  ShardCluster* shard = shards_[s].get();
-  txn::TxnId id = txn.id;
-  shard->OrderAndThen(
-      Marker(shard, "prep/" + std::to_string(id) + "/" + std::to_string(s)),
-      [this, s, id, coord](const txn::Transaction&) {
-        ShardCluster* shard = shards_[s].get();
-        auto pit = shard_pending_.find(id);
-        if (pit == shard_pending_.end()) return;
-        txn::Transaction local =
-            ProjectToShard(pit->second, s, config_.num_shards);
-        bool ok = true;
-        for (const auto& k : local.DeclaredWrites()) {
-          if (!shard->locks()->LockExclusive(k, id).ok()) ok = false;
-        }
-        if (ok) {
-          for (const auto& k : local.DeclaredReads()) {
-            if (!shard->locks()->LockShared(k, id).ok()) ok = false;
-          }
-        }
-        if (ok) ok = LocalPreconditionsHold(local, *shard->store());
-        if (!ok) shard->locks()->UnlockAll(id);
-
+  ShardCluster* sc = shard(s);
+  sc->OrderAndThen(
+      sc->Marker("2pc/prep/" + std::to_string(txn.id) + "/" +
+                 std::to_string(s)),
+      [this, s, txn, coord](const txn::Transaction&) {
         auto vote = std::make_shared<CsVoteMsg>();
-        vote->id = id;
+        vote->id = txn.id;
         vote->shard = s;
-        vote->ok = ok;
-        net_->Send(shard->gateway_id(),
-                   coordinators_[coord]->gateway_id(), std::move(vote));
+        vote->ok = Prepare(s, txn);
+        net_->Send(shard(s)->gateway_id(), coordinator(coord)->gateway_id(),
+                   std::move(vote));
       });
 }
 
@@ -272,62 +167,32 @@ void TwoPhaseShardSystem::CoordinatorOnVote(uint32_t coord, txn::TxnId id,
   state.decided = true;
   PBC_OBS_COUNT(net_->metrics(), "shard.2pc.decide_rounds", 1);
 
-  ShardCluster* cc = coordinators_[coord].get();
+  ShardCluster* cc = coordinator(coord);
   cc->OrderAndThen(
-      Marker(cc, "decide/" + std::to_string(id)),
+      cc->Marker("2pc/decide/" + std::to_string(id)),
       [this, coord, id, commit](const txn::Transaction&) {
         auto it = cross_.find(id);
         if (it == cross_.end()) return;
-        ShardCluster* cc = coordinators_[coord].get();
         for (ShardId s : it->second.involved) {
           auto msg = std::make_shared<CsDecideMsg>();
           msg->id = id;
           msg->commit = commit;
-          net_->Send(cc->gateway_id(), shards_[s]->gateway_id(),
+          net_->Send(coordinator(coord)->gateway_id(), shard(s)->gateway_id(),
                      std::move(msg));
         }
-        if (commit) {
-          ++stats_.cross_committed;
-        } else {
-          ++stats_.cross_aborted;
-        }
-        Notify(id, commit);
+        FinishCross(id, commit);
         cross_.erase(it);
       });
 }
 
 void TwoPhaseShardSystem::ShardOnDecide(ShardId s, txn::TxnId id,
                                         bool commit) {
-  ShardCluster* shard = shards_[s].get();
-  shard->OrderAndThen(
-      Marker(shard, "dec/" + std::to_string(id) + "/" + std::to_string(s)),
+  ShardCluster* sc = shard(s);
+  sc->OrderAndThen(
+      sc->Marker("2pc/dec/" + std::to_string(id) + "/" + std::to_string(s)),
       [this, s, id, commit](const txn::Transaction&) {
-        ShardCluster* shard = shards_[s].get();
-        auto pit = shard_pending_.find(id);
-        if (commit && pit != shard_pending_.end()) {
-          shard->Apply(ProjectToShard(pit->second, s, config_.num_shards));
-        }
-        shard->locks()->UnlockAll(id);
-        if (shard_outcome_listener_) shard_outcome_listener_(s, id, commit);
-        // The pending entry is shared across shards of this system object;
-        // erase only once every involved shard has decided. Simplest safe
-        // rule: leave it; ids are unique and memory is bounded by workload.
+        Decide(s, id, commit);
       });
-}
-
-void TwoPhaseShardSystem::Notify(txn::TxnId id, bool committed) {
-  if (listener_) listener_(id, committed);
-}
-
-int64_t TwoPhaseShardSystem::TotalBalance() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) {
-    shard->store()->ForEachLatest(
-        [&](const store::Key&, const store::VersionedValue& v) {
-          total += txn::DecodeInt(v.value);
-        });
-  }
-  return total;
 }
 
 }  // namespace pbc::shard

@@ -18,46 +18,12 @@
 #ifndef PBC_SHARD_TWO_PHASE_H_
 #define PBC_SHARD_TWO_PHASE_H_
 
-#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "shard/common.h"
 
-namespace pbc::obs {
-class MetricsRegistry;
-}  // namespace pbc::obs
-
 namespace pbc::shard {
-
-/// \brief Outcome callback: (transaction id, committed?).
-using TxnListener = std::function<void(txn::TxnId, bool)>;
-
-/// \brief Per-cluster outcome callback for cross-shard transactions:
-/// (shard, transaction id, committed?). Fires when THAT cluster orders its
-/// local commit/abort — the observation point for the cross-shard
-/// atomicity invariant (no cluster may commit while a sibling aborts).
-using ShardOutcomeListener = std::function<void(ShardId, txn::TxnId, bool)>;
-
-/// \brief Counters for the sharded systems.
-struct ShardStats {
-  uint64_t intra_committed = 0;
-  uint64_t intra_aborted = 0;  ///< blocked by a cross-shard lock
-  uint64_t cross_committed = 0;
-  uint64_t cross_aborted = 0;
-
-  uint64_t aborted() const { return intra_aborted + cross_aborted; }
-  uint64_t committed() const { return intra_committed + cross_committed; }
-  /// Aborted fraction of all finished transactions (0 when none finished).
-  double AbortRate() const {
-    uint64_t total = committed() + aborted();
-    return total == 0 ? 0.0 : static_cast<double>(aborted()) / total;
-  }
-};
-
-/// \brief Dumps `stats` into `m` as "shard.*" counters (no-op on nullptr).
-void ExportShardStats(const ShardStats& stats, obs::MetricsRegistry* m);
 
 /// \brief Configuration: shard clusters + coordinator tree.
 struct TwoPhaseConfig {
@@ -79,70 +45,38 @@ struct TwoPhaseConfig {
                                 size_t replicas_per_shard = 4);
 };
 
-class TwoPhaseGateway;
-
-/// \brief The coordinator-based sharded blockchain.
-class TwoPhaseShardSystem {
+/// \brief The coordinator-based sharded blockchain: a cross-shard
+/// transaction is 2PC through the responsible coordinator cluster.
+class TwoPhaseShardSystem : public ShardedSystem {
  public:
   TwoPhaseShardSystem(sim::Network* net, crypto::KeyRegistry* registry,
                       TwoPhaseConfig config, sim::NodeId base_node_id = 0);
-  ~TwoPhaseShardSystem();
-
-  /// Routes a transaction: single-shard → local consensus; multi-shard →
-  /// 2PC through the responsible coordinator cluster.
-  void Submit(txn::Transaction txn);
-
-  void set_listener(TxnListener listener) { listener_ = std::move(listener); }
-
-  /// Observation hook for invariant checkers (src/check); see
-  /// ShardOutcomeListener. Never affects protocol behavior.
-  void set_shard_outcome_listener(ShardOutcomeListener listener) {
-    shard_outcome_listener_ = std::move(listener);
-  }
-
-  ShardCluster* shard(uint32_t i) { return shards_[i].get(); }
-  ShardCluster* coordinator(uint32_t i) { return coordinators_[i].get(); }
-  uint32_t num_shards() const { return config_.num_shards; }
-  const ShardStats& stats() const { return stats_; }
 
   /// Lowest common ancestor of the coordinators of the given shards.
   uint32_t LcaCoordinator(const std::vector<ShardId>& shards) const;
 
-  /// Total money across all shards (conservation checks in tests).
-  int64_t TotalBalance() const;
-
  private:
-  friend class TwoPhaseGateway;
-
+  /// Coordinator-side state of one cross-shard transaction.
   struct CrossTxn {
     txn::Transaction txn;
     std::vector<ShardId> involved;
-    uint32_t coordinator = 0;
     std::map<ShardId, bool> votes;
     bool decided = false;
   };
 
-  // Coordinator-side steps (run on the coordinator's gateway).
-  void CoordinatorBegin(uint32_t coord, txn::Transaction txn);
+  /// The begin round: the LCA coordinator orders the begin, then sends
+  /// the prepare to every involved shard.
+  void SubmitCross(txn::Transaction txn,
+                   std::vector<ShardId> involved) override;
+  void OnShardMessage(ShardId s, const sim::MessagePtr& msg) override;
   void CoordinatorOnVote(uint32_t coord, txn::TxnId id, ShardId shard,
                          bool ok);
-  // Shard-side steps.
   void ShardOnPrepare(ShardId shard, const txn::Transaction& txn,
                       uint32_t coord);
   void ShardOnDecide(ShardId shard, txn::TxnId id, bool commit);
 
-  void Notify(txn::TxnId id, bool committed);
-
   TwoPhaseConfig config_;
-  sim::Network* net_;
-  std::vector<std::unique_ptr<ShardCluster>> shards_;
-  std::vector<std::unique_ptr<ShardCluster>> coordinators_;
-  std::vector<std::unique_ptr<TwoPhaseGateway>> gateways_;
   std::map<txn::TxnId, CrossTxn> cross_;  // coordinator-side state
-  std::map<txn::TxnId, txn::Transaction> shard_pending_;  // shard-side
-  ShardStats stats_;
-  TxnListener listener_;
-  ShardOutcomeListener shard_outcome_listener_;
 };
 
 }  // namespace pbc::shard

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "shard/resilientdb.h"
 #include "shard/sharper.h"
 #include "shard/two_phase.h"
@@ -92,11 +94,12 @@ struct Outcome {
   size_t count(txn::TxnId id) const { return results.count(id); }
 };
 
+// The caller keeps the outcome alive for as long as `sys` runs.
 template <typename System>
-Outcome* Listen(System* sys) {
-  auto* out = new Outcome();  // leaked in tests; fine
-  sys->set_listener([out](txn::TxnId id, bool ok) {
-    out->results[id] = ok;
+std::unique_ptr<Outcome> Listen(System* sys) {
+  auto out = std::make_unique<Outcome>();
+  sys->set_listener([o = out.get()](txn::TxnId id, bool ok) {
+    o->results[id] = ok;
   });
   return out;
 }
@@ -104,7 +107,7 @@ Outcome* Listen(System* sys) {
 TEST(AhlTest, IntraShardCommits) {
   World w(1);
   TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(2));
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/alice", 100));
   sys.Submit(Deposit(2, "s1/bob", 50));
@@ -121,7 +124,7 @@ TEST(AhlTest, IntraShardCommits) {
 TEST(AhlTest, CrossShardTransferCommitsAtomically) {
   World w(2);
   TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(2));
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/alice", 100));
   ASSERT_TRUE(w.sim.RunUntil([&] { return out->count(1) == 1; },
@@ -145,7 +148,7 @@ TEST(AhlTest, CrossShardTransferCommitsAtomically) {
 TEST(AhlTest, InsufficientFundsAbortsAcrossShards) {
   World w(3);
   TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(2));
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/alice", 10));
   ASSERT_TRUE(w.sim.RunUntil([&] { return out->count(1) == 1; },
@@ -164,39 +167,49 @@ TEST(AhlTest, InsufficientFundsAbortsAcrossShards) {
   EXPECT_EQ(sys.stats().cross_aborted, 1u);
 }
 
-TEST(AhlTest, ManyTransfersConserveMoney) {
-  World w(4);
-  TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(3));
-  auto* out = Listen(&sys);
-  w.net.Start();
+// Deposits 100 into three accounts on each of three shards, then runs 12
+// random transfers: money is conserved, and once the run drains no shard
+// still holds a prepared cross-shard transaction.
+template <typename System>
+void ExpectManyTransfersConserveMoney(System* sys, World* w) {
+  auto out = Listen(sys);
+  w->net.Start();
   txn::TxnId id = 1;
   for (int s = 0; s < 3; ++s) {
     for (int a = 0; a < 3; ++a) {
-      sys.Submit(Deposit(id++, "s" + std::to_string(s) + "/acct" +
-                                   std::to_string(a),
-                         100));
+      sys->Submit(Deposit(id++, "s" + std::to_string(s) + "/acct" +
+                                    std::to_string(a),
+                          100));
     }
   }
-  ASSERT_TRUE(w.sim.RunUntil([&] { return out->results.size() == 9; },
-                             kMaxSimTime));
+  ASSERT_TRUE(w->sim.RunUntil([&] { return out->results.size() == 9; },
+                              kMaxSimTime));
   Rng rng(9);
   for (int i = 0; i < 12; ++i) {
     int src = rng.NextU64(3), dst = rng.NextU64(3);
-    sys.Submit(Transfer(
+    sys->Submit(Transfer(
         id++, "s" + std::to_string(src) + "/acct" + std::to_string(rng.NextU64(3)),
         "s" + std::to_string(dst) + "/acct" + std::to_string(rng.NextU64(3)),
         1 + rng.NextU64(30)));
   }
-  ASSERT_TRUE(w.sim.RunUntil([&] { return out->results.size() == 21; },
-                             kMaxSimTime));
-  w.sim.Run(w.sim.now() + 20'000'000);
-  EXPECT_EQ(sys.TotalBalance(), 900);
+  ASSERT_TRUE(w->sim.RunUntil([&] { return out->results.size() == 21; },
+                              kMaxSimTime));
+  w->sim.Run(w->sim.now() + 20'000'000);
+  EXPECT_EQ(sys->TotalBalance(), 900);
+  EXPECT_GT(sys->stats().cross_committed, 0u);
+  EXPECT_EQ(sys->prepared_count(), 0u);
+}
+
+TEST(AhlTest, ManyTransfersConserveMoney) {
+  World w(4);
+  TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(3));
+  ExpectManyTransfersConserveMoney(&sys, &w);
 }
 
 TEST(AhlTest, AllClustersRunRealConsensus) {
   World w(5);
   TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(2));
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/x", 5));
   sys.Submit(Transfer(2, "s0/x", "s1/y", 2));
@@ -230,7 +243,7 @@ TEST(SaguaroTest, CrossShardViaFogCommits) {
   World w(7);
   TwoPhaseShardSystem sys(&w.net, &w.registry,
                           TwoPhaseConfig::Saguaro(4, 2));
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/a", 100));
   ASSERT_TRUE(w.sim.RunUntil([&] { return out->count(1) == 1; },
@@ -254,7 +267,7 @@ TEST(SaguaroTest, CrossShardViaFogCommits) {
 TEST(SharperTest, IntraShardCommits) {
   World w(10);
   SharperSystem sys(&w.net, &w.registry, 2);
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/a", 100));
   ASSERT_TRUE(w.sim.RunUntil([&] { return out->count(1) == 1; },
@@ -266,7 +279,7 @@ TEST(SharperTest, IntraShardCommits) {
 TEST(SharperTest, FlattenedCrossShardCommits) {
   World w(11);
   SharperSystem sys(&w.net, &w.registry, 2);
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/a", 100));
   ASSERT_TRUE(w.sim.RunUntil([&] { return out->count(1) == 1; },
@@ -285,7 +298,7 @@ TEST(SharperTest, FlattenedCrossShardCommits) {
 TEST(SharperTest, InsufficientFundsAborts) {
   World w(12);
   SharperSystem sys(&w.net, &w.registry, 2);
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Transfer(1, "s0/ghost", "s1/b", 5));  // no funds at all
   ASSERT_TRUE(w.sim.RunUntil([&] { return out->count(1) == 1; },
@@ -303,7 +316,7 @@ TEST(SharperTest, FewerMessagesThanAhlPerCrossTxn) {
   uint64_t sharper_msgs = run([] {
     World w(13);
     SharperSystem sys(&w.net, &w.registry, 2);
-    auto* out = Listen(&sys);
+    auto out = Listen(&sys);
     w.net.Start();
     sys.Submit(Deposit(1, "s0/a", 100));
     w.sim.RunUntil([&] { return out->count(1) == 1; }, kMaxSimTime);
@@ -316,7 +329,7 @@ TEST(SharperTest, FewerMessagesThanAhlPerCrossTxn) {
   uint64_t ahl_msgs = run([] {
     World w(13);
     TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(2));
-    auto* out = Listen(&sys);
+    auto out = Listen(&sys);
     w.net.Start();
     sys.Submit(Deposit(1, "s0/a", 100));
     w.sim.RunUntil([&] { return out->count(1) == 1; }, kMaxSimTime);
@@ -331,10 +344,64 @@ TEST(SharperTest, FewerMessagesThanAhlPerCrossTxn) {
   EXPECT_LT(sharper_msgs, ahl_msgs);
 }
 
+TEST(SharperTest, ManyTransfersConserveMoney) {
+  World w(4);
+  SharperSystem sys(&w.net, &w.registry, 3);
+  ExpectManyTransfersConserveMoney(&sys, &w);
+}
+
+// The one intra-shard rule: a single-shard transaction aborts if a
+// prepared cross-shard transaction holds any key it declares, read or
+// write. Every workload here and in the benches uses only Increment ops,
+// which declare each key as both read and write, so a rule that checked
+// writes alone (SharPer's, before the systems shared one) agreed with it
+// on all of them; only a read-only transaction tells the two apart. A
+// blind write must abort too.
+template <typename System>
+void ExpectIntraShardTxnUnderPreparedLockAborts(System* sys, World* w) {
+  auto out = Listen(sys);
+  w->net.Start();
+  sys->Submit(Deposit(1, "s0/a", 100));
+  ASSERT_TRUE(w->sim.RunUntil([&] { return out->count(1) == 1; },
+                              kMaxSimTime));
+  sys->Submit(Transfer(2, "s0/a", "s1/b", 10));
+  ASSERT_TRUE(w->sim.RunUntil(
+      [&] { return sys->shard(0)->locks()->IsLocked("s0/a"); },
+      kMaxSimTime));
+  Transaction read;
+  read.id = 3;
+  read.ops.push_back(Op::Read("s0/a"));
+  sys->Submit(read);
+  Transaction blind_write;
+  blind_write.id = 4;
+  blind_write.ops.push_back(Op::Write("s0/a", txn::EncodeInt(7)));
+  sys->Submit(blind_write);
+  ASSERT_TRUE(w->sim.RunUntil([&] { return out->results.size() == 4; },
+                              kMaxSimTime));
+  EXPECT_FALSE(out->results[3]);
+  EXPECT_FALSE(out->results[4]);
+  EXPECT_TRUE(out->results[2]);
+  EXPECT_EQ(sys->stats().intra_aborted, 2u);
+  w->sim.Run(w->sim.now() + 10'000'000);
+  EXPECT_EQ(sys->TotalBalance(), 100);
+}
+
+TEST(AhlTest, IntraShardTxnUnderPreparedLockAborts) {
+  World w(15);
+  TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(2));
+  ExpectIntraShardTxnUnderPreparedLockAborts(&sys, &w);
+}
+
+TEST(SharperTest, IntraShardTxnUnderPreparedLockAborts) {
+  World w(15);
+  SharperSystem sys(&w.net, &w.registry, 2);
+  ExpectIntraShardTxnUnderPreparedLockAborts(&sys, &w);
+}
+
 TEST(SharperTest, ParallelNonOverlappingCrossTxns) {
   World w(14);
   SharperSystem sys(&w.net, &w.registry, 4);
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(Deposit(1, "s0/a", 100));
   sys.Submit(Deposit(2, "s2/c", 100));
@@ -356,7 +423,7 @@ TEST(SharperTest, ParallelNonOverlappingCrossTxns) {
 TEST(ResilientDbTest, AllClustersExecuteEverything) {
   World w(20);
   ResilientDbSystem sys(&w.net, &w.registry, 3);
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   sys.Submit(0, Deposit(1, "x", 10));
   sys.Submit(1, Deposit(2, "y", 20));
@@ -378,7 +445,7 @@ TEST(ResilientDbTest, AllClustersExecuteEverything) {
 TEST(ResilientDbTest, UnbalancedLoadStillConverges) {
   World w(21);
   ResilientDbSystem sys(&w.net, &w.registry, 3);
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   // All traffic goes to cluster 0; clusters 1 and 2 must emit no-ops.
   for (int i = 0; i < 8; ++i) {
@@ -394,7 +461,7 @@ TEST(ResilientDbTest, UnbalancedLoadStillConverges) {
 TEST(ResilientDbTest, DeterministicMergeOrderAcrossClusters) {
   World w(22);
   ResilientDbSystem sys(&w.net, &w.registry, 2);
-  auto* out = Listen(&sys);
+  auto out = Listen(&sys);
   w.net.Start();
   // Conflicting blind writes from both clusters; merge order decides, and
   // every cluster must agree on the winner.
