@@ -50,16 +50,16 @@ Batch Replica::TakeBatch() {
     sim::Time oldest = pool_.empty() ? 0 : pool_.front().arrival_us;
     if (!rules.CutDue(pool_.size(), oldest, network()->now())) return {};
 
-    ledger::Block body = block::BlockBuilder::Seal(
-        sealed_blocks_++, crypto::Hash256::Zero(),
-        TakeFromPool(rules.max_txns), network()->now());
+    auto body = std::make_shared<const ledger::Block>(
+        block::BlockBuilder::Seal(sealed_blocks_++, crypto::Hash256::Zero(),
+                                  TakeFromPool(rules.max_txns),
+                                  network()->now()));
 
     Batch ref;
     ref.block_ref = true;
-    ref.block_hash = body.header.Hash();
-    ref.ref_txn_count = static_cast<uint32_t>(body.txns.size());
+    ref.block_hash = blocks_.Put(body).value();  // a fresh seal verifies
+    ref.ref_txn_count = static_cast<uint32_t>(body->txns.size());
 
-    blocks_.Put(body);
     auto msg = std::make_shared<BlockBodyMsg>();
     msg->body = std::move(body);
     for (sim::NodeId peer : cfg_.replicas) {
@@ -76,8 +76,8 @@ Batch Replica::TakeBatch() {
 const std::vector<txn::Transaction>* Replica::BatchTxns(
     const Batch& batch) const {
   if (!batch.block_ref) return &batch.txns;
-  const ledger::Block* body = blocks_.Get(batch.block_hash);
-  return body == nullptr ? nullptr : &body->txns;
+  const ledger::VerifiedBlock* body = blocks_.Get(batch.block_hash);
+  return body == nullptr ? nullptr : &body->body().txns;
 }
 
 void Replica::ReturnToPool(const Batch& batch) {
@@ -103,10 +103,10 @@ void Replica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
   if (const auto* body = sim::As<BlockBodyMsg>(*msg)) {
     OnBlockBody(body->body);
   } else if (const auto* fetch = sim::As<BlockFetchMsg>(*msg)) {
-    const ledger::Block* stored = blocks_.Get(fetch->hash);
+    const ledger::VerifiedBlock* stored = blocks_.Get(fetch->hash);
     if (stored != nullptr) {
       auto reply = std::make_shared<BlockBodyMsg>();
-      reply->body = *stored;
+      reply->body = stored->shared();
       Send(from, reply);
     }
   } else {
@@ -153,14 +153,14 @@ ReplicaStatus Replica::RotatingStatus(uint64_t view) const {
   return status;
 }
 
-void Replica::OnBlockBody(const ledger::Block& body) {
-  crypto::Hash256 hash = body.header.Hash();
-  if (!blocks_.Put(body)) return;  // root mismatch: fabricated body
-  fetch_sent_us_.erase(hash);
+void Replica::OnBlockBody(const std::shared_ptr<const ledger::Block>& body) {
+  std::optional<crypto::Hash256> hash = blocks_.Put(body);
+  if (!hash) return;  // root mismatch: fabricated body
+  fetch_sent_us_.erase(*hash);
 
   // Re-dispatch protocol messages that were waiting for this body. They
   // go back through OnMessage, so every handler guard re-runs.
-  auto it = parked_.find(hash);
+  auto it = parked_.find(*hash);
   if (it != parked_.end()) {
     auto waiting = std::move(it->second);
     parked_.erase(it);
@@ -213,13 +213,16 @@ void Replica::DrainDeliveries() {
     auto it = out_of_order_.find(next_deliver_);
     if (it == out_of_order_.end()) break;
     Batch& b = it->second;
+    // The stored body, when the replay filter below keeps all of it: the
+    // chain block then takes its verified root instead of rebuilding it.
+    const ledger::VerifiedBlock* whole = nullptr;
     // Drop transactions that already committed at an earlier sequence:
     // with rotating proposers several leaders may batch the same client
     // transaction (clients submit to all replicas). Every replica filters
     // deterministically against the same committed records, so chains
     // stay identical. This mirrors Fabric's txid-based replay check.
     if (b.block_ref && !b.empty()) {
-      const ledger::Block* body = blocks_.Get(b.block_hash);
+      const ledger::VerifiedBlock* body = blocks_.Get(b.block_hash);
       if (body == nullptr) {
         // Ordered but not yet received: stall this and all later
         // sequences (delivery is in-order) until the fetch completes.
@@ -228,10 +231,12 @@ void Replica::DrainDeliveries() {
       }
       // The body alone is what the ref's digest names; any txns a
       // Byzantine proposer attached to the ref are discarded.
+      const std::vector<txn::Transaction>& body_txns = body->body().txns;
       b.txns.clear();
-      std::remove_copy_if(body->txns.begin(), body->txns.end(),
+      std::remove_copy_if(body_txns.begin(), body_txns.end(),
                           std::back_inserter(b.txns), committed);
       b.block_ref = false;
+      if (b.txns.size() == body_txns.size()) whole = body;
     } else {
       std::erase_if(b.txns, committed);
     }
@@ -251,7 +256,11 @@ void Replica::DrainDeliveries() {
       PBC_OBS_TRACE(network()->trace(), network()->now(),
                     obs::TraceKind::kCommit, id(), id(), "batch",
                     next_deliver_);
-      chain_.Append(b.txns);
+      if (whole != nullptr) {
+        chain_.Append(*whole);
+      } else {
+        chain_.Append(b.txns);
+      }
     }
     if (listener_) listener_(id(), next_deliver_, b);
     out_of_order_.erase(it);

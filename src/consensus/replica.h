@@ -7,6 +7,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -42,11 +43,12 @@ struct ReplicaStatus {
 };
 
 /// \brief Block body dissemination: sent by a proposer alongside its
-/// block-ref proposal, and by any replica answering a fetch.
+/// block-ref proposal, and by any replica answering a fetch. The body is
+/// the proposer's sealed object itself, shared, never copied.
 struct BlockBodyMsg : sim::Typed<BlockBodyMsg> {
-  ledger::Block body;
+  std::shared_ptr<const ledger::Block> body;
   static constexpr char kType[] = "block-body";
-  size_t ByteSize() const override { return 80 + body.txns.size() * 64; }
+  size_t ByteSize() const override { return 80 + body->txns.size() * 64; }
 };
 
 /// \brief Pull request for a block body this replica ordered but never
@@ -225,7 +227,7 @@ class Replica : public sim::Node {
   /// Delivers every consecutive ready sequence; stalls on a missing body.
   void DrainDeliveries();
   /// Body landed: unpark waiting protocol messages, retry delivery.
-  void OnBlockBody(const ledger::Block& body);
+  void OnBlockBody(const std::shared_ptr<const ledger::Block>& body);
   /// Broadcasts a fetch for `hash` with a deterministic retry timer.
   void RequestBody(const crypto::Hash256& hash);
   /// Pops up to `max` txns off the pool's front, marking them taken.

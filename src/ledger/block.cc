@@ -36,4 +36,10 @@ bool Block::VerifyTxnRoot() const {
   return tree.root() == header.txn_root;
 }
 
+std::optional<VerifiedBlock> VerifiedBlock::Verify(
+    std::shared_ptr<const Block> body) {
+  if (body == nullptr || !body->VerifyTxnRoot()) return std::nullopt;
+  return VerifiedBlock(std::move(body));
+}
+
 }  // namespace pbc::ledger

@@ -3,6 +3,9 @@
 #define PBC_LEDGER_BLOCK_H_
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "crypto/merkle.h"
@@ -38,6 +41,29 @@ struct Block {
 
   /// Digests of all transactions, in order.
   std::vector<crypto::Hash256> TxnDigests() const;
+};
+
+/// \brief A shared, immutable block body whose header's txn root has been
+/// checked against its txns.
+///
+/// `Verify` is the only way to get one, so holding one is the proof: code
+/// that takes a VerifiedBlock reuses `header.txn_root` instead of
+/// rebuilding the Merkle tree. Copies share the one body.
+class VerifiedBlock {
+ public:
+  /// `body` as a VerifiedBlock if `body->VerifyTxnRoot()` holds; nullopt
+  /// otherwise, and for a null `body`.
+  static std::optional<VerifiedBlock> Verify(std::shared_ptr<const Block> body);
+
+  const Block& body() const { return *body_; }
+  /// The shared body, to hand on without copying it.
+  const std::shared_ptr<const Block>& shared() const { return body_; }
+
+ private:
+  explicit VerifiedBlock(std::shared_ptr<const Block> body)
+      : body_(std::move(body)) {}
+
+  std::shared_ptr<const Block> body_;
 };
 
 }  // namespace pbc::ledger

@@ -6,6 +6,13 @@ void Chain::Append(std::vector<txn::Transaction> txns) {
   blocks_.push_back(Block::Make(height(), TipHash(), std::move(txns)));
 }
 
+void Chain::Append(const VerifiedBlock& body) {
+  const Block& b = body.body();
+  blocks_.push_back(
+      Block{{height(), TipHash(), b.header.txn_root, /*timestamp_us=*/0},
+            b.txns});
+}
+
 Status Chain::Audit() const {
   crypto::Hash256 prev = crypto::Hash256::Zero();
   for (size_t i = 0; i < blocks_.size(); ++i) {

@@ -16,8 +16,13 @@ namespace pbc::ledger {
 /// chain so any post-hoc tampering with a stored block is detected.
 class Chain {
  public:
-  /// Appends `Block::Make(height(), TipHash(), txns)`.
+  /// Appends `Block::Make(height(), TipHash(), txns)`, which builds the
+  /// txns' Merkle tree.
   void Append(std::vector<txn::Transaction> txns);
+  /// Appends the same block as `Append(body.body().txns)` without building
+  /// a Merkle tree: the chain block takes the txn root the body was
+  /// verified against.
+  void Append(const VerifiedBlock& body);
 
   /// Full integrity audit: recompute every link and Merkle root.
   Status Audit() const;

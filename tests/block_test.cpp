@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,16 +81,31 @@ TEST(BlockSealTest, HashCommitsToOrderHeightAndTxns) {
             BlockBuilder::Seal(4, crypto::Hash256{}, txns, 42).header.Hash());
 }
 
+std::shared_ptr<const ledger::Block> Shared(ledger::Block b) {
+  return std::make_shared<const ledger::Block>(std::move(b));
+}
+
 TEST(BlockStoreTest, PutGetIsIdempotentByHeaderHash) {
   BlockStore store;
   ledger::Block b = BlockBuilder::Seal(
       0, crypto::Hash256{}, {T(1, {Op::Write("a", "x")})}, 0);
   crypto::Hash256 h = b.header.Hash();
-  EXPECT_TRUE(store.Put(b));
-  EXPECT_TRUE(store.Put(b));  // re-insert is fine
+  EXPECT_EQ(store.Put(Shared(b)), h);
+  EXPECT_EQ(store.Put(Shared(b)), h);  // an equal copy re-inserts fine
   EXPECT_EQ(store.size(), 1u);
   ASSERT_TRUE(store.Contains(h));
-  EXPECT_EQ(store.Get(h)->txns.size(), 1u);
+  EXPECT_EQ(store.Get(h)->body().txns.size(), 1u);
+}
+
+TEST(BlockStoreTest, RePuttingTheStoredObjectSharesIt) {
+  auto body = Shared(BlockBuilder::Seal(
+      0, crypto::Hash256{}, {T(1, {Op::Write("a", "x")})}, 0));
+  BlockStore store;
+  ASSERT_TRUE(store.Put(body));
+  EXPECT_EQ(store.Put(body), body->header.Hash());
+  EXPECT_EQ(store.size(), 1u);
+  // The store holds the object it was given, not a copy.
+  EXPECT_EQ(&store.Get(body->header.Hash())->body(), body.get());
 }
 
 TEST(BlockStoreTest, RejectsBodyThatFailsItsOwnHeader) {
@@ -97,35 +113,36 @@ TEST(BlockStoreTest, RejectsBodyThatFailsItsOwnHeader) {
       0, crypto::Hash256{}, {T(1, {Op::Write("a", "x")})}, 0);
   b.txns[0] = T(99, {Op::Write("a", "forged")});  // header root now wrong
   BlockStore store;
-  EXPECT_FALSE(store.Put(b));
+  EXPECT_FALSE(store.Put(Shared(b)));
+  EXPECT_FALSE(store.Put(nullptr));
   EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(BlockStoreTest, RedeliveryUnderStoredHashMustEqualStoredBody) {
-  ledger::Block b = BlockBuilder::Seal(
+  auto b = Shared(BlockBuilder::Seal(
       0, crypto::Hash256{},
-      {T(1, {Op::Write("a", "x")}), T(2, {Op::Write("b", "y")})}, 0);
-  const crypto::Hash256 h = b.header.Hash();
+      {T(1, {Op::Write("a", "x")}), T(2, {Op::Write("b", "y")})}, 0));
+  const crypto::Hash256 h = b->header.Hash();
   BlockStore store;
   ASSERT_TRUE(store.Put(b));
 
   // Same header (hence same hash), different bodies: none may replace or
   // pass as the stored one.
-  ledger::Block tampered = b;
+  ledger::Block tampered = *b;
   tampered.txns[1].ops[0].value = "forged";
-  ledger::Block truncated = b;
+  ledger::Block truncated = *b;
   truncated.txns.pop_back();
-  ledger::Block reordered = b;
+  ledger::Block reordered = *b;
   std::swap(reordered.txns[0], reordered.txns[1]);
   for (const ledger::Block* forged : {&tampered, &truncated, &reordered}) {
     ASSERT_EQ(forged->header.Hash(), h);
-    EXPECT_FALSE(store.Put(*forged));
+    EXPECT_FALSE(store.Put(Shared(*forged)));
   }
   ASSERT_NE(store.Get(h), nullptr);
-  EXPECT_EQ(store.Get(h)->txns, b.txns);
-  EXPECT_TRUE(store.Get(h)->VerifyTxnRoot());
+  EXPECT_EQ(&store.Get(h)->body(), b.get());
+  EXPECT_TRUE(store.Get(h)->body().VerifyTxnRoot());
 
-  EXPECT_TRUE(store.Put(b));  // identical re-delivery
+  EXPECT_EQ(store.Put(Shared(*b)), h);  // identical re-delivery
   EXPECT_EQ(store.size(), 1u);
 }
 

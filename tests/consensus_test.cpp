@@ -305,6 +305,31 @@ TYPED_TEST(ProtocolTest, BlockModeQuorumLiveUnderMessageDrops) {
   EXPECT_TRUE(cluster.ChainsConsistent());
 }
 
+// Every replica's store holds one and the same object under `hash`: a
+// body is shared from the proposer's seal to each store, never copied.
+template <typename R>
+void ExpectOneSharedBody(const Cluster<R>& cluster,
+                         const crypto::Hash256& hash) {
+  const ledger::VerifiedBlock* first =
+      cluster.replica(0)->block_store().Get(hash);
+  ASSERT_NE(first, nullptr) << "replica 0";
+  for (size_t i = 1; i < cluster.size(); ++i) {
+    const ledger::VerifiedBlock* stored =
+        cluster.replica(i)->block_store().Get(hash);
+    ASSERT_NE(stored, nullptr) << "replica " << i;
+    EXPECT_EQ(&stored->body(), &first->body()) << "replica " << i;
+  }
+}
+
+// Records the block hash of every block-ref batch `replica` delivers.
+template <typename R>
+void RecordDeliveredBlocks(R* replica, std::vector<crypto::Hash256>* hashes) {
+  replica->set_commit_listener(
+      [hashes](sim::NodeId, uint64_t, const Batch& b) {
+        if (b.ref_txn_count > 0) hashes->push_back(b.block_hash);
+      });
+}
+
 TEST(BlockPipelineTest, PartitionedFollowerFetchesMissedBodies) {
   // Replica 3 is partitioned away while the majority seals and commits
   // blocks, so it misses every body broadcast. After healing, raft's
@@ -312,6 +337,8 @@ TEST(BlockPipelineTest, PartitionedFollowerFetchesMissedBodies) {
   // it never saw before it can deliver.
   World w(63);
   Cluster<RaftReplica> cluster(&w.net, &w.registry, 4, BlockConfig(10));
+  std::vector<crypto::Hash256> delivered;
+  RecordDeliveredBlocks(cluster.replica(3), &delivered);
   w.net.Start();
   SubmitN(&cluster, 5);
   ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 5));
@@ -319,12 +346,31 @@ TEST(BlockPipelineTest, PartitionedFollowerFetchesMissedBodies) {
   SubmitN(&cluster, 30, /*base=*/100);
   ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 35, /*skip=*/{3}));
   EXPECT_LT(cluster.replica(3)->committed_txns(), 35u);
+  const size_t before_heal = delivered.size();
   w.net.Heal();
   ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 35));
   EXPECT_TRUE(cluster.ChainsConsistent());
   EXPECT_FALSE(cluster.replica(3)->delivery_stalled_on_body());
-  // The bodies it delivered are now resident in its block store.
+  // The bodies it delivered are now resident in its block store, and each
+  // fetch reply carried the very object the proposer sealed.
   EXPECT_GT(cluster.replica(3)->block_store().size(), 0u);
+  ASSERT_GT(delivered.size(), before_heal);
+  for (size_t i = before_heal; i < delivered.size(); ++i) {
+    ExpectOneSharedBody(cluster, delivered[i]);
+  }
+}
+
+TEST(BlockPipelineTest, FaultFreePbftSharesEachBodyAcrossStores) {
+  World w(66);
+  Cluster<PbftReplica> cluster(&w.net, &w.registry, 4, BlockConfig(10));
+  std::vector<crypto::Hash256> delivered;
+  RecordDeliveredBlocks(cluster.replica(0), &delivered);
+  w.net.Start();
+  SubmitN(&cluster, 40);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 40));
+  EXPECT_TRUE(cluster.ChainsConsistent());
+  ASSERT_FALSE(delivered.empty());
+  for (const crypto::Hash256& h : delivered) ExpectOneSharedBody(cluster, h);
 }
 
 TEST(BlockPipelineTest, RepeatedCommittedTxnIsDroppedAndChainRootRebuilt) {

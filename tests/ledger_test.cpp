@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "ledger/block.h"
 #include "ledger/chain.h"
 #include "ledger/dag_ledger.h"
@@ -67,6 +70,33 @@ TEST(ChainTest, AppendSealsAtTheTip) {
   EXPECT_EQ(appended.txns, expected.txns);
   EXPECT_TRUE(appended.VerifyTxnRoot());
   EXPECT_EQ(chain.TipHash(), expected.header.Hash());
+}
+
+TEST(ChainTest, AppendingAVerifiedBodyMatchesAppendingItsTxns) {
+  Chain by_txns, by_body;
+  for (int i = 0; i < 4; ++i) {
+    // The body's own height, parent and timestamp are not the chain's.
+    auto body = std::make_shared<const Block>(Block::Make(
+        40 + i, crypto::Sha256::Digest("elsewhere"), MakeTxns(3, i * 10),
+        /*timestamp_us=*/1000 + i));
+    std::optional<VerifiedBlock> verified = VerifiedBlock::Verify(body);
+    ASSERT_TRUE(verified.has_value());
+    EXPECT_EQ(verified->shared(), body);
+    by_txns.Append(body->txns);
+    by_body.Append(*verified);
+    EXPECT_EQ(by_body.at(i).header.Hash(), by_txns.at(i).header.Hash())
+        << "height " << i;
+    EXPECT_EQ(by_body.at(i).txns, body->txns);
+  }
+  EXPECT_TRUE(by_body.Audit().ok());
+  EXPECT_TRUE(by_body.SameAs(by_txns));
+}
+
+TEST(ChainTest, BodyWithAWrongRootIsNotVerified) {
+  Block b = Block::Make(0, crypto::Hash256::Zero(), MakeTxns(4, 0));
+  b.txns[2].ops[0].value = "evil";
+  EXPECT_FALSE(VerifiedBlock::Verify(std::make_shared<const Block>(b)));
+  EXPECT_FALSE(VerifiedBlock::Verify(nullptr));
 }
 
 TEST(ChainTest, AuditDetectsPostHocTampering) {
