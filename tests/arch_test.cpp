@@ -552,6 +552,12 @@ TEST_P(ArchPropertyTest, CrossArchitectureInvariants) {
   }
   uint64_t seed = GetParam();
   EXPECT_TRUE(ox.store().SameLatestState(oxii.store())) << seed;
+  // OX and OXII order before they execute, so nothing aborts at any
+  // contention level (survey §2.3.3; EXPERIMENTS.md E2).
+  for (Architecture* a : std::initializer_list<Architecture*>{&ox, &oxii}) {
+    EXPECT_EQ(a->stats().committed, total_txns) << a->name() << " " << seed;
+    EXPECT_EQ(a->stats().aborted, 0u) << a->name() << " " << seed;
+  }
   // XOX never aborts (it re-executes) and is deterministic across
   // replicas; its serial-equivalent order moves re-executed transactions
   // after the block's valid ones, so it need not equal OX's block order.
