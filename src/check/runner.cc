@@ -247,6 +247,7 @@ obs::Json SweepReport::ToJson() const {
   return obs::Json::Object()
       .Set("runs", static_cast<uint64_t>(runs))
       .Set("live_runs", static_cast<uint64_t>(live_runs))
+      .Set("sim_events", sim_events)
       .Set("violating_runs", static_cast<uint64_t>(failures.size()))
       .Set("coverage", std::move(cov))
       .Set("failures", std::move(fails))
@@ -303,6 +304,7 @@ ShrinkBatchProbe ParallelShrinkProbe(const RunConfig& config,
 struct CellOutcome {
   bool ok = true;
   bool live = false;
+  uint64_t sim_events = 0;
   std::map<std::string, uint64_t> coverage;
   SweepFailure failure;  // filled only when !ok
   std::string repro;     // filled only when ok && !live
@@ -323,6 +325,7 @@ CellOutcome RunCell(const RunConfig& cell, const SweepOptions& options,
   CellOutcome out;
   out.ok = result.ok();
   out.live = result.live;
+  out.sim_events = result.sim_events;
   out.coverage = result.coverage;
   if (!out.ok) {
     SweepFailure& failure = out.failure;
@@ -425,6 +428,7 @@ SweepReport RunSweepCells(const std::vector<RunConfig>& cells,
     CellOutcome& out = outcomes[i];
     ++report.runs;
     if (out.live) ++report.live_runs;
+    report.sim_events += out.sim_events;
     for (const auto& [name, count] : out.coverage) {
       report.coverage[name] += count;
     }

@@ -107,6 +107,9 @@ struct SweepFailure {
 struct SweepReport {
   size_t runs = 0;
   size_t live_runs = 0;
+  /// Simulator events executed, summed over every run (shrink replays
+  /// excluded): a clean run that changes at all changes this.
+  uint64_t sim_events = 0;
   std::vector<SweepFailure> failures;
   /// Invariant name → total checker invocations across all runs.
   std::map<std::string, uint64_t> coverage;

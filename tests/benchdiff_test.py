@@ -32,6 +32,15 @@ BENCH = {
     ],
     "scheduler": {"workers": 4, "jobs_run": 10, "steals": 3},
 }
+# The shape check_runner --report writes (src/check/check_main.cc); a sweep
+# that found violations is pinned like any other.
+CHECK = {"tool": "check_runner", "wall_ms": 1234,
+         "report": {"runs": 4, "live_runs": 4, "sim_events": 51234,
+                    "violating_runs": 1,
+                    "coverage": {"chain-agreement": 40},
+                    "failures": [{"repro": "check_runner --seed-base 2",
+                                  "shrink_replays": 7}],
+                    "not_live": []}}
 PERFBENCH = {"correct": True, "attempted": 40004, "failed": 0,
              "metrics": {"wall_s": {"value": 0.285, "unit": "s"},
                          "msgs_per_txn": {"value": 6.32345, "unit": "count"}}}
@@ -100,6 +109,20 @@ class BenchdiffTest(unittest.TestCase):
         self.assertEqual(self.run_benchdiff(rerun).returncode, 0)
         rerun["metrics"]["msgs_per_txn"]["value"] = 6.3
         self.assertEqual(self.run_benchdiff(rerun).returncode, 1)
+
+    def test_check_runner_report_pins_everything_but_wall_ms(self):
+        self.assertEqual(self.run_benchdiff(CHECK, "--update").returncode, 0)
+        pinned = self.baseline_bytes()
+        self.assertIn(b"report.sim_events = 51234\n", pinned)
+        self.assertIn(b"report.failures[0].shrink_replays = 7\n", pinned)
+        self.assertNotIn(b"wall_ms", pinned)
+        rerun = copy.deepcopy(CHECK)
+        rerun["wall_ms"] = 99
+        self.assertEqual(self.run_benchdiff(rerun).returncode, 0)
+        rerun["report"]["sim_events"] = 51235
+        out = self.run_benchdiff(rerun)
+        self.assertEqual(out.returncode, 1)
+        self.assertIn("+report.sim_events = 51235\n", out.stdout)
 
     def test_failed_perfbench_result_is_refused(self):
         self.run_benchdiff(PERFBENCH, "--update")

@@ -9,6 +9,12 @@
 #     must never change a reported number (bench/bench_harness.h).
 #   tools/bench_baseline.sh perfbench [--update]
 #     Every perfbench workload at seed 1 untraced and at seed 5 traced.
+#   tools/bench_baseline.sh check BIN_DIR [--update]
+#     Small check_runner grids built in BIN_DIR (a build tree's src/check/),
+#     each at --jobs 1 and then at the default fan-out against the same
+#     baseline: a sweep report is a pure function of its grid. Together the
+#     grids run every nemesis kind, every adversary mode, clock skew and a
+#     sharded protocol.
 set -u
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -24,6 +30,22 @@ ebench() {  # ebench NAME
   rm -f "BENCH_$1.json"
   "$bin/bench_$1" --benchmark_min_time=0.001 > /dev/null || status=1
   check "BENCH_$1.json" "$1"
+}
+
+sweep() {  # sweep GRID CHECK_RUNNER_FLAGS...
+  name=$1
+  shift
+  for jobs in 1 default; do
+    rm -f "check-$name-$jobs.json"
+    # Exit 1 reports violations, which the baseline pins like any field.
+    "$bin/check_runner" "$@" --seeds 10 --txns 20 --quiet \
+      --report "check-$name-$jobs.json" \
+      $([ "$jobs" = default ] || echo --jobs "$jobs") > /dev/null
+    [ $? -le 1 ] || status=1
+    check "check-$name-$jobs.json" "check-$name"
+    update=  # the default fan-out must match what --jobs 1 wrote
+  done
+  update=$mode_update
 }
 
 case "${1:-}" in
@@ -50,8 +72,26 @@ case "${1:-}" in
       check "perfbench-smoke-$w-trace.txt" "perfbench-$w-trace"
     done
     ;;
+  check)
+    bin=${2:?BIN_DIR}
+    update=${3:-}
+    mode_update=$update
+    sweep plain --protocol pbft,raft --nemesis "crash;crash,partition"
+    sweep block --protocol pbft,raft --nemesis "crash;crash,partition" \
+      --block-max-txns 10
+    # The quorum-slack mutation makes PBFT and Raft fail, so shrinking runs.
+    sweep leader --protocol pbft,raft,hotstuff --nemesis none \
+      --adversary leader --mutate-quorum 1
+    sweep durable --protocol pbft,raft \
+      --nemesis "crash,torn-write;crash,lost-flush" --durable
+    sweep skew --protocol pbft,sharper --nemesis delay,byzantine \
+      --clock-skew 150000
+    sweep quorum --protocol paxos,tendermint --nemesis none --adversary quorum
+    sweep churn --protocol hotstuff,paxos --nemesis none --adversary churn
+    ;;
   *)
-    echo "usage: $0 ebench BENCH_DIR [--update] | perfbench [--update]" >&2
+    echo "usage: $0 ebench BENCH_DIR [--update] | perfbench [--update]" \
+      "| check BIN_DIR [--update]" >&2
     exit 2
     ;;
 esac

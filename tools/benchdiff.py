@@ -3,7 +3,8 @@
 
     python3 tools/benchdiff.py RESULT BASELINE [--update]
 
-RESULT is a BENCH_<name>.json or the saved stdout line of perfbench/run.py.
+RESULT is a BENCH_<name>.json, a check_runner --report file, or the saved
+stdout line of perfbench/run.py.
 Each leaf not in WALL_CLOCK becomes a `path = value` line, in document
 order; series rows are keyed by name, and numbers print as repr, which
 round-trips obs/json's %.17g. If the lines differ from BASELINE, a unified
@@ -19,9 +20,11 @@ import os
 import sys
 
 # Leaves that depend on the host, matched against "<bench>:<path>", where
-# <bench> is a BENCH file's "bench" field or "perfbench". Everything else
-# is pinned, so a new wall-clock field fails loudly.
+# <bench> is a BENCH file's "bench" field, a report's "tool" field, or
+# "perfbench". Everything else is pinned, so a new wall-clock field fails
+# loudly.
 WALL_CLOCK = [
+    "check_runner:wall_ms",
     "e*:scheduler.*",  # fan-out worker counters
     # e2 and e3 time real execution, and google-benchmark picks how often
     # each case repeats. Their abort and commit counts are per repeat; their
@@ -53,7 +56,7 @@ def leaves(node, path):
 
 
 def lines(result):
-    bench = result.get("bench", "perfbench")
+    bench = result.get("bench") or result.get("tool") or "perfbench"
     if bench == "perfbench" and (result.get("correct") is not True or
                                  result.get("failed") != 0):
         sys.exit("benchdiff: refusing a perfbench result with correct=%s "
