@@ -41,13 +41,12 @@ bool ParseAdversaryMode(const std::string& name, AdversaryMode* out) {
 }
 
 ReactiveNemesis::ReactiveNemesis(Options options, sim::Simulator* sim,
-                                 sim::Network* net, GroupObserver observer,
-                                 ByzantineFlip flip)
+                                 const FaultApplier* applier,
+                                 GroupObserver observer)
     : options_(std::move(options)),
       sim_(sim),
-      net_(net),
+      apply_(applier),
       observer_(std::move(observer)),
-      flip_(std::move(flip)),
       // Private stream, distinct from the generator's and the simulator's,
       // so adaptive and random modes never share randomness.
       rng_(options_.seed ^ 0x5245414354A5A5ULL),
@@ -182,31 +181,32 @@ void ReactiveNemesis::ChurnTick(size_t g, const GroupObservation& obs) {
   }
 }
 
+void ReactiveNemesis::InjectWindow(NemesisEvent down, sim::Time until,
+                                   std::function<void()> after_end) {
+  const sim::Time now = sim_->now();
+  auto [start, end] = FaultWindow(std::move(down), next_window_++, now, until);
+  (*apply_)(start);
+  events_.push_back(std::move(start));
+  events_.push_back(end);
+  sim_->Schedule(until - now, [this, end = std::move(end),
+                               after_end = std::move(after_end)] {
+    (*apply_)(end);
+    if (after_end) after_end();
+  });
+}
+
 bool ReactiveNemesis::InjectCrash(size_t g, sim::NodeId victim,
                                   sim::Time until) {
   const auto& group = options_.topology.groups[g];
   GroupState& st = state_[g];
   if (st.active_faults >= group.max_faulty) return false;
-  if (IsNeverCrash(victim) || net_->IsCrashed(victim)) return false;
-  const sim::Time now = sim_->now();
-  if (until <= now) return false;
-  uint64_t window = next_window_++;
+  if (IsNeverCrash(victim) || apply_->net->IsCrashed(victim)) return false;
+  if (until <= sim_->now()) return false;
   NemesisEvent crash;
-  crash.at = now;
   crash.kind = NemesisKind::kCrash;
-  crash.window = window;
   crash.node = victim;
-  NemesisEvent recover = crash;
-  recover.at = until;
-  recover.kind = NemesisKind::kRecover;
-  events_.push_back(crash);
-  events_.push_back(recover);
   ++st.active_faults;
-  net_->Crash(victim);
-  sim_->Schedule(until - now, [this, g, victim] {
-    net_->Recover(victim);
-    --state_[g].active_faults;
-  });
+  InjectWindow(std::move(crash), until, [this, g] { --state_[g].active_faults; });
   return true;
 }
 
@@ -235,21 +235,10 @@ void ReactiveNemesis::InjectQuorumPartition(size_t g, size_t leader_index,
     if (in_a.count(id) == 0) side_b.push_back(id);
   }
   if (side_b.empty()) return;
-  const sim::Time now = sim_->now();
-  uint64_t window = next_window_++;
   NemesisEvent cut;
-  cut.at = now;
   cut.kind = NemesisKind::kPartition;
-  cut.window = window;
   cut.groups = {std::move(side_a), std::move(side_b)};
-  NemesisEvent heal;
-  heal.at = until;
-  heal.kind = NemesisKind::kHeal;
-  heal.window = window;
-  net_->Partition(cut.groups);
-  events_.push_back(std::move(cut));
-  events_.push_back(std::move(heal));
-  sim_->Schedule(until - now, [this] { net_->Heal(); });
+  InjectWindow(std::move(cut), until);
 }
 
 void ReactiveNemesis::InjectLeaderDelay(size_t g, size_t leader_index,
@@ -261,7 +250,7 @@ void ReactiveNemesis::InjectLeaderDelay(size_t g, size_t leader_index,
   sim::Time best = 0;
   for (sim::NodeId peer : group.nodes) {  // node order: deterministic ties
     if (peer == leader) continue;
-    sim::Time base = net_->EffectiveLatency(peer, leader).base_us;
+    sim::Time base = apply_->net->EffectiveLatency(peer, leader).base_us;
     if (!found || base < best) {
       found = true;
       best = base;
@@ -269,24 +258,12 @@ void ReactiveNemesis::InjectLeaderDelay(size_t g, size_t leader_index,
     }
   }
   if (!found) return;
-  const sim::Time now = sim_->now();
-  uint64_t window = next_window_++;
   NemesisEvent slow;
-  slow.at = now;
   slow.kind = NemesisKind::kDelay;
-  slow.window = window;
   slow.from = fastest;
   slow.to = leader;
   slow.latency = {15'000 + rng_.NextU64(15'000), 2'000};
-  NemesisEvent clear = slow;
-  clear.at = until;
-  clear.kind = NemesisKind::kClearDelay;
-  net_->SetDirectionalLinkLatency(slow.from, slow.to, slow.latency);
-  events_.push_back(std::move(slow));
-  events_.push_back(std::move(clear));
-  sim_->Schedule(until - now, [this, from = fastest, to = leader] {
-    net_->SetDirectionalLinkLatency(from, to, options_.default_latency);
-  });
+  InjectWindow(std::move(slow), until);
 }
 
 bool ReactiveNemesis::InjectByzantineFlip(size_t g, size_t replica_index) {
@@ -294,9 +271,9 @@ bool ReactiveNemesis::InjectByzantineFlip(size_t g, size_t replica_index) {
   GroupState& st = state_[g];
   if (replica_index >= group.nodes.size()) return false;
   if (st.byzantine_used || st.active_faults >= group.max_faulty) return false;
-  if (!flip_) return false;
+  if (!apply_->set_byzantine) return false;
   sim::NodeId node = group.nodes[replica_index];
-  if (IsNeverCrash(node) || net_->IsCrashed(node)) return false;
+  if (IsNeverCrash(node) || apply_->net->IsCrashed(node)) return false;
   NemesisEvent ev;
   ev.at = sim_->now();
   ev.kind = NemesisKind::kByzantine;
@@ -304,8 +281,8 @@ bool ReactiveNemesis::InjectByzantineFlip(size_t g, size_t replica_index) {
   ev.node = node;
   ev.replica_index = replica_index;
   ev.mode = consensus::ByzantineMode::kEquivocate;
+  (*apply_)(ev);
   events_.push_back(ev);
-  flip_(g, replica_index, ev.mode);
   st.byzantine_used = true;
   ++st.active_faults;  // a Byzantine member occupies its slot for good
   return true;

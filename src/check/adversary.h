@@ -17,10 +17,12 @@
 // read-only observer, and draws all randomness from its own seeded Rng —
 // so an adaptive run is still a pure function of (config, seed). Every
 // fault it injects is recorded as a `NemesisEvent` (with a window id)
-// into a trace; `RunResult::schedule` carries that trace, and shrinking
-// replays *subsets of the trace statically* via RunWithSchedule — the
-// adversary does not re-run during replays, which keeps ddmin sound and
-// sweep reports byte-identical across `--jobs N`. See DESIGN.md §12.
+// into a trace and applied through the same `FaultApplier` that replays
+// schedules, so a replay makes exactly the calls the live run made.
+// `RunResult::schedule` carries that trace, and shrinking replays
+// *subsets of the trace statically* via RunWithSchedule — the adversary
+// does not re-run during replays, which keeps ddmin sound and sweep
+// reports byte-identical across `--jobs N`. See DESIGN.md §12.
 #ifndef PBC_CHECK_ADVERSARY_H_
 #define PBC_CHECK_ADVERSARY_H_
 
@@ -68,10 +70,6 @@ struct GroupObservation {
 
 /// Reads the observation for topology group `g`.
 using GroupObserver = std::function<GroupObservation(size_t group)>;
-/// Applies a Byzantine mode to the replica at `replica_index` of group
-/// `group` (the harness maps indices onto its cluster).
-using ByzantineFlip = std::function<void(
-    size_t group, size_t replica_index, consensus::ByzantineMode mode)>;
 
 /// \brief The adaptive adversary. One instance drives one run: Arm() it
 /// before Network::Start(), then read Trace() after the run for the
@@ -84,11 +82,12 @@ class ReactiveNemesis {
     sim::Time horizon = 0;             ///< run horizon; faults end by 70%
     uint64_t seed = 0;                 ///< adversary's private Rng stream
     sim::Time tick_us = 500'000;       ///< observation cadence
-    sim::LinkLatency default_latency;  ///< restored when a delay clears
   };
 
-  ReactiveNemesis(Options options, sim::Simulator* sim, sim::Network* net,
-                  GroupObserver observer, ByzantineFlip flip);
+  /// Faults go through `applier`, which must outlive the run; a null
+  /// `set_byzantine` hook there means no replica is ever flipped.
+  ReactiveNemesis(Options options, sim::Simulator* sim,
+                  const FaultApplier* applier, GroupObserver observer);
 
   /// Schedules the first observation tick. Faults never start after
   /// 0.55 * horizon and all end by 0.7 * horizon — the same fault-free
@@ -116,9 +115,13 @@ class ReactiveNemesis {
   void QuorumTick(size_t g, const GroupObservation& obs);
   void ChurnTick(size_t g, const GroupObservation& obs);
 
-  /// Crash `victim` now, recover at `until`; records the window and keeps
-  /// the group's budget accounting. No-op (returns false) if the victim
-  /// is protected, already crashed, or the budget is exhausted.
+  /// Records the window `down` opens now and closes at `until`, applies
+  /// `down` now and its end event at `until`, then runs `after_end`.
+  void InjectWindow(NemesisEvent down, sim::Time until,
+                    std::function<void()> after_end = nullptr);
+  /// Crash `victim` now, recover at `until`; keeps the group's budget
+  /// accounting. No-op (returns false) if the victim is protected,
+  /// already crashed, or the budget is exhausted.
   bool InjectCrash(size_t g, sim::NodeId victim, sim::Time until);
   /// Splits all_nodes into {leader side} / {rest} at the quorum edge.
   void InjectQuorumPartition(size_t g, size_t leader_index, sim::Time until);
@@ -133,9 +136,8 @@ class ReactiveNemesis {
 
   Options options_;
   sim::Simulator* sim_;
-  sim::Network* net_;
+  const FaultApplier* apply_;
   GroupObserver observer_;
-  ByzantineFlip flip_;
   Rng rng_;
   std::vector<GroupState> state_;
   /// Partitions are global network state: one window at a time.

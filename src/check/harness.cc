@@ -86,11 +86,16 @@ NemesisSchedule MakeClockSkewSchedule(const std::vector<sim::NodeId>& nodes,
 struct World {
   explicit World(uint64_t seed) : sim(seed), net(&sim) {
     net.SetDefaultLatency(kDefaultLatency);
+    faults.net = &net;
+    faults.default_latency = kDefaultLatency;
   }
   static constexpr sim::LinkLatency kDefaultLatency{500, 200};
   sim::Simulator sim;
   sim::Network net;
   crypto::KeyRegistry registry;
+  /// Every fault of the run goes through here; runs that host Byzantine
+  /// replicas or disks set its hooks.
+  FaultApplier faults;
 };
 
 void FillResult(RunResult* result, const CheckerSuite& suite, const World& w,
@@ -257,9 +262,13 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
       },
       int64_t{0}));
 
-  std::function<void(const NemesisEvent&)> on_durable;
+  w.faults.set_byzantine = [&cluster](const NemesisEvent& ev) {
+    if (ev.replica_index < cluster.size()) {
+      cluster.replica(ev.replica_index)->set_byzantine_mode(ev.mode);
+    }
+  };
   if (cfg.durable) {
-    on_durable = [fs = fs.get()](const NemesisEvent& ev) {
+    w.faults.on_durable = [fs = fs.get()](const NemesisEvent& ev) {
       std::string prefix = "n" + std::to_string(ev.node) + "/";
       switch (ev.kind) {
         case NemesisKind::kTornWrite:
@@ -276,14 +285,7 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
       }
     };
   }
-  schedule.Apply(&w.sim, &w.net, World::kDefaultLatency,
-                 [&cluster](const NemesisEvent& ev) {
-                   if (ev.replica_index < cluster.size()) {
-                     cluster.replica(ev.replica_index)
-                         ->set_byzantine_mode(ev.mode);
-                   }
-                 },
-                 on_durable);
+  schedule.Apply(&w.sim, &w.faults);
 
   std::unique_ptr<ReactiveNemesis> reactive;
   if (!explicit_schedule && adversary != AdversaryMode::kRandom) {
@@ -292,7 +294,6 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
     opts.topology = topo;
     opts.horizon = horizon;
     opts.seed = cfg.seed;
-    opts.default_latency = World::kDefaultLatency;
     // Observation: aggregate Status() across live replicas, trusting the
     // highest view that names a leader (a leader's self-claim wins ties
     // at its own view). Reads only; cannot perturb the run.
@@ -317,14 +318,8 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
       }
       return obs;
     };
-    auto flip = [&cluster](size_t, size_t replica_index,
-                           consensus::ByzantineMode mode) {
-      if (replica_index < cluster.size()) {
-        cluster.replica(replica_index)->set_byzantine_mode(mode);
-      }
-    };
-    reactive = std::make_unique<ReactiveNemesis>(
-        std::move(opts), &w.sim, &w.net, observer, flip);
+    reactive = std::make_unique<ReactiveNemesis>(std::move(opts), &w.sim,
+                                                 &w.faults, observer);
     reactive->Arm();
   }
 
@@ -484,7 +479,7 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
                atomicity->AllDecided();
       }));
 
-  schedule.Apply(&w.sim, &w.net, World::kDefaultLatency, nullptr);
+  schedule.Apply(&w.sim, &w.faults);
   w.net.Start();
 
   txn::TxnId next_id = 1;

@@ -196,6 +196,31 @@ obs::Json NemesisEvent::ToJson() const {
 
 // --- Generation ------------------------------------------------------------
 
+std::pair<NemesisEvent, NemesisEvent> FaultWindow(NemesisEvent down,
+                                                  uint64_t window,
+                                                  sim::Time start,
+                                                  sim::Time end) {
+  down.at = start;
+  down.window = window;
+  NemesisEvent up = down;
+  up.at = end;
+  switch (down.kind) {
+    case NemesisKind::kPartition:
+      up.kind = NemesisKind::kHeal;
+      break;
+    case NemesisKind::kDelay:
+      up.kind = NemesisKind::kClearDelay;
+      break;
+    case NemesisKind::kLostFlush:
+      up.kind = NemesisKind::kRestoreFlush;
+      break;
+    default:  // kCrash, kTornWrite
+      up.kind = NemesisKind::kRecover;
+      break;
+  }
+  return {std::move(down), std::move(up)};
+}
+
 NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
                                           const NemesisTopology& topology,
                                           sim::Time horizon, uint64_t seed) {
@@ -212,6 +237,25 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
     sim::Time dur = horizon / 20 + rng.NextU64(horizon / 4);
     sim::Time t2 = std::min<sim::Time>(t1 + dur, fault_end);
     return std::pair<sim::Time, sim::Time>(t1, t2);
+  };
+  auto add_window = [&](NemesisEvent down, sim::Time t1, sim::Time t2) {
+    auto [start, end] = FaultWindow(std::move(down), next_window++, t1, t2);
+    events.push_back(std::move(start));
+    events.push_back(std::move(end));
+  };
+  // Up to `count` windows back to back, each starting after the previous
+  // one ended; `draw` fills in a window's fault, or returns false to stop.
+  auto sequential = [&](size_t count,
+                        const std::function<bool(NemesisEvent*)>& draw) {
+    sim::Time cursor = 0;
+    for (size_t w = 0; w < count && cursor < start_max; ++w) {
+      auto [t1, t2] = window_times(cursor);
+      if (t1 >= t2) break;
+      NemesisEvent down;
+      if (!draw(&down)) break;
+      add_window(std::move(down), t1, t2);
+      cursor = t2 + horizon / 100;
+    }
   };
   auto is_never_crash = [&](sim::NodeId id) {
     return std::find(topology.never_crash.begin(), topology.never_crash.end(),
@@ -262,40 +306,20 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
         if (!is_never_crash(id) && id != byz_node) eligible.push_back(id);
       }
       if (eligible.empty()) continue;
-      size_t count = rng.NextU64(3);  // 0..2 windows
-      sim::Time cursor = 0;
-      for (size_t w = 0; w < count && cursor < start_max; ++w) {
-        auto [t1, t2] = window_times(cursor);
-        if (t1 >= t2) break;
-        sim::NodeId victim = eligible[rng.NextU64(eligible.size())];
+      sequential(rng.NextU64(3), [&](NemesisEvent* down) {  // 0..2 windows
+        down->node = eligible[rng.NextU64(eligible.size())];
         bool torn =
             profile.torn_write && (!profile.crash || rng.NextU64(2) == 0);
-        uint64_t window = next_window++;
-        NemesisEvent down;
-        down.at = t1;
-        down.kind = torn ? NemesisKind::kTornWrite : NemesisKind::kCrash;
-        down.window = window;
-        down.node = victim;
-        if (torn) down.tear_ppm = 300'000 + rng.NextU64(700'001);
-        events.push_back(down);
-        NemesisEvent up;
-        up.at = t2;
-        up.kind = NemesisKind::kRecover;
-        up.window = window;
-        up.node = victim;
-        events.push_back(up);
-        cursor = t2 + horizon / 100;
-      }
+        down->kind = torn ? NemesisKind::kTornWrite : NemesisKind::kCrash;
+        if (torn) down->tear_ppm = 300'000 + rng.NextU64(700'001);
+        return true;
+      });
     }
   }
 
   // Partition windows: global state, so windows are sequential.
   if (profile.partition && topology.all_nodes.size() >= 2) {
-    size_t count = rng.NextU64(3);  // 0..2 windows
-    sim::Time cursor = 0;
-    for (size_t w = 0; w < count && cursor < start_max; ++w) {
-      auto [t1, t2] = window_times(cursor);
-      if (t1 >= t2) break;
+    sequential(rng.NextU64(3), [&](NemesisEvent* cut) {  // 0..2 windows
       std::vector<sim::NodeId> side_a, side_b;
       if (topology.partition_whole_network) {
         for (int attempt = 0; attempt < 8 && (side_a.empty() || side_b.empty());
@@ -317,7 +341,7 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
         for (size_t g = 0; g < topology.groups.size(); ++g) {
           if (topology.groups[g].nodes.size() >= 2) splittable.push_back(g);
         }
-        if (splittable.empty()) break;
+        if (splittable.empty()) return false;
         const auto& cluster =
             topology.groups[splittable[rng.NextU64(splittable.size())]];
         std::vector<sim::NodeId> members = cluster.nodes;
@@ -331,20 +355,10 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
           if (in_a.count(id) == 0) side_b.push_back(id);
         }
       }
-      uint64_t window = next_window++;
-      NemesisEvent cut;
-      cut.at = t1;
-      cut.kind = NemesisKind::kPartition;
-      cut.window = window;
-      cut.groups = {side_a, side_b};
-      events.push_back(cut);
-      NemesisEvent heal;
-      heal.at = t2;
-      heal.kind = NemesisKind::kHeal;
-      heal.window = window;
-      events.push_back(heal);
-      cursor = t2 + horizon / 100;
-    }
+      cut->kind = NemesisKind::kPartition;
+      cut->groups = {std::move(side_a), std::move(side_b)};
+      return true;
+    });
   }
 
   // Delay windows: overlapping is fine; delays only reorder.
@@ -356,19 +370,12 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
       size_t a = rng.NextU64(topology.all_nodes.size());
       size_t b = rng.NextU64(topology.all_nodes.size() - 1);
       if (b >= a) ++b;
-      uint64_t window = next_window++;
       NemesisEvent slow;
-      slow.at = t1;
       slow.kind = NemesisKind::kDelay;
-      slow.window = window;
       slow.from = topology.all_nodes[a];
       slow.to = topology.all_nodes[b];
       slow.latency = {5000 + rng.NextU64(30000), rng.NextU64(5000)};
-      events.push_back(slow);
-      NemesisEvent clear = slow;
-      clear.at = t2;
-      clear.kind = NemesisKind::kClearDelay;
-      events.push_back(clear);
+      add_window(std::move(slow), t1, t2);
     }
   }
 
@@ -377,26 +384,11 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
   // (the harness rejects the profile token otherwise). Zero draws when
   // the profile bit is off.
   if (profile.lost_flush && !topology.all_nodes.empty()) {
-    size_t count = 1 + rng.NextU64(2);  // 1..2 windows
-    sim::Time cursor = 0;
-    for (size_t w = 0; w < count && cursor < start_max; ++w) {
-      auto [t1, t2] = window_times(cursor);
-      if (t1 >= t2) break;
-      sim::NodeId victim =
-          topology.all_nodes[rng.NextU64(topology.all_nodes.size())];
-      uint64_t window = next_window++;
-      NemesisEvent lose;
-      lose.at = t1;
-      lose.kind = NemesisKind::kLostFlush;
-      lose.window = window;
-      lose.node = victim;
-      events.push_back(lose);
-      NemesisEvent restore = lose;
-      restore.at = t2;
-      restore.kind = NemesisKind::kRestoreFlush;
-      events.push_back(restore);
-      cursor = t2 + horizon / 100;
-    }
+    sequential(1 + rng.NextU64(2), [&](NemesisEvent* lose) {  // 1..2
+      lose->kind = NemesisKind::kLostFlush;
+      lose->node = topology.all_nodes[rng.NextU64(topology.all_nodes.size())];
+      return true;
+    });
   }
 
   std::stable_sort(events.begin(), events.end(),
@@ -428,71 +420,65 @@ NemesisSchedule NemesisSchedule::Filtered(
   return FromEvents(std::move(events));
 }
 
-void NemesisSchedule::Apply(
-    sim::Simulator* sim, sim::Network* net, sim::LinkLatency default_latency,
-    const std::function<void(const NemesisEvent&)>& set_byzantine,
-    const std::function<void(const NemesisEvent&)>& on_durable) const {
+void FaultApplier::operator()(const NemesisEvent& ev) const {
+  switch (ev.kind) {
+    case NemesisKind::kCrash:
+      net->Crash(ev.node);
+      break;
+    case NemesisKind::kRecover:
+      net->Recover(ev.node);
+      break;
+    case NemesisKind::kPartition:
+      net->Partition(ev.groups);
+      break;
+    case NemesisKind::kHeal:
+      net->Heal();
+      break;
+    case NemesisKind::kDelay:
+      net->SetDirectionalLinkLatency(ev.from, ev.to, ev.latency);
+      break;
+    case NemesisKind::kClearDelay:
+      net->SetDirectionalLinkLatency(ev.from, ev.to, default_latency);
+      break;
+    case NemesisKind::kByzantine:
+      if (set_byzantine) set_byzantine(ev);
+      break;
+    case NemesisKind::kClockSkew:
+      net->SetClockSkew(ev.node, {ev.skew_ppm, ev.skew_offset_us});
+      break;
+    case NemesisKind::kTornWrite:
+      // Arm the filesystem tear, then cut power, in one sim event: the
+      // crash must see the pending tear, and nothing may run between.
+      if (on_durable) on_durable(ev);
+      net->Crash(ev.node);
+      break;
+    case NemesisKind::kLostFlush:
+    case NemesisKind::kRestoreFlush:
+      if (on_durable) on_durable(ev);
+      break;
+  }
+}
+
+void NemesisSchedule::Apply(sim::Simulator* sim,
+                            const FaultApplier* applier) const {
   for (const NemesisEvent& ev : events_) {
     switch (ev.kind) {
-      case NemesisKind::kCrash:
-        sim->Schedule(ev.at, [net, node = ev.node] { net->Crash(node); });
-        break;
-      case NemesisKind::kRecover:
-        sim->Schedule(ev.at, [net, node = ev.node] { net->Recover(node); });
-        break;
-      case NemesisKind::kPartition:
-        sim->Schedule(ev.at,
-                      [net, groups = ev.groups] { net->Partition(groups); });
-        break;
-      case NemesisKind::kHeal:
-        sim->Schedule(ev.at, [net] { net->Heal(); });
-        break;
-      case NemesisKind::kDelay:
-        sim->Schedule(ev.at, [net, from = ev.from, to = ev.to,
-                              latency = ev.latency] {
-          net->SetDirectionalLinkLatency(from, to, latency);
-        });
-        break;
-      case NemesisKind::kClearDelay:
-        sim->Schedule(ev.at, [net, from = ev.from, to = ev.to,
-                              default_latency] {
-          net->SetDirectionalLinkLatency(from, to, default_latency);
-        });
-        break;
       case NemesisKind::kByzantine:
-        if (set_byzantine) {
-          if (ev.at == 0) {
-            set_byzantine(ev);  // start-of-run assignment, pre-Start
-          } else {
-            sim->Schedule(ev.at, [set_byzantine, ev] { set_byzantine(ev); });
-          }
-        }
-        break;
-      case NemesisKind::kClockSkew: {
-        sim::ClockSkew skew{ev.skew_ppm, ev.skew_offset_us};
-        if (ev.at == 0) {
-          net->SetClockSkew(ev.node, skew);
-        } else {
-          sim->Schedule(ev.at, [net, node = ev.node, skew] {
-            net->SetClockSkew(node, skew);
-          });
-        }
-        break;
-      }
-      case NemesisKind::kTornWrite:
-        // Arm the filesystem tear, then cut power, in one sim event: the
-        // crash must see the pending tear, and nothing may run between.
-        sim->Schedule(ev.at, [net, on_durable, ev] {
-          if (on_durable) on_durable(ev);
-          net->Crash(ev.node);
-        });
+        if (!applier->set_byzantine) continue;
         break;
       case NemesisKind::kLostFlush:
       case NemesisKind::kRestoreFlush:
-        if (on_durable) {
-          sim->Schedule(ev.at, [on_durable, ev] { on_durable(ev); });
-        }
+        if (!applier->on_durable) continue;
         break;
+      default:
+        break;
+    }
+    bool at_start = ev.at == 0 && (ev.kind == NemesisKind::kByzantine ||
+                                   ev.kind == NemesisKind::kClockSkew);
+    if (at_start) {
+      (*applier)(ev);
+    } else {
+      sim->Schedule(ev.at, [applier, ev] { (*applier)(ev); });
     }
   }
 }
@@ -542,19 +528,13 @@ ShrinkBatchProbe SerialShrinkProbe(
   };
 }
 
-std::vector<uint64_t> ShrinkWindows(
-    std::vector<uint64_t> windows,
-    const std::function<bool(const std::vector<uint64_t>&)>& reproduces,
-    size_t budget) {
-  return ShrinkWindowsBatched(std::move(windows), SerialShrinkProbe(reproduces),
-                              budget);
-}
-
 std::vector<uint64_t> ShrinkWindowsBatched(std::vector<uint64_t> windows,
                                            const ShrinkBatchProbe& probe,
-                                           size_t budget) {
+                                           size_t budget, size_t* replays) {
+  size_t unreported = 0;
+  size_t& calls = replays != nullptr ? *replays : unreported;
+  calls = 0;
   if (windows.empty()) return windows;
-  size_t calls = 0;
   auto probe_round =
       [&](const std::vector<std::vector<uint64_t>>& candidates) -> size_t {
     size_t charged = 0;

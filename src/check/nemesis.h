@@ -18,6 +18,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -95,6 +96,37 @@ struct NemesisEvent {
   obs::Json ToJson() const;
 };
 
+/// \brief One fault window's two events, `down` at `start` and the event
+/// that ends it at `end`, under window id `window`. The end event is
+/// `down` with its kind swapped (crash or torn-write → recover, partition →
+/// heal, delay → clear-delay, lost-flush → restore-flush), so it names the
+/// same target. Every two-event window is built here.
+std::pair<NemesisEvent, NemesisEvent> FaultWindow(NemesisEvent down,
+                                                  uint64_t window,
+                                                  sim::Time start,
+                                                  sim::Time end);
+
+/// \brief The one code path from a NemesisEvent to the system under test.
+/// Generated schedules, shrink replays and the adaptive adversary's live
+/// faults all pass through it, so a replayed trace makes exactly the calls
+/// the live run made.
+struct FaultApplier {
+  sim::Network* net = nullptr;
+  sim::LinkLatency default_latency;  ///< what kClearDelay restores
+  /// Sets a replica's Byzantine mode (kByzantine). Null when the system
+  /// hosts no Byzantine replicas; the events are then dropped.
+  std::function<void(const NemesisEvent&)> set_byzantine;
+  /// Receives the durable-storage fault events: kTornWrite (arm the
+  /// filesystem tear, called right before the crash so the power cut sees
+  /// it) and kLostFlush / kRestoreFlush (toggle the lying-disk window).
+  /// Null for non-durable runs: a torn write is then a plain crash and
+  /// the flush kinds are dropped.
+  std::function<void(const NemesisEvent&)> on_durable;
+
+  /// Applies `ev` now.
+  void operator()(const NemesisEvent& ev) const;
+};
+
 /// \brief Fault-budget topology of the system under test.
 struct NemesisTopology {
   /// One group per consensus cluster: at most `max_faulty` of its nodes
@@ -143,24 +175,11 @@ class NemesisSchedule {
   /// The schedule restricted to the given windows (shrinking).
   NemesisSchedule Filtered(const std::vector<uint64_t>& windows) const;
 
-  /// Applies the schedule: network faults are scheduled on `sim` directly;
-  /// kByzantine and kClockSkew events with `at == 0` are applied
-  /// immediately (start-of-run assignments, before Network::Start), while
-  /// `at > 0` ones are scheduled like any other fault — adaptive
-  /// adversaries flip modes mid-run and their recorded traces must replay.
-  /// `default_latency` is what kClearDelay restores.
-  ///
-  /// `on_durable` (optional) receives the durable-storage fault events:
-  /// kTornWrite (arm the filesystem tear — invoked in the same scheduled
-  /// lambda immediately before the Crash(), so the power cut sees the
-  /// pending tear) and kLostFlush / kRestoreFlush (toggle the lying-disk
-  /// window). Null is fine for non-durable runs; the kinds then degrade
-  /// to a plain crash / no-op respectively.
-  void Apply(sim::Simulator* sim, sim::Network* net,
-             sim::LinkLatency default_latency,
-             const std::function<void(const NemesisEvent&)>& set_byzantine,
-             const std::function<void(const NemesisEvent&)>& on_durable =
-                 nullptr) const;
+  /// Schedules `applier` on `sim` for every event at its `at`. kByzantine
+  /// and kClockSkew events at t=0 are start-of-run assignments: they are
+  /// applied now, before Network::Start. An event whose hook is null in
+  /// `applier` is dropped unscheduled. `applier` must outlive the run.
+  void Apply(sim::Simulator* sim, const FaultApplier* applier) const;
 
   obs::Json ToJson() const;
   std::string Describe() const;
@@ -178,16 +197,6 @@ class NemesisSchedule {
  private:
   std::vector<NemesisEvent> events_;  // ordered by `at`
 };
-
-/// \brief ddmin-style shrinking over window ids.
-///
-/// Returns a (locally) minimal subset of `windows` for which
-/// `reproduces` still returns true, calling it at most `budget` times.
-/// `reproduces` must be deterministic; with the seeded simulator it is.
-std::vector<uint64_t> ShrinkWindows(
-    std::vector<uint64_t> windows,
-    const std::function<bool(const std::vector<uint64_t>&)>& reproduces,
-    size_t budget = 64);
 
 /// \brief Batch probe for one ddmin round: decides which of `candidates`
 /// is the first (lowest-index) that still reproduces the failure.
@@ -209,12 +218,16 @@ using ShrinkBatchProbe = std::function<size_t(
 ShrinkBatchProbe SerialShrinkProbe(
     std::function<bool(const std::vector<uint64_t>&)> reproduces);
 
-/// \brief The ddmin core shared by serial and parallel shrinking: the
-/// round structure (candidate generation, granularity schedule, budget)
-/// lives here; `probe` decides how a round's candidates are evaluated.
+/// \brief ddmin-style shrinking over window ids: returns a (locally)
+/// minimal subset of `windows` that still reproduces the failure, charging
+/// at most `budget` probes. The round structure (candidate generation,
+/// granularity schedule, budget) lives here; `probe` decides how a round's
+/// candidates are evaluated and must be deterministic. `replays`
+/// (optional) receives the probes charged.
 std::vector<uint64_t> ShrinkWindowsBatched(std::vector<uint64_t> windows,
                                            const ShrinkBatchProbe& probe,
-                                           size_t budget = 64);
+                                           size_t budget = 64,
+                                           size_t* replays = nullptr);
 
 }  // namespace pbc::check
 

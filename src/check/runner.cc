@@ -370,30 +370,15 @@ void ExportSchedulerMetrics(const ThreadPool& pool,
 NemesisSchedule ShrinkFailure(const RunConfig& config,
                               const NemesisSchedule& schedule, size_t budget,
                               size_t* replays_out, ThreadPool* pool) {
-  size_t replays = 0;
-  std::vector<uint64_t> minimal;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    ShrinkBatchProbe probe = ParallelShrinkProbe(config, schedule, pool);
-    minimal = ShrinkWindowsBatched(
-        schedule.WindowIds(),
-        [&replays, &probe](const std::vector<std::vector<uint64_t>>& cands,
-                           size_t max_probes, size_t* charged) {
-          size_t idx = probe(cands, max_probes, charged);
-          replays += *charged;
-          return idx;
-        },
-        budget);
-  } else {
-    auto reproduces = [&config, &schedule,
-                       &replays](const std::vector<uint64_t>& windows) {
-      ++replays;
-      RunResult r = RunWithSchedule(config, schedule.Filtered(windows));
-      return !r.ok();
-    };
-    minimal = ShrinkWindows(schedule.WindowIds(), reproduces, budget);
-  }
-  if (replays_out) *replays_out = replays;
-  return schedule.Filtered(minimal);
+  ShrinkBatchProbe probe =
+      pool != nullptr && pool->num_threads() > 1
+          ? ParallelShrinkProbe(config, schedule, pool)
+          : SerialShrinkProbe([&config, &schedule](
+                                  const std::vector<uint64_t>& windows) {
+              return !RunWithSchedule(config, schedule.Filtered(windows)).ok();
+            });
+  return schedule.Filtered(ShrinkWindowsBatched(schedule.WindowIds(), probe,
+                                                budget, replays_out));
 }
 
 SweepReport RunSweepCells(const std::vector<RunConfig>& cells,

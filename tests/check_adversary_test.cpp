@@ -6,8 +6,9 @@
 //  * a fault-budget property over 200 seeded adaptive schedules across
 //    all four adversary modes (max_faulty never exceeded at any instant,
 //    never_crash nodes never targeted, fault-free tail respected);
-//  * determinism — adaptive runs are pure functions of (config, seed)
-//    and their recorded traces replay statically;
+//  * determinism — adaptive runs are pure functions of (config, seed),
+//    their recorded traces replay statically, and a replay makes the
+//    same fault calls as the live run;
 //  * clock-skew semantics (timer scaling, not message latency) and
 //    composition with the adversary;
 //  * the known PBFT no-state-transfer gap, pinned as an expected
@@ -20,12 +21,14 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/adversary.h"
 #include "check/harness.h"
 #include "check/nemesis.h"
 #include "check/runner.h"
+#include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -213,36 +216,93 @@ NemesisTopology AdversaryTopology(bool bft, bool with_protected) {
   return topo;
 }
 
-// Runs one synthetic adaptive schedule: no protocol, just a simulator, a
-// bare network, and an observer that rotates the leader every 2 s — a
-// moving target for the adversary to chase.
+constexpr sim::Time kSyntheticHorizon = 60'000'000;
+
+// A bare network with a trace attached and no protocol: what a run's
+// faults do to it is all there is to see. The FaultApplier's Byzantine
+// hook logs each flip.
+struct BareNetwork {
+  explicit BareNetwork(uint64_t seed) : sim(seed), net(&sim) {
+    net.AttachObs(nullptr, &trace);
+    faults.net = &net;
+    faults.set_byzantine = [this](const NemesisEvent& ev) {
+      flips.push_back("t=" + std::to_string(sim.now()) + " flip replica=" +
+                      std::to_string(ev.replica_index) + " mode=" +
+                      std::to_string(static_cast<int>(ev.mode)));
+    };
+  }
+
+  // Samples every directed link's latency each millisecond and logs each
+  // change, so link-latency faults show up next to the traced ones.
+  void ProbeLinks() {
+    sim.Schedule(1000, [this] {
+      for (sim::NodeId from = 0; from < 4; ++from) {
+        for (sim::NodeId to = 0; to < 4; ++to) {
+          if (from == to) continue;
+          sim::LinkLatency now = net.EffectiveLatency(from, to);
+          sim::LinkLatency& last = links[{from, to}];
+          if (now.base_us != last.base_us || now.jitter_us != last.jitter_us) {
+            latency_changes.push_back(
+                "t=" + std::to_string(sim.now()) + " link " +
+                std::to_string(from) + "->" + std::to_string(to) + " " +
+                std::to_string(now.base_us) + "/" +
+                std::to_string(now.jitter_us));
+            last = now;
+          }
+        }
+      }
+      if (sim.now() < kSyntheticHorizon) ProbeLinks();
+    });
+  }
+
+  // Every fault the network saw, with its simulated time.
+  std::vector<std::string> Observed() const {
+    std::vector<std::string> seen;
+    for (const obs::TraceEvent& ev : trace.Snapshot()) {
+      seen.push_back("t=" + std::to_string(ev.at_us) + " " +
+                     obs::TraceKindName(ev.kind) + " node=" +
+                     std::to_string(ev.a) + " arg=" + std::to_string(ev.arg));
+    }
+    seen.insert(seen.end(), latency_changes.begin(), latency_changes.end());
+    seen.insert(seen.end(), flips.begin(), flips.end());
+    return seen;
+  }
+
+  sim::Simulator sim;
+  sim::Network net;
+  obs::TraceLog trace{1 << 16};
+  FaultApplier faults;
+  std::vector<std::string> flips;
+  /// Last sampled latency per directed link (LinkLatency's default is the
+  /// network's default).
+  std::map<std::pair<sim::NodeId, sim::NodeId>, sim::LinkLatency> links;
+  std::vector<std::string> latency_changes;
+};
+
+// Runs one synthetic adaptive schedule on a bare network (a fresh one
+// unless `bare` is given), with an observer that rotates the leader every
+// 2 s — a moving target for the adversary to chase.
 NemesisSchedule SyntheticTrace(AdversaryMode mode, uint64_t seed,
                                const NemesisTopology& topo,
-                               std::vector<size_t>* flips = nullptr) {
-  constexpr sim::Time kHorizon = 60'000'000;
-  sim::Simulator sim(seed);
-  sim::Network net(&sim);
+                               BareNetwork* bare = nullptr) {
+  BareNetwork fresh(seed);
+  BareNetwork& w = bare != nullptr ? *bare : fresh;
   ReactiveNemesis::Options opts;
   opts.mode = mode;
   opts.topology = topo;
-  opts.horizon = kHorizon;
+  opts.horizon = kSyntheticHorizon;
   opts.seed = seed;
-  ReactiveNemesis adversary(
-      opts, &sim, &net,
-      [&sim](size_t) {
-        GroupObservation obs;
-        obs.view = sim.now() / 2'000'000;
-        obs.has_leader = true;
-        obs.leader_index = obs.view % 4;
-        obs.has_next_leader = true;
-        obs.next_leader_index = (obs.view + 1) % 4;
-        return obs;
-      },
-      [flips](size_t, size_t replica_index, consensus::ByzantineMode) {
-        if (flips) flips->push_back(replica_index);
-      });
+  ReactiveNemesis adversary(opts, &w.sim, &w.faults, [&w](size_t) {
+    GroupObservation obs;
+    obs.view = w.sim.now() / 2'000'000;
+    obs.has_leader = true;
+    obs.leader_index = obs.view % 4;
+    obs.has_next_leader = true;
+    obs.next_leader_index = (obs.view + 1) % 4;
+    return obs;
+  });
   adversary.Arm();
-  sim.Run(kHorizon);
+  w.sim.Run(kSyntheticHorizon);
   // Crash faults drain by the horizon; a permanent Byzantine flip keeps
   // its budget slot, so the residue is at most the group's f.
   EXPECT_LE(adversary.active_faults(0), topo.groups[0].max_faulty);
@@ -250,7 +310,7 @@ NemesisSchedule SyntheticTrace(AdversaryMode mode, uint64_t seed,
 }
 
 TEST(AdversaryBudgetTest, TwoHundredSchedulesRespectBudgetAndProtection) {
-  constexpr sim::Time kHorizon = 60'000'000;
+  constexpr sim::Time kHorizon = kSyntheticHorizon;
   size_t schedules = 0;
   size_t nonempty = 0;
   for (AdversaryMode mode : kAllAdversaryModes) {
@@ -314,14 +374,14 @@ TEST(AdversaryBudgetTest, ChurnRetargetsProtectedLeaderToSuccessor) {
 }
 
 TEST(AdversaryBudgetTest, LeaderModeFlipsOnlyBftGroups) {
-  std::vector<size_t> flips;
+  BareNetwork bft(3);
   SyntheticTrace(AdversaryMode::kLeader, 3,
-                 AdversaryTopology(/*bft=*/true, false), &flips);
-  EXPECT_EQ(flips.size(), 1u) << "exactly one permanent Byzantine flip";
-  flips.clear();
+                 AdversaryTopology(/*bft=*/true, false), &bft);
+  EXPECT_EQ(bft.flips.size(), 1u) << "exactly one permanent Byzantine flip";
+  BareNetwork cft(3);
   SyntheticTrace(AdversaryMode::kLeader, 3,
-                 AdversaryTopology(/*bft=*/false, false), &flips);
-  EXPECT_TRUE(flips.empty()) << "CFT groups must never be flipped";
+                 AdversaryTopology(/*bft=*/false, false), &cft);
+  EXPECT_TRUE(cft.flips.empty()) << "CFT groups must never be flipped";
 }
 
 TEST(AdversaryBudgetTest, QuorumModeSplitsAtTheQuorumEdge) {
@@ -396,6 +456,35 @@ TEST(AdversaryDeterminismTest, RecordedTraceReplaysStatically) {
                              "quorum mutation at this seed";
   RunResult replay = RunWithSchedule(cfg, live.schedule);
   EXPECT_FALSE(replay.ok()) << "static replay of the trace lost the bug";
+}
+
+// Live faults and replayed ones go through one FaultApplier, so applying
+// a recorded trace to a fresh network must make every fault call the live
+// adversary made, at the same simulated time: the same crashes, recovers,
+// partitions, heals, link latencies and Byzantine flips.
+TEST(AdversaryDeterminismTest, TraceReplayMakesTheLiveFaultCalls) {
+  NemesisTopology topo = AdversaryTopology(/*bft=*/true, false);
+  for (AdversaryMode mode :
+       {AdversaryMode::kLeader, AdversaryMode::kQuorum, AdversaryMode::kChurn}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      std::string label = std::string(AdversaryModeName(mode)) + "/seed=" +
+                          std::to_string(seed);
+      BareNetwork live(seed);
+      live.ProbeLinks();
+      NemesisSchedule trace = SyntheticTrace(mode, seed, topo, &live);
+      BareNetwork replay(seed);
+      replay.ProbeLinks();
+      trace.Apply(&replay.sim, &replay.faults);
+      replay.sim.Run(kSyntheticHorizon);
+      EXPECT_FALSE(live.Observed().empty()) << label;
+      EXPECT_EQ(live.Observed(), replay.Observed()) << label;
+      // Every window closed: each link is back at the default latency.
+      for (const auto& [link, latency] : replay.links) {
+        EXPECT_EQ(latency.base_us, sim::LinkLatency{}.base_us) << label;
+        EXPECT_EQ(latency.jitter_us, sim::LinkLatency{}.jitter_us) << label;
+      }
+    }
+  }
 }
 
 TEST(AdversaryDeterminismTest, ShardedProtocolsRejectAdaptiveModes) {

@@ -249,15 +249,22 @@ TEST(ShrinkWindowsTest, FindsMinimalCulpritPair) {
     }
     return has3 && has7;
   };
-  std::vector<uint64_t> minimal = ShrinkWindows(windows, needs_3_and_7);
+  size_t replays = 0;
+  std::vector<uint64_t> minimal = ShrinkWindowsBatched(
+      windows, SerialShrinkProbe(needs_3_and_7), 64, &replays);
   EXPECT_EQ(minimal, (std::vector<uint64_t>{3, 7}));
   EXPECT_LE(calls, 64u);
+  EXPECT_EQ(replays, calls);  // the serial probe charges each call once
 }
 
 TEST(ShrinkWindowsTest, EmptyWhenFailureNeedsNoFaults) {
-  std::vector<uint64_t> minimal = ShrinkWindows(
-      {1, 2, 3}, [](const std::vector<uint64_t>&) { return true; });
+  size_t replays = 0;
+  std::vector<uint64_t> minimal = ShrinkWindowsBatched(
+      {1, 2, 3},
+      SerialShrinkProbe([](const std::vector<uint64_t>&) { return true; }),
+      64, &replays);
   EXPECT_TRUE(minimal.empty());
+  EXPECT_EQ(replays, 1u);  // the fault-free probe reproduced at once
 }
 
 // --- Harness determinism ----------------------------------------------------
