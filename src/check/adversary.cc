@@ -56,20 +56,6 @@ void ReactiveNemesis::Arm() {
   sim_->Schedule(options_.tick_us, [this] { Tick(); });
 }
 
-NemesisSchedule ReactiveNemesis::Trace() const {
-  std::vector<NemesisEvent> events = events_;
-  std::stable_sort(events.begin(), events.end(),
-                   [](const NemesisEvent& a, const NemesisEvent& b) {
-                     return a.at < b.at;
-                   });
-  return NemesisSchedule::FromEvents(std::move(events));
-}
-
-bool ReactiveNemesis::IsNeverCrash(sim::NodeId id) const {
-  const auto& nc = options_.topology.never_crash;
-  return std::find(nc.begin(), nc.end(), id) != nc.end();
-}
-
 void ReactiveNemesis::Tick() {
   const sim::Time now = sim_->now();
   // Same contract as generated schedules: no fault *starts* after 55% of
@@ -167,7 +153,7 @@ void ReactiveNemesis::ChurnTick(size_t g, const GroupObservation& obs) {
   sim::Time until = std::min(now + dur, FaultEnd());
   if (until <= now) return;
   sim::NodeId victim = group.nodes[obs.leader_index];
-  if (IsNeverCrash(victim)) {
+  if (options_.topology.NeverCrashes(victim)) {
     // Protected leader (a gateway): churn the expected successor instead.
     if (!obs.has_next_leader || obs.next_leader_index >= group.nodes.size()) {
       return;
@@ -200,13 +186,14 @@ bool ReactiveNemesis::InjectCrash(size_t g, sim::NodeId victim,
   const auto& group = options_.topology.groups[g];
   GroupState& st = state_[g];
   if (st.active_faults >= group.max_faulty) return false;
-  if (IsNeverCrash(victim) || apply_->net->IsCrashed(victim)) return false;
+  if (!Targetable(victim)) return false;
   if (until <= sim_->now()) return false;
   NemesisEvent crash;
   crash.kind = NemesisKind::kCrash;
   crash.node = victim;
   ++st.active_faults;
-  InjectWindow(std::move(crash), until, [this, g] { --state_[g].active_faults; });
+  InjectWindow(std::move(crash), until,
+               [this, g] { --state_[g].active_faults; });
   return true;
 }
 
@@ -273,7 +260,7 @@ bool ReactiveNemesis::InjectByzantineFlip(size_t g, size_t replica_index) {
   if (st.byzantine_used || st.active_faults >= group.max_faulty) return false;
   if (!apply_->set_byzantine) return false;
   sim::NodeId node = group.nodes[replica_index];
-  if (IsNeverCrash(node) || apply_->net->IsCrashed(node)) return false;
+  if (!Targetable(node)) return false;
   NemesisEvent ev;
   ev.at = sim_->now();
   ev.kind = NemesisKind::kByzantine;

@@ -96,7 +96,9 @@ class ReactiveNemesis {
 
   /// The faults injected so far, as a well-formed replayable schedule
   /// (every crash paired with its recover, etc.), sorted by time.
-  NemesisSchedule Trace() const;
+  NemesisSchedule Trace() const {
+    return NemesisSchedule::FromEvents(events_);
+  }
 
   /// Instantaneous fault count charged against group `g`'s budget
   /// (crashed-now plus permanently-Byzantine). Exposed for tests.
@@ -130,9 +132,12 @@ class ReactiveNemesis {
   /// Permanently flips one replica to equivocation; charges the budget.
   bool InjectByzantineFlip(size_t g, size_t replica_index);
 
+  /// Neither protected nor crashed now.
+  bool Targetable(sim::NodeId id) const {
+    return !options_.topology.NeverCrashes(id) && !apply_->net->IsCrashed(id);
+  }
   sim::Time FaultStartMax() const { return options_.horizon * 55 / 100; }
   sim::Time FaultEnd() const { return options_.horizon * 70 / 100; }
-  bool IsNeverCrash(sim::NodeId id) const;
 
   Options options_;
   sim::Simulator* sim_;

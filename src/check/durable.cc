@@ -36,13 +36,10 @@ RecoverFn ProductionRecovery(bool mutate_recovery, bool use_snapshot) {
 
 std::string ReplayChainState(const ledger::Chain& chain, uint64_t height) {
   store::KvStore kv;
-  uint64_t next_version = 1;
+  store::Version next_version = 1;
   for (uint64_t h = 0; h < height && h < chain.height(); ++h) {
     for (const txn::Transaction& t : chain.at(h).txns) {
-      txn::ExecResult result = txn::Execute(t, txn::LatestReader(&kv));
-      if (!result.writes.empty()) {
-        kv.ApplyBatch(result.writes, next_version++);
-      }
+      txn::ApplyCommitted(t, &kv, &next_version);
     }
   }
   return store::SerializeLatestState(kv);
@@ -50,8 +47,8 @@ std::string ReplayChainState(const ledger::Chain& chain, uint64_t height) {
 
 // --- RecoveryEquivalenceChecker --------------------------------------------
 
-void RecoveryEquivalenceChecker::Check(sim::Time now,
-                                       std::vector<Violation>* out) {
+void RecoveryEquivalenceChecker::Poll(sim::Time now,
+                                      std::vector<Violation>* out) {
   for (size_t i = 0; i < targets_.size(); ++i) {
     const DurableTarget& t = targets_[i];
     const ledger::Chain* chain = t.chain ? t.chain() : nullptr;
@@ -95,8 +92,8 @@ void RecoveryEquivalenceChecker::Check(sim::Time now,
 
 // --- SnapshotConvergenceChecker --------------------------------------------
 
-void SnapshotConvergenceChecker::Check(sim::Time now,
-                                       std::vector<Violation>* out) {
+void SnapshotConvergenceChecker::Poll(sim::Time now,
+                                      std::vector<Violation>* out) {
   for (size_t i = 0; i < targets_.size(); ++i) {
     const DurableTarget& t = targets_[i];
     sim::FsImage image = fs_->DurableImage(FaultPrefix(t.dir));
@@ -138,20 +135,16 @@ void SyncedCommitDurabilityChecker::ObserveRecovery(
     size_t replica_index, const store::DurableLedger::RecoveryReport& report,
     sim::Time now) {
   if (report.recovered_height < report.valid_frames) {
-    pending_.push_back(
-        {name(),
-         "replica " + std::to_string(replica_index) + " recovery kept " +
-             std::to_string(report.recovered_height) + " of " +
-             std::to_string(report.valid_frames) +
-             " valid frames — an fsynced commit was lost by truncation",
-         now});
+    Record("replica " + std::to_string(replica_index) + " recovery kept " +
+               std::to_string(report.recovered_height) + " of " +
+               std::to_string(report.valid_frames) +
+               " valid frames — an fsynced commit was lost by truncation",
+           now);
   }
 }
 
-void SyncedCommitDurabilityChecker::Check(sim::Time now,
-                                          std::vector<Violation>* out) {
-  out->insert(out->end(), pending_.begin(), pending_.end());
-  pending_.clear();
+void SyncedCommitDurabilityChecker::Poll(sim::Time now,
+                                         std::vector<Violation>* out) {
   for (size_t i = 0; i < targets_.size(); ++i) {
     const DurableTarget& t = targets_[i];
     std::string prefix = FaultPrefix(t.dir);

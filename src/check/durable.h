@@ -55,8 +55,8 @@ using RecoverFn = std::function<store::DurableLedger::Recovered(
 RecoverFn ProductionRecovery(bool mutate_recovery, bool use_snapshot = true);
 
 /// Canonical world state after the first `height` blocks of `chain`:
-/// replays them with the same execution idiom the durable ledger and the
-/// KV model checker use, then serializes (codec.h).
+/// replays them with txn::ApplyCommitted, as the durable ledger and the KV
+/// model checker do, then serializes (codec.h).
 std::string ReplayChainState(const ledger::Chain& chain, uint64_t height);
 
 /// \brief Recovery from disk reproduces a prefix of the replica's
@@ -69,9 +69,10 @@ class RecoveryEquivalenceChecker : public InvariantChecker {
       : fs_(fs), targets_(std::move(targets)), recover_(std::move(recover)) {}
 
   const char* name() const override { return "durable-recovery-equivalence"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
  private:
+  void Poll(sim::Time now, std::vector<Violation>* out) override;
+
   const sim::Fs* fs_;
   std::vector<DurableTarget> targets_;
   RecoverFn recover_;
@@ -90,13 +91,14 @@ class SnapshotConvergenceChecker : public InvariantChecker {
         recover_full_(std::move(recover_full)) {}
 
   const char* name() const override { return "durable-snapshot-convergence"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
   /// Snapshot-path recoveries that actually used a snapshot (coverage:
   /// convergence is vacuous while no snapshot exists).
   uint64_t snapshot_recoveries() const { return snapshot_recoveries_; }
 
  private:
+  void Poll(sim::Time now, std::vector<Violation>* out) override;
+
   const sim::Fs* fs_;
   std::vector<DurableTarget> targets_;
   RecoverFn recover_snapshot_;
@@ -129,13 +131,13 @@ class SyncedCommitDurabilityChecker : public InvariantChecker {
                        sim::Time now);
 
   const char* name() const override { return "durable-synced-commit"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
  private:
+  void Poll(sim::Time now, std::vector<Violation>* out) override;
+
   const sim::Fs* fs_;
   std::vector<DurableTarget> targets_;
   RecoverFn recover_;
-  std::vector<Violation> pending_;  // found during ObserveRecovery
 };
 
 }  // namespace pbc::check

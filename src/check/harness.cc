@@ -62,25 +62,44 @@ uint64_t MixSeed(const RunConfig& cfg) {
   return h;
 }
 
-/// t=0 kClockSkew overlay under the reserved window id 0: even-indexed
-/// nodes run `ppm` fast, odd-indexed run `ppm` slow — the worst relative
-/// drift between any two timers is thus ~2*ppm. Window 0 so the overlay
-/// survives shrinking alongside generated/adaptive windows (ids >= 1).
-NemesisSchedule MakeClockSkewSchedule(const std::vector<sim::NodeId>& nodes,
-                                      int64_t ppm) {
-  std::vector<NemesisEvent> events;
-  if (ppm != 0) {
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      NemesisEvent ev;
-      ev.at = 0;
-      ev.kind = NemesisKind::kClockSkew;
-      ev.window = 0;
-      ev.node = nodes[i];
-      ev.skew_ppm = (i % 2 == 0) ? ppm : -ppm;
-      events.push_back(ev);
-    }
+/// The schedule a run applies up front. An explicit one (a shrink probe
+/// or a trace replay) is replayed as is, with any adaptive adversary
+/// disarmed. Otherwise: the t=0 kClockSkew overlay under the reserved
+/// window id 0 (even-indexed nodes run `clock_skew_ppm` fast, odd-indexed
+/// ones as slow, so the worst drift between two timers is ~2x; window 0
+/// survives shrinking alongside the fault windows, ids >= 1), plus the
+/// generated fault windows unless an adaptive adversary injects its own.
+NemesisSchedule StaticSchedule(const RunConfig& cfg,
+                               const NemesisProfile& profile,
+                               const NemesisTopology& topo, sim::Time horizon,
+                               const NemesisSchedule* explicit_schedule) {
+  if (explicit_schedule) return *explicit_schedule;
+  std::vector<NemesisEvent> skew;
+  for (size_t i = 0; cfg.clock_skew_ppm != 0 && i < topo.all_nodes.size();
+       ++i) {
+    NemesisEvent& ev = skew.emplace_back();
+    ev.kind = NemesisKind::kClockSkew;
+    ev.node = topo.all_nodes[i];
+    ev.skew_ppm = i % 2 == 0 ? cfg.clock_skew_ppm : -cfg.clock_skew_ppm;
   }
-  return NemesisSchedule::FromEvents(std::move(events));
+  NemesisSchedule overlay = NemesisSchedule::FromEvents(std::move(skew));
+  if (cfg.adversary != "random") return overlay;
+  return NemesisSchedule::Merged(
+      overlay, NemesisSchedule::Generate(profile, topo, horizon, cfg.seed));
+}
+
+/// The consensus settings every cluster of a run shares; `block_delay_us`
+/// is the block pipeline's timer cut when `block_max_txns` enables it.
+consensus::ClusterConfig ClusterConfigFor(const RunConfig& cfg,
+                                          sim::Time block_delay_us) {
+  consensus::ClusterConfig cc;
+  cc.quorum_slack_for_test = cfg.quorum_slack;
+  if (cfg.block_max_txns > 0) {
+    cc.block.enabled = true;
+    cc.block.max_txns = cfg.block_max_txns;
+    cc.block.max_delay_us = block_delay_us;
+  }
+  return cc;
 }
 
 struct World {
@@ -132,14 +151,8 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
   const bool bft = InFamily(cfg.protocol, ProtocolFamily::kBft);
   World w(MixSeed(cfg));
 
-  consensus::ClusterConfig cc;
+  consensus::ClusterConfig cc = ClusterConfigFor(cfg, 5000);
   cc.batch_size = 8;  // several sequences per run, so faults land mid-stream
-  cc.quorum_slack_for_test = cfg.quorum_slack;
-  if (cfg.block_max_txns > 0) {
-    cc.block.enabled = true;
-    cc.block.max_txns = cfg.block_max_txns;
-    cc.block.max_delay_us = 5000;
-  }
   consensus::Cluster<R> cluster(&w.net, &w.registry, cfg.cluster_size, cc);
 
   NemesisTopology topo;
@@ -160,22 +173,8 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
   AdversaryMode adversary = AdversaryMode::kRandom;
   ParseAdversaryMode(cfg.adversary, &adversary);  // validated in Dispatch
 
-  // The static part of the schedule: the clock-skew overlay always, plus
-  // the generated fault windows in random mode. Adaptive modes inject
-  // their faults live (and record them); an explicit schedule — a shrink
-  // probe or a trace replay — is always replayed statically, with the
-  // adversary disarmed.
-  NemesisSchedule schedule;
-  if (explicit_schedule) {
-    schedule = *explicit_schedule;
-  } else {
-    schedule = MakeClockSkewSchedule(topo.all_nodes, cfg.clock_skew_ppm);
-    if (adversary == AdversaryMode::kRandom) {
-      schedule = NemesisSchedule::Merged(
-          schedule, NemesisSchedule::Generate(profile, topo, horizon,
-                                              cfg.seed));
-    }
-  }
+  NemesisSchedule schedule =
+      StaticSchedule(cfg, profile, topo, horizon, explicit_schedule);
 
   CheckerSuite suite(&w.sim);
   auto chains = [&cluster] {
@@ -364,15 +363,9 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   const sim::Time horizon = HorizonFor(cfg);
   World w(MixSeed(cfg));
 
-  consensus::ClusterConfig cc;
-  cc.quorum_slack_for_test = cfg.quorum_slack;
-  if (cfg.block_max_txns > 0) {
-    cc.block.enabled = true;
-    cc.block.max_txns = cfg.block_max_txns;
-    // Short timer cut: 2PC lock/decision markers ride the same pools, so
-    // a long cut delay would serialize every cross-shard commit.
-    cc.block.max_delay_us = 2000;
-  }
+  // Short block timer cut: 2PC lock/decision markers ride the same pools,
+  // so a long cut delay would serialize every cross-shard commit.
+  consensus::ClusterConfig cc = ClusterConfigFor(cfg, 2000);
   const uint32_t shards = cfg.num_shards;
   const size_t rps = cfg.cluster_size;
 
@@ -405,11 +398,7 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   // Clock skew composes with sharded runs (it is per-node, not
   // per-protocol); adaptive adversary modes do not (rejected in Dispatch).
   NemesisSchedule schedule =
-      explicit_schedule
-          ? *explicit_schedule
-          : NemesisSchedule::Merged(
-                MakeClockSkewSchedule(topo.all_nodes, cfg.clock_skew_ppm),
-                NemesisSchedule::Generate(profile, topo, horizon, cfg.seed));
+      StaticSchedule(cfg, profile, topo, horizon, explicit_schedule);
 
   CheckerSuite suite(&w.sim);
   // Replica agreement within each cluster (cross-cluster chains are

@@ -1,6 +1,7 @@
 #include "check/invariants.h"
 
 #include <algorithm>
+#include <set>
 
 namespace pbc::check {
 
@@ -13,7 +14,7 @@ obs::Json Violation::ToJson() const {
 
 // --- ChainAgreementChecker -------------------------------------------------
 
-void ChainAgreementChecker::Check(sim::Time now, std::vector<Violation>* out) {
+void ChainAgreementChecker::Poll(sim::Time now, std::vector<Violation>* out) {
   std::vector<const ledger::Chain*> chains = chains_();
   for (size_t i = 0; i < chains.size(); ++i) {
     for (size_t j = i + 1; j < chains.size(); ++j) {
@@ -33,7 +34,7 @@ void ChainAgreementChecker::Check(sim::Time now, std::vector<Violation>* out) {
 
 // --- ChainLinkageChecker ---------------------------------------------------
 
-void ChainLinkageChecker::Check(sim::Time now, std::vector<Violation>* out) {
+void ChainLinkageChecker::Poll(sim::Time now, std::vector<Violation>* out) {
   std::vector<const ledger::Chain*> chains = chains_();
   for (size_t i = 0; i < chains.size(); ++i) {
     Status status = chains[i]->Audit();
@@ -48,7 +49,7 @@ void ChainLinkageChecker::Check(sim::Time now, std::vector<Violation>* out) {
 
 // --- CommitValidityChecker -------------------------------------------------
 
-void CommitValidityChecker::Check(sim::Time now, std::vector<Violation>* out) {
+void CommitValidityChecker::Poll(sim::Time now, std::vector<Violation>* out) {
   std::vector<const ledger::Chain*> chains = chains_();
   for (size_t i = 0; i < chains.size(); ++i) {
     std::set<txn::TxnId> seen;
@@ -76,42 +77,29 @@ void CommitValidityChecker::Check(sim::Time now, std::vector<Violation>* out) {
 
 // --- KvModelChecker --------------------------------------------------------
 
-void KvModelChecker::ApplyToModel(const txn::Transaction& txn) {
-  txn::ExecResult result = txn::Execute(txn, txn::LatestReader(&model_));
-  if (!result.writes.empty()) {
-    model_.ApplyBatch(result.writes, next_version_++);
-  }
-}
-
 void KvModelChecker::OnCommit(size_t replica_index,
                               const txn::Transaction& txn, sim::Time now) {
   size_t pos = cursor_[replica_index]++;
   if (pos < canonical_.size()) {
     if (canonical_[pos] != txn.id) {
-      pending_.push_back(
-          {name(),
-           "replica " + std::to_string(replica_index) + " committed txn " +
-               std::to_string(txn.id) + " at position " + std::to_string(pos) +
-               " where the sequential history holds txn " +
-               std::to_string(canonical_[pos]),
-           now});
+      Record("replica " + std::to_string(replica_index) + " committed txn " +
+                 std::to_string(txn.id) + " at position " +
+                 std::to_string(pos) +
+                 " where the sequential history holds txn " +
+                 std::to_string(canonical_[pos]),
+             now);
     }
     return;
   }
   // First replica to reach this position extends the canonical history.
   canonical_.push_back(txn.id);
-  ApplyToModel(txn);
-}
-
-void KvModelChecker::Check(sim::Time /*now*/, std::vector<Violation>* out) {
-  out->insert(out->end(), pending_.begin(), pending_.end());
-  pending_.clear();
+  txn::ApplyCommitted(txn, &model_, &next_version_);
 }
 
 // --- BalanceConservationChecker --------------------------------------------
 
-void BalanceConservationChecker::Check(sim::Time now,
-                                       std::vector<Violation>* out) {
+void BalanceConservationChecker::Poll(sim::Time now,
+                                      std::vector<Violation>* out) {
   if (settled_ && !settled_()) return;
   int64_t total = total_();
   int64_t expected = expected_();
@@ -121,23 +109,6 @@ void BalanceConservationChecker::Check(sim::Time now,
                         " != expected " + std::to_string(expected),
                     now});
   }
-}
-
-// --- TokenNoDoubleSpendChecker ---------------------------------------------
-
-void TokenNoDoubleSpendChecker::OnSpend(const crypto::Hash256& serial,
-                                        bool accepted, sim::Time now) {
-  if (!accepted) return;
-  if (!accepted_.insert(serial).second) {
-    pending_.push_back(
-        {name(), "token serial accepted twice (double spend)", now});
-  }
-}
-
-void TokenNoDoubleSpendChecker::Check(sim::Time /*now*/,
-                                      std::vector<Violation>* out) {
-  out->insert(out->end(), pending_.begin(), pending_.end());
-  pending_.clear();
 }
 
 // --- CrossShardAtomicityChecker --------------------------------------------
@@ -153,13 +124,11 @@ void CrossShardAtomicityChecker::OnShardOutcome(uint32_t shard, txn::TxnId id,
   per_shard[shard] = commit;
   for (const auto& [other, outcome] : per_shard) {
     if (outcome != commit) {
-      pending_.push_back(
-          {name(),
-           "cross-shard txn " + std::to_string(id) + ": cluster " +
-               std::to_string(shard) + (commit ? " committed" : " aborted") +
-               " while cluster " + std::to_string(other) +
-               (outcome ? " committed" : " aborted"),
-           now});
+      Record("cross-shard txn " + std::to_string(id) + ": cluster " +
+                 std::to_string(shard) + (commit ? " committed" : " aborted") +
+                 " while cluster " + std::to_string(other) +
+                 (outcome ? " committed" : " aborted"),
+             now);
       break;
     }
   }
@@ -171,12 +140,6 @@ bool CrossShardAtomicityChecker::AllDecided() const {
     if (it == outcomes_.end() || it->second.size() < involved) return false;
   }
   return true;
-}
-
-void CrossShardAtomicityChecker::Check(sim::Time /*now*/,
-                                       std::vector<Violation>* out) {
-  out->insert(out->end(), pending_.begin(), pending_.end());
-  pending_.clear();
 }
 
 // --- CheckerSuite ----------------------------------------------------------

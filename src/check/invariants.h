@@ -12,20 +12,19 @@
 //  * consensus validity (only client txns commit)       — CommitValidity
 //  * KV linearizability vs a sequential model           — KvModel
 //  * workload balance conservation                      — BalanceConservation
-//  * token no-double-spend (§2.3.2, Separ)              — TokenNoDoubleSpend
 //  * cross-shard atomicity (§2.3.4)                     — CrossShardAtomicity
 #ifndef PBC_CHECK_INVARIANTS_H_
 #define PBC_CHECK_INVARIANTS_H_
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "crypto/sha256.h"
 #include "ledger/chain.h"
 #include "obs/json.h"
 #include "sim/simulator.h"
@@ -51,13 +50,33 @@ class InvariantChecker {
   /// Stable name used in reports and coverage counts.
   virtual const char* name() const = 0;
 
-  /// Examines the system and appends violations. Called periodically
-  /// during the run and once more at the end.
-  virtual void Check(sim::Time now, std::vector<Violation>* out) = 0;
+  /// Appends the violations event hooks recorded since the last call,
+  /// then what Poll finds. Called periodically during the run and once
+  /// more at the end.
+  void Check(sim::Time now, std::vector<Violation>* out) {
+    out->insert(out->end(), std::make_move_iterator(recorded_.begin()),
+                std::make_move_iterator(recorded_.end()));
+    recorded_.clear();
+    Poll(now, out);
+  }
 
   /// Checkers that are too expensive to run periodically (full-chain
   /// audits) return false here and are only run at the end of a run.
   virtual bool periodic() const { return true; }
+
+ protected:
+  /// Records a violation an event hook found at `at`; the next Check
+  /// reports it.
+  void Record(std::string detail, sim::Time at) {
+    recorded_.push_back({name(), std::move(detail), at});
+  }
+
+ private:
+  /// Examines the system and appends violations. Checkers that only react
+  /// to events (through Record) keep the default.
+  virtual void Poll(sim::Time /*now*/, std::vector<Violation>* /*out*/) {}
+
+  std::vector<Violation> recorded_;
 };
 
 /// \brief All pairwise chains are prefix-consistent (consensus agreement).
@@ -68,9 +87,10 @@ class ChainAgreementChecker : public InvariantChecker {
       : chains_(std::move(chains)) {}
 
   const char* name() const override { return "chain-agreement"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
  private:
+  void Poll(sim::Time now, std::vector<Violation>* out) override;
+
   ChainsFn chains_;
 };
 
@@ -83,9 +103,10 @@ class ChainLinkageChecker : public InvariantChecker {
 
   const char* name() const override { return "chain-linkage"; }
   bool periodic() const override { return false; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
  private:
+  void Poll(sim::Time now, std::vector<Violation>* out) override;
+
   ChainsFn chains_;
 };
 
@@ -103,9 +124,10 @@ class CommitValidityChecker : public InvariantChecker {
       : chains_(std::move(chains)), is_valid_id_(std::move(is_valid_id)) {}
 
   const char* name() const override { return "commit-validity"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
  private:
+  void Poll(sim::Time now, std::vector<Violation>* out) override;
+
   ChainsFn chains_;
   IdPredicate is_valid_id_;
 };
@@ -128,19 +150,15 @@ class KvModelChecker : public InvariantChecker {
                 sim::Time now);
 
   const char* name() const override { return "kv-linearizability"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
   const store::KvStore& model() const { return model_; }
   size_t canonical_length() const { return canonical_.size(); }
 
  private:
-  void ApplyToModel(const txn::Transaction& txn);
-
   std::vector<txn::TxnId> canonical_;          // agreed total order
   std::map<size_t, size_t> cursor_;            // replica -> next position
   store::KvStore model_;                       // canonical history applied
   store::Version next_version_ = 1;
-  std::vector<Violation> pending_;             // found during OnCommit
 };
 
 /// \brief Total balance equals the expected constant.
@@ -167,28 +185,13 @@ class BalanceConservationChecker : public InvariantChecker {
             std::move(settled)) {}
 
   const char* name() const override { return "balance-conservation"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
  private:
+  void Poll(sim::Time now, std::vector<Violation>* out) override;
+
   std::function<int64_t()> total_;
   std::function<int64_t()> expected_;
   std::function<bool()> settled_;
-};
-
-/// \brief No token serial is accepted twice (Separ's enforceability
-/// invariant). The harness reports each spend attempt via `OnSpend`.
-class TokenNoDoubleSpendChecker : public InvariantChecker {
- public:
-  void OnSpend(const crypto::Hash256& serial, bool accepted, sim::Time now);
-
-  const char* name() const override { return "token-no-double-spend"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
-
-  size_t accepted_spends() const { return accepted_.size(); }
-
- private:
-  std::set<crypto::Hash256> accepted_;
-  std::vector<Violation> pending_;
 };
 
 /// \brief Cross-shard atomicity: all clusters involved in a transaction
@@ -210,12 +213,10 @@ class CrossShardAtomicityChecker : public InvariantChecker {
   bool AllDecided() const;
 
   const char* name() const override { return "cross-shard-atomicity"; }
-  void Check(sim::Time now, std::vector<Violation>* out) override;
 
  private:
   std::map<txn::TxnId, size_t> expected_;
   std::map<txn::TxnId, std::map<uint32_t, bool>> outcomes_;
-  std::vector<Violation> pending_;
 };
 
 /// \brief Owns a set of checkers, drives periodic checks off the

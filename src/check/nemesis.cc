@@ -257,10 +257,6 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
       cursor = t2 + horizon / 100;
     }
   };
-  auto is_never_crash = [&](sim::NodeId id) {
-    return std::find(topology.never_crash.begin(), topology.never_crash.end(),
-                     id) != topology.never_crash.end();
-  };
 
   // Byzantine assignment: at most one replica, charged against its
   // cluster's fault budget for the whole run.
@@ -303,7 +299,9 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
       if (budget == 0) continue;
       std::vector<sim::NodeId> eligible;
       for (sim::NodeId id : group.nodes) {
-        if (!is_never_crash(id) && id != byz_node) eligible.push_back(id);
+        if (!topology.NeverCrashes(id) && id != byz_node) {
+          eligible.push_back(id);
+        }
       }
       if (eligible.empty()) continue;
       sequential(rng.NextU64(3), [&](NemesisEvent* down) {  // 0..2 windows
@@ -391,14 +389,14 @@ NemesisSchedule NemesisSchedule::Generate(const NemesisProfile& profile,
     });
   }
 
-  std::stable_sort(events.begin(), events.end(),
-                   [](const NemesisEvent& a, const NemesisEvent& b) {
-                     return a.at < b.at;
-                   });
   return FromEvents(std::move(events));
 }
 
 NemesisSchedule NemesisSchedule::FromEvents(std::vector<NemesisEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const NemesisEvent& a, const NemesisEvent& b) {
+                     return a.at < b.at;
+                   });
   NemesisSchedule s;
   s.events_ = std::move(events);
   return s;
@@ -487,10 +485,6 @@ NemesisSchedule NemesisSchedule::Merged(const NemesisSchedule& a,
                                         const NemesisSchedule& b) {
   std::vector<NemesisEvent> events = a.events_;
   events.insert(events.end(), b.events_.begin(), b.events_.end());
-  std::stable_sort(events.begin(), events.end(),
-                   [](const NemesisEvent& x, const NemesisEvent& y) {
-                     return x.at < y.at;
-                   });
   return FromEvents(std::move(events));
 }
 

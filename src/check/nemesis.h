@@ -14,6 +14,7 @@
 #ifndef PBC_CHECK_NEMESIS_H_
 #define PBC_CHECK_NEMESIS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -144,6 +145,10 @@ struct NemesisTopology {
   /// Nodes that must never crash (single-point gateways in the shard
   /// model; they stand for whole clusters, not individual machines).
   std::vector<sim::NodeId> never_crash;
+  bool NeverCrashes(sim::NodeId id) const {
+    return std::find(never_crash.begin(), never_crash.end(), id) !=
+           never_crash.end();
+  }
 
   /// When true, partitions may split `all_nodes` arbitrarily. When false
   /// (sharded systems), partitions only split one cluster's replicas:
@@ -184,11 +189,12 @@ class NemesisSchedule {
   obs::Json ToJson() const;
   std::string Describe() const;
 
-  /// Direct construction for tests and shrinking internals.
+  /// The schedule of `events`, sorted by time (stable: events at equal
+  /// times keep their order).
   static NemesisSchedule FromEvents(std::vector<NemesisEvent> events);
 
-  /// The union of two schedules, re-sorted by time (stable: `a`'s events
-  /// precede `b`'s at equal timestamps). Window ids must already be
+  /// The union of two schedules, sorted by time (`a`'s events precede
+  /// `b`'s at equal timestamps). Window ids must already be
   /// disjoint — callers keep them so (the clock-skew overlay uses window
   /// 0; generators and the adaptive adversary allocate from 1).
   static NemesisSchedule Merged(const NemesisSchedule& a,

@@ -273,10 +273,6 @@ ShrinkBatchProbe ParallelShrinkProbe(const RunConfig& config,
              const std::vector<std::vector<uint64_t>>& candidates,
              size_t max_probes, size_t* probes_charged) -> size_t {
     size_t limit = std::min(candidates.size(), max_probes);
-    if (limit == 0) {
-      *probes_charged = 0;
-      return SIZE_MAX;
-    }
     std::vector<CancellationToken> tokens(limit);
     std::atomic<size_t> first{SIZE_MAX};
     TaskGroup group;
@@ -315,12 +311,8 @@ CellOutcome RunCell(const RunConfig& cell, const SweepOptions& options,
                     std::mutex* progress_mu) {
   RunResult result = RunOne(cell);
   if (progress) {
-    if (progress_mu != nullptr) {
-      std::lock_guard<std::mutex> lock(*progress_mu);
-      progress(cell, result);
-    } else {
-      progress(cell, result);
-    }
+    std::lock_guard<std::mutex> lock(*progress_mu);
+    progress(cell, result);
   }
   CellOutcome out;
   out.ok = result.ok();
@@ -389,13 +381,13 @@ SweepReport RunSweepCells(const std::vector<RunConfig>& cells,
   jobs = std::max<size_t>(1, std::min(jobs, cells.size()));
 
   std::vector<CellOutcome> outcomes(cells.size());
+  std::mutex progress_mu;
   if (jobs <= 1) {
     for (size_t i = 0; i < cells.size(); ++i) {
-      outcomes[i] = RunCell(cells[i], options, nullptr, progress, nullptr);
+      outcomes[i] = RunCell(cells[i], options, nullptr, progress, &progress_mu);
     }
   } else {
     ThreadPool pool(ThreadPool::Options{jobs, 0});
-    std::mutex progress_mu;
     TaskGroup group;
     for (size_t i = 0; i < cells.size(); ++i) {
       pool.Submit(&group, [&, i] {

@@ -10,32 +10,16 @@ namespace {
 
 std::string LogPath(const std::string& dir) { return dir + "/blocks.log"; }
 
-// The canonical transaction-application idiom (identical to the KV model
-// checker's ApplyToModel), so durable state and model state are
-// byte-comparable: versions advance only when a txn produced writes.
-// Written keys are added to `written` when it is non-null.
-void ApplyTxn(const txn::Transaction& txn, KvStore* kv,
-              uint64_t* next_version, std::set<Key>* written = nullptr) {
-  txn::ExecResult result = txn::Execute(txn, txn::LatestReader(kv));
-  if (!result.writes.empty()) {
-    if (written != nullptr) {
-      for (const WriteAccess& w : result.writes.writes()) {
-        written->insert(w.key);
-      }
-    }
-    kv->ApplyBatch(result.writes, (*next_version)++);
-  }
-}
-
 }  // namespace
 
 DurableLedger::DurableLedger(sim::Fs* fs, Options opts)
     : fs_(fs), opts_(std::move(opts)), log_(fs, LogPath(opts_.dir)) {}
 
 void DurableLedger::ApplyBlockToState(const ledger::Block& block) {
-  std::set<Key>* dirty = opts_.snapshot_interval == 0 ? nullptr : &dirty_;
   for (const txn::Transaction& t : block.txns) {
-    ApplyTxn(t, &kv_, &next_version_, dirty);
+    WriteBatch writes = txn::ApplyCommitted(t, &kv_, &next_version_);
+    if (opts_.snapshot_interval == 0) continue;
+    for (const WriteAccess& w : writes.writes()) dirty_.insert(w.key);
   }
   ++kv_height_;
 }
@@ -105,7 +89,7 @@ DurableLedger::Recovered DurableLedger::RecoverFromImage(
   }
   for (uint64_t h = replay_from; h < rec.height; ++h) {
     for (const txn::Transaction& t : rec.blocks[h].txns) {
-      ApplyTxn(t, &kv, &rec.next_version);
+      txn::ApplyCommitted(t, &kv, &rec.next_version);
     }
   }
   rec.state = SerializeLatestState(kv);

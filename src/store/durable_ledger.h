@@ -3,10 +3,10 @@
 //
 // Commit path (Persist): every chain block beyond the durable height is
 // framed and appended, executed into the internal world-state KvStore
-// (the exact idiom the KV model checker uses, so states are comparable
-// byte-for-byte), then a single fsync forms the commit barrier; every
-// `snapshot_interval` blocks the state is checkpointed via the
-// temp+fsync+rename protocol (snapshot.h). A snapshot is built from the
+// (txn::ApplyCommitted, the rule the KV model checker also uses, so states
+// are comparable byte-for-byte), then a single fsync forms the commit
+// barrier; every `snapshot_interval` blocks the state is checkpointed via
+// the temp+fsync+rename protocol (snapshot.h). A snapshot is built from the
 // previous one plus the keys written since (EncodeSnapshotDelta), so its
 // cost follows what changed rather than the size of the state.
 //

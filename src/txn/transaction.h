@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -96,6 +97,19 @@ ExecResult Execute(const Transaction& txn, const Reader& reader);
 
 /// \brief Reader over the latest committed state of a store.
 Reader LatestReader(const store::KvStore* store);
+
+/// \brief Applies a committed `txn` to `kv`: executes it against the latest
+/// state and applies its writes at version `(*next_version)++`, so the
+/// version advances only when the txn wrote. The one rule for sequential
+/// replay — the durable ledger, its recovery and the KV model checker all
+/// use it, which keeps their states byte-comparable. Returns the writes.
+inline store::WriteBatch ApplyCommitted(const Transaction& txn,
+                                        store::KvStore* kv,
+                                        store::Version* next_version) {
+  ExecResult result = Execute(txn, LatestReader(kv));
+  if (!result.writes.empty()) kv->ApplyBatch(result.writes, (*next_version)++);
+  return std::move(result.writes);
+}
 
 /// \brief Reader over the state visible at `version`.
 Reader SnapshotReader(const store::KvStore* store, store::Version version);

@@ -464,8 +464,8 @@ TEST(AdversaryDeterminismTest, RecordedTraceReplaysStatically) {
 // partitions, heals, link latencies and Byzantine flips.
 TEST(AdversaryDeterminismTest, TraceReplayMakesTheLiveFaultCalls) {
   NemesisTopology topo = AdversaryTopology(/*bft=*/true, false);
-  for (AdversaryMode mode :
-       {AdversaryMode::kLeader, AdversaryMode::kQuorum, AdversaryMode::kChurn}) {
+  for (AdversaryMode mode : {AdversaryMode::kLeader, AdversaryMode::kQuorum,
+                             AdversaryMode::kChurn}) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       std::string label = std::string(AdversaryModeName(mode)) + "/seed=" +
                           std::to_string(seed);

@@ -126,19 +126,6 @@ TEST(BalanceConservationCheckerTest, CatchesLeakOnlyWhenSettled) {
   EXPECT_TRUE(RunChecker(&checker).empty());
 }
 
-TEST(TokenNoDoubleSpendCheckerTest, CatchesSecondAcceptance) {
-  TokenNoDoubleSpendChecker checker;
-  crypto::Hash256 serial = crypto::Sha256::Digest(std::string("token-1"));
-  checker.OnSpend(serial, /*accepted=*/true, 10);
-  checker.OnSpend(serial, /*accepted=*/false, 20);  // rejected retry: fine
-  EXPECT_TRUE(RunChecker(&checker).empty());
-  checker.OnSpend(serial, /*accepted=*/true, 30);  // double spend
-  std::vector<Violation> found = RunChecker(&checker);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].invariant, std::string("token-no-double-spend"));
-  EXPECT_EQ(checker.accepted_spends(), 1u);
-}
-
 TEST(CrossShardAtomicityCheckerTest, CatchesCommitAbortSplit) {
   CrossShardAtomicityChecker checker;
   checker.ExpectOutcomes(7, /*involved_clusters=*/2);
