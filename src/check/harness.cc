@@ -103,6 +103,8 @@ consensus::ClusterConfig ClusterConfigFor(const RunConfig& cfg,
 }
 
 struct World {
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
   explicit World(uint64_t seed) : sim(seed), net(&sim) {
     net.SetDefaultLatency(kDefaultLatency);
     faults.net = &net;

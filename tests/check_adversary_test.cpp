@@ -222,6 +222,8 @@ constexpr sim::Time kSyntheticHorizon = 60'000'000;
 // faults do to it is all there is to see. The FaultApplier's Byzantine
 // hook logs each flip.
 struct BareNetwork {
+  BareNetwork(const BareNetwork&) = delete;
+  BareNetwork& operator=(const BareNetwork&) = delete;
   explicit BareNetwork(uint64_t seed) : sim(seed), net(&sim) {
     net.AttachObs(nullptr, &trace);
     faults.net = &net;
