@@ -66,8 +66,8 @@ uint64_t MixSeed(const RunConfig& cfg) {
 /// or a trace replay) is replayed as is, with any adaptive adversary
 /// disarmed. Otherwise: the t=0 kClockSkew overlay under the reserved
 /// window id 0 (even-indexed nodes run `clock_skew_ppm` fast, odd-indexed
-/// ones as slow, so the worst drift between two timers is ~2x; window 0
-/// survives shrinking alongside the fault windows, ids >= 1), plus the
+/// ones that much slow, so two timers drift apart by up to ~2*ppm; window
+/// 0 survives shrinking alongside the fault windows, ids >= 1), plus the
 /// generated fault windows unless an adaptive adversary injects its own.
 NemesisSchedule StaticSchedule(const RunConfig& cfg,
                                const NemesisProfile& profile,
