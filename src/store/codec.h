@@ -15,9 +15,10 @@
 
 namespace pbc::store {
 
-/// CRC-32 (IEEE 802.3 polynomial, table-driven, slicing-by-8) over
-/// `bytes`. Used as the per-frame integrity check in the block log and
-/// snapshot files.
+/// CRC-32 (IEEE 802.3 polynomial) over `bytes`: PCLMULQDQ folding where
+/// the CPU has it, table-driven slicing-by-8 otherwise (codec_internal.h).
+/// Used as the per-frame integrity check in the block log and snapshot
+/// files.
 uint32_t Crc32(const std::string& bytes);
 
 /// Same CRC over `len` bytes at `data`, so a frame can be checked in

@@ -1,7 +1,6 @@
 #include "store/durable_ledger.h"
 
 #include "store/codec.h"
-#include "store/snapshot.h"
 #include "txn/transaction.h"
 
 namespace pbc::store {
@@ -19,7 +18,15 @@ void DurableLedger::ApplyBlockToState(const ledger::Block& block) {
   for (const txn::Transaction& t : block.txns) {
     WriteBatch writes = txn::ApplyCommitted(t, &kv_, &next_version_);
     if (opts_.snapshot_interval == 0) continue;
-    for (const WriteAccess& w : writes.writes()) dirty_.insert(w.key);
+    // ApplyCommitted applied the writes at next_version_ - 1.
+    for (const WriteAccess& w : writes.writes()) {
+      std::optional<VersionedValue>& latest = dirty_[w.key];
+      if (w.is_delete) {
+        latest.reset();
+      } else {
+        latest = VersionedValue{w.value, next_version_ - 1};
+      }
+    }
   }
   ++kv_height_;
 }
@@ -42,8 +49,8 @@ void DurableLedger::MaybeSnapshot() {
   }
   // kv_ is exactly the state after block durable_height_-1 here: Persist
   // applies blocks and advances durable_height_ in lockstep.
-  EncodeSnapshotDelta(snapshot_, dirty_, kv_, durable_height_, next_version_,
-                      &snapshot_scratch_);
+  EncodeSnapshotDelta(snapshot_, dirty_, durable_height_, next_version_,
+                      kv_.last_committed(), &snapshot_scratch_);
   snapshot_.swap(snapshot_scratch_);
   dirty_.clear();
   WriteSnapshot(fs_, opts_.dir, durable_height_, snapshot_);

@@ -5,30 +5,31 @@
 
 namespace pbc::store {
 
-Result<VersionedValue> KvStore::Get(const Key& key) const {
+const VersionedValue* KvStore::Latest(const Key& key) const {
   auto it = chains_.find(key);
-  if (it == chains_.end() || it->second.empty()) {
-    return Status::NotFound("key not found: " + key);
-  }
+  if (it == chains_.end() || it->second.empty()) return nullptr;
   const Entry& e = it->second.back();
-  if (e.is_delete) return Status::NotFound("key deleted: " + key);
-  return e.vv;
+  return e.is_delete ? nullptr : &e.vv;
 }
 
-Result<VersionedValue> KvStore::GetAt(const Key& key, Version version) const {
+const VersionedValue* KvStore::LatestAt(const Key& key,
+                                        Version version) const {
   auto it = chains_.find(key);
-  if (it == chains_.end()) return Status::NotFound("key not found: " + key);
+  if (it == chains_.end()) return nullptr;
   const auto& chain = it->second;
   // Largest entry with entry.version <= version.
   auto pos = std::upper_bound(
       chain.begin(), chain.end(), version,
       [](Version v, const Entry& e) { return v < e.vv.version; });
-  if (pos == chain.begin()) {
-    return Status::NotFound("key not visible at snapshot: " + key);
-  }
+  if (pos == chain.begin()) return nullptr;
   --pos;
-  if (pos->is_delete) return Status::NotFound("key deleted at snapshot: " + key);
-  return pos->vv;
+  return pos->is_delete ? nullptr : &pos->vv;
+}
+
+Result<VersionedValue> KvStore::Get(const Key& key) const {
+  const VersionedValue* vv = Latest(key);
+  if (vv == nullptr) return Status::NotFound("key not found: " + key);
+  return *vv;
 }
 
 Version KvStore::VersionOf(const Key& key) const {
@@ -61,27 +62,36 @@ bool KvStore::ValidateReadSet(const std::vector<ReadAccess>& reads) const {
   return true;
 }
 
+std::vector<KvStore::LiveEntry> KvStore::SortedLive() const {
+  std::vector<LiveEntry> live;
+  live.reserve(chains_.size());
+  // detlint:allow(unordered-iter) collected, then sorted by key below
+  for (const auto& [k, chain] : chains_) {
+    if (!chain.empty() && !chain.back().is_delete) {
+      live.emplace_back(&k, &chain.back().vv);
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const LiveEntry& a, const LiveEntry& b) {
+              return *a.first < *b.first;
+            });
+  return live;
+}
+
 bool KvStore::SameLatestState(const KvStore& other) const {
   // Compare live (non-deleted) latest values only.
-  auto live = [](const KvStore& s) {
-    std::map<Key, Value> out;
-    for (const auto& [k, chain] : s.chains_) {
-      if (!chain.empty() && !chain.back().is_delete) {
-        out[k] = chain.back().vv.value;
-      }
-    }
-    return out;
-  };
-  return live(*this) == live(other);
+  std::vector<LiveEntry> mine = SortedLive();
+  std::vector<LiveEntry> theirs = other.SortedLive();
+  return std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end(),
+                    [](const LiveEntry& a, const LiveEntry& b) {
+                      return *a.first == *b.first &&
+                             a.second->value == b.second->value;
+                    });
 }
 
 void KvStore::ForEachLatest(
     const std::function<void(const Key&, const VersionedValue&)>& fn) const {
-  for (const auto& [k, chain] : chains_) {
-    if (!chain.empty() && !chain.back().is_delete) {
-      fn(k, chain.back().vv);
-    }
-  }
+  for (const auto& [key, vv] : SortedLive()) fn(*key, *vv);
 }
 
 Status LockTable::LockShared(const Key& key, TxnId txn) {

@@ -17,6 +17,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -62,11 +64,14 @@ struct WriteAccess {
 /// \brief An atomically applied group of writes.
 class WriteBatch {
  public:
+  WriteBatch() = default;
+  explicit WriteBatch(std::vector<WriteAccess> writes)
+      : writes_(std::move(writes)) {}
+
   void Put(Key key, Value value) {
     writes_.push_back({std::move(key), std::move(value), false});
   }
   void Delete(Key key) { writes_.push_back({std::move(key), "", true}); }
-  void Append(const WriteAccess& w) { writes_.push_back(w); }
 
   const std::vector<WriteAccess>& writes() const { return writes_; }
   bool empty() const { return writes_.empty(); }
@@ -85,12 +90,17 @@ class WriteBatch {
 /// actually serialize state updates.
 class KvStore {
  public:
-  /// Latest committed version of `key`; NotFound if never written or
-  /// deleted.
-  Result<VersionedValue> Get(const Key& key) const;
+  /// Latest committed value of `key`, or nullptr if never written or
+  /// deleted. The pointer stays valid until the next ApplyBatch.
+  const VersionedValue* Latest(const Key& key) const;
 
-  /// The value visible at snapshot `version` (largest write ≤ version).
-  Result<VersionedValue> GetAt(const Key& key, Version version) const;
+  /// The value visible at snapshot `version` (largest write ≤ version), or
+  /// nullptr if the key had no write by then or was deleted at it. Valid
+  /// until the next ApplyBatch.
+  const VersionedValue* LatestAt(const Key& key, Version version) const;
+
+  /// Latest() as a copy; NotFound if never written or deleted.
+  Result<VersionedValue> Get(const Key& key) const;
 
   /// Version of the latest write to `key` (kNeverWritten if none). Deletes
   /// count as writes: a deleted key has a fresh version but no value.
@@ -111,6 +121,8 @@ class KvStore {
   bool SameLatestState(const KvStore& other) const;
 
   /// Digest-friendly iteration over latest live values, in key order.
+  /// Sorts the live keys on each call: for serialization and checks, not
+  /// for the execution path.
   void ForEachLatest(
       const std::function<void(const Key&, const VersionedValue&)>& fn) const;
 
@@ -119,8 +131,14 @@ class KvStore {
     VersionedValue vv;
     bool is_delete;
   };
-  // Per-key version chain, ascending by version.
-  std::map<Key, std::vector<Entry>> chains_;
+  using LiveEntry = std::pair<const Key*, const VersionedValue*>;
+
+  // Latest live entries, sorted by key.
+  std::vector<LiveEntry> SortedLive() const;
+
+  // Per-key version chain, ascending by version. Hashed: execution only
+  // ever looks keys up, and ordered walks go through SortedLive().
+  std::unordered_map<Key, std::vector<Entry>> chains_;
   Version last_committed_ = 0;
 };
 

@@ -43,11 +43,12 @@ namespace {
 constexpr size_t kFrameHeaderBytes = 8;
 constexpr size_t kEntriesStart = kFrameHeaderBytes + 4 * 8;
 
+// Reads the little-endian u32 at `at`, in place. `prev` is the writer's
+// own earlier output, so its length fields are in bounds.
 uint32_t U32At(const std::string& bytes, size_t at) {
-  Decoder dec{&bytes, at};
-  uint32_t v = 0;
-  dec.GetU32(&v);
-  return v;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data() + at);
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 // Overwrites `width` bytes at `at` with `v`, little-endian.
@@ -59,14 +60,14 @@ void StoreLe(std::string* out, size_t at, uint64_t v, int width) {
 
 }  // namespace
 
-void EncodeSnapshotDelta(const std::string& prev, const std::set<Key>& dirty,
-                         const KvStore& kv, uint64_t height,
-                         uint64_t next_version, std::string* out) {
+void EncodeSnapshotDelta(const std::string& prev, const DirtyKeys& dirty,
+                         uint64_t height, uint64_t next_version,
+                         uint64_t last_committed, std::string* out) {
   out->assign(kEntriesStart, '\0');  // header and fields, patched below
   uint64_t count = 0;
-  auto reencode = [&](const Key& key) {
-    Result<VersionedValue> vv = kv.Get(key);
-    if (!vv.ok()) return;  // deleted since `prev`: the entry goes away
+  auto encode = [&](const DirtyKeys::value_type& entry) {
+    const auto& [key, vv] = entry;
+    if (!vv.has_value()) return;  // deleted since `prev`: the entry goes away
     PutString(out, key);
     PutString(out, vv->value);
     PutU64(out, vv->version);
@@ -86,11 +87,11 @@ void EncodeSnapshotDelta(const std::string& prev, const std::set<Key>& dirty,
     next += 4 + U32At(prev, next) + 8;
     bool replaced = false;
     for (; dirty_it != dirty.end() && !replaced; ++dirty_it) {
-      int cmp = std::string_view(*dirty_it).compare(key);
+      int cmp = std::string_view(dirty_it->first).compare(key);
       if (cmp > 0) break;
       out->append(prev, run, pos - run);
       run = pos;
-      reencode(*dirty_it);
+      encode(*dirty_it);
       replaced = cmp == 0;
     }
     if (replaced) {
@@ -101,11 +102,11 @@ void EncodeSnapshotDelta(const std::string& prev, const std::set<Key>& dirty,
     pos = next;
   }
   out->append(prev, run, pos - run);
-  for (; dirty_it != dirty.end(); ++dirty_it) reencode(*dirty_it);
+  for (; dirty_it != dirty.end(); ++dirty_it) encode(*dirty_it);
 
   StoreLe(out, kFrameHeaderBytes, height, 8);
   StoreLe(out, kFrameHeaderBytes + 8, next_version, 8);
-  StoreLe(out, kFrameHeaderBytes + 16, kv.last_committed(), 8);
+  StoreLe(out, kFrameHeaderBytes + 16, last_committed, 8);
   StoreLe(out, kFrameHeaderBytes + 24, count, 8);
   size_t len = out->size() - kFrameHeaderBytes;
   StoreLe(out, 0, len, 4);

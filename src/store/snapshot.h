@@ -16,7 +16,8 @@
 #define PBC_STORE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <set>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,16 +50,21 @@ SnapshotData CaptureSnapshot(const KvStore& kv, uint64_t height,
 std::string EncodeSnapshot(const SnapshotData& snap);
 bool DecodeSnapshot(const std::string& file_content, SnapshotData* out);
 
-/// Builds the snapshot file content of `kv` at `height` into `*out` by
+/// Keys written since a snapshot, each with its latest (value, version),
+/// or nullopt once it is no longer live.
+using DirtyKeys = std::map<Key, std::optional<VersionedValue>>;
+
+/// Builds a store's snapshot file content at `height` into `*out` by
 /// merging `prev` — an earlier EncodeSnapshotDelta output for the same
 /// store, or empty — with the keys written since: runs of `prev` entries
-/// whose keys are not in `dirty` are copied verbatim, and only dirty keys
-/// are re-encoded from `kv`. When `dirty` holds every key written since
-/// `prev` was built, the result byte-equals
+/// whose keys are not in `dirty` are copied verbatim, dirty keys are
+/// encoded from their `dirty` value, and nullopt ones are dropped. When
+/// `dirty` holds the latest state of every key written since `prev` was
+/// built, and `last_committed` is the store's, the result byte-equals
 /// EncodeSnapshot(CaptureSnapshot(kv, height, next_version)).
-void EncodeSnapshotDelta(const std::string& prev, const std::set<Key>& dirty,
-                         const KvStore& kv, uint64_t height,
-                         uint64_t next_version, std::string* out);
+void EncodeSnapshotDelta(const std::string& prev, const DirtyKeys& dirty,
+                         uint64_t height, uint64_t next_version,
+                         uint64_t last_committed, std::string* out);
 
 /// Rebuilds a KvStore whose latest state equals the captured one:
 /// entries grouped by version, applied in ascending version order.

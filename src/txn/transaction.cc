@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <map>
 #include <set>
 
 namespace pbc::txn {
@@ -74,34 +73,40 @@ int64_t DecodeInt(const store::Value& v) {
 }
 
 ExecResult Execute(const Transaction& txn, const Reader& reader) {
+  static const store::Value kMissing;
   ExecResult result;
-  // Uncommitted effects visible to later ops of the same transaction.
-  std::map<store::Key, store::Value> local;
-  std::set<store::Key> read_recorded;
+  // Writes so far, last writer wins per key in first-write order; they are
+  // the uncommitted effects later ops of the same transaction observe.
+  std::vector<store::WriteAccess> writes;
+  auto find_write = [&](const store::Key& key) -> store::WriteAccess* {
+    for (store::WriteAccess& w : writes) {
+      if (w.key == key) return &w;
+    }
+    return nullptr;
+  };
 
-  auto read = [&](const store::Key& key) -> store::Value {
-    auto local_it = local.find(key);
-    if (local_it != local.end()) {
-      // Still record the external version on first touch so conflict
-      // detection sees the read.
-      if (read_recorded.insert(key).second) {
-        auto r = reader(key);
-        result.reads.push_back(
-            {key, r.ok() ? r.ValueOrDie().version : store::kNeverWritten});
-      }
-      return local_it->second;
-    }
-    auto r = reader(key);
-    if (read_recorded.insert(key).second) {
+  // Transactions are a handful of ops, so linear scans beat node-based
+  // maps here. The returned reference lives until the next write.
+  auto read = [&](const store::Key& key) -> const store::Value& {
+    const store::VersionedValue* external = reader(key);
+    // Record the external version on first touch, even after a local
+    // write, so conflict detection sees the read.
+    if (std::none_of(result.reads.begin(), result.reads.end(),
+                     [&](const store::ReadAccess& r) { return r.key == key; })) {
       result.reads.push_back(
-          {key, r.ok() ? r.ValueOrDie().version : store::kNeverWritten});
+          {key, external != nullptr ? external->version
+                                    : store::kNeverWritten});
     }
-    return r.ok() ? r.ValueOrDie().value : store::Value{};
+    if (const store::WriteAccess* w = find_write(key)) return w->value;
+    return external != nullptr ? external->value : kMissing;
   };
 
   auto write = [&](const store::Key& key, store::Value value) {
-    local[key] = value;
-    result.writes.Put(key, std::move(value));
+    if (store::WriteAccess* w = find_write(key)) {
+      w->value = std::move(value);
+    } else {
+      writes.push_back({key, std::move(value), false});
+    }
   };
 
   for (const auto& op : txn.ops) {
@@ -148,32 +153,17 @@ ExecResult Execute(const Transaction& txn, const Reader& reader) {
       }
     }
   }
-  // De-duplicate writes: last-writer-wins per key, preserving first-write
-  // order for determinism.
-  store::WriteBatch dedup;
-  std::map<store::Key, size_t> seen;
-  std::vector<store::WriteAccess> ordered;
-  for (const auto& w : result.writes.writes()) {
-    auto it = seen.find(w.key);
-    if (it == seen.end()) {
-      seen[w.key] = ordered.size();
-      ordered.push_back(w);
-    } else {
-      ordered[it->second] = w;
-    }
-  }
-  for (auto& w : ordered) dedup.Append(w);
-  result.writes = std::move(dedup);
+  result.writes = store::WriteBatch(std::move(writes));
   return result;
 }
 
 Reader LatestReader(const store::KvStore* store) {
-  return [store](const store::Key& key) { return store->Get(key); };
+  return [store](const store::Key& key) { return store->Latest(key); };
 }
 
 Reader SnapshotReader(const store::KvStore* store, store::Version version) {
   return [store, version](const store::Key& key) {
-    return store->GetAt(key, version);
+    return store->LatestAt(key, version);
   };
 }
 

@@ -77,9 +77,11 @@ struct Transaction {
   bool operator==(const Transaction&) const = default;
 };
 
-/// \brief Read interface execution runs against (latest state or snapshot).
+/// \brief Read interface execution runs against (latest state or snapshot):
+/// the visible value of a key, or nullptr if it has none. The pointee must
+/// stay unchanged while the execution runs.
 using Reader =
-    std::function<Result<store::VersionedValue>(const store::Key&)>;
+    std::function<const store::VersionedValue*(const store::Key&)>;
 
 /// \brief Outcome of executing a transaction's program.
 struct ExecResult {

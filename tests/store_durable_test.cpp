@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "sim/fs.h"
 #include "store/block_log.h"
 #include "store/codec.h"
+#include "store/codec_internal.h"
 #include "store/durable_ledger.h"
 #include "store/kv_store.h"
 #include "store/snapshot.h"
@@ -279,6 +281,31 @@ TEST(CodecTest, Crc32MatchesBitwiseReference) {
   EXPECT_EQ(store::Crc32(buf), BitwiseCrc32(buf.data(), buf.size()));
 }
 
+TEST(CodecTest, Crc32KernelsMatchByteForByte) {
+  if (!store::internal::CpuHasPclmul()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+#if PBC_CRC32_HAVE_PCLMUL
+  Rng rng(11);
+  // Every length across the folding kernel's 64-byte entry point and its
+  // 16-byte tail, at every alignment within a 16-byte lane.
+  std::string buf(4096 + 16, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.NextU64(256));
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(store::internal::Crc32Pclmul(buf.data() + offset, len),
+                store::internal::Crc32Portable(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  // One snapshot-sized image.
+  std::string big(80 * 1024, '\0');
+  for (char& ch : big) ch = static_cast<char>(rng.NextU64(256));
+  EXPECT_EQ(store::internal::Crc32Pclmul(big.data(), big.size()),
+            store::internal::Crc32Portable(big.data(), big.size()));
+  EXPECT_EQ(store::internal::Crc32Pclmul(big.data(), big.size()),
+            BitwiseCrc32(big.data(), big.size()));
+#endif
+}
+
 // --- Block log framing + recovery -------------------------------------------
 
 TEST(BlockLogTest, ScanAcceptsCleanChainedFrames) {
@@ -400,6 +427,45 @@ TEST(SnapshotTest, CaptureEncodeDecodeRebuildRoundTrip) {
 
   encoded[encoded.size() / 2] ^= 0x01;  // any corruption fails the CRC
   EXPECT_FALSE(store::DecodeSnapshot(encoded, &decoded));
+}
+
+TEST(SnapshotTest, DeltaDropsKeysNoLongerLive) {
+  store::KvStore kv;
+  store::WriteBatch first;
+  for (const char* k : {"a", "b", "c", "d"}) first.Put(k, std::string("v") + k);
+  ASSERT_TRUE(kv.ApplyBatch(first, 1).ok());
+  std::string prev;
+  store::EncodeSnapshotDelta(
+      "",
+      {{"a", store::VersionedValue{"va", 1}},
+       {"b", store::VersionedValue{"vb", 1}},
+       {"c", store::VersionedValue{"vc", 1}},
+       {"d", store::VersionedValue{"vd", 1}}},
+      /*height=*/1, /*next_version=*/2, kv.last_committed(), &prev);
+  ASSERT_EQ(prev, store::EncodeSnapshot(store::CaptureSnapshot(kv, 1, 2)));
+
+  // Delete a key in the middle and the last one, rewrite one, and delete a
+  // key the previous image never held.
+  store::WriteBatch second;
+  second.Delete("b");
+  second.Delete("d");
+  second.Put("c", "vc2");
+  second.Delete("never");
+  ASSERT_TRUE(kv.ApplyBatch(second, 2).ok());
+  store::DirtyKeys dirty = {{"b", std::nullopt},
+                            {"c", store::VersionedValue{"vc2", 2}},
+                            {"d", std::nullopt},
+                            {"never", std::nullopt}};
+  std::string out;
+  store::EncodeSnapshotDelta(prev, dirty, /*height=*/2, /*next_version=*/3,
+                             kv.last_committed(), &out);
+  EXPECT_EQ(out, store::EncodeSnapshot(store::CaptureSnapshot(kv, 2, 3)));
+  store::SnapshotData decoded;
+  ASSERT_TRUE(store::DecodeSnapshot(out, &decoded));
+  ASSERT_EQ(decoded.entries.size(), 2u);
+  EXPECT_EQ(decoded.entries[0].key, "a");
+  EXPECT_EQ(decoded.entries[1].key, "c");
+  EXPECT_EQ(decoded.entries[1].value, "vc2");
 }
 
 TEST(SnapshotTest, WriteSnapshotPrunesToNewestTwo) {

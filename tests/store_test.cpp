@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "store/kv_store.h"
 
 namespace pbc::store {
@@ -51,11 +57,11 @@ TEST(KvStoreTest, SnapshotReadsSeeOldVersions) {
     store.ApplyBatch(b, v);
   }
   for (Version v = 1; v <= 5; ++v) {
-    auto r = store.GetAt("k", v);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.ValueOrDie().value, "v" + std::to_string(v));
+    const VersionedValue* r = store.LatestAt("k", v);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->value, "v" + std::to_string(v));
   }
-  EXPECT_TRUE(store.GetAt("k", 0).status().IsNotFound());
+  EXPECT_EQ(store.LatestAt("k", 0), nullptr);
 }
 
 TEST(KvStoreTest, SnapshotBeforeCreationIsNotFound) {
@@ -63,8 +69,8 @@ TEST(KvStoreTest, SnapshotBeforeCreationIsNotFound) {
   WriteBatch b;
   b.Put("late", "x");
   store.ApplyBatch(b, 10);
-  EXPECT_TRUE(store.GetAt("late", 9).status().IsNotFound());
-  EXPECT_TRUE(store.GetAt("late", 10).ok());
+  EXPECT_EQ(store.LatestAt("late", 9), nullptr);
+  EXPECT_NE(store.LatestAt("late", 10), nullptr);
 }
 
 TEST(KvStoreTest, SnapshotSeesThroughLaterDelete) {
@@ -75,8 +81,8 @@ TEST(KvStoreTest, SnapshotSeesThroughLaterDelete) {
   WriteBatch b2;
   b2.Delete("k");
   store.ApplyBatch(b2, 2);
-  EXPECT_TRUE(store.GetAt("k", 1).ok());
-  EXPECT_TRUE(store.GetAt("k", 2).status().IsNotFound());
+  EXPECT_NE(store.LatestAt("k", 1), nullptr);
+  EXPECT_EQ(store.LatestAt("k", 2), nullptr);
 }
 
 TEST(KvStoreTest, ValidateReadSetDetectsStaleReads) {
@@ -154,6 +160,89 @@ TEST(KvStoreTest, ForEachLatestVisitsLiveKeysInOrder) {
     keys.push_back(k);
   });
   EXPECT_EQ(keys, (std::vector<Key>{"a", "c"}));
+}
+
+TEST(KvStoreTest, ForEachLatestVisitsLiveKeysInKeyOrder) {
+  // Enough keys that the hashed index's own order is far from sorted;
+  // decimal suffixes interleave ("k1" < "k10" < "k100" < "k11").
+  std::vector<Key> keys;
+  for (int i = 0; i < 500; ++i) keys.push_back("k" + std::to_string(i));
+  Rng rng(23);
+  std::shuffle(keys.begin(), keys.end(), rng.engine());
+
+  KvStore store;
+  std::map<Key, VersionedValue> expected;
+  Version version = 1;
+  for (const Key& k : keys) {
+    WriteBatch b;
+    b.Put(k, "v" + k);
+    store.ApplyBatch(b, version);
+    expected[k] = {"v" + k, version++};
+  }
+  // Delete every third key, rewrite every fifth (some of them deleted
+  // first, so they come back live).
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    WriteBatch b;
+    b.Delete(keys[i]);
+    store.ApplyBatch(b, version++);
+    expected.erase(keys[i]);
+  }
+  for (size_t i = 0; i < keys.size(); i += 5) {
+    WriteBatch b;
+    b.Put(keys[i], "again");
+    store.ApplyBatch(b, version);
+    expected[keys[i]] = {"again", version++};
+  }
+
+  std::vector<std::pair<Key, VersionedValue>> visited;
+  store.ForEachLatest([&](const Key& k, const VersionedValue& vv) {
+    visited.emplace_back(k, vv);
+  });
+  ASSERT_EQ(visited.size(), expected.size());
+  auto it = expected.begin();
+  for (const auto& [k, vv] : visited) {
+    EXPECT_EQ(k, it->first);
+    EXPECT_EQ(vv.value, it->second.value) << k;
+    EXPECT_EQ(vv.version, it->second.version) << k;
+    ++it;
+  }
+}
+
+TEST(KvStoreTest, LatestAgreesWithGet) {
+  KvStore store;
+  WriteBatch b1;
+  b1.Put("hit", "1");
+  b1.Put("gone", "x");
+  store.ApplyBatch(b1, 1);
+  WriteBatch b2;
+  b2.Delete("gone");
+  b2.Put("late", "y");
+  store.ApplyBatch(b2, 2);
+
+  for (const char* k : {"hit", "gone", "late", "miss"}) {
+    const VersionedValue* latest = store.Latest(k);
+    Result<VersionedValue> got = store.Get(k);
+    ASSERT_EQ(latest != nullptr, got.ok()) << k;
+    if (latest != nullptr) {
+      EXPECT_EQ(latest->value, got->value) << k;
+      EXPECT_EQ(latest->version, got->version) << k;
+    } else {
+      EXPECT_TRUE(got.status().IsNotFound()) << k;
+    }
+  }
+  EXPECT_EQ(store.Latest("hit")->value, "1");
+  EXPECT_EQ(store.Latest("gone"), nullptr);  // deleted
+  EXPECT_EQ(store.Latest("miss"), nullptr);  // never written
+
+  // A snapshot taken before a key's first write does not see it; one at
+  // the write does, and one before a delete still sees the old value.
+  EXPECT_EQ(store.LatestAt("late", 1), nullptr);
+  ASSERT_NE(store.LatestAt("late", 2), nullptr);
+  EXPECT_EQ(store.LatestAt("late", 2)->version, 2u);
+  ASSERT_NE(store.LatestAt("gone", 1), nullptr);
+  EXPECT_EQ(store.LatestAt("gone", 1)->value, "x");
+  EXPECT_EQ(store.LatestAt("gone", 2), nullptr);
+  EXPECT_EQ(store.LatestAt("miss", 2), nullptr);
 }
 
 // --- LockTable --------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "block/conflict.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -140,6 +143,163 @@ TEST(ExecuteTest, SnapshotReaderIgnoresLaterWrites) {
   auto r = Execute(MakeTxn(1, {Op::Read("k"), Op::Increment("mirror", 0)}),
                    SnapshotReader(&store, 1));
   EXPECT_EQ(r.reads[0].version, 1u);
+}
+
+// The map/set Execute that the allocation-light one replaced, kept as the
+// reference it must agree with: same reads (order, versions), same writes
+// (first-write order, last value) and same compute rounds.
+ExecResult ReferenceExecute(const Transaction& txn, const Reader& reader) {
+  ExecResult result;
+  std::map<store::Key, store::Value> local;
+  std::set<store::Key> read_recorded;
+
+  auto read = [&](const store::Key& key) -> store::Value {
+    auto local_it = local.find(key);
+    if (local_it != local.end()) {
+      if (read_recorded.insert(key).second) {
+        const store::VersionedValue* r = reader(key);
+        result.reads.push_back(
+            {key, r != nullptr ? r->version : store::kNeverWritten});
+      }
+      return local_it->second;
+    }
+    const store::VersionedValue* r = reader(key);
+    if (read_recorded.insert(key).second) {
+      result.reads.push_back(
+          {key, r != nullptr ? r->version : store::kNeverWritten});
+    }
+    return r != nullptr ? r->value : store::Value{};
+  };
+
+  auto write = [&](const store::Key& key, store::Value value) {
+    local[key] = value;
+    result.writes.Put(key, std::move(value));
+  };
+
+  for (const auto& op : txn.ops) {
+    switch (op.code) {
+      case OpCode::kRead:
+        read(op.key);
+        break;
+      case OpCode::kWrite:
+        write(op.key, op.value);
+        break;
+      case OpCode::kIncrement: {
+        int64_t cur = DecodeInt(read(op.key));
+        write(op.key, EncodeInt(cur + op.delta));
+        break;
+      }
+      case OpCode::kTransferGuarded: {
+        int64_t src = DecodeInt(read(op.key));
+        int64_t dst = DecodeInt(read(op.key2));
+        if (src >= op.delta) {
+          write(op.key, EncodeInt(src - op.delta));
+          write(op.key2, EncodeInt(dst + op.delta));
+        }
+        break;
+      }
+      case OpCode::kCompute:  // its hashing changes no output
+        result.compute_rounds += op.delta;
+        break;
+    }
+  }
+  std::map<store::Key, size_t> seen;
+  std::vector<store::WriteAccess> ordered;
+  for (const auto& w : result.writes.writes()) {
+    auto it = seen.find(w.key);
+    if (it == seen.end()) {
+      seen[w.key] = ordered.size();
+      ordered.push_back(w);
+    } else {
+      ordered[it->second] = w;
+    }
+  }
+  result.writes = store::WriteBatch(std::move(ordered));
+  return result;
+}
+
+TEST(ExecuteTest, MatchesReferenceOnRandomPrograms) {
+  Rng rng(2023);
+  // Few keys, so programs repeat keys, read what they wrote and transfer
+  // between a key and itself.
+  auto key = [&] { return "k" + std::to_string(rng.NextU64(5)); };
+  uint64_t transfers_ok = 0, transfers_refused = 0, read_after_write = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    // A store with some history: balances, non-numeric values, deletes.
+    store::KvStore store;
+    store::Version version = 1;
+    for (uint64_t b = 0, n = rng.NextU64(6); b < n; ++b) {
+      store::WriteBatch batch;
+      for (uint64_t w = 0, m = 1 + rng.NextU64(3); w < m; ++w) {
+        switch (rng.NextU64(5)) {
+          case 0:
+            batch.Delete(key());
+            break;
+          case 1:
+            batch.Put(key(), "v" + std::to_string(rng.NextU64(9)));
+            break;
+          default:
+            batch.Put(key(), EncodeInt(static_cast<int64_t>(rng.NextU64(20))));
+        }
+      }
+      store.ApplyBatch(batch, version++);
+    }
+
+    std::vector<Op> ops;
+    std::set<store::Key> written;
+    for (uint64_t i = 0, n = 1 + rng.NextU64(8); i < n; ++i) {
+      Op op = Op::Compute(0);
+      switch (rng.NextU64(5)) {
+        case 0:
+          op = Op::Read(key());
+          break;
+        case 1:
+          op = Op::Write(key(), "w" + std::to_string(i));
+          break;
+        case 2:
+          op = Op::Increment(key(), static_cast<int64_t>(rng.NextU64(7)) - 3);
+          break;
+        case 3:
+          op = Op::Transfer(key(), key(), 1 + rng.NextU64(25));
+          break;
+        default:
+          op = Op::Compute(static_cast<int64_t>(rng.NextU64(3)));
+      }
+      if (op.code != OpCode::kWrite && op.code != OpCode::kCompute &&
+          written.count(op.key) > 0) {
+        ++read_after_write;
+      }
+      if (op.code != OpCode::kRead && op.code != OpCode::kCompute) {
+        written.insert(op.key);
+        if (!op.key2.empty()) written.insert(op.key2);
+      }
+      ops.push_back(std::move(op));
+    }
+    Transaction txn = MakeTxn(static_cast<TxnId>(trial), std::move(ops));
+
+    const store::Version at = rng.NextU64(version + 1);
+    for (const Reader& reader :
+         {LatestReader(&store), SnapshotReader(&store, at)}) {
+      ExecResult got = Execute(txn, reader);
+      ExecResult want = ReferenceExecute(txn, reader);
+      ASSERT_EQ(got.ok, want.ok) << "trial " << trial;
+      ASSERT_EQ(got.reads, want.reads) << "trial " << trial;
+      ASSERT_EQ(got.writes.writes(), want.writes.writes())
+          << "trial " << trial;
+      ASSERT_EQ(got.compute_rounds, want.compute_rounds) << "trial " << trial;
+    }
+    for (const Op& op : txn.ops) {
+      if (op.code != OpCode::kTransferGuarded) continue;
+      const store::VersionedValue* src = store.Latest(op.key);
+      int64_t balance = src != nullptr ? DecodeInt(src->value) : 0;
+      ++(balance >= op.delta ? transfers_ok : transfers_refused);
+    }
+  }
+  // Rough coverage, judged on each transfer's source balance in the latest
+  // state: both guard outcomes and read-after-write occur often.
+  EXPECT_GT(transfers_ok, 100u);
+  EXPECT_GT(transfers_refused, 100u);
+  EXPECT_GT(read_after_write, 100u);
 }
 
 // --- Dependency graph (block::ConflictGraph) ---------------------------------
