@@ -2,14 +2,16 @@
 //
 // Consensus orders compact block *hashes*; the bodies travel beside the
 // protocol (broadcast at proposal time, fetched on demand) and land here,
-// keyed by header hash. A body is one immutable object shared from the
-// proposer's seal through every message and every replica's store, so
-// nothing here copies one. Put() verifies a new body against its own
-// header, so a fabricated or corrupted body can never alias an honest
-// hash, and stores it as a `ledger::VerifiedBlock`. A body re-delivered
-// under a stored hash is accepted without a Merkle build: the stored
-// object itself on sight, any other object only if its txns equal the
-// stored ones.
+// keyed by header hash. A body is one immutable `ledger::VerifiedBlock`
+// shared from the proposer's seal through every message and every
+// replica's store, so nothing here copies one, and its txn root is
+// computed once, at the seal: Put(VerifiedBlock) builds no Merkle tree.
+// The raw Put(shared_ptr<const Block>) is the entry point for a body
+// nothing has vouched for; it verifies the body against its own header
+// first, so a fabricated or corrupted body can never alias an honest hash.
+// Both follow one redelivery rule: a body under a stored hash is accepted
+// without a Merkle build if it is the stored object itself or its txns
+// equal the stored ones, and otherwise rejected; it replaces nothing.
 #ifndef PBC_BLOCK_STORE_H_
 #define PBC_BLOCK_STORE_H_
 
@@ -25,10 +27,12 @@ namespace pbc::block {
 
 class BlockStore {
  public:
-  /// Stores `body` keyed by its header hash after verifying the header
-  /// commits to the body (Merkle root check), and returns that hash. A
-  /// body whose hash is already stored is accepted only if it is the
-  /// stored object or its txns equal the stored ones; it replaces nothing.
+  /// Stores `body` keyed by its header hash and returns that hash. A body
+  /// whose hash is already stored is subject to the redelivery rule (see
+  /// the file comment); nullopt, and nothing stored, if it fails it.
+  std::optional<crypto::Hash256> Put(const ledger::VerifiedBlock& body);
+  /// As Put(VerifiedBlock) for a body not yet verified: a new hash is
+  /// stored only if the header commits to the body (Merkle root check).
   /// Returns nullopt, and stores nothing, for a null body or one that fails
   /// either check.
   std::optional<crypto::Hash256> Put(

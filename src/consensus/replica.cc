@@ -50,15 +50,14 @@ Batch Replica::TakeBatch() {
     sim::Time oldest = pool_.empty() ? 0 : pool_.front().arrival_us;
     if (!rules.CutDue(pool_.size(), oldest, network()->now())) return {};
 
-    auto body = std::make_shared<const ledger::Block>(
-        block::BlockBuilder::Seal(sealed_blocks_++, crypto::Hash256::Zero(),
-                                  TakeFromPool(rules.max_txns),
-                                  network()->now()));
+    ledger::VerifiedBlock body = ledger::VerifiedBlock::Seal(
+        sealed_blocks_++, crypto::Hash256::Zero(),
+        TakeFromPool(rules.max_txns), network()->now());
 
     Batch ref;
     ref.block_ref = true;
-    ref.block_hash = blocks_.Put(body).value();  // a fresh seal verifies
-    ref.ref_txn_count = static_cast<uint32_t>(body->txns.size());
+    ref.block_hash = blocks_.Put(body).value();  // a fresh seal is accepted
+    ref.ref_txn_count = static_cast<uint32_t>(body.body().txns.size());
 
     auto msg = std::make_shared<BlockBodyMsg>();
     msg->body = std::move(body);
@@ -101,12 +100,12 @@ bool Replica::KnownClientTxns(const Batch& batch) const {
 void Replica::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
   if (byzantine_ == ByzantineMode::kSilent) return;
   if (const auto* body = sim::As<BlockBodyMsg>(*msg)) {
-    OnBlockBody(body->body);
+    if (body->body) OnBlockBody(*body->body);  // a body-less one is dropped
   } else if (const auto* fetch = sim::As<BlockFetchMsg>(*msg)) {
     const ledger::VerifiedBlock* stored = blocks_.Get(fetch->hash);
     if (stored != nullptr) {
       auto reply = std::make_shared<BlockBodyMsg>();
-      reply->body = stored->shared();
+      reply->body = *stored;
       Send(from, reply);
     }
   } else {
@@ -153,9 +152,9 @@ ReplicaStatus Replica::RotatingStatus(uint64_t view) const {
   return status;
 }
 
-void Replica::OnBlockBody(const std::shared_ptr<const ledger::Block>& body) {
+void Replica::OnBlockBody(const ledger::VerifiedBlock& body) {
   std::optional<crypto::Hash256> hash = blocks_.Put(body);
-  if (!hash) return;  // root mismatch: fabricated body
+  if (!hash) return;  // another body is stored under its hash
   fetch_sent_us_.erase(*hash);
 
   // Re-dispatch protocol messages that were waiting for this body. They

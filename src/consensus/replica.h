@@ -8,6 +8,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -44,11 +45,16 @@ struct ReplicaStatus {
 
 /// \brief Block body dissemination: sent by a proposer alongside its
 /// block-ref proposal, and by any replica answering a fetch. The body is
-/// the proposer's sealed object itself, shared, never copied.
+/// the proposer's sealed `VerifiedBlock` itself, shared, never copied, so
+/// a receiver stores it without rebuilding its Merkle tree. The wire size
+/// still counts every txn; a message without a body is charged the header
+/// alone and dropped on arrival.
 struct BlockBodyMsg : sim::Typed<BlockBodyMsg> {
-  std::shared_ptr<const ledger::Block> body;
+  std::optional<ledger::VerifiedBlock> body;
   static constexpr char kType[] = "block-body";
-  size_t ByteSize() const override { return 80 + body->txns.size() * 64; }
+  size_t ByteSize() const override {
+    return 80 + (body ? body->body().txns.size() * 64 : 0);
+  }
 };
 
 /// \brief Pull request for a block body this replica ordered but never
@@ -82,13 +88,13 @@ struct BlockFetchMsg : sim::Typed<BlockFetchMsg> {
 /// `CountViewChange`.
 ///
 /// Block mode (cfg_.block.enabled): TakeBatch seals pool transactions into
-/// a `ledger::Block` under the cut rules, broadcasts the body, and returns
-/// a compact block-ref batch for the protocol to order. Delivery resolves
-/// refs through the local block store, stalling (and fetching) when a body
-/// has not arrived yet. Body-dependent handlers (client-authenticity
-/// checks) guard with `if (!EnsureBodyOrFetch(from, msg, batch)) return;`
-/// — the message is parked and re-dispatched through OnMessage when the
-/// body lands.
+/// a `ledger::VerifiedBlock` under the cut rules (the body's one Merkle
+/// build), broadcasts the body, and returns a compact block-ref batch for
+/// the protocol to order. Delivery resolves refs through the local block
+/// store, stalling (and fetching) when a body has not arrived yet.
+/// Body-dependent handlers (client-authenticity checks) guard with
+/// `if (!EnsureBodyOrFetch(from, msg, batch)) return;` — the message is
+/// parked and re-dispatched through OnMessage when the body lands.
 class Replica : public sim::Node {
  public:
   Replica(sim::NodeId id, sim::Network* net, ClusterConfig config,
@@ -227,7 +233,7 @@ class Replica : public sim::Node {
   /// Delivers every consecutive ready sequence; stalls on a missing body.
   void DrainDeliveries();
   /// Body landed: unpark waiting protocol messages, retry delivery.
-  void OnBlockBody(const std::shared_ptr<const ledger::Block>& body);
+  void OnBlockBody(const ledger::VerifiedBlock& body);
   /// Broadcasts a fetch for `hash` with a deterministic retry timer.
   void RequestBody(const crypto::Hash256& hash);
   /// Pops up to `max` txns off the pool's front, marking them taken.

@@ -36,6 +36,14 @@ bool Block::VerifyTxnRoot() const {
   return tree.root() == header.txn_root;
 }
 
+VerifiedBlock VerifiedBlock::Seal(uint64_t height,
+                                  const crypto::Hash256& prev_hash,
+                                  std::vector<txn::Transaction> txns,
+                                  uint64_t timestamp_us) {
+  return VerifiedBlock(std::make_shared<const Block>(
+      Block::Make(height, prev_hash, std::move(txns), timestamp_us)));
+}
+
 std::optional<VerifiedBlock> VerifiedBlock::Verify(
     std::shared_ptr<const Block> body) {
   if (body == nullptr || !body->VerifyTxnRoot()) return std::nullopt;

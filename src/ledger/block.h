@@ -43,21 +43,25 @@ struct Block {
   std::vector<crypto::Hash256> TxnDigests() const;
 };
 
-/// \brief A shared, immutable block body whose header's txn root has been
-/// checked against its txns.
+/// \brief A shared, immutable block body whose header's txn root is known
+/// to commit to its txns.
 ///
-/// `Verify` is the only way to get one, so holding one is the proof: code
-/// that takes a VerifiedBlock reuses `header.txn_root` instead of
-/// rebuilding the Merkle tree. Copies share the one body.
+/// `Seal` and `Verify` are the only ways to get one, so holding one is the
+/// proof: code that takes a VerifiedBlock reuses `header.txn_root` instead
+/// of rebuilding the Merkle tree. Copies share the one body.
 class VerifiedBlock {
  public:
+  /// A fresh body `Block::Make(height, prev_hash, txns, timestamp_us)`.
+  /// Make computes the root from these very txns, so no second Merkle
+  /// build is needed to trust it.
+  static VerifiedBlock Seal(uint64_t height, const crypto::Hash256& prev_hash,
+                            std::vector<txn::Transaction> txns,
+                            uint64_t timestamp_us);
   /// `body` as a VerifiedBlock if `body->VerifyTxnRoot()` holds; nullopt
   /// otherwise, and for a null `body`.
   static std::optional<VerifiedBlock> Verify(std::shared_ptr<const Block> body);
 
   const Block& body() const { return *body_; }
-  /// The shared body, to hand on without copying it.
-  const std::shared_ptr<const Block>& shared() const { return body_; }
 
  private:
   explicit VerifiedBlock(std::shared_ptr<const Block> body)

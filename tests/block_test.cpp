@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,42 @@ TEST(BlockStoreTest, RedeliveryUnderStoredHashMustEqualStoredBody) {
   EXPECT_TRUE(store.Get(h)->body().VerifyTxnRoot());
 
   EXPECT_EQ(store.Put(Shared(*b)), h);  // identical re-delivery
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(BlockStoreTest, VerifiedPutFollowsTheRedeliveryRule) {
+  // Transaction::Digest hashes an op's strings without their lengths, so
+  // Write("ab", "") and Write("a", "b") share a digest: the two bodies
+  // below both verify against one header, yet their txns differ.
+  std::vector<Transaction> txns = {T(1, {Op::Write("a", "x")}),
+                                   T(2, {Op::Write("ab", "")})};
+  ledger::VerifiedBlock body =
+      ledger::VerifiedBlock::Seal(0, crypto::Hash256{}, txns, 0);
+  const crypto::Hash256 h = body.body().header.Hash();
+  BlockStore store;
+  EXPECT_EQ(store.Put(body), h);
+  ASSERT_NE(store.Get(h), nullptr);
+  // The store holds the very object it was given, not a copy.
+  EXPECT_EQ(&store.Get(h)->body(), &body.body());
+  EXPECT_EQ(store.Put(body), h);  // the stored object again
+
+  // An equal copy is accepted and replaces nothing.
+  std::optional<ledger::VerifiedBlock> copy =
+      ledger::VerifiedBlock::Verify(Shared(body.body()));
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(store.Put(*copy), h);
+  EXPECT_EQ(&store.Get(h)->body(), &body.body());
+
+  // Different txns under the same hash are rejected.
+  ledger::Block other = body.body();
+  other.txns[1].ops[0] = Op::Write("a", "b");
+  std::optional<ledger::VerifiedBlock> imposter =
+      ledger::VerifiedBlock::Verify(Shared(other));
+  ASSERT_TRUE(imposter.has_value());
+  ASSERT_EQ(imposter->body().header.Hash(), h);
+  EXPECT_FALSE(store.Put(*imposter));
+  EXPECT_EQ(&store.Get(h)->body(), &body.body());
+  EXPECT_EQ(store.Get(h)->body().txns, txns);
   EXPECT_EQ(store.size(), 1u);
 }
 

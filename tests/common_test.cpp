@@ -186,8 +186,16 @@ TEST(ThreadPoolTest, CancelledJobsAreSkippedAndCounted) {
   ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
+  std::promise<void> started;
+  std::future<void> holding = started.get_future();
   TaskGroup group;
-  pool.Submit(&group, [opened] { opened.wait(); });  // hold the one worker
+  pool.Submit(&group, [opened, &started] {  // hold the one worker
+    started.set_value();
+    opened.wait();
+  });
+  // The worker pops its own queue newest first, so the jobs below must not
+  // be queued until it is inside the holding job.
+  holding.wait();
   CancellationToken token;
   std::atomic<int> ran{0};
   for (int i = 0; i < 50; ++i) {

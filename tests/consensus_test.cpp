@@ -656,6 +656,37 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
   EXPECT_EQ(sealer.chain().blocks().back().txns.front().id, 1u);
 }
 
+// A block-body message without a body is charged its 80-byte header and
+// dropped on arrival, the way the store refuses a null body: nothing the
+// replica holds changes, and nothing is sent in reply.
+TEST(ReplicaTest, BodylessBlockBodyMessageChangesNothing) {
+  World w(58);
+  ClusterConfig cfg;
+  cfg.replicas = {0};
+  cfg.block.enabled = true;
+  cfg.block.max_txns = 1;
+  ReplicaProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
+                     &w.registry);
+  probe.SubmitTransaction(MakeKvTxn(1, "k", "v"));
+  probe.SubmitTransaction(MakeKvTxn(2, "k", "v"));
+  Batch ref = probe.TakeBatch();  // seals txn 1 and stores its body
+  ASSERT_TRUE(ref.block_ref);
+  ASSERT_EQ(probe.block_store().size(), 1u);
+
+  const sim::NetworkStats before = w.net.stats();
+  w.net.Send(1, probe.id(), std::make_shared<BlockBodyMsg>());
+  w.sim.RunAll();
+  EXPECT_EQ(w.net.stats().messages_sent, before.messages_sent + 1);
+  EXPECT_EQ(w.net.stats().messages_delivered, before.messages_delivered + 1);
+  EXPECT_EQ(w.net.stats().bytes_sent, before.bytes_sent + 80);
+  EXPECT_EQ(probe.block_store().size(), 1u);
+  EXPECT_NE(probe.block_store().Get(ref.block_hash), nullptr);
+  EXPECT_EQ(probe.pool_size(), 1u);
+  EXPECT_EQ(probe.committed_txns(), 0u);
+  EXPECT_EQ(probe.chain().height(), 0u);
+  EXPECT_EQ(probe.pending_deliveries(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Protocol-specific behaviours.
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "ledger/block.h"
 #include "ledger/chain.h"
@@ -81,7 +82,7 @@ TEST(ChainTest, AppendingAVerifiedBodyMatchesAppendingItsTxns) {
         /*timestamp_us=*/1000 + i));
     std::optional<VerifiedBlock> verified = VerifiedBlock::Verify(body);
     ASSERT_TRUE(verified.has_value());
-    EXPECT_EQ(verified->shared(), body);
+    EXPECT_EQ(&verified->body(), body.get());
     by_txns.Append(body->txns);
     by_body.Append(*verified);
     EXPECT_EQ(by_body.at(i).header.Hash(), by_txns.at(i).header.Hash())
@@ -90,6 +91,26 @@ TEST(ChainTest, AppendingAVerifiedBodyMatchesAppendingItsTxns) {
   }
   EXPECT_TRUE(by_body.Audit().ok());
   EXPECT_TRUE(by_body.SameAs(by_txns));
+}
+
+// Only Seal and Verify make a VerifiedBlock: no public path wraps an
+// arbitrary body as verified.
+static_assert(!std::is_default_constructible_v<VerifiedBlock>);
+static_assert(
+    !std::is_constructible_v<VerifiedBlock, std::shared_ptr<const Block>>);
+
+TEST(ChainTest, SealedBodyIsTheMadeBlockAndVerifies) {
+  const crypto::Hash256 parent = crypto::Sha256::Digest("parent");
+  VerifiedBlock sealed =
+      VerifiedBlock::Seal(7, parent, MakeTxns(5, 0), /*timestamp_us=*/1234);
+  Block made = Block::Make(7, parent, MakeTxns(5, 0), 1234);
+  EXPECT_EQ(sealed.body().header.txn_root, made.header.txn_root);
+  EXPECT_EQ(sealed.body().header.Hash(), made.header.Hash());
+  EXPECT_EQ(sealed.body().txns, made.txns);
+  EXPECT_TRUE(
+      VerifiedBlock::Verify(std::make_shared<const Block>(sealed.body())));
+  VerifiedBlock copy = sealed;  // copies share the one body
+  EXPECT_EQ(&copy.body(), &sealed.body());
 }
 
 TEST(ChainTest, BodyWithAWrongRootIsNotVerified) {
