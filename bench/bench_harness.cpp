@@ -29,11 +29,7 @@ std::unique_ptr<ThreadPool>& PoolSlot() {
 
 ThreadPool& BenchPool() {
   std::unique_ptr<ThreadPool>& slot = PoolSlot();
-  if (!slot) {
-    ThreadPool::Options options;
-    options.num_threads = BenchJobs();
-    slot = std::make_unique<ThreadPool>(options);
-  }
+  if (!slot) slot = std::make_unique<ThreadPool>(BenchJobs());
   return *slot;
 }
 

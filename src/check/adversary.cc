@@ -6,40 +6,6 @@
 
 namespace pbc::check {
 
-namespace {
-
-struct ModeRow {
-  AdversaryMode mode;
-  const char* name;
-};
-constexpr ModeRow kModeTable[] = {
-    {AdversaryMode::kRandom, "random"},
-    {AdversaryMode::kLeader, "leader"},
-    {AdversaryMode::kQuorum, "quorum"},
-    {AdversaryMode::kChurn, "churn"},
-};
-static_assert(std::size(kModeTable) == std::size(kAllAdversaryModes),
-              "mode name table out of sync with kAllAdversaryModes");
-
-}  // namespace
-
-const char* AdversaryModeName(AdversaryMode mode) {
-  for (const ModeRow& row : kModeTable) {
-    if (row.mode == mode) return row.name;
-  }
-  return "?";
-}
-
-bool ParseAdversaryMode(const std::string& name, AdversaryMode* out) {
-  for (const ModeRow& row : kModeTable) {
-    if (name == row.name) {
-      *out = row.mode;
-      return true;
-    }
-  }
-  return false;
-}
-
 ReactiveNemesis::ReactiveNemesis(Options options, sim::Simulator* sim,
                                  const FaultApplier* applier,
                                  GroupObserver observer)

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "check/nemesis.h"
@@ -46,15 +45,15 @@ enum class AdversaryMode {
   kChurn,   ///< sustained short crash windows that follow leadership
 };
 
-/// All modes, for exhaustiveness tests and flag validation.
-inline constexpr AdversaryMode kAllAdversaryModes[] = {
-    AdversaryMode::kRandom, AdversaryMode::kLeader, AdversaryMode::kQuorum,
-    AdversaryMode::kChurn};
-
-/// Stable wire name ("random", "leader", "quorum", "churn").
-const char* AdversaryModeName(AdversaryMode mode);
-/// Inverse of AdversaryModeName. Returns false on unknown names.
-bool ParseAdversaryMode(const std::string& name, AdversaryMode* out);
+template <>
+struct NameTable<AdversaryMode> {
+  static constexpr Named<AdversaryMode> rows[] = {
+      {AdversaryMode::kRandom, "random"},
+      {AdversaryMode::kLeader, "leader"},
+      {AdversaryMode::kQuorum, "quorum"},
+      {AdversaryMode::kChurn, "churn"},
+  };
+};
 
 /// \brief What the adversary may see of one consensus group between
 /// events. Pure observation aggregated across live replicas; never fed

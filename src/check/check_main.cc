@@ -7,7 +7,10 @@
 //
 // --nemesis takes ONE profile (a CSV of fault classes); pass several
 // profiles as separate cells with ';': --nemesis "crash;crash,partition".
-// Exit status: 0 = no invariant violated, 1 = violations, 2 = bad usage.
+// Exit status: 0 = no invariant violated, 1 = violations, 2 = bad usage
+// (an unknown flag, protocol, nemesis token or adversary mode, a malformed
+// number, or a zero cluster size or shard count), reported before any
+// cell runs.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -41,8 +44,8 @@ void Usage() {
       "  --report PATH         write the JSON report to PATH\n"
       "  --quiet               no per-run progress lines\n"
       "protocols:");
-  for (const std::string& p : pbc::check::KnownProtocols()) {
-    std::fprintf(stderr, " %s", p.c_str());
+  for (const auto& row : pbc::check::NameTable<pbc::check::Protocol>::rows) {
+    std::fprintf(stderr, " %s", row.name);
   }
   std::fprintf(stderr, "\n");
 }
@@ -109,8 +112,8 @@ int main(int argc, char** argv) {
                   const pbc::check::RunResult& result) {
       std::fprintf(stderr, "[%s] %-10s n=%zu nemesis=%-24s seed=%llu%s\n",
                    result.ok() ? (result.live ? "ok" : "OK*") : "VIOLATION",
-                   cfg.protocol.c_str(), cfg.cluster_size,
-                   cfg.nemesis.c_str(),
+                   pbc::check::NameOf(cfg.protocol), cfg.cluster_size,
+                   cfg.nemesis.ToString().c_str(),
                    static_cast<unsigned long long>(cfg.seed),
                    result.live ? "" : " (not live)");
     };

@@ -1,7 +1,9 @@
 #include "check/harness.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <string_view>
 #include <type_traits>
 
 #include "check/adversary.h"
@@ -38,8 +40,11 @@ uint64_t MixSeed(const RunConfig& cfg) {
     h ^= v;
     h *= 0x100000001B3ULL;
   };
-  for (char c : cfg.protocol) mix(static_cast<uint64_t>(c));
-  for (char c : cfg.nemesis) mix(static_cast<uint64_t>(c));
+  auto mix_name = [&mix](std::string_view name) {
+    for (char c : name) mix(static_cast<uint64_t>(c));
+  };
+  mix_name(NameOf(cfg.protocol));
+  mix_name(cfg.nemesis.ToString());
   mix(cfg.cluster_size);
   mix(cfg.num_shards);
   mix(cfg.txns);
@@ -50,9 +55,7 @@ uint64_t MixSeed(const RunConfig& cfg) {
   // Same back-compat rule for the adaptive-adversary fields: default
   // values stay out of the stream so the existing seed corpus replays
   // byte-identically.
-  if (cfg.adversary != "random") {
-    for (char c : cfg.adversary) mix(static_cast<uint64_t>(c));
-  }
+  if (cfg.adversary != AdversaryMode::kRandom) mix_name(NameOf(cfg.adversary));
   if (cfg.clock_skew_ppm != 0) {
     mix(static_cast<uint64_t>(cfg.clock_skew_ppm));
   }
@@ -70,7 +73,6 @@ uint64_t MixSeed(const RunConfig& cfg) {
 /// 0 survives shrinking alongside the fault windows, ids >= 1), plus the
 /// generated fault windows unless an adaptive adversary injects its own.
 NemesisSchedule StaticSchedule(const RunConfig& cfg,
-                               const NemesisProfile& profile,
                                const NemesisTopology& topo, sim::Time horizon,
                                const NemesisSchedule* explicit_schedule) {
   if (explicit_schedule) return *explicit_schedule;
@@ -83,9 +85,9 @@ NemesisSchedule StaticSchedule(const RunConfig& cfg,
     ev.skew_ppm = i % 2 == 0 ? cfg.clock_skew_ppm : -cfg.clock_skew_ppm;
   }
   NemesisSchedule overlay = NemesisSchedule::FromEvents(std::move(skew));
-  if (cfg.adversary != "random") return overlay;
+  if (cfg.adversary != AdversaryMode::kRandom) return overlay;
   return NemesisSchedule::Merged(
-      overlay, NemesisSchedule::Generate(profile, topo, horizon, cfg.seed));
+      overlay, NemesisSchedule::Generate(cfg.nemesis, topo, horizon, cfg.seed));
 }
 
 /// The consensus settings every cluster of a run shares; `block_delay_us`
@@ -147,7 +149,7 @@ txn::Transaction TransferTxn(size_t i) {
 }
 
 template <typename R>
-RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
+RunResult RunCluster(const RunConfig& cfg,
                      const NemesisSchedule* explicit_schedule) {
   const sim::Time horizon = HorizonFor(cfg);
   const bool bft = InFamily(cfg.protocol, ProtocolFamily::kBft);
@@ -172,11 +174,8 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
   topo.partition_whole_network = true;
   topo.supports_byzantine = bft;
 
-  AdversaryMode adversary = AdversaryMode::kRandom;
-  ParseAdversaryMode(cfg.adversary, &adversary);  // validated in Dispatch
-
   NemesisSchedule schedule =
-      StaticSchedule(cfg, profile, topo, horizon, explicit_schedule);
+      StaticSchedule(cfg, topo, horizon, explicit_schedule);
 
   CheckerSuite suite(&w.sim);
   auto chains = [&cluster] {
@@ -289,9 +288,9 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
   schedule.Apply(&w.sim, &w.faults);
 
   std::unique_ptr<ReactiveNemesis> reactive;
-  if (!explicit_schedule && adversary != AdversaryMode::kRandom) {
+  if (!explicit_schedule && cfg.adversary != AdversaryMode::kRandom) {
     ReactiveNemesis::Options opts;
-    opts.mode = adversary;
+    opts.mode = cfg.adversary;
     opts.topology = topo;
     opts.horizon = horizon;
     opts.seed = cfg.seed;
@@ -360,7 +359,7 @@ RunResult RunCluster(const RunConfig& cfg, const NemesisProfile& profile,
 /// `shard::ShardedSystem` surface, and AHL's committee is one more of its
 /// `clusters()`.
 template <typename System>
-RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
+RunResult RunShard(const RunConfig& cfg,
                    const NemesisSchedule* explicit_schedule) {
   const sim::Time horizon = HorizonFor(cfg);
   World w(MixSeed(cfg));
@@ -400,7 +399,7 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   // Clock skew composes with sharded runs (it is per-node, not
   // per-protocol); adaptive adversary modes do not (rejected in Dispatch).
   NemesisSchedule schedule =
-      StaticSchedule(cfg, profile, topo, horizon, explicit_schedule);
+      StaticSchedule(cfg, topo, horizon, explicit_schedule);
 
   CheckerSuite suite(&w.sim);
   // Replica agreement within each cluster (cross-cluster chains are
@@ -527,31 +526,35 @@ RunResult RunShard(const RunConfig& cfg, const NemesisProfile& profile,
   return result;
 }
 
-/// The protocol table: the one place that names each protocol, its family
-/// and how to run it.
+/// The protocol table: how each protocol runs and under which fault model.
 struct ProtocolSpec {
-  const char* name;
+  Protocol protocol;
   ProtocolFamily family;
-  RunResult (*run)(const RunConfig&, const NemesisProfile&,
-                   const NemesisSchedule*);
+  RunResult (*run)(const RunConfig&, const NemesisSchedule*);
 };
 
 constexpr ProtocolSpec kProtocols[] = {
-    {"pbft", ProtocolFamily::kBft, RunCluster<consensus::PbftReplica>},
-    {"raft", ProtocolFamily::kCft, RunCluster<consensus::RaftReplica>},
-    {"hotstuff", ProtocolFamily::kBft, RunCluster<consensus::HotStuffReplica>},
-    {"tendermint", ProtocolFamily::kBft,
+    {Protocol::kPbft, ProtocolFamily::kBft, RunCluster<consensus::PbftReplica>},
+    {Protocol::kRaft, ProtocolFamily::kCft, RunCluster<consensus::RaftReplica>},
+    {Protocol::kHotStuff, ProtocolFamily::kBft,
+     RunCluster<consensus::HotStuffReplica>},
+    {Protocol::kTendermint, ProtocolFamily::kBft,
      RunCluster<consensus::TendermintReplica>},
-    {"paxos", ProtocolFamily::kCft, RunCluster<consensus::PaxosReplica>},
-    {"sharper", ProtocolFamily::kSharded, RunShard<shard::SharperSystem>},
-    {"ahl", ProtocolFamily::kSharded, RunShard<shard::TwoPhaseShardSystem>},
+    {Protocol::kPaxos, ProtocolFamily::kCft,
+     RunCluster<consensus::PaxosReplica>},
+    {Protocol::kSharper, ProtocolFamily::kSharded,
+     RunShard<shard::SharperSystem>},
+    {Protocol::kAhl, ProtocolFamily::kSharded,
+     RunShard<shard::TwoPhaseShardSystem>},
 };
+static_assert(std::size(kProtocols) == std::size(NameTable<Protocol>::rows),
+              "every protocol needs a row in kProtocols");
 
-const ProtocolSpec* FindProtocol(const std::string& name) {
-  for (const ProtocolSpec& spec : kProtocols) {
-    if (name == spec.name) return &spec;
-  }
-  return nullptr;
+const ProtocolSpec& SpecOf(Protocol protocol) {
+  return *std::find_if(std::begin(kProtocols), std::end(kProtocols),
+                       [protocol](const ProtocolSpec& spec) {
+                         return spec.protocol == protocol;
+                       });
 }
 
 RunResult ConfigError(std::string detail) {
@@ -560,18 +563,12 @@ RunResult ConfigError(std::string detail) {
   return bad;
 }
 
+/// Rejects what no single field can express: settings that only work
+/// together, or not for the protocol's family.
 RunResult Dispatch(const RunConfig& cfg,
                    const NemesisSchedule* explicit_schedule) {
-  NemesisProfile profile;
-  if (!NemesisProfile::Parse(cfg.nemesis, &profile)) {
-    return ConfigError("unknown nemesis profile: " + cfg.nemesis);
-  }
-  AdversaryMode adversary = AdversaryMode::kRandom;
-  if (!ParseAdversaryMode(cfg.adversary, &adversary)) {
-    return ConfigError("unknown adversary mode: " + cfg.adversary);
-  }
-  if ((profile.torn_write || profile.lost_flush) && !cfg.durable) {
-    return ConfigError("nemesis profile '" + cfg.nemesis +
+  if ((cfg.nemesis.torn_write || cfg.nemesis.lost_flush) && !cfg.durable) {
+    return ConfigError("nemesis profile '" + cfg.nemesis.ToString() +
                        "' injects disk faults and requires --durable");
   }
   if (cfg.mutate_recovery && !cfg.durable) {
@@ -586,23 +583,22 @@ RunResult Dispatch(const RunConfig& cfg,
     if (cfg.durable) {
       return ConfigError("durable mode is not supported for sharded protocols");
     }
-    if (adversary != AdversaryMode::kRandom) {
-      return ConfigError("adversary mode '" + cfg.adversary +
+    if (cfg.adversary != AdversaryMode::kRandom) {
+      return ConfigError("adversary mode '" +
+                         std::string(NameOf(cfg.adversary)) +
                          "' is not supported for sharded protocols");
     }
   }
-  const ProtocolSpec* spec = FindProtocol(cfg.protocol);
-  if (spec == nullptr) return ConfigError("unknown protocol: " + cfg.protocol);
-  return spec->run(cfg, profile, explicit_schedule);
+  return SpecOf(cfg.protocol).run(cfg, explicit_schedule);
 }
 
 }  // namespace
 
 obs::Json RunConfig::ToJson() const {
   obs::Json j = obs::Json::Object()
-                    .Set("protocol", protocol)
+                    .Set("protocol", NameOf(protocol))
                     .Set("cluster_size", static_cast<uint64_t>(cluster_size))
-                    .Set("nemesis", nemesis)
+                    .Set("nemesis", nemesis.ToString())
                     .Set("seed", seed)
                     .Set("txns", static_cast<uint64_t>(txns))
                     .Set("horizon_us", HorizonFor(*this));
@@ -615,7 +611,9 @@ obs::Json RunConfig::ToJson() const {
   }
   // Emitted only when non-default, like block_max_txns, so reports from
   // before the adaptive adversary landed stay byte-comparable.
-  if (adversary != "random") j.Set("adversary", adversary);
+  if (adversary != AdversaryMode::kRandom) {
+    j.Set("adversary", NameOf(adversary));
+  }
   if (clock_skew_ppm != 0) j.Set("clock_skew_ppm", clock_skew_ppm);
   if (durable) j.Set("durable", true);
   if (mutate_recovery) j.Set("mutate_recovery", true);
@@ -629,15 +627,16 @@ RunResult RunWithSchedule(const RunConfig& config,
   return Dispatch(config, &schedule);
 }
 
-std::vector<std::string> KnownProtocols() {
-  std::vector<std::string> names;
-  for (const ProtocolSpec& spec : kProtocols) names.push_back(spec.name);
-  return names;
+std::vector<Protocol> KnownProtocols() {
+  std::vector<Protocol> all;
+  for (const Named<Protocol>& row : NameTable<Protocol>::rows) {
+    all.push_back(row.value);
+  }
+  return all;
 }
 
-bool InFamily(const std::string& protocol, ProtocolFamily family) {
-  const ProtocolSpec* spec = FindProtocol(protocol);
-  return spec != nullptr && spec->family == family;
+bool InFamily(Protocol protocol, ProtocolFamily family) {
+  return SpecOf(protocol).family == family;
 }
 
 }  // namespace pbc::check

@@ -13,22 +13,47 @@
 #include <string>
 #include <vector>
 
+#include "check/adversary.h"
 #include "check/invariants.h"
 #include "check/nemesis.h"
 #include "obs/json.h"
 
 namespace pbc::check {
 
-/// \brief Everything that determines a run.
+/// \brief The protocols RunOne runs.
+enum class Protocol {
+  kPbft,
+  kRaft,
+  kHotStuff,
+  kTendermint,
+  kPaxos,
+  kSharper,
+  kAhl,
+};
+
+template <>
+struct NameTable<Protocol> {
+  static constexpr Named<Protocol> rows[] = {
+      {Protocol::kPbft, "pbft"},
+      {Protocol::kRaft, "raft"},
+      {Protocol::kHotStuff, "hotstuff"},
+      {Protocol::kTendermint, "tendermint"},
+      {Protocol::kPaxos, "paxos"},
+      {Protocol::kSharper, "sharper"},
+      {Protocol::kAhl, "ahl"},
+  };
+};
+
+/// \brief Everything that determines a run. Every field is a parsed value:
+/// text is read only by the run-flag table (see RunFlags()).
 struct RunConfig {
-  /// pbft | raft | hotstuff | tendermint | paxos | sharper | ahl
-  std::string protocol = "pbft";
+  Protocol protocol = Protocol::kPbft;
   /// Replicas per consensus cluster (per shard for sharded protocols).
   size_t cluster_size = 4;
   /// Number of shards (sharded protocols only).
   uint32_t num_shards = 2;
-  /// Nemesis profile CSV, e.g. "crash,partition" (see NemesisProfile).
-  std::string nemesis = "crash";
+  /// Fault classes the generated schedule draws from.
+  NemesisProfile nemesis{.crash = true};
   uint64_t seed = 0;
   /// Client transactions submitted, paced over the first half of the run.
   size_t txns = 40;
@@ -38,12 +63,11 @@ struct RunConfig {
   /// > 0 enables the consensus block pipeline (ClusterConfig::block) with
   /// this size cut; 0 keeps the seed's inline-batch path.
   size_t block_max_txns = 0;
-  /// Adversary strategy: "random" replays the pre-generated schedule from
-  /// `nemesis`; "leader" / "quorum" / "churn" run the state-aware
-  /// ReactiveNemesis (see check/adversary.h), which *replaces* the
-  /// generated schedule (the `nemesis` profile is ignored). Consensus
-  /// protocols only; sharded runs reject non-random modes.
-  std::string adversary = "random";
+  /// kRandom replays the schedule generated from `nemesis`; the other
+  /// modes run the state-aware ReactiveNemesis (see check/adversary.h),
+  /// which *replaces* the generated schedule (the `nemesis` profile is
+  /// ignored). Consensus protocols only; sharded runs reject them.
+  AdversaryMode adversary = AdversaryMode::kRandom;
   /// Per-node clock-skew rate in ppm, alternated ±ppm across nodes (even
   /// indices run fast, odd run slow); 0 = no skew. Composes with any
   /// nemesis or adversary mode.
@@ -102,13 +126,11 @@ RunResult RunWithSchedule(const RunConfig& config,
 /// Byzantine), CFT ((n-1)/2 crashes) or sharded (crashes per shard).
 enum class ProtocolFamily { kBft, kCft, kSharded };
 
-/// \brief Protocols RunOne understands, in the protocol table's order;
-/// "all" in sweep options expands to this list.
-std::vector<std::string> KnownProtocols();
+/// \brief Every protocol, in name-table order; what "--protocol all" runs.
+std::vector<Protocol> KnownProtocols();
 
-/// \brief Whether the protocol table lists `protocol` under `family`
-/// (false for unknown protocols).
-bool InFamily(const std::string& protocol, ProtocolFamily family);
+/// \brief Whether the protocol table lists `protocol` under `family`.
+bool InFamily(Protocol protocol, ProtocolFamily family);
 
 }  // namespace pbc::check
 

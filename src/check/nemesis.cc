@@ -10,30 +10,6 @@ namespace pbc::check {
 
 namespace {
 
-// One row per kind; NemesisKindName/FromName both read this table so the
-// two directions cannot diverge. The static_assert ties the table to
-// kAllNemesisKinds (and thereby to the enum): adding a kind without
-// extending both lists fails the build or the exhaustiveness test.
-struct KindRow {
-  NemesisKind kind;
-  const char* name;
-};
-constexpr KindRow kKindTable[] = {
-    {NemesisKind::kCrash, "crash"},
-    {NemesisKind::kRecover, "recover"},
-    {NemesisKind::kPartition, "partition"},
-    {NemesisKind::kHeal, "heal"},
-    {NemesisKind::kDelay, "delay"},
-    {NemesisKind::kClearDelay, "clear-delay"},
-    {NemesisKind::kByzantine, "byzantine"},
-    {NemesisKind::kClockSkew, "clock-skew"},
-    {NemesisKind::kTornWrite, "torn-write"},
-    {NemesisKind::kLostFlush, "lost-flush"},
-    {NemesisKind::kRestoreFlush, "restore-flush"},
-};
-static_assert(std::size(kKindTable) == std::size(kAllNemesisKinds),
-              "kind name table out of sync with kAllNemesisKinds");
-
 /// NemesisProfile's tokens, in ToString's order.
 constexpr std::pair<const char*, bool NemesisProfile::*> kProfileTokens[] = {
     {"crash", &NemesisProfile::crash},
@@ -44,42 +20,23 @@ constexpr std::pair<const char*, bool NemesisProfile::*> kProfileTokens[] = {
     {"lost-flush", &NemesisProfile::lost_flush},
 };
 
-const char* ModeName(consensus::ByzantineMode mode) {
-  switch (mode) {
-    case consensus::ByzantineMode::kHonest:
-      return "honest";
-    case consensus::ByzantineMode::kSilent:
-      return "silent";
-    case consensus::ByzantineMode::kEquivocate:
-      return "equivocate";
-    case consensus::ByzantineMode::kVoteBoth:
-      return "vote-both";
+/// A JSON value as Describe prints it: strings bare, arrays on one line.
+std::string Compact(const obs::Json& v) {
+  if (v.type() == obs::Json::Type::kString) return v.str();
+  if (v.type() != obs::Json::Type::kArray) return v.Dump();
+  std::string s = "[";
+  for (const obs::Json& item : v.array()) {
+    if (s.size() > 1) s += ',';
+    s += Compact(item);
   }
-  return "?";
+  return s + "]";
 }
 
 }  // namespace
 
-const char* NemesisKindName(NemesisKind kind) {
-  for (const KindRow& row : kKindTable) {
-    if (row.kind == kind) return row.name;
-  }
-  return "?";
-}
-
-bool NemesisKindFromName(const std::string& name, NemesisKind* out) {
-  for (const KindRow& row : kKindTable) {
-    if (name == row.name) {
-      *out = row.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool NemesisProfile::Parse(const std::string& csv, NemesisProfile* out) {
   *out = NemesisProfile{};
-  if (csv.empty() || csv == "none") return true;
+  if (csv == "none") return true;
   std::stringstream ss(csv);
   std::string token;
   while (std::getline(ss, token, ',')) {
@@ -89,7 +46,7 @@ bool NemesisProfile::Parse(const std::string& csv, NemesisProfile* out) {
     if (it == std::end(kProfileTokens)) return false;
     out->*(it->second) = true;
   }
-  return true;
+  return !csv.empty();
 }
 
 std::string NemesisProfile::ToString() const {
@@ -100,53 +57,10 @@ std::string NemesisProfile::ToString() const {
   return s.empty() ? "none" : s;
 }
 
-std::string NemesisEvent::Describe() const {
-  std::ostringstream os;
-  os << "t=" << at << "us " << NemesisKindName(kind);
-  switch (kind) {
-    case NemesisKind::kCrash:
-    case NemesisKind::kRecover:
-      os << " node=" << node;
-      break;
-    case NemesisKind::kPartition: {
-      for (const auto& g : groups) {
-        os << " {";
-        for (size_t i = 0; i < g.size(); ++i) os << (i ? "," : "") << g[i];
-        os << "}";
-      }
-      break;
-    }
-    case NemesisKind::kHeal:
-      break;
-    case NemesisKind::kDelay:
-      os << " link=" << from << "->" << to << " base=" << latency.base_us
-         << "us jitter=" << latency.jitter_us << "us";
-      break;
-    case NemesisKind::kClearDelay:
-      os << " link=" << from << "->" << to;
-      break;
-    case NemesisKind::kByzantine:
-      os << " replica=" << replica_index << " mode=" << ModeName(mode);
-      break;
-    case NemesisKind::kClockSkew:
-      os << " node=" << node << " rate=" << skew_ppm
-         << "ppm offset=" << skew_offset_us << "us";
-      break;
-    case NemesisKind::kTornWrite:
-      os << " node=" << node << " tear=" << tear_ppm << "ppm";
-      break;
-    case NemesisKind::kLostFlush:
-    case NemesisKind::kRestoreFlush:
-      os << " node=" << node;
-      break;
-  }
-  return os.str();
-}
-
 obs::Json NemesisEvent::ToJson() const {
   obs::Json j = obs::Json::Object()
                     .Set("at_us", at)
-                    .Set("kind", NemesisKindName(kind))
+                    .Set("kind", NameOf(kind))
                     .Set("window", window);
   switch (kind) {
     case NemesisKind::kCrash:
@@ -176,7 +90,7 @@ obs::Json NemesisEvent::ToJson() const {
       break;
     case NemesisKind::kByzantine:
       j.Set("replica_index", static_cast<uint64_t>(replica_index))
-          .Set("mode", ModeName(mode));
+          .Set("mode", NameOf(mode));
       break;
     case NemesisKind::kClockSkew:
       j.Set("node", node)
@@ -192,6 +106,16 @@ obs::Json NemesisEvent::ToJson() const {
       break;
   }
   return j;
+}
+
+std::string NemesisEvent::Describe() const {
+  const obs::Json fields = ToJson();
+  std::string s;
+  for (const auto& [key, value] : fields.object()) {
+    if (!s.empty()) s += ' ';
+    s += key + "=" + Compact(value);
+  }
+  return s;
 }
 
 // --- Generation ------------------------------------------------------------

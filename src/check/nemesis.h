@@ -19,6 +19,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,49 @@
 #include "sim/network.h"
 
 namespace pbc::check {
+
+/// \brief One row of an enum's name table: a value and its stable wire name.
+template <typename E>
+struct Named {
+  E value;
+  const char* name;
+};
+
+/// \brief An enum's name table, specialized next to each named enum:
+/// `rows` lists every value once, in declaration order. NameOf and FromName
+/// are the one lookup over it, in each direction.
+template <typename E>
+struct NameTable;
+
+template <typename E>
+const char* NameOf(E value) {
+  for (const Named<E>& row : NameTable<E>::rows) {
+    if (row.value == value) return row.name;
+  }
+  return "?";
+}
+
+/// False on a name the table lacks.
+template <typename E>
+bool FromName(std::string_view name, E* out) {
+  for (const Named<E>& row : NameTable<E>::rows) {
+    if (name == row.name) {
+      *out = row.value;
+      return true;
+    }
+  }
+  return false;
+}
+
+template <>
+struct NameTable<consensus::ByzantineMode> {
+  static constexpr Named<consensus::ByzantineMode> rows[] = {
+      {consensus::ByzantineMode::kHonest, "honest"},
+      {consensus::ByzantineMode::kSilent, "silent"},
+      {consensus::ByzantineMode::kEquivocate, "equivocate"},
+      {consensus::ByzantineMode::kVoteBoth, "vote-both"},
+  };
+};
 
 /// \brief Which fault classes a schedule may draw from.
 struct NemesisProfile {
@@ -39,11 +83,13 @@ struct NemesisProfile {
   bool lost_flush = false;  ///< lying-disk window: fsyncs ack'd, dropped
 
   /// Parses "crash,partition,delay,byzantine,torn-write,lost-flush" (any
-  /// subset, any order); "none" or "" yields an empty profile. Unknown
-  /// tokens fail. torn-write / lost-flush require a durable run — the
+  /// subset, any order); "none" yields an empty profile. Unknown tokens
+  /// and "" fail. torn-write / lost-flush require a durable run — the
   /// harness rejects them without `RunConfig::durable`.
   static bool Parse(const std::string& csv, NemesisProfile* out);
+  /// The canonical CSV: tokens in the order above, or "none".
   std::string ToString() const;
+  bool operator==(const NemesisProfile&) const = default;
 };
 
 enum class NemesisKind {
@@ -60,22 +106,22 @@ enum class NemesisKind {
   kRestoreFlush,  ///< end the lying-disk window (fsyncs honest again)
 };
 
-/// Every kind, in declaration order — the exhaustiveness test round-trips
-/// this list through the name table, Describe() and ToJson(), so adding a
-/// kind without updating serialization fails loudly. Keep in sync with
-/// the enum AND the name table in nemesis.cc (a static_assert there ties
-/// the table to this list).
-inline constexpr NemesisKind kAllNemesisKinds[] = {
-    NemesisKind::kCrash,     NemesisKind::kRecover,  NemesisKind::kPartition,
-    NemesisKind::kHeal,      NemesisKind::kDelay,    NemesisKind::kClearDelay,
-    NemesisKind::kByzantine, NemesisKind::kClockSkew,
-    NemesisKind::kTornWrite, NemesisKind::kLostFlush,
-    NemesisKind::kRestoreFlush};
-
-/// Stable wire name of a kind ("crash", "clock-skew", ...).
-const char* NemesisKindName(NemesisKind kind);
-/// Inverse of NemesisKindName. Returns false on unknown names.
-bool NemesisKindFromName(const std::string& name, NemesisKind* out);
+template <>
+struct NameTable<NemesisKind> {
+  static constexpr Named<NemesisKind> rows[] = {
+      {NemesisKind::kCrash, "crash"},
+      {NemesisKind::kRecover, "recover"},
+      {NemesisKind::kPartition, "partition"},
+      {NemesisKind::kHeal, "heal"},
+      {NemesisKind::kDelay, "delay"},
+      {NemesisKind::kClearDelay, "clear-delay"},
+      {NemesisKind::kByzantine, "byzantine"},
+      {NemesisKind::kClockSkew, "clock-skew"},
+      {NemesisKind::kTornWrite, "torn-write"},
+      {NemesisKind::kLostFlush, "lost-flush"},
+      {NemesisKind::kRestoreFlush, "restore-flush"},
+  };
+};
 
 /// \brief One fault-injection event.
 struct NemesisEvent {
@@ -93,8 +139,11 @@ struct NemesisEvent {
   sim::Time skew_offset_us = 0;                    // clock-skew lag
   uint64_t tear_ppm = 0;                           // torn-write leak bound
 
-  std::string Describe() const;
+  /// The one walk over the kind's fields: "at_us", "kind", "window", then
+  /// the fields the kind uses.
   obs::Json ToJson() const;
+  /// ToJson's fields as one line of `key=value` pairs.
+  std::string Describe() const;
 };
 
 /// \brief One fault window's two events, `down` at `start` and the event

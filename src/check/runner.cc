@@ -7,6 +7,7 @@
 #include <iterator>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "check/adversary.h"
@@ -33,9 +34,13 @@ bool ParseValue(const std::string& s, T* out) {
   auto [ptr, ec] = std::from_chars(s.data(), end, *out);
   return ec == std::errc() && ptr == end;
 }
-bool ParseValue(const std::string& s, std::string* out) {
-  *out = s;
-  return !s.empty();
+template <typename E>
+  requires std::is_enum_v<E>
+bool ParseValue(const std::string& s, E* out) {
+  return FromName(s, out);
+}
+bool ParseValue(const std::string& s, NemesisProfile* out) {
+  return NemesisProfile::Parse(s, out);
 }
 bool ParseValue(const std::string&, bool* out) { return *out = true; }
 
@@ -43,7 +48,12 @@ template <typename T>
 std::string Text(const T& v) {
   return std::to_string(v);
 }
-std::string Text(const std::string& v) { return v; }
+template <typename E>
+  requires std::is_enum_v<E>
+std::string Text(const E& v) {
+  return NameOf(v);
+}
+std::string Text(const NemesisProfile& v) { return v.ToString(); }
 std::string Text(bool) { return ""; }
 
 using Printed = std::optional<std::string>;
@@ -59,12 +69,25 @@ template <auto kField>
 bool Parse(const std::string& value, RunConfig* c) {
   return ParseValue(value, &(c->*kField));
 }
-/// check_runner reads a grid axis as a `kSep`-separated list.
+/// A count that must be at least 1.
+template <auto kField>
+bool ParsePositive(const std::string& value, RunConfig* c) {
+  return Parse<kField>(value, c) && c->*kField > 0;
+}
+/// check_runner reads a grid axis as a `kSep`-separated list; "all" in the
+/// protocol list stands for every protocol.
 template <auto kAxis, char kSep>
 bool ParseAxis(const std::string& list, SweepOptions* o) {
   auto& axis = o->*kAxis;
   axis.clear();
   for (const std::string& item : SplitList(list, kSep)) {
+    if constexpr (std::is_same_v<decltype(axis), std::vector<Protocol>&>) {
+      if (item == "all") {
+        std::vector<Protocol> all = KnownProtocols();
+        axis.insert(axis.end(), all.begin(), all.end());
+        continue;
+      }
+    }
     if (!ParseValue(item, &axis.emplace_back())) return false;
   }
   return !axis.empty();
@@ -75,14 +98,19 @@ const RunFlag kRunFlags[] = {
      Print<&RunConfig::protocol, true>, Parse<&RunConfig::protocol>,
      ParseAxis<&SweepOptions::protocols, ','>},
     {"--cluster-size", "N[,N]", "replicas per cluster (default 4)",
-     Print<&RunConfig::cluster_size, true>, Parse<&RunConfig::cluster_size>,
-     ParseAxis<&SweepOptions::cluster_sizes, ','>},
+     Print<&RunConfig::cluster_size, true>,
+     ParsePositive<&RunConfig::cluster_size>,
+     [](const std::string& v, SweepOptions* o) {
+       return ParseAxis<&SweepOptions::cluster_sizes, ','>(v, o) &&
+              std::count(o->cluster_sizes.begin(), o->cluster_sizes.end(),
+                         0) == 0;
+     }},
     {"--num-shards", "N", "shards for sharper/ahl (default 2)",
      [](const RunConfig& c) -> Printed {
        if (!InFamily(c.protocol, ProtocolFamily::kSharded)) return std::nullopt;
        return Text(c.num_shards);
      },
-     Parse<&RunConfig::num_shards>},
+     ParsePositive<&RunConfig::num_shards>},
     {"--nemesis", "PROF[;PROF]",
      "fault profile(s); each PROF is a CSV of crash,\n"
      "partition,delay,byzantine,torn-write,lost-flush\n"
@@ -112,12 +140,7 @@ const RunFlag kRunFlags[] = {
     {"--adversary", "MODE",
      "random|leader|quorum|churn (default random); the\n"
      "others run the adaptive adversary (not sharded)",
-     Print<&RunConfig::adversary>,
-     [](const std::string& v, RunConfig* c) {
-       AdversaryMode mode;
-       c->adversary = v;
-       return ParseAdversaryMode(v, &mode);
-     }},
+     Print<&RunConfig::adversary>, Parse<&RunConfig::adversary>},
     {"--clock-skew", "PPM", "per-node clock skew, alternated +/-PPM (0 = off)",
      Print<&RunConfig::clock_skew_ppm>, Parse<&RunConfig::clock_skew_ppm>},
     {"--durable", nullptr,
@@ -180,41 +203,37 @@ bool ParseReproLine(const std::string& line, RunConfig* cfg,
 
 std::vector<RunConfig> SweepOptions::Expand() const {
   std::vector<RunConfig> cells;
-  for (const std::string& entry : protocols) {
-    for (const std::string& proto :
-         entry == "all" ? KnownProtocols() : std::vector<std::string>{entry}) {
-      RunConfig cell = base;
-      cell.protocol = proto;
-      if (InFamily(proto, ProtocolFamily::kSharded)) {
-        // Sharded cells host neither adaptive modes nor the durable layer
-        // (see RunOne's config errors).
-        cell.adversary = "random";
-        cell.durable = false;
-      } else {
-        // MixSeed reads num_shards, which no other family's repro line
-        // prints.
-        cell.num_shards = RunConfig().num_shards;
+  for (Protocol proto : protocols) {
+    RunConfig cell = base;
+    cell.protocol = proto;
+    if (InFamily(proto, ProtocolFamily::kSharded)) {
+      // Sharded cells host neither adaptive modes nor the durable layer
+      // (see RunOne's config errors).
+      cell.adversary = AdversaryMode::kRandom;
+      cell.durable = false;
+    } else {
+      // MixSeed reads num_shards, which no other family's repro line
+      // prints.
+      cell.num_shards = RunConfig().num_shards;
+    }
+    cell.mutate_recovery = cell.durable && base.mutate_recovery;
+    for (NemesisProfile profile : nemeses) {
+      if (!InFamily(proto, ProtocolFamily::kBft)) profile.byzantine = false;
+      if (!cell.durable) {
+        // Disk faults need a disk (RunOne rejects them without one).
+        profile.torn_write = false;
+        profile.lost_flush = false;
       }
-      cell.mutate_recovery = cell.durable && base.mutate_recovery;
-      for (const std::string& nemesis : nemeses) {
-        NemesisProfile profile;
-        if (!NemesisProfile::Parse(nemesis, &profile)) continue;
-        if (!InFamily(proto, ProtocolFamily::kBft)) profile.byzantine = false;
-        if (!cell.durable) {
-          // Disk faults need a disk (RunOne rejects them without one).
-          profile.torn_write = false;
-          profile.lost_flush = false;
-        }
-        cell.nemesis = profile.ToString();
-        // Adaptive modes ignore the generated profile entirely: normalize
-        // it in the cell so {leader × crash} and {leader × delay} do not
-        // masquerade as distinct coverage.
-        if (cell.adversary != "random") cell.nemesis = "none";
-        for (size_t size : cluster_sizes) {
-          cell.cluster_size = size;
-          if (std::find(cells.begin(), cells.end(), cell) == cells.end()) {
-            cells.push_back(cell);
-          }
+      // Adaptive modes ignore the generated profile entirely: normalize
+      // it in the cell so {leader × crash} and {leader × delay} do not
+      // masquerade as distinct coverage.
+      cell.nemesis = cell.adversary == AdversaryMode::kRandom
+                         ? profile
+                         : NemesisProfile{};
+      for (size_t size : cluster_sizes) {
+        cell.cluster_size = size;
+        if (std::find(cells.begin(), cells.end(), cell) == cells.end()) {
+          cells.push_back(cell);
         }
       }
     }
@@ -349,12 +368,6 @@ void ExportSchedulerMetrics(const ThreadPool& pool,
       ->Set(static_cast<int64_t>(stats.max_queue_depth));
   registry->GetGauge("scheduler.workers")
       ->Set(static_cast<int64_t>(pool.num_threads()));
-  for (size_t w = 0; w < stats.jobs_per_worker.size(); ++w) {
-    std::string prefix = "scheduler.worker" + std::to_string(w);
-    registry->GetCounter(prefix + ".jobs_run")
-        ->Add(stats.jobs_per_worker[w]);
-    registry->GetCounter(prefix + ".steals")->Add(stats.steals_per_worker[w]);
-  }
 }
 
 }  // namespace
@@ -387,7 +400,7 @@ SweepReport RunSweepCells(const std::vector<RunConfig>& cells,
       outcomes[i] = RunCell(cells[i], options, nullptr, progress, &progress_mu);
     }
   } else {
-    ThreadPool pool(ThreadPool::Options{jobs, 0});
+    ThreadPool pool(jobs);
     TaskGroup group;
     for (size_t i = 0; i < cells.size(); ++i) {
       pool.Submit(&group, [&, i] {

@@ -25,10 +25,9 @@ struct SweepOptions {
   /// `cluster_size` are ignored (the axes below set them), and `seed` is
   /// the grid's first seed.
   RunConfig base;
-  /// Protocol names; "all" expands to KnownProtocols().
-  std::vector<std::string> protocols = {"all"};
-  /// Nemesis profile CSVs (each one cell, e.g. {"crash", "crash,partition"}).
-  std::vector<std::string> nemeses = {"crash"};
+  std::vector<Protocol> protocols = KnownProtocols();
+  /// One cell per profile.
+  std::vector<NemesisProfile> nemeses = {{.crash = true}};
   std::vector<size_t> cluster_sizes = {4};
   size_t seeds = 20;
   /// Shrink each failure's schedule before reporting.
@@ -43,8 +42,8 @@ struct SweepOptions {
   /// defaults to hardware concurrency), 0 = hardware concurrency.
   size_t jobs = 1;
   /// Optional: receives the parallel engine's counters after the sweep
-  /// (scheduler.jobs_run / steals / cancelled / max_queue_depth, plus
-  /// per-worker breakdowns). Left untouched when the sweep ran serially.
+  /// (scheduler.jobs_run / steals / cancelled / max_queue_depth /
+  /// workers). Left untouched when the sweep ran serially.
   /// Not part of the report — scheduler behavior is nondeterministic.
   obs::MetricsRegistry* scheduler_metrics = nullptr;
 
@@ -58,8 +57,10 @@ struct SweepOptions {
 };
 
 /// \brief One per-run command-line flag. RunFlags() is the only place a
-/// run flag is defined: ReproLine prints through it, ParseReproLine reads
-/// a repro line back, and check_runner parses and documents its options.
+/// run flag is defined, and the only place run settings are read from
+/// text: ReproLine prints through it, ParseReproLine reads a repro line
+/// back, and check_runner parses and documents its options. A parse fails
+/// on an unknown name and on a zero cluster size or shard count.
 struct RunFlag {
   const char* name;
   const char* metavar;  ///< nullptr for a switch
@@ -83,7 +84,8 @@ bool ParseCount(const std::string& s, size_t* out);
 
 /// \brief Parses a RunConfig::ReproLine, with or without "check_runner",
 /// over RunConfig defaults, in any flag order. Returns false with a reason
-/// on an unknown flag, a bad value, or more than one run (`--seeds N>1`).
+/// on an unknown flag, a bad value (see RunFlag), or more than one run
+/// (`--seeds N>1`).
 bool ParseReproLine(const std::string& line, RunConfig* cfg,
                     std::string* error);
 

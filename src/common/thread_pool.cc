@@ -19,13 +19,8 @@ size_t ThreadPool::DefaultParallelism() {
   return hw == 0 ? 2 : static_cast<size_t>(hw);
 }
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : ThreadPool(Options{num_threads == 0 ? 1 : num_threads, 0}) {}
-
-ThreadPool::ThreadPool(const Options& options)
-    : max_queued_(options.max_queued) {
-  size_t n = options.num_threads == 0 ? DefaultParallelism()
-                                      : options.num_threads;
+ThreadPool::ThreadPool(size_t num_threads) {
+  size_t n = std::max<size_t>(1, num_threads);
   states_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     states_.push_back(std::make_unique<WorkerState>());
@@ -42,7 +37,6 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_task_.notify_all();
-  cv_done_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
@@ -63,12 +57,6 @@ void ThreadPool::SubmitJob(TaskGroup* group,
                            std::shared_ptr<std::atomic<bool>> cancel,
                            std::function<void()> fn) {
   const bool on_worker = tl_pool == this;
-  if (max_queued_ != 0 && !on_worker) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] {
-      return stop_ || queued_.load(std::memory_order_relaxed) < max_queued_;
-    });
-  }
   if (group != nullptr) {
     group->pending_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -125,11 +113,6 @@ bool ThreadPool::TryGetJob(size_t self, Job* out) {
 }
 
 void ThreadPool::Execute(size_t self, Job* job) {
-  if (max_queued_ != 0) {
-    // A queue slot freed; a bounded Submit may be blocked on it.
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_done_.notify_all();
-  }
   const bool skip =
       job->cancel != nullptr && job->cancel->load(std::memory_order_acquire);
   if (skip) {
@@ -234,15 +217,9 @@ ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
-  s.jobs_per_worker.reserve(states_.size());
-  s.steals_per_worker.reserve(states_.size());
   for (const auto& w : states_) {
-    uint64_t run = w->jobs_run.load(std::memory_order_relaxed);
-    uint64_t stolen = w->steals.load(std::memory_order_relaxed);
-    s.jobs_per_worker.push_back(run);
-    s.steals_per_worker.push_back(stolen);
-    s.jobs_run += run;
-    s.steals += stolen;
+    s.jobs_run += w->jobs_run.load(std::memory_order_relaxed);
+    s.steals += w->steals.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -17,10 +17,7 @@
 //    what makes nested ParallelFor / nested Submit deadlock-free;
 //  * CancellationToken gives cooperative cancellation: a job submitted
 //    with a token is skipped (and counted) if the token was cancelled
-//    before it started; long jobs may also poll the token themselves;
-//  * Options::max_queued bounds not-yet-started jobs: Submit from a
-//    non-worker thread blocks until the queue drains below the bound
-//    (backpressure for producers that enqueue faster than workers drain).
+//    before it started; long jobs may also poll the token themselves.
 //
 // The scheduler never reorders *results* — callers that need deterministic
 // output index their jobs and merge in index order (see check/runner.cc).
@@ -75,31 +72,18 @@ class TaskGroup {
 
 class ThreadPool {
  public:
-  struct Options {
-    /// Worker threads; 0 = DefaultParallelism().
-    size_t num_threads = 0;
-    /// Bound on not-yet-started jobs; 0 = unbounded. Only submissions
-    /// from non-worker threads block (a worker blocking on its own
-    /// pool's backpressure would deadlock).
-    size_t max_queued = 0;
-  };
-
-  /// Scheduler counters, aggregated and per worker. `steals` counts jobs
-  /// a worker took from another worker's deque; `cancelled` counts jobs
+  /// Scheduler counters, summed over the workers. `steals` counts jobs a
+  /// worker took from another worker's deque; `cancelled` counts jobs
   /// skipped because their token was cancelled before they started.
   struct Stats {
     uint64_t jobs_run = 0;
     uint64_t steals = 0;
     uint64_t cancelled = 0;
     uint64_t max_queue_depth = 0;
-    std::vector<uint64_t> jobs_per_worker;
-    std::vector<uint64_t> steals_per_worker;
   };
 
-  /// Legacy constructor: `num_threads` workers (0 coerces to 1, matching
-  /// the original fixed pool), unbounded queue.
+  /// `num_threads` workers; 0 coerces to 1.
   explicit ThreadPool(size_t num_threads);
-  explicit ThreadPool(const Options& options);
 
   /// Drains every queued job, then joins the workers. Jobs queued at
   /// destruction time still run (cancelled ones are skipped as usual).
@@ -182,13 +166,12 @@ class ThreadPool {
 
   mutable std::mutex mu_;
   std::condition_variable cv_task_;  ///< workers sleep here when idle
-  std::condition_variable cv_done_;  ///< Wait()ers and bounded Submit block
+  std::condition_variable cv_done_;  ///< Wait()ers block here
   std::atomic<size_t> queued_{0};     ///< enqueued, not yet claimed
   std::atomic<size_t> in_flight_{0};  ///< enqueued or running
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> max_queue_depth_{0};
   std::atomic<size_t> submit_cursor_{0};
-  size_t max_queued_ = 0;
   bool stop_ = false;
 };
 

@@ -1,8 +1,8 @@
 // Tests for the adaptive adversary layer (src/check/adversary.*), the
 // clock-skew nemesis, and the hardened serialization/corpus plumbing:
-//  * exhaustiveness — every NemesisKind round-trips through the name
-//    table, Describe(), ToJson() and the repro-line parser; every
-//    AdversaryMode round-trips through its name table;
+//  * exhaustiveness — every name table (NemesisKind, ByzantineMode,
+//    Protocol, AdversaryMode) round-trips with unique names, and every
+//    NemesisKind's ToJson() and Describe() carry its name;
 //  * a fault-budget property over 200 seeded adaptive schedules across
 //    all four adversary modes (max_faulty never exceeded at any instant,
 //    never_crash nodes never targeted, fault-free tail respected);
@@ -35,20 +35,34 @@
 namespace pbc::check {
 namespace {
 
-// --- Exhaustiveness: NemesisKind ---------------------------------------------
+// --- Exhaustiveness: the name tables ----------------------------------------
+
+// A name table lists every value once, in declaration order, under a
+// distinct name that FromName maps back; anything else is unknown.
+template <typename E>
+void ExpectNameTableRoundTrips() {
+  std::set<std::string> names;
+  size_t index = 0;
+  for (const auto& [value, name] : NameTable<E>::rows) {
+    EXPECT_EQ(static_cast<size_t>(value), index++) << name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    EXPECT_STREQ(NameOf(value), name);
+    E back;
+    ASSERT_TRUE(FromName(name, &back)) << name;
+    EXPECT_EQ(back, value) << name;
+  }
+  E unused;
+  EXPECT_FALSE(FromName("meteor", &unused));
+  EXPECT_FALSE(FromName("", &unused));
+}
 
 TEST(NemesisKindTest, NameTableRoundTripsEveryKind) {
-  std::set<std::string> names;
-  for (NemesisKind kind : kAllNemesisKinds) {
-    std::string name = NemesisKindName(kind);
-    EXPECT_NE(name, "?") << "kind missing from name table";
-    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
-    NemesisKind back;
-    ASSERT_TRUE(NemesisKindFromName(name, &back)) << name;
-    EXPECT_EQ(back, kind) << name;
-  }
-  NemesisKind unused;
-  EXPECT_FALSE(NemesisKindFromName("meteor", &unused));
+  ExpectNameTableRoundTrips<NemesisKind>();
+}
+
+TEST(NameTableTest, ByzantineModeAndProtocolTablesRoundTrip) {
+  ExpectNameTableRoundTrips<consensus::ByzantineMode>();
+  ExpectNameTableRoundTrips<Protocol>();
 }
 
 // Builds an event of the given kind with every relevant field populated,
@@ -71,47 +85,34 @@ NemesisEvent EventOfKind(NemesisKind kind) {
 }
 
 TEST(NemesisKindTest, DescribeAndToJsonCoverEveryKind) {
-  for (NemesisKind kind : kAllNemesisKinds) {
+  for (const auto& [kind, name] : NameTable<NemesisKind>::rows) {
     NemesisEvent ev = EventOfKind(kind);
-    std::string name = NemesisKindName(kind);
-    EXPECT_NE(ev.Describe().find(name), std::string::npos)
+    EXPECT_EQ(ev.ToJson().At("kind").str(), name);
+    EXPECT_NE(ev.Describe().find(std::string("kind=") + name),
+              std::string::npos)
         << "Describe() of " << name << ": " << ev.Describe();
-    std::string json = ev.ToJson().Dump();
-    EXPECT_NE(json.find("\"kind\""), std::string::npos) << name;
-    EXPECT_NE(json.find(name), std::string::npos) << name;
   }
   // The clock-skew arm carries its payload through both serializations.
   NemesisEvent skew = EventOfKind(NemesisKind::kClockSkew);
-  EXPECT_NE(skew.Describe().find("150000ppm"), std::string::npos);
+  EXPECT_NE(skew.Describe().find("rate_ppm=150000"), std::string::npos);
   EXPECT_NE(skew.ToJson().Dump().find("rate_ppm"), std::string::npos);
 }
 
 // --- Exhaustiveness: AdversaryMode + corpus parser ---------------------------
 
 TEST(AdversaryModeTest, NameTableRoundTripsEveryMode) {
-  std::set<std::string> names;
-  for (AdversaryMode mode : kAllAdversaryModes) {
-    std::string name = AdversaryModeName(mode);
-    EXPECT_NE(name, "?");
-    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
-    AdversaryMode back;
-    ASSERT_TRUE(ParseAdversaryMode(name, &back)) << name;
-    EXPECT_EQ(back, mode) << name;
-  }
-  AdversaryMode unused;
-  EXPECT_FALSE(ParseAdversaryMode("meteor", &unused));
-  EXPECT_FALSE(ParseAdversaryMode("", &unused));
+  ExpectNameTableRoundTrips<AdversaryMode>();
 }
 
 TEST(SeedCorpusParserTest, AcceptsEveryAdversaryModeToken) {
-  for (AdversaryMode mode : kAllAdversaryModes) {
+  for (const auto& [mode, name] : NameTable<AdversaryMode>::rows) {
     RunConfig cfg;
     std::string error;
     std::string line = "--protocol pbft --nemesis none --seeds 1 "
                        "--seed-base 7 --adversary " +
-                       std::string(AdversaryModeName(mode));
+                       std::string(name);
     ASSERT_TRUE(ParseReproLine(line, &cfg, &error)) << error;
-    EXPECT_EQ(cfg.adversary, AdversaryModeName(mode));
+    EXPECT_EQ(cfg.adversary, mode);
     EXPECT_EQ(cfg.seed, 7u);
   }
 }
@@ -123,9 +124,9 @@ TEST(SeedCorpusParserTest, ParsesTrailingTokensInAnyOrder) {
                              "--seed-base 2 --protocol raft",
                              &cfg, &error))
       << error;
-  EXPECT_EQ(cfg.protocol, "raft");
+  EXPECT_EQ(cfg.protocol, Protocol::kRaft);
   EXPECT_EQ(cfg.seed, 2u);
-  EXPECT_EQ(cfg.adversary, "churn");
+  EXPECT_EQ(cfg.adversary, AdversaryMode::kChurn);
   EXPECT_EQ(cfg.clock_skew_ppm, 100'000);
   RunConfig cfg2;
   ASSERT_TRUE(ParseReproLine("check_runner --durable --block-max-txns 25 "
@@ -133,7 +134,7 @@ TEST(SeedCorpusParserTest, ParsesTrailingTokensInAnyOrder) {
                              &cfg2, &error))
       << error;
   EXPECT_EQ(cfg2.block_max_txns, 25u);
-  EXPECT_EQ(cfg2.adversary, "leader");
+  EXPECT_EQ(cfg2.adversary, AdversaryMode::kLeader);
   EXPECT_TRUE(cfg2.durable);
 }
 
@@ -315,15 +316,14 @@ TEST(AdversaryBudgetTest, TwoHundredSchedulesRespectBudgetAndProtection) {
   constexpr sim::Time kHorizon = kSyntheticHorizon;
   size_t schedules = 0;
   size_t nonempty = 0;
-  for (AdversaryMode mode : kAllAdversaryModes) {
+  for (const auto& [mode, name] : NameTable<AdversaryMode>::rows) {
     for (uint64_t seed = 0; seed < 50; ++seed) {
       NemesisTopology topo =
           AdversaryTopology(/*bft=*/seed % 2 == 0,
                             /*with_protected=*/seed % 5 == 0);
       NemesisSchedule trace = SyntheticTrace(mode, seed, topo);
       ++schedules;
-      std::string label = std::string(AdversaryModeName(mode)) + "/seed=" +
-                          std::to_string(seed);
+      std::string label = std::string(name) + "/seed=" + std::to_string(seed);
       if (mode == AdversaryMode::kRandom) {
         // kRandom is not reactive: the adaptive layer must stay silent.
         EXPECT_TRUE(trace.empty()) << label;
@@ -418,7 +418,7 @@ TEST(AdversaryDeterminismTest, SyntheticTraceIsAPureFunctionOfSeed) {
        {AdversaryMode::kLeader, AdversaryMode::kQuorum, AdversaryMode::kChurn}) {
     NemesisSchedule a = SyntheticTrace(mode, 11, topo);
     NemesisSchedule b = SyntheticTrace(mode, 11, topo);
-    EXPECT_EQ(a.Describe(), b.Describe()) << AdversaryModeName(mode);
+    EXPECT_EQ(a.Describe(), b.Describe()) << NameOf(mode);
   }
   NemesisSchedule a = SyntheticTrace(AdversaryMode::kChurn, 11, topo);
   NemesisSchedule c = SyntheticTrace(AdversaryMode::kChurn, 12, topo);
@@ -427,9 +427,9 @@ TEST(AdversaryDeterminismTest, SyntheticTraceIsAPureFunctionOfSeed) {
 
 TEST(AdversaryDeterminismTest, AdaptiveRunIsAPureFunctionOfConfigAndSeed) {
   RunConfig cfg;
-  cfg.protocol = "pbft";
-  cfg.nemesis = "none";
-  cfg.adversary = "leader";
+  cfg.protocol = Protocol::kPbft;
+  cfg.nemesis = {};
+  cfg.adversary = AdversaryMode::kLeader;
   cfg.seed = 2;
   cfg.txns = 20;
   RunResult a = RunOne(cfg);
@@ -447,9 +447,9 @@ TEST(AdversaryDeterminismTest, AdaptiveRunIsAPureFunctionOfConfigAndSeed) {
 // shrinking and parallel byte-identity stand on.
 TEST(AdversaryDeterminismTest, RecordedTraceReplaysStatically) {
   RunConfig cfg;
-  cfg.protocol = "pbft";
-  cfg.nemesis = "none";
-  cfg.adversary = "leader";
+  cfg.protocol = Protocol::kPbft;
+  cfg.nemesis = {};
+  cfg.adversary = AdversaryMode::kLeader;
   cfg.seed = 2;
   cfg.txns = 20;
   cfg.quorum_slack = 1;  // seeded quorum bug the leader adversary catches
@@ -469,8 +469,8 @@ TEST(AdversaryDeterminismTest, TraceReplayMakesTheLiveFaultCalls) {
   for (AdversaryMode mode : {AdversaryMode::kLeader, AdversaryMode::kQuorum,
                              AdversaryMode::kChurn}) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
-      std::string label = std::string(AdversaryModeName(mode)) + "/seed=" +
-                          std::to_string(seed);
+      std::string label =
+          std::string(NameOf(mode)) + "/seed=" + std::to_string(seed);
       BareNetwork live(seed);
       live.ProbeLinks();
       NemesisSchedule trace = SyntheticTrace(mode, seed, topo, &live);
@@ -491,18 +491,13 @@ TEST(AdversaryDeterminismTest, TraceReplayMakesTheLiveFaultCalls) {
 
 TEST(AdversaryDeterminismTest, ShardedProtocolsRejectAdaptiveModes) {
   RunConfig cfg;
-  cfg.protocol = "sharper";
-  cfg.nemesis = "crash";
-  cfg.adversary = "leader";
+  cfg.protocol = Protocol::kSharper;
+  cfg.nemesis = {.crash = true};
+  cfg.adversary = AdversaryMode::kLeader;
   cfg.txns = 10;
   RunResult r = RunOne(cfg);
   ASSERT_EQ(r.violations.size(), 1u);
   EXPECT_EQ(r.violations[0].invariant, std::string("config"));
-  cfg.protocol = "pbft";
-  cfg.adversary = "meteor";
-  RunResult bad = RunOne(cfg);
-  ASSERT_EQ(bad.violations.size(), 1u);
-  EXPECT_EQ(bad.violations[0].invariant, std::string("config"));
 }
 
 // --- Clock skew ---------------------------------------------------------------
@@ -537,8 +532,8 @@ TEST(ClockSkewTest, ScalesTimersNotMessages) {
 
 TEST(ClockSkewTest, SkewedRunsAreDeterministicAndDistinct) {
   RunConfig cfg;
-  cfg.protocol = "raft";
-  cfg.nemesis = "crash";
+  cfg.protocol = Protocol::kRaft;
+  cfg.nemesis = {.crash = true};
   cfg.seed = 0;
   cfg.txns = 15;
   RunResult plain = RunOne(cfg);
@@ -566,9 +561,9 @@ TEST(ClockSkewTest, SkewedRunsAreDeterministicAndDistinct) {
 
 TEST(ClockSkewTest, ComposesWithAdaptiveAdversary) {
   RunConfig cfg;
-  cfg.protocol = "raft";
-  cfg.nemesis = "none";
-  cfg.adversary = "churn";
+  cfg.protocol = Protocol::kRaft;
+  cfg.nemesis = {};
+  cfg.adversary = AdversaryMode::kChurn;
   cfg.clock_skew_ppm = 100'000;
   cfg.seed = 2;
   cfg.txns = 20;
@@ -599,9 +594,9 @@ TEST(StateTransferGapTest, PbftChurnStrandsLaggardsRaftCatchesUp) {
   bool pbft_live_with_gap = false;
   for (uint64_t seed = 0; seed < 4; ++seed) {
     RunConfig cfg;
-    cfg.protocol = "pbft";
-    cfg.nemesis = "none";
-    cfg.adversary = "churn";
+    cfg.protocol = Protocol::kPbft;
+    cfg.nemesis = {};
+    cfg.adversary = AdversaryMode::kChurn;
     cfg.seed = seed;
     cfg.txns = 20;
     RunResult r = RunOne(cfg);
@@ -620,9 +615,9 @@ TEST(StateTransferGapTest, PbftChurnStrandsLaggardsRaftCatchesUp) {
   // meaningful (the gap is protocol-specific, not a harness artifact).
   for (uint64_t seed = 0; seed < 4; ++seed) {
     RunConfig cfg;
-    cfg.protocol = "raft";
-    cfg.nemesis = "none";
-    cfg.adversary = "churn";
+    cfg.protocol = Protocol::kRaft;
+    cfg.nemesis = {};
+    cfg.adversary = AdversaryMode::kChurn;
     cfg.seed = seed;
     cfg.txns = 20;
     RunResult r = RunOne(cfg);

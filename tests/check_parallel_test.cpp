@@ -42,8 +42,8 @@ TEST(CheckParallelTest, SeedCorpusReportIsByteIdenticalAcrossJobs) {
 
 TEST(CheckParallelTest, GridReportIsByteIdenticalAcrossJobs) {
   SweepOptions grid;
-  grid.protocols = {"pbft", "raft"};
-  grid.nemeses = {"crash", "crash,partition"};
+  grid.protocols = {Protocol::kPbft, Protocol::kRaft};
+  grid.nemeses = {{.crash = true}, {.crash = true, .partition = true}};
   grid.seeds = 4;
   grid.base.txns = 15;
   std::string golden = SweepDump(grid, 1);
@@ -62,8 +62,8 @@ TEST(CheckParallelTest, GridReportIsByteIdenticalAcrossJobs) {
 // introduce schedule nondeterminism.
 TEST(CheckParallelTest, BlockModeFaultedReportIsByteIdenticalAcrossJobs) {
   SweepOptions grid;
-  grid.protocols = {"pbft", "raft", "tendermint"};
-  grid.nemeses = {"crash", "crash,partition"};
+  grid.protocols = {Protocol::kPbft, Protocol::kRaft, Protocol::kTendermint};
+  grid.nemeses = {{.crash = true}, {.crash = true, .partition = true}};
   grid.seeds = 3;
   grid.base.txns = 20;
   grid.base.block_max_txns = 10;
@@ -81,8 +81,8 @@ TEST(CheckParallelTest, BlockModeFaultedReportIsByteIdenticalAcrossJobs) {
 // while both replay their own stream exactly.
 TEST(CheckParallelTest, BlockModeIsNotASilentNoOp) {
   RunConfig inline_path;
-  inline_path.protocol = "raft";
-  inline_path.nemesis = "crash";
+  inline_path.protocol = Protocol::kRaft;
+  inline_path.nemesis = {.crash = true};
   inline_path.seed = 0;
   inline_path.txns = 20;
   RunConfig block_path = inline_path;
@@ -101,8 +101,8 @@ TEST(CheckParallelTest, BlockModeIsNotASilentNoOp) {
 // windows, same charged replay counts, same report bytes as a serial run.
 TEST(CheckParallelTest, MutationCanaryShrinksIdenticallyInParallel) {
   SweepOptions grid;
-  grid.protocols = {"pbft"};
-  grid.nemeses = {"crash,partition"};
+  grid.protocols = {Protocol::kPbft};
+  grid.nemeses = {{.crash = true, .partition = true}};
   grid.seeds = 30;
   grid.base.txns = 20;
   grid.base.quorum_slack = 1;
@@ -137,8 +137,9 @@ TEST(CheckParallelTest, MutationCanaryShrinksIdenticallyInParallel) {
 // byte-identical for every --jobs value.
 TEST(CheckParallelTest, DurableFaultedReportIsByteIdenticalAcrossJobs) {
   SweepOptions grid;
-  grid.protocols = {"pbft", "raft"};
-  grid.nemeses = {"crash,torn-write", "crash,lost-flush"};
+  grid.protocols = {Protocol::kPbft, Protocol::kRaft};
+  grid.nemeses = {{.crash = true, .torn_write = true},
+                  {.crash = true, .lost_flush = true}};
   grid.seeds = 3;
   grid.base.txns = 20;
   grid.base.durable = true;
@@ -154,8 +155,8 @@ TEST(CheckParallelTest, DurableFaultedReportIsByteIdenticalAcrossJobs) {
 // while both replay their own stream exactly.
 TEST(CheckParallelTest, DurableModeIsNotASilentNoOp) {
   RunConfig plain;
-  plain.protocol = "raft";
-  plain.nemesis = "crash";
+  plain.protocol = Protocol::kRaft;
+  plain.nemesis = {.crash = true};
   plain.seed = 0;
   plain.txns = 20;
   RunConfig durable = plain;
@@ -177,8 +178,8 @@ TEST(CheckParallelTest, DurableModeIsNotASilentNoOp) {
 // window followed by a recovery, which about half these seeds produce.
 TEST(CheckParallelTest, RecoveryMutationCanaryIsCaughtAndShrinks) {
   SweepOptions grid;
-  grid.protocols = {"pbft"};
-  grid.nemeses = {"crash,torn-write"};
+  grid.protocols = {Protocol::kPbft};
+  grid.nemeses = {{.crash = true, .torn_write = true}};
   grid.seeds = 10;
   grid.base.txns = 40;
   grid.base.durable = true;
@@ -225,9 +226,9 @@ TEST(CheckParallelTest, RecoveryMutationCanaryIsCaughtAndShrinks) {
 // overlay rides along to cover its MixSeed/report plumbing too.
 TEST(CheckParallelTest, AdversaryReportIsByteIdenticalAcrossJobs) {
   SweepOptions grid;
-  grid.protocols = {"pbft", "raft", "hotstuff"};
-  grid.nemeses = {"none"};
-  grid.base.adversary = "leader";
+  grid.protocols = {Protocol::kPbft, Protocol::kRaft, Protocol::kHotStuff};
+  grid.nemeses = {{}};
+  grid.base.adversary = AdversaryMode::kLeader;
   grid.seeds = 6;
   grid.base.txns = 20;
   grid.base.quorum_slack = 1;
@@ -236,8 +237,8 @@ TEST(CheckParallelTest, AdversaryReportIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(golden, SweepDump(grid, 8));
 
   SweepOptions skewed;
-  skewed.protocols = {"raft", "tendermint"};
-  skewed.nemeses = {"crash"};
+  skewed.protocols = {Protocol::kRaft, Protocol::kTendermint};
+  skewed.nemeses = {{.crash = true}};
   skewed.base.clock_skew_ppm = 150'000;
   skewed.seeds = 4;
   skewed.base.txns = 15;
@@ -252,9 +253,9 @@ TEST(CheckParallelTest, AdversaryReportIsByteIdenticalAcrossJobs) {
 // generator's first catch is crash,partition seed 11, outside it.
 TEST(CheckParallelTest, LeaderAdversaryOuthuntsRandomNemesis) {
   SweepOptions leader;
-  leader.protocols = {"pbft"};
-  leader.nemeses = {"none"};
-  leader.base.adversary = "leader";
+  leader.protocols = {Protocol::kPbft};
+  leader.nemeses = {{}};
+  leader.base.adversary = AdversaryMode::kLeader;
   leader.seeds = 10;
   leader.base.txns = 20;
   leader.base.quorum_slack = 1;
@@ -271,8 +272,10 @@ TEST(CheckParallelTest, LeaderAdversaryOuthuntsRandomNemesis) {
   EXPECT_LE(failure.shrunk_windows.size(), 2u);
 
   SweepOptions random = leader;
-  random.base.adversary = "random";
-  random.nemeses = {"crash,partition", "crash,partition,delay,byzantine"};
+  random.base.adversary = AdversaryMode::kRandom;
+  random.nemeses = {
+      {.crash = true, .partition = true},
+      {.crash = true, .partition = true, .delay = true, .byzantine = true}};
   SweepReport missed = RunSweep(random);
   EXPECT_TRUE(missed.ok())
       << "random nemesis caught the bug inside the budget — the canary "
@@ -284,8 +287,8 @@ TEST(CheckParallelTest, LeaderAdversaryOuthuntsRandomNemesis) {
 TEST(CheckParallelTest, ParallelSweepExportsSchedulerMetrics) {
   obs::MetricsRegistry registry;
   SweepOptions options;
-  options.protocols = {"raft"};
-  options.nemeses = {"crash"};
+  options.protocols = {Protocol::kRaft};
+  options.nemeses = {{.crash = true}};
   options.seeds = 6;
   options.base.txns = 15;
   options.jobs = 3;
@@ -302,8 +305,8 @@ TEST(CheckParallelTest, ParallelSweepExportsSchedulerMetrics) {
 TEST(CheckParallelTest, SerialSweepLeavesSchedulerMetricsUntouched) {
   obs::MetricsRegistry registry;
   SweepOptions options;
-  options.protocols = {"raft"};
-  options.nemeses = {"crash"};
+  options.protocols = {Protocol::kRaft};
+  options.nemeses = {{.crash = true}};
   options.seeds = 2;
   options.base.txns = 15;
   options.jobs = 1;

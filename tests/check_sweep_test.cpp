@@ -28,16 +28,19 @@ void ExpectSweepClean(SweepOptions options) {
 
 TEST(CheckSweepTest, ConsensusProtocolsUnderFullNemesis) {
   SweepOptions options;
-  options.protocols = {"pbft", "raft", "hotstuff", "tendermint", "paxos"};
-  options.nemeses = {"crash,partition,delay,byzantine"};
+  options.protocols = {Protocol::kPbft, Protocol::kRaft, Protocol::kHotStuff,
+                       Protocol::kTendermint, Protocol::kPaxos};
+  options.nemeses = {
+      {.crash = true, .partition = true, .delay = true, .byzantine = true}};
   options.seeds = 25;
   ExpectSweepClean(options);
 }
 
 TEST(CheckSweepTest, ConsensusProtocolsLargerClusters) {
   SweepOptions options;
-  options.protocols = {"pbft", "raft", "hotstuff", "tendermint", "paxos"};
-  options.nemeses = {"crash,partition"};
+  options.protocols = {Protocol::kPbft, Protocol::kRaft, Protocol::kHotStuff,
+                       Protocol::kTendermint, Protocol::kPaxos};
+  options.nemeses = {{.crash = true, .partition = true}};
   options.cluster_sizes = {7};
   options.seeds = 10;
   ExpectSweepClean(options);
@@ -45,8 +48,8 @@ TEST(CheckSweepTest, ConsensusProtocolsLargerClusters) {
 
 TEST(CheckSweepTest, ShardedSystemsUnderCrashAndDelay) {
   SweepOptions options;
-  options.protocols = {"sharper", "ahl"};
-  options.nemeses = {"crash,delay"};
+  options.protocols = {Protocol::kSharper, Protocol::kAhl};
+  options.nemeses = {{.crash = true, .delay = true}};
   options.seeds = 10;
   ExpectSweepClean(options);
 }

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "check/adversary.h"
 #include "check/harness.h"
@@ -258,8 +259,8 @@ TEST(ShrinkWindowsTest, EmptyWhenFailureNeedsNoFaults) {
 
 TEST(HarnessTest, SameSeedSameRun) {
   RunConfig cfg;
-  cfg.protocol = "pbft";
-  cfg.nemesis = "crash,partition";
+  cfg.protocol = Protocol::kPbft;
+  cfg.nemesis = {.crash = true, .partition = true};
   cfg.seed = 5;
   cfg.txns = 15;
   RunResult a = RunOne(cfg);
@@ -274,22 +275,14 @@ TEST(HarnessTest, SameSeedSameRun) {
 
 TEST(HarnessTest, DistinctSeedsDiverge) {
   RunConfig cfg;
-  cfg.protocol = "pbft";
-  cfg.nemesis = "crash";
+  cfg.protocol = Protocol::kPbft;
+  cfg.nemesis = {.crash = true};
   cfg.txns = 15;
   cfg.seed = 0;
   RunResult a = RunOne(cfg);
   cfg.seed = 1;
   RunResult b = RunOne(cfg);
   EXPECT_NE(a.sim_events, b.sim_events);  // different worlds entirely
-}
-
-TEST(HarnessTest, UnknownProtocolReportsConfigViolation) {
-  RunConfig cfg;
-  cfg.protocol = "pow";
-  RunResult r = RunOne(cfg);
-  ASSERT_EQ(r.violations.size(), 1u);
-  EXPECT_EQ(r.violations[0].invariant, std::string("config"));
 }
 
 // --- Quorum-mutation canary -------------------------------------------------
@@ -301,8 +294,8 @@ TEST(HarnessTest, UnknownProtocolReportsConfigViolation) {
 // plus one partition window to split the weakened quorum.
 TEST(MutationCanaryTest, BrokenQuorumIsCaughtAndShrinks) {
   SweepOptions options;
-  options.protocols = {"pbft"};
-  options.nemeses = {"crash,partition"};
+  options.protocols = {Protocol::kPbft};
+  options.nemeses = {{.crash = true, .partition = true}};
   options.seeds = 30;
   options.base.txns = 20;
   options.base.quorum_slack = 1;
@@ -324,8 +317,8 @@ TEST(MutationCanaryTest, BrokenQuorumIsCaughtAndShrinks) {
 
 TEST(MutationCanaryTest, HealthyQuorumPassesSameSweep) {
   SweepOptions options;
-  options.protocols = {"pbft"};
-  options.nemeses = {"crash,partition"};
+  options.protocols = {Protocol::kPbft};
+  options.nemeses = {{.crash = true, .partition = true}};
   options.seeds = 30;
   options.base.txns = 20;
   SweepReport report = RunSweep(options);
@@ -346,7 +339,7 @@ TEST(SeedCorpusTest, ReplaysClean) {
   std::vector<RunConfig> corpus = LoadSeedCorpus();
   for (const RunConfig& cfg : corpus) {
     if (cfg.block_max_txns > 0) ++block_mode;
-    if (cfg.adversary != "random") ++adaptive;
+    if (cfg.adversary != AdversaryMode::kRandom) ++adaptive;
     if (cfg.clock_skew_ppm != 0) ++skewed;
     if (cfg.durable) ++durable;
     RunResult result = RunOne(cfg);
@@ -390,9 +383,11 @@ TEST(ReproLineTest, CorpusLinesAreCanonicalReproLines) {
 // at a non-default value parses back to itself.
 TEST(ReproLineTest, ExpandedGridCellsRoundTrip) {
   SweepOptions grid;
-  grid.protocols = {"all"};
-  grid.nemeses = {"crash", "crash,partition,delay,byzantine",
-                  "crash,torn-write,lost-flush"};
+  grid.protocols = KnownProtocols();
+  grid.nemeses = {
+      {.crash = true},
+      {.crash = true, .partition = true, .delay = true, .byzantine = true},
+      {.crash = true, .torn_write = true, .lost_flush = true}};
   grid.cluster_sizes = {4, 7};
   grid.base.txns = 25;
   grid.base.num_shards = 3;
@@ -401,11 +396,11 @@ TEST(ReproLineTest, ExpandedGridCellsRoundTrip) {
   grid.base.block_max_txns = 16;
   grid.base.clock_skew_ppm = -150'000;
   grid.base.mutate_recovery = true;
-  std::set<std::string> modes;
+  std::set<AdversaryMode> modes;
   size_t cells = 0;
-  for (AdversaryMode mode : kAllAdversaryModes) {
+  for (const auto& [mode, name] : NameTable<AdversaryMode>::rows) {
     for (bool durable : {false, true}) {
-      grid.base.adversary = AdversaryModeName(mode);
+      grid.base.adversary = mode;
       grid.base.durable = durable;
       for (const RunConfig& cell : grid.Expand()) {
         ExpectRoundTrip(cell);
@@ -414,8 +409,41 @@ TEST(ReproLineTest, ExpandedGridCellsRoundTrip) {
       }
     }
   }
-  EXPECT_EQ(modes.size(), std::size(kAllAdversaryModes));
+  EXPECT_EQ(modes.size(), std::size(NameTable<AdversaryMode>::rows));
   EXPECT_GT(cells, 100u);
+}
+
+// Text is read only at the parse edge: an unknown name or a zero size is
+// refused there, by a repro line and by check_runner's flags alike (which
+// read an axis through `sweep` and every other flag into the base config),
+// so no RunConfig can carry one.
+TEST(RunFlagTest, RejectsUnknownNamesAndZeroSizes) {
+  const std::pair<std::string, std::string> bad[] = {
+      {"--nemesis", "crahs"},  {"--nemesis", "crash;crahs"},
+      {"--protocol", "rafft"}, {"--adversary", "meteor"},
+      {"--num-shards", "0"},   {"--cluster-size", "0"},
+  };
+  for (const auto& [name, value] : bad) {
+    std::string line = "--protocol sharper " + name + " " + value;
+    RunConfig cfg;
+    std::string error;
+    EXPECT_FALSE(ParseReproLine(line, &cfg, &error)) << line;
+    const RunFlag* flag = FindRunFlag(name);
+    ASSERT_NE(flag, nullptr) << name;
+    SweepOptions options;
+    EXPECT_FALSE(flag->sweep ? flag->sweep(value, &options)
+                             : flag->parse(value, &options.base))
+        << line;
+  }
+  // One bad item fails the whole axis.
+  SweepOptions options;
+  EXPECT_FALSE(FindRunFlag("--cluster-size")->sweep("4,0", &options));
+  EXPECT_FALSE(FindRunFlag("--protocol")->sweep("pbft,rafft", &options));
+  ASSERT_TRUE(FindRunFlag("--nemesis")->sweep("none;crash", &options));
+  EXPECT_EQ(options.nemeses,
+            (std::vector<NemesisProfile>{{}, {.crash = true}}));
+  ASSERT_TRUE(FindRunFlag("--protocol")->sweep("all", &options));
+  EXPECT_EQ(options.protocols, KnownProtocols());
 }
 
 // The corpus pins the output of every flag but the two mutations.
@@ -424,7 +452,7 @@ TEST(ReproLineTest, PrintsTheMutationFlags) {
   everything.cluster_size = 7;
   everything.quorum_slack = 1;
   everything.block_max_txns = 25;
-  everything.adversary = "leader";
+  everything.adversary = AdversaryMode::kLeader;
   everything.clock_skew_ppm = 150'000;
   everything.durable = true;
   everything.mutate_recovery = true;
@@ -440,7 +468,7 @@ TEST(ReproLineTest, PrintsTheMutationFlags) {
 // print a repro line that replays a different run.
 TEST(ReproLineTest, NonShardedCellsKeepDefaultShardCount) {
   SweepOptions grid;
-  grid.protocols = {"pbft", "ahl"};
+  grid.protocols = {Protocol::kPbft, Protocol::kAhl};
   grid.base.num_shards = 3;
   std::vector<RunConfig> cells = grid.Expand();
   ASSERT_EQ(cells.size(), 2u);
@@ -451,14 +479,14 @@ TEST(ReproLineTest, NonShardedCellsKeepDefaultShardCount) {
 // Expand takes protocol, nemesis and cluster size from the axes alone.
 TEST(ReproLineTest, AxesOverrideTheBaseConfig) {
   SweepOptions grid;
-  grid.protocols = {"pbft"};
-  grid.base.protocol = "raft";
-  grid.base.nemesis = "delay";
+  grid.protocols = {Protocol::kPbft};
+  grid.base.protocol = Protocol::kRaft;
+  grid.base.nemesis = {.delay = true};
   grid.base.cluster_size = 5;
   std::vector<RunConfig> cells = grid.Expand();
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].protocol, "pbft");
-  EXPECT_EQ(cells[0].nemesis, "crash");
+  EXPECT_EQ(cells[0].protocol, Protocol::kPbft);
+  EXPECT_EQ(cells[0].nemesis, NemesisProfile{.crash = true});
   EXPECT_EQ(cells[0].cluster_size, 4u);
 }
 

@@ -206,8 +206,8 @@ TYPED_TEST(BftProtocolTest, SafeUnderPromiscuousVoter) {
 // crash-at-random-time loops this file used to carry live there now.
 class ConsensusPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
-  static void ExpectClean(const std::string& protocol, uint64_t seed,
-                          const std::string& nemesis) {
+  static void ExpectClean(check::Protocol protocol, uint64_t seed,
+                          check::NemesisProfile nemesis) {
     check::RunConfig cfg;
     cfg.protocol = protocol;
     cfg.nemesis = nemesis;
@@ -223,19 +223,20 @@ class ConsensusPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ConsensusPropertyTest, PbftSafeAndLiveUnderRandomCrash) {
-  ExpectClean("pbft", GetParam(), "crash");
+  ExpectClean(check::Protocol::kPbft, GetParam(), {.crash = true});
 }
 
 TEST_P(ConsensusPropertyTest, HotStuffSafeAndLiveUnderRandomCrash) {
-  ExpectClean("hotstuff", GetParam(), "crash");
+  ExpectClean(check::Protocol::kHotStuff, GetParam(), {.crash = true});
 }
 
 TEST_P(ConsensusPropertyTest, TendermintSafeAndLiveUnderRandomCrash) {
-  ExpectClean("tendermint", GetParam(), "crash");
+  ExpectClean(check::Protocol::kTendermint, GetParam(), {.crash = true});
 }
 
 TEST_P(ConsensusPropertyTest, RaftSafeUnderCrashAndPartition) {
-  ExpectClean("raft", GetParam(), "crash,partition");
+  ExpectClean(check::Protocol::kRaft, GetParam(),
+              {.crash = true, .partition = true});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConsensusPropertyTest,

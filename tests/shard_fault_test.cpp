@@ -129,10 +129,10 @@ TEST(ShardFaultTest, ResilientDbSurvivesCrashInEachCluster) {
 // of the fixed-crash total-balance assertion this sweep used to make.
 class ShardFaultPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
-  static void ExpectClean(const std::string& protocol, uint64_t seed) {
+  static void ExpectClean(check::Protocol protocol, uint64_t seed) {
     check::RunConfig cfg;
     cfg.protocol = protocol;
-    cfg.nemesis = "crash";
+    cfg.nemesis = {.crash = true};
     cfg.seed = seed;
     cfg.txns = 12;  // a few deposits + transfers keeps the sweep quick
     check::RunResult result = check::RunOne(cfg);
@@ -145,11 +145,11 @@ class ShardFaultPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ShardFaultPropertyTest, SharperConservesMoneyUnderRandomCrash) {
-  ExpectClean("sharper", GetParam());
+  ExpectClean(check::Protocol::kSharper, GetParam());
 }
 
 TEST_P(ShardFaultPropertyTest, AhlConservesMoneyUnderRandomCrash) {
-  ExpectClean("ahl", GetParam());
+  ExpectClean(check::Protocol::kAhl, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardFaultPropertyTest,
