@@ -563,7 +563,8 @@ RunResult ConfigError(std::string detail) {
   return bad;
 }
 
-/// Rejects what no single field can express: settings that only work
+/// Rejects a zero cluster or shard count (for callers that skip the flag
+/// table) and what no single field can express: settings that only work
 /// together, or not for the protocol's family.
 RunResult Dispatch(const RunConfig& cfg,
                    const NemesisSchedule* explicit_schedule) {
@@ -574,7 +575,13 @@ RunResult Dispatch(const RunConfig& cfg,
   if (cfg.mutate_recovery && !cfg.durable) {
     return ConfigError("--mutate-recovery requires --durable");
   }
+  if (cfg.cluster_size == 0) {
+    return ConfigError("cluster_size must be at least 1");
+  }
   if (InFamily(cfg.protocol, ProtocolFamily::kSharded)) {
+    if (cfg.num_shards == 0) {
+      return ConfigError("num_shards must be at least 1");
+    }
     // The durable layer persists per-replica consensus chains, but sharded
     // systems commit through gateways with their own ledgers. Adaptive
     // modes split one cluster at its quorum edge, which the sharded

@@ -19,26 +19,13 @@ std::string HexEncode(const uint8_t* data, size_t len) {
 
 std::string HexEncode(const Bytes& b) { return HexEncode(b.data(), b.size()); }
 
-void Append(Bytes* dst, const Bytes& src) {
-  dst->insert(dst->end(), src.begin(), src.end());
-}
-
-void AppendU64(Bytes* dst, uint64_t v) {
-  for (int i = 0; i < 8; ++i) dst->push_back((v >> (8 * i)) & 0xff);
-}
-
-void AppendU32(Bytes* dst, uint32_t v) {
-  for (int i = 0; i < 4; ++i) dst->push_back((v >> (8 * i)) & 0xff);
-}
-
-void AppendLengthPrefixed(Bytes* dst, const Bytes& src) {
-  AppendU32(dst, static_cast<uint32_t>(src.size()));
-  Append(dst, src);
-}
-
-void AppendLengthPrefixed(Bytes* dst, const std::string& src) {
-  AppendU32(dst, static_cast<uint32_t>(src.size()));
-  dst->insert(dst->end(), src.begin(), src.end());
+bool Decoder::GetString(std::string* s) {
+  uint32_t len = 0;
+  if (!GetU32(&len)) return false;
+  if (remaining() < len) return false;
+  s->assign(*data, pos, len);
+  pos += len;
+  return true;
 }
 
 }  // namespace pbc

@@ -184,58 +184,6 @@ uint32_t Crc32(const std::string& bytes) {
   return Crc32(bytes.data(), bytes.size());
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-  }
-  out->append(buf, sizeof(buf));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-  }
-  out->append(buf, sizeof(buf));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool Decoder::GetU32(uint32_t* v) {
-  if (remaining() < 4) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<uint8_t>((*data)[pos + i]))
-          << (8 * i);
-  }
-  pos += 4;
-  return true;
-}
-
-bool Decoder::GetU64(uint64_t* v) {
-  if (remaining() < 8) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(static_cast<uint8_t>((*data)[pos + i]))
-          << (8 * i);
-  }
-  pos += 8;
-  return true;
-}
-
-bool Decoder::GetString(std::string* s) {
-  uint32_t len = 0;
-  if (!GetU32(&len)) return false;
-  if (remaining() < len) return false;
-  s->assign(*data, pos, len);
-  pos += len;
-  return true;
-}
-
 namespace {
 
 void PutHash(std::string* out, const crypto::Hash256& h) {
@@ -260,20 +208,7 @@ std::string EncodeBlock(const ledger::Block& block) {
   PutHash(&out, block.header.txn_root);
   PutU64(&out, block.header.timestamp_us);
   PutU32(&out, static_cast<uint32_t>(block.txns.size()));
-  for (const txn::Transaction& t : block.txns) {
-    PutU64(&out, t.id);
-    PutU32(&out, t.client);
-    PutU32(&out, t.enterprise);
-    PutU32(&out, t.cross_enterprise ? 1 : 0);
-    PutU32(&out, static_cast<uint32_t>(t.ops.size()));
-    for (const txn::Op& op : t.ops) {
-      PutU32(&out, static_cast<uint32_t>(op.code));
-      PutString(&out, op.key);
-      PutString(&out, op.key2);
-      PutString(&out, op.value);
-      PutU64(&out, static_cast<uint64_t>(op.delta));
-    }
-  }
+  for (const txn::Transaction& t : block.txns) txn::EncodeTxn(t, &out);
   return out;
 }
 
@@ -287,32 +222,9 @@ bool DecodeBlock(const std::string& payload, ledger::Block* out) {
       !dec.GetU64(&block.header.timestamp_us) || !dec.GetU32(&txn_count)) {
     return false;
   }
-  block.txns.reserve(txn_count);
   for (uint32_t i = 0; i < txn_count; ++i) {
     txn::Transaction t;
-    uint32_t cross = 0;
-    uint32_t op_count = 0;
-    if (!dec.GetU64(&t.id) || !dec.GetU32(&t.client) ||
-        !dec.GetU32(&t.enterprise) || !dec.GetU32(&cross) ||
-        !dec.GetU32(&op_count)) {
-      return false;
-    }
-    t.cross_enterprise = cross != 0;
-    t.ops.reserve(op_count);
-    for (uint32_t j = 0; j < op_count; ++j) {
-      txn::Op op;
-      uint32_t code = 0;
-      uint64_t delta = 0;
-      if (!dec.GetU32(&code) || !dec.GetString(&op.key) ||
-          !dec.GetString(&op.key2) || !dec.GetString(&op.value) ||
-          !dec.GetU64(&delta)) {
-        return false;
-      }
-      if (code > static_cast<uint32_t>(txn::OpCode::kCompute)) return false;
-      op.code = static_cast<txn::OpCode>(code);
-      op.delta = static_cast<int64_t>(delta);
-      t.ops.push_back(std::move(op));
-    }
+    if (!txn::DecodeTxn(&dec, &t)) return false;
     block.txns.push_back(std::move(t));
   }
   if (dec.remaining() != 0) return false;

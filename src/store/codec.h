@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bytes.h"
 #include "ledger/block.h"
 #include "store/kv_store.h"
 
@@ -25,24 +26,8 @@ uint32_t Crc32(const std::string& bytes);
 /// place inside a larger buffer.
 uint32_t Crc32(const char* data, size_t len);
 
-// Little-endian primitive append / cursor-based extract.
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutString(std::string* out, const std::string& s);  // u32 len + bytes
-
-/// Cursor over an encoded buffer; all Get* return false on underrun and
-/// leave the cursor unspecified (decoding must then be abandoned).
-struct Decoder {
-  const std::string* data;
-  size_t pos = 0;
-
-  bool GetU32(uint32_t* v);
-  bool GetU64(uint64_t* v);
-  bool GetString(std::string* s);
-  size_t remaining() const { return data->size() - pos; }
-};
-
-/// Full block payload: header fields + every transaction's program.
+/// Full block payload: header fields, the txn count, then each txn in
+/// txn::EncodeTxn's layout.
 std::string EncodeBlock(const ledger::Block& block);
 
 /// Inverse of EncodeBlock. Returns false on malformed input or when the

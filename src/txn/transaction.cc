@@ -49,19 +49,60 @@ std::vector<store::Key> Transaction::DeclaredWrites() const {
 }
 
 crypto::Hash256 Transaction::Digest() const {
-  crypto::Sha256 h;
-  h.UpdateU64(id);
-  h.UpdateU64(client);
-  h.UpdateU64(enterprise);
-  h.UpdateU64(cross_enterprise ? 1 : 0);
-  for (const auto& op : ops) {
-    h.UpdateU64(static_cast<uint64_t>(op.code));
-    h.Update(op.key);
-    h.Update(op.key2);
-    h.Update(op.value);
-    h.UpdateU64(static_cast<uint64_t>(op.delta));
+  // A reused per-thread buffer: Digest runs several times per committed
+  // txn, also on the validation pool's threads, and must not allocate.
+  thread_local std::string buf;
+  buf.clear();
+  EncodeTxn(*this, &buf);
+  return crypto::Sha256::Digest(buf);
+}
+
+void EncodeTxn(const Transaction& txn, std::string* out) {
+  PutU64(out, txn.id);
+  PutU32(out, txn.client);
+  PutU32(out, txn.enterprise);
+  PutU32(out, txn.cross_enterprise ? 1 : 0);
+  PutU32(out, static_cast<uint32_t>(txn.ops.size()));
+  for (const Op& op : txn.ops) {
+    PutU32(out, static_cast<uint32_t>(op.code));
+    PutString(out, op.key);
+    PutString(out, op.key2);
+    PutString(out, op.value);
+    PutU64(out, static_cast<uint64_t>(op.delta));
   }
-  return h.Finalize();
+}
+
+bool DecodeTxn(Decoder* dec, Transaction* out) {
+  Transaction t;
+  uint32_t cross = 0;
+  uint32_t op_count = 0;
+  if (!dec->GetU64(&t.id) || !dec->GetU32(&t.client) ||
+      !dec->GetU32(&t.enterprise) || !dec->GetU32(&cross) ||
+      !dec->GetU32(&op_count)) {
+    return false;
+  }
+  // Each op takes at least 24 bytes (u32 code, three u32 lengths, u64
+  // delta): a count the input cannot hold is malformed, and must not size
+  // the allocation below.
+  if (op_count > dec->remaining() / 24) return false;
+  t.cross_enterprise = cross != 0;
+  t.ops.reserve(op_count);
+  for (uint32_t j = 0; j < op_count; ++j) {
+    Op op;
+    uint32_t code = 0;
+    uint64_t delta = 0;
+    if (!dec->GetU32(&code) || !dec->GetString(&op.key) ||
+        !dec->GetString(&op.key2) || !dec->GetString(&op.value) ||
+        !dec->GetU64(&delta)) {
+      return false;
+    }
+    if (code > static_cast<uint32_t>(OpCode::kCompute)) return false;
+    op.code = static_cast<OpCode>(code);
+    op.delta = static_cast<int64_t>(delta);
+    t.ops.push_back(std::move(op));
+  }
+  *out = std::move(t);
+  return true;
 }
 
 store::Value EncodeInt(int64_t v) { return std::to_string(v); }

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/sha256.h"
 #include "store/kv_store.h"
@@ -71,11 +72,23 @@ struct Transaction {
   std::vector<store::Key> DeclaredReads() const;
   std::vector<store::Key> DeclaredWrites() const;
 
-  /// Content digest used for ledger inclusion and signatures.
+  /// Content digest used for ledger inclusion and signatures: SHA-256 of
+  /// EncodeTxn's bytes, so distinct txns have distinct digests.
   crypto::Hash256 Digest() const;
 
   bool operator==(const Transaction&) const = default;
 };
+
+/// \brief Appends the canonical encoding of `txn` to `out`: u64 id; u32
+/// client, enterprise, cross_enterprise and op count; then per op u32
+/// code, length-prefixed key, key2 and value, and u64 delta. It covers
+/// every field operator== compares, and the length prefixes make it
+/// injective. The block log stores txns in this layout.
+void EncodeTxn(const Transaction& txn, std::string* out);
+
+/// \brief Inverse of EncodeTxn: reads one txn at `dec`'s cursor. Returns
+/// false on underrun or an unknown op code.
+bool DecodeTxn(Decoder* dec, Transaction* out);
 
 /// \brief Read interface execution runs against (latest state or snapshot):
 /// the visible value of a key, or nullptr if it has none. The pointee must

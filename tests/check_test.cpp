@@ -285,6 +285,40 @@ TEST(HarnessTest, DistinctSeedsDiverge) {
   EXPECT_NE(a.sim_events, b.sim_events);  // different worlds entirely
 }
 
+// A zero count reaches RunOne only from code (the flag table refuses it),
+// and must come back as a config violation: an empty cluster used to run,
+// and a sharded run with no shards crashed.
+TEST(HarnessTest, ZeroClusterSizeIsAConfigError) {
+  for (Protocol protocol : {Protocol::kPbft, Protocol::kSharper}) {
+    RunConfig cfg;
+    cfg.protocol = protocol;
+    cfg.cluster_size = 0;
+    cfg.txns = 5;
+    RunResult r = RunOne(cfg);
+    ASSERT_EQ(r.violations.size(), 1u) << NameOf(protocol);
+    EXPECT_EQ(r.violations[0].invariant, "config") << NameOf(protocol);
+    EXPECT_EQ(r.sim_events, 0u) << NameOf(protocol);
+  }
+}
+
+TEST(HarnessTest, ZeroShardsIsAConfigErrorForShardedProtocols) {
+  for (Protocol protocol : {Protocol::kSharper, Protocol::kAhl}) {
+    RunConfig cfg;
+    cfg.protocol = protocol;
+    cfg.num_shards = 0;
+    cfg.txns = 5;
+    RunResult r = RunOne(cfg);
+    ASSERT_EQ(r.violations.size(), 1u) << NameOf(protocol);
+    EXPECT_EQ(r.violations[0].invariant, "config") << NameOf(protocol);
+  }
+  // An unsharded protocol ignores the field.
+  RunConfig cfg;
+  cfg.protocol = Protocol::kRaft;
+  cfg.num_shards = 0;
+  cfg.txns = 5;
+  EXPECT_TRUE(RunOne(cfg).ok());
+}
+
 // --- Quorum-mutation canary -------------------------------------------------
 
 // A seeded off-by-one in the quorum rule must be caught by the sweep and

@@ -80,19 +80,33 @@ TEST(BytesTest, RoundTripString) {
 }
 
 TEST(BytesTest, AppendU64LittleEndian) {
-  Bytes b;
-  AppendU64(&b, 0x0102030405060708ULL);
+  std::string b;
+  PutU64(&b, 0x0102030405060708ULL);
   ASSERT_EQ(b.size(), 8u);
   EXPECT_EQ(b[0], 0x08);
   EXPECT_EQ(b[7], 0x01);
+  Decoder dec{&b};
+  uint64_t v = 0;
+  ASSERT_TRUE(dec.GetU64(&v));
+  EXPECT_EQ(v, 0x0102030405060708ULL);
+  EXPECT_FALSE(dec.GetU64(&v));  // underrun
 }
 
 TEST(BytesTest, LengthPrefixed) {
-  Bytes b;
-  AppendLengthPrefixed(&b, std::string("abc"));
+  std::string b;
+  PutString(&b, "abc");
   ASSERT_EQ(b.size(), 7u);
   EXPECT_EQ(b[0], 3);
+  EXPECT_EQ(b[1], 0);
   EXPECT_EQ(b[4], 'a');
+  Decoder dec{&b};
+  std::string s;
+  ASSERT_TRUE(dec.GetString(&s));
+  EXPECT_EQ(s, "abc");
+  EXPECT_EQ(dec.remaining(), 0u);
+  b.pop_back();  // a short body is an underrun, not a shorter string
+  Decoder cut{&b};
+  EXPECT_FALSE(cut.GetString(&s));
 }
 
 TEST(RngTest, Deterministic) {

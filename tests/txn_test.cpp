@@ -6,6 +6,8 @@
 #include "block/conflict.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "ledger/block.h"
+#include "store/codec.h"
 #include "txn/executor.h"
 #include "txn/transaction.h"
 
@@ -42,6 +44,142 @@ TEST(TransactionTest, DigestSensitiveToContent) {
   EXPECT_NE(a.Digest(), b.Digest());
   EXPECT_NE(a.Digest(), c.Digest());
   EXPECT_EQ(a.Digest(), MakeTxn(1, {Op::Write("k", "v")}).Digest());
+}
+
+// --- Canonical encoding ------------------------------------------------------
+
+constexpr OpCode kAllOpCodes[] = {OpCode::kRead, OpCode::kWrite,
+                                  OpCode::kIncrement,
+                                  OpCode::kTransferGuarded, OpCode::kCompute};
+
+// One op of code `code` whose key, key2 and value are `chars` cut at two
+// random points, so any of the three may be empty.
+Op SplitOp(OpCode code, const std::string& chars, Rng* rng) {
+  size_t a = rng->NextU64(chars.size() + 1);
+  size_t b = rng->NextU64(chars.size() + 1);
+  if (a > b) std::swap(a, b);
+  return {code, chars.substr(0, a), chars.substr(a, b - a), chars.substr(b),
+          0};
+}
+
+std::string RandomChars(Rng* rng, size_t max_len) {
+  static const char kAlphabet[] = {'a', 'b', '\0', '\xff'};
+  std::string s(rng->NextU64(max_len + 1), 'a');
+  for (char& c : s) c = kAlphabet[rng->NextU64(sizeof(kAlphabet))];
+  return s;
+}
+
+Transaction RandomTxn(Rng* rng) {
+  Transaction t;
+  t.id = rng->NextU64();
+  t.client = static_cast<uint32_t>(rng->NextU64());
+  t.enterprise = static_cast<uint32_t>(rng->NextU64(4));
+  t.cross_enterprise = rng->Bernoulli(0.5);
+  for (uint64_t n = rng->NextU64(4); n > 0; --n) {
+    Op op = SplitOp(kAllOpCodes[rng->NextU64(std::size(kAllOpCodes))],
+                    RandomChars(rng, 6), rng);
+    op.delta = static_cast<int64_t>(rng->NextU64());
+    t.ops.push_back(std::move(op));
+  }
+  return t;
+}
+
+// Ledger inclusion rests on this: a body verifies against a header only if
+// its txns are the ones the header committed to.
+TEST(TxnEncodingTest, DistinctTxnsNeverShareADigest) {
+  Rng rng(26);
+  std::map<crypto::Hash256, Transaction> seen;
+  size_t distinct = 0;
+  for (int i = 0; i < 4000; ++i) {
+    // The same characters, re-split between fields and ops.
+    Transaction t;
+    t.id = 1;
+    for (uint64_t n = 1 + rng.NextU64(2); n > 0; --n) {
+      t.ops.push_back(SplitOp(
+          kAllOpCodes[rng.NextU64(std::size(kAllOpCodes))], "abab", &rng));
+    }
+    auto [it, fresh] = seen.try_emplace(t.Digest(), t);
+    if (fresh) {
+      ++distinct;
+    } else {
+      ASSERT_EQ(it->second, t) << "two distinct txns share a digest";
+    }
+  }
+  EXPECT_GT(distinct, 1000u);  // the splits really vary
+  EXPECT_NE(MakeTxn(1, {Op::Write("ab", "")}).Digest(),
+            MakeTxn(1, {Op::Write("a", "b")}).Digest());
+}
+
+TEST(TxnEncodingTest, DecodeInvertsEncodeAndDigestHashesIt) {
+  Rng rng(7);
+  for (int i = 0; i < 500; ++i) {
+    Transaction t = RandomTxn(&rng);
+    std::string bytes = "prefix";  // EncodeTxn appends
+    EncodeTxn(t, &bytes);
+    Decoder dec{&bytes, 6};
+    Transaction back;
+    ASSERT_TRUE(DecodeTxn(&dec, &back));
+    EXPECT_EQ(dec.remaining(), 0u);
+    EXPECT_EQ(back, t);
+    EXPECT_EQ(t.Digest(), crypto::Sha256::Digest(bytes.substr(6)));
+  }
+}
+
+TEST(TxnEncodingTest, DecodeRejectsTruncationAndUnknownOpCodes) {
+  Transaction t = MakeTxn(3, {Op::Transfer("src", "dst", 5), Op::Read("")});
+  std::string bytes;
+  EncodeTxn(t, &bytes);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::string cut = bytes.substr(0, len);
+    Decoder dec{&cut};
+    Transaction out;
+    EXPECT_FALSE(DecodeTxn(&dec, &out)) << "prefix of " << len << " bytes";
+  }
+  // The first op's code follows the u64 id and four u32 fields.
+  constexpr size_t kFirstOpCode = 8 + 4 * 4;
+  for (uint32_t code : {static_cast<uint32_t>(OpCode::kCompute) + 1,
+                        0xFFFFFFFFu}) {
+    std::string bad = bytes;
+    for (size_t i = 0; i < 4; ++i) {
+      bad[kFirstOpCode + i] = static_cast<char>((code >> (8 * i)) & 0xFFu);
+    }
+    Decoder dec{&bad};
+    Transaction out;
+    EXPECT_FALSE(DecodeTxn(&dec, &out)) << "op code " << code;
+  }
+  // An op count the bytes cannot hold is rejected before it sizes an
+  // allocation; so is a block's txn count.
+  constexpr size_t kOpCount = 8 + 3 * 4;
+  std::string huge = bytes;
+  for (size_t i = 0; i < 4; ++i) huge[kOpCount + i] = '\xff';
+  Decoder dec{&huge};
+  Transaction out;
+  EXPECT_FALSE(DecodeTxn(&dec, &out));
+  ledger::Block block;
+  std::string payload = store::EncodeBlock(block);
+  for (size_t i = 1; i <= 4; ++i) payload[payload.size() - i] = '\xff';
+  EXPECT_FALSE(store::DecodeBlock(payload, &block));
+}
+
+// Block logs written before the txn layout moved into txn/ must still
+// decode: the block payload for a fixed block is pinned byte for byte.
+TEST(TxnEncodingTest, BlockPayloadLayoutIsUnchanged) {
+  ledger::Block b;
+  b.header.height = 7;
+  b.header.prev_hash = crypto::Sha256::Digest(std::string("prev"));
+  b.header.txn_root = crypto::Sha256::Digest(std::string("root"));
+  b.header.timestamp_us = 123'456'789;
+  Transaction t1 = MakeTxn(0x0102030405060708ULL,
+                           {Op::Read("r"), Op::Write("k", ""),
+                            Op::Increment("i", -5),
+                            Op::Transfer("src", "dst", 42), Op::Compute(9)});
+  t1.client = 3;
+  t1.enterprise = 2;
+  t1.cross_enterprise = true;
+  b.txns = {t1, MakeTxn(9, {Op::Write("ab", "")}), MakeTxn(10, {})};
+  const std::string payload = store::EncodeBlock(b);
+  EXPECT_EQ(payload.size(), 311u);
+  EXPECT_EQ(store::Crc32(payload), 0xE0991333u);
 }
 
 TEST(ExecuteTest, WriteProducesWriteSet) {
