@@ -4,6 +4,8 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "consensus/cluster.h"
 #include "consensus/pbft.h"
@@ -51,8 +53,13 @@ int main() {
               cluster.ChainsConsistent() ? "yes" : "NO");
 
   // Immutability: any tampering with history is detected by the audit.
+  // A chain's blocks share their txn lists with every replica, so a tamper
+  // replaces the list rather than changing it in place.
   ledger::Chain tampered = cluster.replica(0)->chain();
-  tampered.MutableBlockForTest(0)->txns[0].ops[0].value = "stolen";
+  ledger::Block* victim = tampered.MutableBlockForTest(0);
+  std::vector<txn::Transaction> stolen = victim->txns;
+  stolen[0].ops[0].value = "stolen";
+  victim->txns = std::move(stolen);
   std::printf("tamper detection: %s\n",
               tampered.Audit().IsCorruption() ? "caught" : "MISSED");
 

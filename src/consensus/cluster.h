@@ -40,9 +40,11 @@ class Cluster {
   size_t size() const { return replicas_.size(); }
 
   /// Submits a transaction to every replica (the "client broadcasts"
-  /// model: any correct replica can relay to the current leader).
-  void Submit(const txn::Transaction& txn) {
-    for (auto& r : replicas_) r->SubmitTransaction(txn);
+  /// model: any correct replica can relay to the current leader). The
+  /// replicas' pools share one copy of it.
+  void Submit(txn::Transaction txn) {
+    auto shared = std::make_shared<const txn::Transaction>(std::move(txn));
+    for (auto& r : replicas_) r->SubmitTransaction(shared);
   }
 
   /// All pairwise chains are prefix-consistent (the core safety check).

@@ -15,9 +15,9 @@ Replica::Replica(sim::NodeId id, sim::Network* net, ClusterConfig config,
       key_(std::move(key)),
       registry_(registry) {}
 
-void Replica::SubmitTransaction(txn::Transaction txn) {
+void Replica::SubmitTransaction(std::shared_ptr<const txn::Transaction> txn) {
   sim::Time now = network()->now();
-  auto [it, fresh] = txns_.try_emplace(txn.id);
+  auto [it, fresh] = txns_.try_emplace(txn->id);
   TxnRecord& rec = it->second;
   rec.submitted = true;
   if (fresh) {
@@ -30,12 +30,22 @@ void Replica::SubmitTransaction(txn::Transaction txn) {
   rec.slot = pool_.insert(pool_.end(), PooledTxn{std::move(txn), now});
 }
 
+const txn::Transaction* Replica::FindPooled(txn::TxnId id) const {
+  auto it = txns_.find(id);
+  if (it == txns_.end() || it->second.state != TxnState::kPooled) {
+    return nullptr;
+  }
+  return it->second.slot->txn.get();
+}
+
 std::vector<txn::Transaction> Replica::TakeFromPool(size_t max) {
+  // The cut is the one copy of a pooled txn: the batch's or sealed body's
+  // list owns it from here on.
   std::vector<txn::Transaction> out;
   out.reserve(std::min(max, pool_.size()));
   while (!pool_.empty() && out.size() < max) {
-    txns_.find(pool_.front().txn.id)->second.state = TxnState::kTaken;
-    out.push_back(std::move(pool_.front().txn));
+    txns_.find(pool_.front().txn->id)->second.state = TxnState::kTaken;
+    out.push_back(*pool_.front().txn);
     pool_.pop_front();
   }
   return out;
@@ -72,8 +82,7 @@ Batch Replica::TakeBatch() {
   return batch;
 }
 
-const std::vector<txn::Transaction>* Replica::BatchTxns(
-    const Batch& batch) const {
+const txn::TxnList* Replica::BatchTxns(const Batch& batch) const {
   if (!batch.block_ref) return &batch.txns;
   const ledger::VerifiedBlock* body = blocks_.Get(batch.block_hash);
   return body == nullptr ? nullptr : &body->body().txns;
@@ -82,13 +91,15 @@ const std::vector<txn::Transaction>* Replica::BatchTxns(
 void Replica::ReturnToPool(const Batch& batch) {
   // Re-submit under the table's rules: only taken txns re-join the pool.
   // A lost body returns nothing; peers re-fetch it on commit.
-  const std::vector<txn::Transaction>* txns = BatchTxns(batch);
+  const txn::TxnList* txns = BatchTxns(batch);
   if (txns == nullptr) return;
-  for (const auto& t : *txns) SubmitTransaction(t);
+  for (const auto& t : *txns) {
+    SubmitTransaction(std::make_shared<const txn::Transaction>(t));
+  }
 }
 
 bool Replica::KnownClientTxns(const Batch& batch) const {
-  const std::vector<txn::Transaction>* txns = BatchTxns(batch);
+  const txn::TxnList* txns = BatchTxns(batch);
   if (txns == nullptr) return false;  // fail closed without the body
   return std::all_of(txns->begin(), txns->end(),
                      [this](const txn::Transaction& t) {
@@ -133,10 +144,11 @@ void Replica::CountViewChange(const char* metric, const char* tag,
 
 Batch Replica::Forked(const Batch& batch, txn::TxnId evil_id) {
   Batch forked = batch;
-  txn::Transaction evil;
+  std::vector<txn::Transaction> txns = batch.txns;
+  txn::Transaction& evil = txns.emplace_back();
   evil.id = evil_id;
   evil.ops.push_back(txn::Op::Write("evil", "fork"));
-  forked.txns.push_back(std::move(evil));
+  forked.txns = std::move(txns);
   return forked;
 }
 
@@ -202,18 +214,27 @@ void Replica::DeliverCommitted(uint64_t seq, Batch batch) {
   DrainDeliveries();
 }
 
+txn::TxnList Replica::Unreplayed(const txn::TxnList& txns) const {
+  auto committed = [this](const txn::Transaction& t) {
+    auto it = txns_.find(t.id);
+    return it != txns_.end() && it->second.state == TxnState::kCommitted;
+  };
+  if (std::none_of(txns.begin(), txns.end(), committed)) return txns;
+  std::vector<txn::Transaction> kept;
+  std::remove_copy_if(txns.begin(), txns.end(), std::back_inserter(kept),
+                      committed);
+  return kept;
+}
+
 void Replica::DrainDeliveries() {
   obs::MetricsRegistry* metrics = network()->metrics();
-  auto committed = [this](const txn::Transaction& t) {
-    auto rit = txns_.find(t.id);
-    return rit != txns_.end() && rit->second.state == TxnState::kCommitted;
-  };
   while (true) {
     auto it = out_of_order_.find(next_deliver_);
     if (it == out_of_order_.end()) break;
     Batch& b = it->second;
     // The stored body, when the replay filter below keeps all of it: the
-    // chain block then takes its verified root instead of rebuilding it.
+    // chain block then shares its list and takes its verified root
+    // instead of rebuilding it.
     const ledger::VerifiedBlock* whole = nullptr;
     // Drop transactions that already committed at an earlier sequence:
     // with rotating proposers several leaders may batch the same client
@@ -230,14 +251,11 @@ void Replica::DrainDeliveries() {
       }
       // The body alone is what the ref's digest names; any txns a
       // Byzantine proposer attached to the ref are discarded.
-      const std::vector<txn::Transaction>& body_txns = body->body().txns;
-      b.txns.clear();
-      std::remove_copy_if(body_txns.begin(), body_txns.end(),
-                          std::back_inserter(b.txns), committed);
+      b.txns = Unreplayed(body->body().txns);
       b.block_ref = false;
-      if (b.txns.size() == body_txns.size()) whole = body;
+      if (b.txns.size() == body->body().txns.size()) whole = body;
     } else {
-      std::erase_if(b.txns, committed);
+      b.txns = Unreplayed(b.txns);
     }
     PBC_OBS_COUNT(metrics, "consensus.committed_txns", b.txns.size());
     for (const auto& t : b.txns) {

@@ -101,12 +101,15 @@ class Replica : public sim::Node {
           crypto::PrivateKey key, const crypto::KeyRegistry* registry);
 
   /// Adds a client transaction to the local pool (idempotent by txn id).
-  virtual void SubmitTransaction(txn::Transaction txn);
+  /// The pool keeps the pointer: replicas of one cluster share each txn.
+  virtual void SubmitTransaction(std::shared_ptr<const txn::Transaction> txn);
 
   const ledger::Chain& chain() const { return chain_; }
   uint64_t committed_txns() const { return committed_txns_; }
   uint64_t last_delivered_seq() const { return next_deliver_ - 1; }
   size_t pool_size() const { return pool_.size(); }
+  /// The pooled txn `id`, or nullptr when it is not in the pool.
+  const txn::Transaction* FindPooled(txn::TxnId id) const;
   const block::BlockStore& block_store() const { return blocks_; }
   /// Decided sequences buffered ahead of in-order delivery.
   size_t pending_deliveries() const { return out_of_order_.size(); }
@@ -240,10 +243,13 @@ class Replica : public sim::Node {
   std::vector<txn::Transaction> TakeFromPool(size_t max);
   /// The txns `batch` carries: its own, or its stored body's (nullptr
   /// when the body has not arrived).
-  const std::vector<txn::Transaction>* BatchTxns(const Batch& batch) const;
+  const txn::TxnList* BatchTxns(const Batch& batch) const;
+  /// `txns` without the ones already committed here: `txns` itself when
+  /// none is, else a new list.
+  txn::TxnList Unreplayed(const txn::TxnList& txns) const;
 
   struct PooledTxn {
-    txn::Transaction txn;
+    std::shared_ptr<const txn::Transaction> txn;
     sim::Time arrival_us;  ///< drives the timer cut in block mode
   };
   enum class TxnState : uint8_t {

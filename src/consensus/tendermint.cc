@@ -58,8 +58,9 @@ void TendermintReplica::OnStart() {
   // Validators stay idle until there is work (see Activate()).
 }
 
-void TendermintReplica::SubmitTransaction(txn::Transaction txn) {
-  Replica::SubmitTransaction(txn);
+void TendermintReplica::SubmitTransaction(
+    std::shared_ptr<const txn::Transaction> txn) {
+  Replica::SubmitTransaction(std::move(txn));
   if (byzantine_mode() == ByzantineMode::kSilent) return;
   if (!active_ && pool_size() > 0) Activate();
 }

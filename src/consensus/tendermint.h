@@ -69,7 +69,7 @@ class TendermintReplica : public Replica {
                     const crypto::KeyRegistry* registry);
 
   void OnStart() override;
-  void SubmitTransaction(txn::Transaction txn) override;
+  void SubmitTransaction(std::shared_ptr<const txn::Transaction> txn) override;
 
   uint64_t height() const { return height_; }
   uint64_t round() const { return round_; }

@@ -25,7 +25,7 @@ namespace pbc::consensus {
 ///    beside the protocol and fetched into each replica's block store;
 ///    consensus itself only moves the 32-byte hash.
 struct Batch {
-  std::vector<txn::Transaction> txns;
+  txn::TxnList txns;
 
   bool block_ref = false;
   crypto::Hash256 block_hash;   ///< header hash of the referenced block

@@ -20,7 +20,7 @@ std::vector<crypto::Hash256> Block::TxnDigests() const {
 }
 
 Block Block::Make(uint64_t height, const crypto::Hash256& prev_hash,
-                  std::vector<txn::Transaction> txns, uint64_t timestamp_us) {
+                  txn::TxnList txns, uint64_t timestamp_us) {
   Block b;
   b.header.height = height;
   b.header.prev_hash = prev_hash;
@@ -38,7 +38,7 @@ bool Block::VerifyTxnRoot() const {
 
 VerifiedBlock VerifiedBlock::Seal(uint64_t height,
                                   const crypto::Hash256& prev_hash,
-                                  std::vector<txn::Transaction> txns,
+                                  txn::TxnList txns,
                                   uint64_t timestamp_us) {
   return VerifiedBlock(std::make_shared<const Block>(
       Block::Make(height, prev_hash, std::move(txns), timestamp_us)));

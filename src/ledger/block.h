@@ -28,12 +28,12 @@ struct BlockHeader {
 /// \brief A block of transactions.
 struct Block {
   BlockHeader header;
-  std::vector<txn::Transaction> txns;
+  txn::TxnList txns;
 
   /// Builds a block at `height` chaining to `prev_hash`, computing the
   /// transaction Merkle root.
   static Block Make(uint64_t height, const crypto::Hash256& prev_hash,
-                    std::vector<txn::Transaction> txns,
+                    txn::TxnList txns,
                     uint64_t timestamp_us = 0);
 
   /// Recomputes the Merkle root and checks it against the header.
@@ -55,7 +55,7 @@ class VerifiedBlock {
   /// Make computes the root from these very txns, so no second Merkle
   /// build is needed to trust it.
   static VerifiedBlock Seal(uint64_t height, const crypto::Hash256& prev_hash,
-                            std::vector<txn::Transaction> txns,
+                            txn::TxnList txns,
                             uint64_t timestamp_us);
   /// `body` as a VerifiedBlock if `body->VerifyTxnRoot()` holds; nullopt
   /// otherwise, and for a null `body`.

@@ -2,7 +2,7 @@
 
 namespace pbc::ledger {
 
-void Chain::Append(std::vector<txn::Transaction> txns) {
+void Chain::Append(txn::TxnList txns) {
   blocks_.push_back(Block::Make(height(), TipHash(), std::move(txns)));
 }
 

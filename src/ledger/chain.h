@@ -18,10 +18,10 @@ class Chain {
  public:
   /// Appends `Block::Make(height(), TipHash(), txns)`, which builds the
   /// txns' Merkle tree.
-  void Append(std::vector<txn::Transaction> txns);
+  void Append(txn::TxnList txns);
   /// Appends the same block as `Append(body.body().txns)` without building
   /// a Merkle tree: the chain block takes the txn root the body was
-  /// verified against.
+  /// verified against, and shares the body's txn list.
   void Append(const VerifiedBlock& body);
 
   /// Full integrity audit: recompute every link and Merkle root.

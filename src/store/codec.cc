@@ -222,12 +222,14 @@ bool DecodeBlock(const std::string& payload, ledger::Block* out) {
       !dec.GetU64(&block.header.timestamp_us) || !dec.GetU32(&txn_count)) {
     return false;
   }
+  std::vector<txn::Transaction> txns;
   for (uint32_t i = 0; i < txn_count; ++i) {
     txn::Transaction t;
     if (!txn::DecodeTxn(&dec, &t)) return false;
-    block.txns.push_back(std::move(t));
+    txns.push_back(std::move(t));
   }
   if (dec.remaining() != 0) return false;
+  block.txns = std::move(txns);
   if (!block.VerifyTxnRoot()) return false;
   *out = std::move(block);
   return true;

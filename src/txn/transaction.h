@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,6 +79,49 @@ struct Transaction {
   crypto::Hash256 Digest() const;
 
   bool operator==(const Transaction&) const = default;
+};
+
+/// \brief An immutable, shared, ordered list of txns: a block body's or a
+/// batch's.
+///
+/// Copies share one vector, so the body a proposer seals is the list its
+/// batch, every block store and every replica's chain read; no txn is
+/// copied between them. The list is never changed in place: build a new
+/// vector and assign it. Read it like a `const std::vector<Transaction>`,
+/// which it converts to.
+class TxnList {
+ public:
+  using const_iterator = std::vector<Transaction>::const_iterator;
+  using iterator = const_iterator;
+
+  TxnList() = default;
+  TxnList(std::vector<Transaction> txns)  // NOLINT
+      : txns_(std::make_shared<const std::vector<Transaction>>(
+            std::move(txns))) {}
+  TxnList(std::initializer_list<Transaction> txns)
+      : TxnList(std::vector<Transaction>(txns)) {}
+
+  /// The shared vector (one static empty vector for an empty list).
+  const std::vector<Transaction>& vec() const {
+    static const std::vector<Transaction> kEmpty;
+    return txns_ ? *txns_ : kEmpty;
+  }
+  operator const std::vector<Transaction>&() const {  // NOLINT
+    return vec();
+  }
+
+  size_t size() const { return vec().size(); }
+  bool empty() const { return vec().empty(); }
+  const_iterator begin() const { return vec().begin(); }
+  const_iterator end() const { return vec().end(); }
+  const Transaction& operator[](size_t i) const { return vec()[i]; }
+
+  friend bool operator==(const TxnList& a, const TxnList& b) {
+    return a.txns_ == b.txns_ || a.vec() == b.vec();
+  }
+
+ private:
+  std::shared_ptr<const std::vector<Transaction>> txns_;
 };
 
 /// \brief Appends the canonical encoding of `txn` to `out`: u64 id; u32

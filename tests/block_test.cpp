@@ -112,7 +112,7 @@ TEST(BlockStoreTest, RePuttingTheStoredObjectSharesIt) {
 TEST(BlockStoreTest, RejectsBodyThatFailsItsOwnHeader) {
   ledger::Block b = BlockBuilder::Seal(
       0, crypto::Hash256{}, {T(1, {Op::Write("a", "x")})}, 0);
-  b.txns[0] = T(99, {Op::Write("a", "forged")});  // header root now wrong
+  b.txns = {T(99, {Op::Write("a", "forged")})};  // header root now wrong
   BlockStore store;
   EXPECT_FALSE(store.Put(Shared(b)));
   EXPECT_FALSE(store.Put(nullptr));
@@ -128,13 +128,17 @@ TEST(BlockStoreTest, RedeliveryUnderStoredHashMustEqualStoredBody) {
   ASSERT_TRUE(store.Put(b));
 
   // Same header (hence same hash), different bodies: none may replace or
-  // pass as the stored one.
+  // pass as the stored one. Each replaces its copy's list; the stored
+  // body's list is shared, never changed in place.
+  const std::vector<Transaction>& txns = b->txns;
   ledger::Block tampered = *b;
-  tampered.txns[1].ops[0].value = "forged";
+  std::vector<Transaction> forged_txns = txns;
+  forged_txns[1].ops[0].value = "forged";
+  tampered.txns = forged_txns;
   ledger::Block truncated = *b;
-  truncated.txns.pop_back();
+  truncated.txns = std::vector<Transaction>(txns.begin(), txns.end() - 1);
   ledger::Block reordered = *b;
-  std::swap(reordered.txns[0], reordered.txns[1]);
+  reordered.txns = {txns[1], txns[0]};
   for (const ledger::Block* forged : {&tampered, &truncated, &reordered}) {
     ASSERT_EQ(forged->header.Hash(), h);
     EXPECT_FALSE(store.Put(Shared(*forged)));
@@ -170,7 +174,9 @@ TEST(BlockStoreTest, VerifiedPutFollowsTheRedeliveryRule) {
   // A Byzantine body: the stored header over other txns. It does not
   // verify, so it can only arrive through the raw Put, which rejects it.
   ledger::Block other = body.body();
-  other.txns[1].ops[0] = Op::Write("a", "b");
+  std::vector<Transaction> other_txns = other.txns;
+  other_txns[1].ops[0] = Op::Write("a", "b");
+  other.txns = other_txns;
   ASSERT_EQ(other.header.Hash(), h);
   EXPECT_FALSE(ledger::VerifiedBlock::Verify(Shared(other)).has_value());
   EXPECT_FALSE(store.Put(Shared(other)));

@@ -67,7 +67,10 @@ TEST(ChainLinkageCheckerTest, CatchesTamperedBlock) {
   bad.Append({KvTxn(2)});
   // Tamper with history behind the chain's back: the Merkle root in the
   // stored header no longer matches the transactions.
-  bad.MutableBlockForTest(0)->txns.push_back(KvTxn(99));
+  ledger::Block* block = bad.MutableBlockForTest(0);
+  std::vector<txn::Transaction> txns = block->txns;
+  txns.push_back(KvTxn(99));
+  block->txns = std::move(txns);
   ChainLinkageChecker checker([&] {
     return std::vector<const ledger::Chain*>{&good, &bad};
   });

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <type_traits>
+#include <utility>
 
 #include "check/harness.h"
 #include "consensus/cluster.h"
@@ -535,6 +537,11 @@ std::vector<txn::TxnId> Ids(const Batch& batch) {
   return ids;
 }
 
+// A txn as a client submits it: one shared copy for every pool.
+std::shared_ptr<const txn::Transaction> Shared(txn::Transaction txn) {
+  return std::make_shared<const txn::Transaction>(std::move(txn));
+}
+
 Batch Inline(std::vector<txn::Transaction> txns) {
   Batch batch;
   batch.txns = std::move(txns);
@@ -561,10 +568,10 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
                      &w.registry);
   auto txn = [](txn::TxnId id) { return MakeKvTxn(id, "k", "v"); };
 
-  probe.SubmitTransaction(txn(1));
-  probe.SubmitTransaction(txn(2));
-  probe.SubmitTransaction(txn(3));
-  probe.SubmitTransaction(txn(1));  // pooled: no-op
+  probe.SubmitTransaction(Shared(txn(1)));
+  probe.SubmitTransaction(Shared(txn(2)));
+  probe.SubmitTransaction(Shared(txn(3)));
+  probe.SubmitTransaction(Shared(txn(1)));  // pooled: no-op
   EXPECT_EQ(probe.pool_size(), 3u);
 
   Batch first = probe.TakeBatch();
@@ -573,7 +580,7 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
 
   // Taken but uncommitted: a re-submit pools it again, at the back.
   AdvanceTo(&w, 100);
-  probe.SubmitTransaction(txn(1));
+  probe.SubmitTransaction(Shared(txn(1)));
   EXPECT_EQ(probe.pool_size(), 2u);
   Batch second = probe.TakeBatch();
   EXPECT_EQ(Ids(second), (std::vector<txn::TxnId>{3, 1}));
@@ -594,7 +601,7 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
   EXPECT_EQ(Ids(third), (std::vector<txn::TxnId>{1}));
 
   // A submit of a committed txn does nothing, nor does its return.
-  probe.SubmitTransaction(txn(3));
+  probe.SubmitTransaction(Shared(txn(3)));
   probe.ReturnToPool(Inline({txn(2)}));
   EXPECT_EQ(probe.pool_size(), 0u);
 
@@ -630,7 +637,7 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
   cfg.block.max_delay_us = 5000;
   ReplicaProbe sealer(0, &bw.net, cfg,
                       bw.registry.RegisterDeterministic(0, 1), &bw.registry);
-  sealer.SubmitTransaction(txn(1));
+  sealer.SubmitTransaction(Shared(txn(1)));
   AdvanceTo(&bw, 4999);
   EXPECT_TRUE(sealer.TakeBatch().empty());  // waited 4999 < 5000
   AdvanceTo(&bw, 5000);
@@ -654,7 +661,7 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
   EXPECT_EQ(sealer.committed_txns(), 1u);
   ASSERT_EQ(sealer.chain().height(), 1u);
   EXPECT_EQ(sealer.chain().blocks().back().txns.size(), 1u);
-  EXPECT_EQ(sealer.chain().blocks().back().txns.front().id, 1u);
+  EXPECT_EQ(sealer.chain().blocks().back().txns[0].id, 1u);
 }
 
 // A block-body message without a body is charged its 80-byte header and
@@ -668,8 +675,8 @@ TEST(ReplicaTest, BodylessBlockBodyMessageChangesNothing) {
   cfg.block.max_txns = 1;
   ReplicaProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
                      &w.registry);
-  probe.SubmitTransaction(MakeKvTxn(1, "k", "v"));
-  probe.SubmitTransaction(MakeKvTxn(2, "k", "v"));
+  probe.SubmitTransaction(Shared(MakeKvTxn(1, "k", "v")));
+  probe.SubmitTransaction(Shared(MakeKvTxn(2, "k", "v")));
   Batch ref = probe.TakeBatch();  // seals txn 1 and stores its body
   ASSERT_TRUE(ref.block_ref);
   ASSERT_EQ(probe.block_store().size(), 1u);
@@ -686,6 +693,121 @@ TEST(ReplicaTest, BodylessBlockBodyMessageChangesNothing) {
   EXPECT_EQ(probe.committed_txns(), 0u);
   EXPECT_EQ(probe.chain().height(), 0u);
   EXPECT_EQ(probe.pending_deliveries(), 0u);
+}
+
+// One copy of each txn per cluster: a submit pools one shared txn at
+// every replica, and each chain block holds the very list of the body it
+// delivered, the one its block store holds.
+TEST(ReplicaTest, ChainSharesTheDeliveredBody) {
+  World w(67);
+  Cluster<PbftReplica> cluster(&w.net, &w.registry, 4, BlockConfig(10));
+  std::vector<std::vector<crypto::Hash256>> delivered(cluster.size());
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    RecordDeliveredBlocks(cluster.replica(i), &delivered[i]);
+  }
+
+  cluster.Submit(MakeKvTxn(1000, "k", "v"));
+  const txn::Transaction* pooled = cluster.replica(0)->FindPooled(1000);
+  ASSERT_NE(pooled, nullptr);
+  EXPECT_EQ(pooled->id, 1000u);
+  for (size_t i = 1; i < cluster.size(); ++i) {
+    EXPECT_EQ(cluster.replica(i)->FindPooled(1000), pooled) << "replica " << i;
+  }
+
+  w.net.Start();
+  SubmitN(&cluster, 40);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 41));
+  EXPECT_TRUE(cluster.ChainsConsistent());
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    const ledger::Chain& chain = cluster.replica(i)->chain();
+    const block::BlockStore& store = cluster.replica(i)->block_store();
+    ASSERT_EQ(chain.height(), delivered[i].size()) << "replica " << i;
+    for (size_t h = 0; h < chain.height(); ++h) {
+      const ledger::VerifiedBlock* body = store.Get(delivered[i][h]);
+      ASSERT_NE(body, nullptr) << "replica " << i << " block " << h;
+      EXPECT_EQ(&chain.at(h).txns.vec(), &body->body().txns.vec())
+          << "replica " << i << " block " << h;
+    }
+  }
+}
+
+// A tamper replaces one chain's list; it never reaches the list the other
+// chains and the block stores share.
+TEST(ReplicaTest, TamperStaysInTheTamperedChain) {
+  World w(68);
+  Cluster<PbftReplica> cluster(&w.net, &w.registry, 4, BlockConfig(10));
+  std::vector<crypto::Hash256> delivered;
+  RecordDeliveredBlocks(cluster.replica(0), &delivered);
+  w.net.Start();
+  SubmitN(&cluster, 20);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 20));
+  ASSERT_FALSE(delivered.empty());
+
+  ledger::Chain tampered = cluster.replica(0)->chain();
+  ledger::Block* victim = tampered.MutableBlockForTest(0);
+  std::vector<txn::Transaction> txns = victim->txns;
+  txns[0].ops[0].value = "stolen";
+  victim->txns = std::move(txns);
+  EXPECT_TRUE(tampered.Audit().IsCorruption());
+
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_TRUE(cluster.replica(i)->chain().Audit().ok()) << "replica " << i;
+    const ledger::VerifiedBlock* body =
+        cluster.replica(i)->block_store().Get(delivered[0]);
+    ASSERT_NE(body, nullptr) << "replica " << i;
+    EXPECT_TRUE(body->body().VerifyTxnRoot()) << "replica " << i;
+    EXPECT_EQ(body->body().txns[0].ops[0].value,
+              cluster.replica(i)->chain().at(0).txns[0].ops[0].value);
+  }
+}
+
+// The one delivery path that builds a list: a body that repeats a
+// committed txn. Its chain block holds the rest under a root computed
+// for them, and the listener sees that same list.
+TEST(ReplicaTest, ReplayFilterBuildsOneListForChainAndListener) {
+  World w(69);
+  ClusterConfig cfg;
+  cfg.replicas = {0};
+  cfg.block.enabled = true;
+  cfg.block.max_txns = 2;
+  ReplicaProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
+                     &w.registry);
+  std::vector<txn::TxnList> seen;
+  probe.set_commit_listener([&seen](sim::NodeId, uint64_t, const Batch& b) {
+    seen.push_back(b.txns);
+  });
+  auto txn = [](txn::TxnId id) { return MakeKvTxn(id, "k", "v"); };
+
+  probe.SubmitTransaction(Shared(txn(1)));
+  probe.SubmitTransaction(Shared(txn(2)));
+  Batch first = probe.TakeBatch();  // seals {1, 2}
+  probe.SubmitTransaction(Shared(txn(2)));  // taken, so it pools again
+  probe.SubmitTransaction(Shared(txn(3)));
+  Batch second = probe.TakeBatch();  // seals {2, 3}
+  ASSERT_TRUE(first.block_ref);
+  ASSERT_TRUE(second.block_ref);
+  const ledger::VerifiedBlock* second_body =
+      probe.block_store().Get(second.block_hash);
+  ASSERT_NE(second_body, nullptr);
+  ASSERT_EQ(second_body->body().txns.size(), 2u);
+
+  probe.DeliverCommitted(1, first);
+  probe.DeliverCommitted(2, second);
+  EXPECT_EQ(probe.committed_txns(), 3u);
+  const ledger::Chain& chain = probe.chain();
+  ASSERT_EQ(chain.height(), 2u);
+  EXPECT_TRUE(chain.Audit().ok());
+  const ledger::Block& filtered = chain.at(1);
+  ASSERT_EQ(filtered.txns.size(), 1u);
+  EXPECT_EQ(filtered.txns[0].id, 3u);
+  EXPECT_NE(filtered.header.txn_root, second_body->body().header.txn_root);
+  EXPECT_EQ(filtered.header.txn_root,
+            ledger::Block::Make(1, chain.at(0).header.Hash(), {txn(3)})
+                .header.txn_root);
+
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1], (std::vector<txn::Transaction>{txn(3)}));
+  EXPECT_EQ(&seen[1].vec(), &filtered.txns.vec());
 }
 
 // ---------------------------------------------------------------------------

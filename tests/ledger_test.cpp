@@ -19,6 +19,14 @@ txn::Transaction MakeTxn(txn::TxnId id, const std::string& key,
   return t;
 }
 
+// A copy of `txns` whose txn `i` writes `value`: a shared list is never
+// changed in place, so a tamper replaces the list.
+std::vector<txn::Transaction> Tampered(std::vector<txn::Transaction> txns,
+                                       size_t i, const std::string& value) {
+  txns[i].ops[0].value = value;
+  return txns;
+}
+
 std::vector<txn::Transaction> MakeTxns(int ntxns, txn::TxnId base_id) {
   std::vector<txn::Transaction> txns;
   for (int i = 0; i < ntxns; ++i) {
@@ -36,7 +44,7 @@ TEST(BlockTest, MakeComputesMerkleRoot) {
 
 TEST(BlockTest, TamperedTxnBreaksRoot) {
   Block b = Block::Make(0, crypto::Hash256::Zero(), MakeTxns(4, 0));
-  b.txns[2].ops[0].value = "evil";
+  b.txns = Tampered(b.txns, 2, "evil");
   EXPECT_FALSE(b.VerifyTxnRoot());
 }
 
@@ -115,7 +123,7 @@ TEST(ChainTest, SealedBodyIsTheMadeBlockAndVerifies) {
 
 TEST(ChainTest, BodyWithAWrongRootIsNotVerified) {
   Block b = Block::Make(0, crypto::Hash256::Zero(), MakeTxns(4, 0));
-  b.txns[2].ops[0].value = "evil";
+  b.txns = Tampered(b.txns, 2, "evil");
   EXPECT_FALSE(VerifiedBlock::Verify(std::make_shared<const Block>(b)));
   EXPECT_FALSE(VerifiedBlock::Verify(nullptr));
 }
@@ -125,7 +133,8 @@ TEST(ChainTest, AuditDetectsPostHocTampering) {
   for (int i = 0; i < 4; ++i) chain.Append(MakeTxns(2, i * 10));
   ASSERT_TRUE(chain.Audit().ok());
   // Flip one transaction byte deep in history.
-  chain.MutableBlockForTest(1)->txns[0].ops[0].value = "evil";
+  Block* block = chain.MutableBlockForTest(1);
+  block->txns = Tampered(block->txns, 0, "evil");
   EXPECT_TRUE(chain.Audit().IsCorruption());
 }
 

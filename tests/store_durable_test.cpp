@@ -806,7 +806,8 @@ TEST(DurableCheckerTest, ReorderedIntraBlockReplayTripsRecoveryEquivalence) {
     store::KvStore kv;
     uint64_t next_version = 1;
     for (const ledger::Block& block : rec.blocks) {
-      for (auto it = block.txns.rbegin(); it != block.txns.rend(); ++it) {
+      const std::vector<txn::Transaction>& txns = block.txns;
+      for (auto it = txns.rbegin(); it != txns.rend(); ++it) {
         txn::ExecResult result = txn::Execute(*it, txn::LatestReader(&kv));
         if (!result.writes.empty()) {
           kv.ApplyBatch(result.writes, next_version++);
