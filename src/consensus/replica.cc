@@ -185,7 +185,11 @@ bool Replica::EnsureBodyOrFetch(sim::NodeId from, const sim::MessagePtr& msg,
   if (!batch.block_ref || batch.empty()) return true;
   if (blocks_.Contains(batch.block_hash)) return true;
   parked_[batch.block_hash].push_back({from, msg});
-  RequestBody(batch.block_hash);
+  // A body sent beside the ref lands within one jitter bound of it; fetch
+  // only if it has not by then (RequestBody returns when it has).
+  crypto::Hash256 hash = batch.block_hash;
+  SetTimer(network()->EffectiveLatency(from, id()).jitter_us + 1,
+           [this, hash] { RequestBody(hash); });
   return false;
 }
 

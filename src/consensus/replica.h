@@ -43,12 +43,14 @@ struct ReplicaStatus {
   uint64_t commit_index = 0;       ///< last in-order delivered sequence
 };
 
-/// \brief Block body dissemination: sent by a proposer alongside its
-/// block-ref proposal, and by any replica answering a fetch. The body is
-/// the proposer's sealed `VerifiedBlock` itself, shared, never copied, so
-/// a receiver stores it without rebuilding its Merkle tree. The wire size
-/// still counts every txn; a message without a body is charged the header
-/// alone and dropped on arrival.
+/// \brief Block body dissemination: sent by a proposer in the same instant
+/// as its block-ref proposal, and by any replica answering a fetch. In a
+/// fault-free run each peer gets one per block and fetches none (see
+/// EnsureBodyOrFetch). The body is the proposer's sealed `VerifiedBlock`
+/// itself, shared, never copied, so a receiver stores it without
+/// rebuilding its Merkle tree. The wire size still counts every txn; a
+/// message without a body is charged the header alone and dropped on
+/// arrival.
 struct BlockBodyMsg : sim::Typed<BlockBodyMsg> {
   std::optional<ledger::VerifiedBlock> body;
   static constexpr char kType[] = "block-body";
@@ -94,7 +96,8 @@ struct BlockFetchMsg : sim::Typed<BlockFetchMsg> {
 /// store, stalling (and fetching) when a body has not arrived yet.
 /// Body-dependent handlers (client-authenticity checks) guard with
 /// `if (!EnsureBodyOrFetch(from, msg, batch)) return;` — the message is
-/// parked and re-dispatched through OnMessage when the body lands.
+/// parked, fetched for only if its body misses the jitter bound, and
+/// re-dispatched through OnMessage when the body lands.
 class Replica : public sim::Node {
  public:
   Replica(sim::NodeId id, sim::Network* net, ClusterConfig config,
@@ -178,9 +181,12 @@ class Replica : public sim::Node {
                                  const sim::MessagePtr& msg) = 0;
 
   /// True when `batch` is inline, empty, or its body is stored locally.
-  /// Otherwise parks `msg` keyed by the block hash, broadcasts a fetch,
-  /// and returns false; the parked message is re-dispatched through
-  /// OnMessage when the body arrives.
+  /// Otherwise parks `msg` keyed by the block hash and returns false; the
+  /// parked message is re-dispatched through OnMessage when the body
+  /// arrives. The body was sent beside the ref, so the fetch waits one
+  /// jitter bound of the link from `from` and goes out only if the body
+  /// is still missing then. Each call arms its own wait: a crash cancels
+  /// armed timers, and a ref re-sent after recovery must still fetch.
   bool EnsureBodyOrFetch(sim::NodeId from, const sim::MessagePtr& msg,
                          const Batch& batch);
 

@@ -170,8 +170,9 @@ class Network {
 
   /// Effective latency model for one directed link (default, symmetric or
   /// directional override — whichever wins). Self-links are `{1, 0}`.
-  /// Read-only introspection for adversaries/tests; sending uses the same
-  /// resolution internally.
+  /// Sending uses the same resolution. Read by adversaries and tests, and
+  /// by a replica that bounds how long a block body can still be in
+  /// flight behind its ref (Replica::EnsureBodyOrFetch).
   LinkLatency EffectiveLatency(NodeId from, NodeId to) const {
     return from == to ? LinkLatency{1, 0} : LatencyFor(from, to);
   }

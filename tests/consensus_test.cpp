@@ -431,6 +431,38 @@ TYPED_TEST(BftProtocolTest, BlockModeSafeUnderEquivocatingLeader) {
   }
 }
 
+// A fault-free block-mode run at `n` replicas commits 200 txns without one
+// body fetch: the body a proposer broadcasts with its ref lands within one
+// jitter bound of the ref, and a parked ref waits that long before asking.
+template <typename R>
+void ExpectFaultFreeRunFetchesNoBody(uint64_t seed, size_t n) {
+  World w(seed);
+  obs::MetricsRegistry metrics;
+  w.net.AttachObs(&metrics, nullptr);
+  Cluster<R> cluster(&w.net, &w.registry, n, BlockConfig(10));
+  w.net.Start();
+  for (int wave = 0; wave < 10; ++wave) {
+    SubmitN(&cluster, 20, /*base=*/wave * 20);
+    w.sim.Run(w.sim.now() + 3'000);
+  }
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 200));
+  EXPECT_TRUE(cluster.ChainsConsistent());
+  EXPECT_GT(metrics.CounterValue("net.sent.block-body"), 0u);
+  EXPECT_EQ(metrics.CounterValue("net.sent.block-fetch"), 0u);
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_FALSE(cluster.replica(i)->delivery_stalled_on_body())
+        << "replica " << i;
+  }
+}
+
+TYPED_TEST(BftProtocolTest, BlockModeFaultFreeRunFetchesNoBody) {
+  ExpectFaultFreeRunFetchesNoBody<TypeParam>(70, 4);
+}
+
+TEST(BlockPipelineTest, FaultFreePbftAtSevenFetchesNoBody) {
+  ExpectFaultFreeRunFetchesNoBody<PbftReplica>(71, 7);
+}
+
 // ---------------------------------------------------------------------------
 // Replica skeleton: tag dispatch and epoch-guarded timers.
 // ---------------------------------------------------------------------------
@@ -693,6 +725,82 @@ TEST(ReplicaTest, BodylessBlockBodyMessageChangesNothing) {
   EXPECT_EQ(probe.committed_txns(), 0u);
   EXPECT_EQ(probe.chain().height(), 0u);
   EXPECT_EQ(probe.pending_deliveries(), 0u);
+}
+
+// A protocol message that names its batch by block ref, as a proposal does.
+struct RefProposal : sim::Typed<RefProposal> {
+  Batch batch;
+  static constexpr char kType[] = "test-ref-proposal";
+};
+
+// A replica with one body-dependent handler: it counts each message that
+// gets past the EnsureBodyOrFetch guard.
+class ParkingProbe : public Replica {
+ public:
+  using Replica::Replica;
+  int handled = 0;
+
+ private:
+  void OnProtocolMessage(sim::NodeId from,
+                         const sim::MessagePtr& msg) override {
+    const auto* proposal = sim::As<RefProposal>(*msg);
+    if (proposal != nullptr && EnsureBodyOrFetch(from, msg, proposal->batch)) {
+      ++handled;
+    }
+  }
+};
+
+// A body that never arrives with its ref is fetched one jitter bound after
+// the ref parks, not before, and the parked ref re-runs when the fetch
+// brings the body. A crash cancels the armed wait, so a ref re-sent after
+// recovery arms its own.
+TEST(ReplicaTest, MissingBodyIsFetchedOneJitterBoundAfterItsRef) {
+  for (bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash-recover before the re-sent ref" : "no crash");
+    World w(59);
+    obs::MetricsRegistry metrics;
+    w.net.AttachObs(&metrics, nullptr);
+    auto fetches = [&metrics] {
+      return metrics.CounterValue("net.sent.block-fetch");
+    };
+    ClusterConfig cfg;
+    cfg.block.enabled = true;
+    cfg.block.max_txns = 1;
+    // The sealer lists only itself, so its seal reaches no one; it still
+    // answers the probe's fetch from its store.
+    cfg.replicas = {1};
+    ReplicaProbe sealer(1, &w.net, cfg,
+                        w.registry.RegisterDeterministic(1, 1), &w.registry);
+    cfg.replicas = {0, 1};
+    ParkingProbe probe(0, &w.net, cfg, w.registry.RegisterDeterministic(0, 1),
+                       &w.registry);
+    sealer.SubmitTransaction(Shared(MakeKvTxn(1, "k", "v")));
+    auto proposal = std::make_shared<RefProposal>();
+    proposal->batch = sealer.TakeBatch();
+    ASSERT_TRUE(proposal->batch.block_ref);
+    const sim::Time jitter = w.net.EffectiveLatency(1, 0).jitter_us;
+
+    AdvanceTo(&w, 1000);
+    probe.OnMessage(1, proposal);
+    if (crash) {
+      w.net.Crash(0);
+      w.net.Recover(0);
+      w.sim.Run(w.sim.now() + 10 * jitter);  // the cancelled wait is dead
+      EXPECT_EQ(fetches(), 0u);
+      probe.OnMessage(1, proposal);
+    }
+    const sim::Time parked = w.sim.now();
+    w.sim.Run(parked + jitter);
+    EXPECT_EQ(fetches(), 0u);
+    w.sim.Run(parked + jitter + 1);
+    EXPECT_EQ(fetches(), 1u);
+    EXPECT_EQ(probe.handled, 0);
+
+    w.sim.RunAll();
+    EXPECT_TRUE(probe.block_store().Contains(proposal->batch.block_hash));
+    EXPECT_EQ(probe.handled, crash ? 2 : 1);  // every parked copy re-ran
+    EXPECT_EQ(fetches(), 1u);
+  }
 }
 
 // One copy of each txn per cluster: a submit pools one shared txn at
