@@ -53,7 +53,7 @@ case "${1:-}" in
     bin=${2:?BENCH_DIR}
     update=${3:-}
     for b in e2_contention e3_xov_variants e4_consensus e6_caper \
-        e8_sharding e9_cross_shard e12_faults; do
+        e8_sharding e9_cross_shard e10_trusted_hw e12_faults; do
       ebench "$b"
     done
     export PBC_BENCH_JOBS=1

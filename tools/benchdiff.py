@@ -32,6 +32,9 @@ WALL_CLOCK = [
     "e[23]_*:series*.metrics.throughput_txn_per_s",
     "e[23]_*:series*.metrics.commit_latency_*",
     "e[23]_*:series*.metrics.block_latency_us.*",
+    # e10's attested-log rows time the software attest and verify calls;
+    # its committee sizing and 2-shard deployment rows are simulated.
+    "e10_*:series?attested_log_*.metrics.*",
     "perfbench:attempted",  # iterations that fit in --seconds
 ] + ["perfbench:metrics.%s.*" % name for name in [
     "setup_s", "wall_s", "cpu_us_per_txn", "peak_rss_mb", "traced_wall_s",
