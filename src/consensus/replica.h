@@ -48,14 +48,14 @@ struct ReplicaStatus {
 /// fault-free run each peer gets one per block and fetches none (see
 /// EnsureBodyOrFetch). The body is the proposer's sealed `VerifiedBlock`
 /// itself, shared, never copied, so a receiver stores it without
-/// rebuilding its Merkle tree. The wire size still counts every txn; a
-/// message without a body is charged the header alone and dropped on
-/// arrival.
+/// rebuilding its Merkle tree. It is charged the body's encoded bytes,
+/// which the seal measured once (store::EncodeBlock's length); a message
+/// without a body is charged the header alone and dropped on arrival.
 struct BlockBodyMsg : sim::Typed<BlockBodyMsg> {
   std::optional<ledger::VerifiedBlock> body;
   static constexpr char kType[] = "block-body";
   size_t ByteSize() const override {
-    return 80 + (body ? body->body().txns.size() * 64 : 0);
+    return body ? body->encoded_bytes() : ledger::BlockHeader::kEncodedBytes;
   }
 };
 

@@ -39,8 +39,8 @@ struct Batch {
   size_t size() const { return block_ref ? ref_txn_count : txns.size(); }
 
   /// Bytes this batch contributes to a carrying message: a block-ref is a
-  /// hash + count, an inline batch pays per transaction.
-  size_t WireBytes() const { return block_ref ? 40 : txns.size() * 64; }
+  /// 32-byte hash + count, an inline batch its txns' encoded bytes.
+  size_t WireBytes() const { return block_ref ? 40 : txn::EncodedSize(txns); }
 };
 
 /// \brief Block-pipeline batching policy (off by default: inline batches).

@@ -12,6 +12,35 @@ crypto::Hash256 BlockHeader::Hash() const {
   return h.Finalize();
 }
 
+namespace {
+
+void PutHash(std::string* out, const crypto::Hash256& h) {
+  out->append(reinterpret_cast<const char*>(h.bytes.data()), h.bytes.size());
+}
+
+bool GetHash(Decoder* dec, crypto::Hash256* h) {
+  if (dec->remaining() < h->bytes.size()) return false;
+  for (size_t i = 0; i < h->bytes.size(); ++i) {
+    h->bytes[i] = static_cast<uint8_t>((*dec->data)[dec->pos + i]);
+  }
+  dec->pos += h->bytes.size();
+  return true;
+}
+
+}  // namespace
+
+void BlockHeader::EncodeTo(std::string* out) const {
+  PutU64(out, height);
+  PutHash(out, prev_hash);
+  PutHash(out, txn_root);
+  PutU64(out, timestamp_us);
+}
+
+bool BlockHeader::DecodeFrom(Decoder* dec) {
+  return dec->GetU64(&height) && GetHash(dec, &prev_hash) &&
+         GetHash(dec, &txn_root) && dec->GetU64(&timestamp_us);
+}
+
 std::vector<crypto::Hash256> Block::TxnDigests() const {
   std::vector<crypto::Hash256> digests;
   digests.reserve(txns.size());
@@ -35,6 +64,11 @@ bool Block::VerifyTxnRoot() const {
   crypto::MerkleTree tree(TxnDigests());
   return tree.root() == header.txn_root;
 }
+
+VerifiedBlock::VerifiedBlock(std::shared_ptr<const Block> body)
+    : body_(std::move(body)),
+      encoded_bytes_(BlockHeader::kEncodedBytes + sizeof(uint32_t) +
+                     txn::EncodedSize(body_->txns)) {}
 
 VerifiedBlock VerifiedBlock::Seal(uint64_t height,
                                   const crypto::Hash256& prev_hash,

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "txn/transaction.h"
@@ -23,6 +25,17 @@ struct BlockHeader {
 
   /// The block's identity: SHA-256 over the header fields.
   crypto::Hash256 Hash() const;
+
+  /// Bytes EncodeTo writes: the fixed-width layout u64 height, prev_hash,
+  /// txn_root, u64 timestamp_us. The block log stores a header this way,
+  /// and a body's wire size counts it.
+  static constexpr size_t kEncodedBytes =
+      2 * sizeof(uint64_t) + 2 * sizeof(crypto::Hash256);
+
+  /// Appends the header's fixed-width layout to `out`.
+  void EncodeTo(std::string* out) const;
+  /// Reads EncodeTo's layout at `dec`'s cursor; false on underrun.
+  bool DecodeFrom(Decoder* dec);
 };
 
 /// \brief A block of transactions.
@@ -62,12 +75,16 @@ class VerifiedBlock {
   static std::optional<VerifiedBlock> Verify(std::shared_ptr<const Block> body);
 
   const Block& body() const { return *body_; }
+  /// Length of the body's encoding, which store::EncodeBlock writes: the
+  /// header, a u32 txn count, then each txn in txn::EncodeTxn's layout.
+  /// Taken once, by Seal or Verify; it is what the body costs on the wire.
+  size_t encoded_bytes() const { return encoded_bytes_; }
 
  private:
-  explicit VerifiedBlock(std::shared_ptr<const Block> body)
-      : body_(std::move(body)) {}
+  explicit VerifiedBlock(std::shared_ptr<const Block> body);
 
   std::shared_ptr<const Block> body_;
+  size_t encoded_bytes_;
 };
 
 }  // namespace pbc::ledger

@@ -11,7 +11,7 @@ struct RdbShareMsg : sim::Typed<RdbShareMsg> {
   txn::Transaction txn;
   static constexpr char kType[] = "rdb-share";
   size_t ByteSize() const override {
-    return noop ? 48 : 96 + txn.ops.size() * 48;
+    return noop ? 48 : 96 + txn::EncodedSize(txn);
   }
 };
 

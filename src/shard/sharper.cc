@@ -7,7 +7,7 @@ namespace {
 struct SpProposeMsg : sim::Typed<SpProposeMsg> {
   txn::Transaction txn;
   static constexpr char kType[] = "sp-propose";
-  size_t ByteSize() const override { return 96 + txn.ops.size() * 48; }
+  size_t ByteSize() const override { return 96 + txn::EncodedSize(txn); }
 };
 
 struct SpAckMsg : sim::Typed<SpAckMsg> {

@@ -10,7 +10,7 @@ struct CsPrepareMsg : sim::Typed<CsPrepareMsg> {
   txn::Transaction txn;
   uint32_t coordinator = 0;
   static constexpr char kType[] = "2pc-prepare";
-  size_t ByteSize() const override { return 96 + txn.ops.size() * 48; }
+  size_t ByteSize() const override { return 96 + txn::EncodedSize(txn); }
 };
 
 struct CsVoteMsg : sim::Typed<CsVoteMsg> {

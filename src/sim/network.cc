@@ -107,12 +107,12 @@ bool Network::CanDeliver(NodeId from, NodeId to) const {
 }
 
 void Network::CountDrop(NodeId from, NodeId to, const Message& msg,
-                        const char* reason) {
+                        size_t bytes, const char* reason) {
   ++stats_.messages_dropped;
   PBC_OBS_COUNT(metrics_, "net.dropped", 1);
   PBC_OBS_COUNT(metrics_, std::string("net.dropped.") + reason, 1);
   PBC_OBS_TRACE(trace_, now(), obs::TraceKind::kDrop, from, to, msg.type(),
-                msg.ByteSize());
+                bytes);
 }
 
 void Network::Crash(NodeId id) {
@@ -135,27 +135,29 @@ void Network::Recover(NodeId id) {
 }
 
 void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
+  // A payload's size walks its txns: take it once per send.
+  const size_t bytes = msg->ByteSize();
   ++stats_.messages_sent;
-  stats_.bytes_sent += msg->ByteSize();
+  stats_.bytes_sent += bytes;
   PBC_OBS_COUNT(metrics_, "net.sent", 1);
-  PBC_OBS_COUNT(metrics_, "net.bytes_sent", msg->ByteSize());
+  PBC_OBS_COUNT(metrics_, "net.bytes_sent", bytes);
   PBC_OBS_COUNT(metrics_, std::string("net.sent.") + msg->type(), 1);
   PBC_OBS_COUNT(metrics_,
                 "net.link." + std::to_string(from) + "->" +
                     std::to_string(to) + ".sent",
                 1);
   PBC_OBS_TRACE(trace_, now(), obs::TraceKind::kSend, from, to, msg->type(),
-                msg->ByteSize());
+                bytes);
 
   // A link severed by an active partition carries nothing: drop at send
   // time so a later Heal() cannot resurrect the message.
   if (partitioned_ && CrossGroup(partition_, from, to)) {
-    CountDrop(from, to, *msg, "partition");
+    CountDrop(from, to, *msg, bytes, "partition");
     return;
   }
 
   if (from != to && drop_rate_ > 0.0 && sim_->rng()->Bernoulli(drop_rate_)) {
-    CountDrop(from, to, *msg, "loss");
+    CountDrop(from, to, *msg, bytes, "loss");
     return;
   }
 
@@ -166,31 +168,31 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
   Time delay = lat.base_us + jitter;
 
   uint64_t cuts_at_send = partition_cuts_;
-  sim_->Schedule(delay, [this, from, to, cuts_at_send,
+  sim_->Schedule(delay, [this, from, to, cuts_at_send, bytes,
                          msg = std::move(msg)] {
     // A partition was cut while this message was in flight: if it severed
     // this link, the message died on the wire — even if the partition has
     // since healed.
     if (partition_cuts_ != cuts_at_send &&
         CrossGroup(last_partition_, from, to)) {
-      CountDrop(from, to, *msg, "partition");
+      CountDrop(from, to, *msg, bytes, "partition");
       return;
     }
     if (!CanDeliver(from, to)) {
-      CountDrop(from, to, *msg, crashed_.count(to) || crashed_.count(from)
-                                    ? "crash"
-                                    : "partition");
+      CountDrop(from, to, *msg, bytes,
+                crashed_.count(to) || crashed_.count(from) ? "crash"
+                                                           : "partition");
       return;
     }
     auto it = nodes_.find(to);
     if (it == nodes_.end()) {
-      CountDrop(from, to, *msg, "unknown-node");
+      CountDrop(from, to, *msg, bytes, "unknown-node");
       return;
     }
     ++stats_.messages_delivered;
     PBC_OBS_COUNT(metrics_, "net.delivered", 1);
     PBC_OBS_TRACE(trace_, now(), obs::TraceKind::kDeliver, from, to,
-                  msg->type(), msg->ByteSize());
+                  msg->type(), bytes);
     it->second->OnMessage(from, msg);
   });
 }

@@ -243,7 +243,8 @@ class Network {
   /// absent from every group are isolated).
   static bool CrossGroup(const std::unordered_map<NodeId, int>& partition,
                          NodeId from, NodeId to);
-  void CountDrop(NodeId from, NodeId to, const Message& msg,
+  /// Counts and traces a dropped `msg` of `bytes` (its ByteSize()).
+  void CountDrop(NodeId from, NodeId to, const Message& msg, size_t bytes,
                  const char* reason);
 
   Simulator* sim_;

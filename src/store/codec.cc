@@ -184,29 +184,9 @@ uint32_t Crc32(const std::string& bytes) {
   return Crc32(bytes.data(), bytes.size());
 }
 
-namespace {
-
-void PutHash(std::string* out, const crypto::Hash256& h) {
-  out->append(reinterpret_cast<const char*>(h.bytes.data()), h.bytes.size());
-}
-
-bool GetHash(Decoder* dec, crypto::Hash256* h) {
-  if (dec->remaining() < h->bytes.size()) return false;
-  for (size_t i = 0; i < h->bytes.size(); ++i) {
-    h->bytes[i] = static_cast<uint8_t>((*dec->data)[dec->pos + i]);
-  }
-  dec->pos += h->bytes.size();
-  return true;
-}
-
-}  // namespace
-
 std::string EncodeBlock(const ledger::Block& block) {
   std::string out;
-  PutU64(&out, block.header.height);
-  PutHash(&out, block.header.prev_hash);
-  PutHash(&out, block.header.txn_root);
-  PutU64(&out, block.header.timestamp_us);
+  block.header.EncodeTo(&out);
   PutU32(&out, static_cast<uint32_t>(block.txns.size()));
   for (const txn::Transaction& t : block.txns) txn::EncodeTxn(t, &out);
   return out;
@@ -216,10 +196,7 @@ bool DecodeBlock(const std::string& payload, ledger::Block* out) {
   Decoder dec{&payload};
   ledger::Block block;
   uint32_t txn_count = 0;
-  if (!dec.GetU64(&block.header.height) ||
-      !GetHash(&dec, &block.header.prev_hash) ||
-      !GetHash(&dec, &block.header.txn_root) ||
-      !dec.GetU64(&block.header.timestamp_us) || !dec.GetU32(&txn_count)) {
+  if (!block.header.DecodeFrom(&dec) || !dec.GetU32(&txn_count)) {
     return false;
   }
   std::vector<txn::Transaction> txns;

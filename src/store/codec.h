@@ -26,8 +26,9 @@ uint32_t Crc32(const std::string& bytes);
 /// place inside a larger buffer.
 uint32_t Crc32(const char* data, size_t len);
 
-/// Full block payload: header fields, the txn count, then each txn in
-/// txn::EncodeTxn's layout.
+/// Full block payload: the header in BlockHeader::EncodeTo's layout, the
+/// u32 txn count, then each txn in txn::EncodeTxn's layout. A
+/// VerifiedBlock's encoded_bytes() is its length.
 std::string EncodeBlock(const ledger::Block& block);
 
 /// Inverse of EncodeBlock. Returns false on malformed input or when the

@@ -48,13 +48,30 @@ std::vector<store::Key> Transaction::DeclaredWrites() const {
   return {writes.begin(), writes.end()};
 }
 
-crypto::Hash256 Transaction::Digest() const {
-  // A reused per-thread buffer: Digest runs several times per committed
-  // txn, also on the validation pool's threads, and must not allocate.
+namespace {
+
+// EncodeTxn's output for `txn` in a reused per-thread buffer, valid until
+// the next call on this thread: Digest runs several times per committed
+// txn, also on the validation pool's threads, and must not allocate.
+const std::string& Encoded(const Transaction& txn) {
   thread_local std::string buf;
   buf.clear();
-  EncodeTxn(*this, &buf);
-  return crypto::Sha256::Digest(buf);
+  EncodeTxn(txn, &buf);
+  return buf;
+}
+
+}  // namespace
+
+crypto::Hash256 Transaction::Digest() const {
+  return crypto::Sha256::Digest(Encoded(*this));
+}
+
+size_t EncodedSize(const Transaction& txn) { return Encoded(txn).size(); }
+
+size_t EncodedSize(const TxnList& txns) {
+  size_t bytes = 0;
+  for (const Transaction& t : txns) bytes += EncodedSize(t);
+  return bytes;
 }
 
 void EncodeTxn(const Transaction& txn, std::string* out) {

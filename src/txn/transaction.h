@@ -135,6 +135,14 @@ void EncodeTxn(const Transaction& txn, std::string* out);
 /// false on underrun or an unknown op code.
 bool DecodeTxn(Decoder* dec, Transaction* out);
 
+/// \brief Bytes of EncodeTxn's output for `txn`: its size on the wire and
+/// in the block log. Encodes into Digest's per-thread buffer, so it
+/// allocates nothing and states no layout of its own.
+size_t EncodedSize(const Transaction& txn);
+
+/// \brief Sum of EncodedSize over `txns`: the payload of a batch or body.
+size_t EncodedSize(const TxnList& txns);
+
 /// \brief Read interface execution runs against (latest state or snapshot):
 /// the visible value of a key, or nullptr if it has none. The pointee must
 /// stay unchanged while the execution runs.

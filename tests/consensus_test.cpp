@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "check/harness.h"
 #include "consensus/cluster.h"
@@ -12,6 +15,7 @@
 #include "consensus/raft.h"
 #include "consensus/tendermint.h"
 #include "obs/metrics.h"
+#include "store/codec.h"
 
 namespace pbc::consensus {
 namespace {
@@ -517,6 +521,7 @@ TEST(TendermintTest, BothVoteNamesReachHandleVote) {
 class ReplicaProbe : public Replica {
  public:
   using Replica::ArmTimer;
+  using Replica::BindDigest;
   using Replica::DeliverCommitted;
   using Replica::Forked;
   using Replica::KnownClientTxns;
@@ -696,7 +701,7 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
   EXPECT_EQ(sealer.chain().blocks().back().txns[0].id, 1u);
 }
 
-// A block-body message without a body is charged its 80-byte header and
+// A block-body message without a body is charged its header alone and
 // dropped on arrival, the way the store refuses a null body: nothing the
 // replica holds changes, and nothing is sent in reply.
 TEST(ReplicaTest, BodylessBlockBodyMessageChangesNothing) {
@@ -718,13 +723,127 @@ TEST(ReplicaTest, BodylessBlockBodyMessageChangesNothing) {
   w.sim.RunAll();
   EXPECT_EQ(w.net.stats().messages_sent, before.messages_sent + 1);
   EXPECT_EQ(w.net.stats().messages_delivered, before.messages_delivered + 1);
-  EXPECT_EQ(w.net.stats().bytes_sent, before.bytes_sent + 80);
+  EXPECT_EQ(w.net.stats().bytes_sent,
+            before.bytes_sent + ledger::BlockHeader::kEncodedBytes);
   EXPECT_EQ(probe.block_store().size(), 1u);
   EXPECT_NE(probe.block_store().Get(ref.block_hash), nullptr);
   EXPECT_EQ(probe.pool_size(), 1u);
   EXPECT_EQ(probe.committed_txns(), 0u);
   EXPECT_EQ(probe.chain().height(), 0u);
   EXPECT_EQ(probe.pending_deliveries(), 0u);
+}
+
+// A message is charged the bytes it carries, in the one txn layout: a
+// block body its encoding as the block log stores it, an inline batch its
+// txns' encodings. Sizes follow the contents, not the txn count.
+size_t EncodedLength(const txn::TxnList& txns) {
+  std::string bytes;
+  for (const txn::Transaction& t : txns) txn::EncodeTxn(t, &bytes);
+  return bytes.size();
+}
+
+TEST(WireSizeTest, BlockBodyIsChargedItsEncodedBlock) {
+  BlockBodyMsg msg;
+  msg.body = ledger::VerifiedBlock::Seal(
+      5, crypto::Sha256::Digest(std::string("parent")),
+      {MakeKvTxn(1, "k", "v"),
+       MakeKvTxn(2, "a-longer-key", std::string(90, 'x'))},
+      1234);
+  EXPECT_EQ(msg.ByteSize(), store::EncodeBlock(msg.body->body()).size());
+}
+
+TEST(WireSizeTest, InlineBatchIsChargedItsEncodedTxns) {
+  Batch small = Inline({MakeKvTxn(1, "k", "v"), MakeKvTxn(2, "k", "w")});
+  Batch large =
+      Inline({MakeKvTxn(1, std::string(40, 'k'), std::string(200, 'v')),
+              MakeKvTxn(2, "k", std::string(50, 'w'))});
+  EXPECT_EQ(small.WireBytes(), EncodedLength(small.txns));
+  EXPECT_EQ(large.WireBytes(), EncodedLength(large.txns));
+  EXPECT_LT(small.WireBytes(), large.WireBytes());
+  Batch ref;
+  ref.block_ref = true;
+  ref.ref_txn_count = 2;
+  EXPECT_EQ(ref.WireBytes(), 40u);  // a hash and a count, whatever the body
+}
+
+// Every message a node receives, in arrival order.
+class RecordingNode : public sim::Node {
+ public:
+  RecordingNode(sim::NodeId id, sim::Network* net) : Node(id, net) {}
+  void OnMessage(sim::NodeId, const sim::MessagePtr& msg) override {
+    got.push_back(msg);
+  }
+  std::vector<sim::MessagePtr> got;
+};
+
+// Known gap (ROADMAP item 1), pinned so that the fix must flip it. A view
+// change carries only slots that are prepared and not committed, so a
+// slot this replica committed but cannot deliver yet (seq 1 never came)
+// reaches no new primary, which may fill that seq with a null batch while
+// other replicas deliver the real one: the n = 4 fork.
+TEST(PbftViewChangeGapTest, CommittedUndeliveredSlotIsLeftOutOfTheViewChange) {
+  World w(72);
+  ClusterConfig cfg;
+  cfg.replicas = {0, 1, 2, 3};
+  cfg.f = 1;
+  std::vector<crypto::PrivateKey> keys;
+  for (sim::NodeId id : cfg.replicas) {
+    keys.push_back(w.registry.RegisterDeterministic(id, 0xC0FFEE));
+  }
+  PbftReplica replica(1, &w.net, cfg, keys[1], &w.registry);  // primary is 0
+  std::vector<std::unique_ptr<RecordingNode>> peers;
+  for (sim::NodeId id : {0u, 2u, 3u}) {
+    peers.push_back(std::make_unique<RecordingNode>(id, &w.net));
+  }
+  w.net.Start();
+
+  txn::Transaction t = MakeKvTxn(1, "k", "v");
+  replica.SubmitTransaction(Shared(t));  // a known client txn, left pooled
+
+  const Batch batch = Inline({t});
+  const crypto::Hash256 digest = batch.Digest();
+  auto sign = [&](sim::NodeId from, const char* tag) {
+    return keys[from].Sign(ReplicaProbe::BindDigest(tag, 0, 2, digest));
+  };
+  auto pp = std::make_shared<PbftPrePrepare>();
+  pp->seq = 2;
+  pp->batch = batch;
+  pp->digest = digest;
+  pp->sig = sign(0, "pbft-pp");
+  replica.OnMessage(0, pp);
+  for (sim::NodeId from : {0u, 2u, 3u}) {
+    auto p = std::make_shared<PbftPrepare>();
+    p->seq = 2;
+    p->digest = digest;
+    p->sig = sign(from, "pbft-p");
+    replica.OnMessage(from, p);
+  }
+  for (sim::NodeId from : {0u, 2u, 3u}) {
+    auto c = std::make_shared<PbftCommit>();
+    c->seq = 2;
+    c->digest = digest;
+    c->sig = sign(from, "pbft-c");
+    replica.OnMessage(from, c);
+  }
+  ASSERT_EQ(replica.pending_deliveries(), 1u);  // seq 2 decided, buffered
+  ASSERT_EQ(replica.last_delivered_seq(), 0u);
+
+  // No progress with work pending: the progress timer starts view 1.
+  w.sim.Run(w.sim.now() + cfg.timeout_us + cfg.timeout_us / 2);
+  ASSERT_EQ(replica.view_changes(), 1u);
+  for (const auto& peer : peers) {
+    const PbftViewChange* vc = nullptr;
+    for (const sim::MessagePtr& m : peer->got) {
+      if (vc == nullptr) vc = sim::As<PbftViewChange>(*m);
+    }
+    ASSERT_NE(vc, nullptr) << "peer " << peer->id();
+    EXPECT_EQ(vc->new_view, 1u);
+    EXPECT_EQ(vc->last_delivered, 0u);
+    EXPECT_TRUE(std::none_of(vc->prepared.begin(), vc->prepared.end(),
+                             [](const PreparedProof& p) { return p.seq == 2; }))
+        << "seq 2 now travels with the view change: the gap is closed, so "
+           "flip this pin into a positive test";
+  }
 }
 
 // A protocol message that names its batch by block ref, as a proposal does.

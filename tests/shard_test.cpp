@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "obs/trace.h"
 #include "shard/resilientdb.h"
 #include "shard/sharper.h"
 #include "shard/two_phase.h"
@@ -416,6 +420,93 @@ TEST(SharperTest, ParallelNonOverlappingCrossTxns) {
   EXPECT_TRUE(out->results[4]);
   w.sim.Run(w.sim.now() + 10'000'000);
   EXPECT_EQ(sys.TotalBalance(), 200);
+}
+
+// --- Wire sizes --------------------------------------------------------------
+
+// A txn-carrying shard message is charged a fixed 96-byte header plus the
+// txn's encoded bytes, so its size follows the keys and values it carries.
+size_t Charged(const Transaction& t) {
+  std::string bytes;
+  txn::EncodeTxn(t, &bytes);
+  return 96 + bytes.size();
+}
+
+// The sizes of the `type` messages sent in `trace`.
+std::vector<uint64_t> SentBytes(const obs::TraceLog& trace,
+                                const std::string& type) {
+  std::vector<uint64_t> sizes;
+  for (const obs::TraceEvent& ev : trace.Snapshot()) {
+    if (ev.kind == obs::TraceKind::kSend && ev.label == type) {
+      sizes.push_back(ev.arg);
+    }
+  }
+  return sizes;
+}
+
+// Runs one deposit and then one cross-shard transfer through `sys`, whose
+// listener fills `out`; returns the sizes of the `type` messages the
+// transfer sent.
+template <typename System>
+std::vector<uint64_t> CrossShardSizes(World* w, System* sys, Outcome* out,
+                                      const Transaction& transfer,
+                                      const std::string& type) {
+  obs::TraceLog trace(1 << 16);
+  w->net.AttachObs(nullptr, &trace);
+  w->net.Start();
+  sys->Submit(Deposit(1, transfer.ops[0].key, 100));
+  EXPECT_TRUE(w->sim.RunUntil([&] { return out->count(1) == 1; },
+                              kMaxSimTime));
+  trace.Clear();
+  sys->Submit(transfer);
+  EXPECT_TRUE(w->sim.RunUntil([&] { return out->count(transfer.id) == 1; },
+                              kMaxSimTime));
+  w->net.AttachObs(nullptr, nullptr);
+  return SentBytes(trace, type);
+}
+
+TEST(ShardWireSizeTest, TxnMessagesAreChargedTheEncodedTxn) {
+  const Transaction transfer = Transfer(2, "s0/" + std::string(40, 'a'),
+                                        "s1/" + std::string(40, 'b'), 25);
+  {
+    World w(30);
+    SharperSystem sys(&w.net, &w.registry, 2);
+    auto out = Listen(&sys);
+    auto sizes =
+        CrossShardSizes(&w, &sys, out.get(), transfer, "sp-propose");
+    ASSERT_FALSE(sizes.empty());
+    for (uint64_t s : sizes) EXPECT_EQ(s, Charged(transfer));
+  }
+  {
+    World w(31);
+    TwoPhaseShardSystem sys(&w.net, &w.registry, TwoPhaseConfig::Ahl(2));
+    auto out = Listen(&sys);
+    auto sizes =
+        CrossShardSizes(&w, &sys, out.get(), transfer, "2pc-prepare");
+    ASSERT_FALSE(sizes.empty());
+    for (uint64_t s : sizes) EXPECT_EQ(s, Charged(transfer));
+  }
+  {
+    // ResilientDB shares each executed txn with the other clusters; an
+    // idle cluster's no-op stays a fixed 48 bytes.
+    World w(32);
+    obs::TraceLog trace(1 << 16);
+    w.net.AttachObs(nullptr, &trace);
+    ResilientDbSystem sys(&w.net, &w.registry, 2);
+    auto out = Listen(&sys);
+    w.net.Start();
+    const Transaction deposit = Deposit(1, std::string(60, 'k'), 5);
+    sys.Submit(0, deposit);
+    ASSERT_TRUE(w.sim.RunUntil([&] { return out->results.size() == 1; },
+                               kMaxSimTime));
+    w.net.AttachObs(nullptr, nullptr);
+    auto sizes = SentBytes(trace, "rdb-share");
+    EXPECT_NE(std::find(sizes.begin(), sizes.end(), Charged(deposit)),
+              sizes.end());
+    for (uint64_t s : sizes) {
+      EXPECT_TRUE(s == Charged(deposit) || s == 48u) << s;
+    }
+  }
 }
 
 // --- ResilientDB-style -----------------------------------------------------------

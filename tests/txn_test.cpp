@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "block/conflict.h"
 #include "common/rng.h"
@@ -180,6 +183,48 @@ TEST(TxnEncodingTest, BlockPayloadLayoutIsUnchanged) {
   const std::string payload = store::EncodeBlock(b);
   EXPECT_EQ(payload.size(), 311u);
   EXPECT_EQ(store::Crc32(payload), 0xE0991333u);
+}
+
+// Every wire size is a length of this one layout: a txn's is EncodeTxn's,
+// a header's is EncodeTo's, and a block's is store::EncodeBlock's, whether
+// a seal or a check made the VerifiedBlock.
+TEST(TxnEncodingTest, SizesAreEncodedLengths) {
+  Rng rng(29);
+  std::vector<Transaction> txns;
+  size_t txn_bytes = 0;
+  for (int i = 0; i < 50; ++i) {
+    txns.push_back(RandomTxn(&rng));
+    std::string bytes;
+    EncodeTxn(txns.back(), &bytes);
+    EXPECT_EQ(EncodedSize(txns.back()), bytes.size());
+    txn_bytes += bytes.size();
+  }
+  const TxnList list(txns);
+  EXPECT_EQ(EncodedSize(list), txn_bytes);
+
+  ledger::BlockHeader header;
+  header.height = 7;
+  header.prev_hash = crypto::Sha256::Digest(std::string("prev"));
+  header.txn_root = crypto::Sha256::Digest(std::string("root"));
+  header.timestamp_us = 99;
+  std::string bytes;
+  header.EncodeTo(&bytes);
+  EXPECT_EQ(bytes.size(), ledger::BlockHeader::kEncodedBytes);
+  Decoder dec{&bytes};
+  ledger::BlockHeader back;
+  ASSERT_TRUE(back.DecodeFrom(&dec));
+  EXPECT_EQ(dec.remaining(), 0u);
+  EXPECT_EQ(back.Hash(), header.Hash());
+
+  for (const TxnList& body : {list, TxnList()}) {
+    auto sealed = ledger::VerifiedBlock::Seal(3, header.prev_hash, body, 42);
+    EXPECT_EQ(sealed.encoded_bytes(),
+              store::EncodeBlock(sealed.body()).size());
+    auto verified = ledger::VerifiedBlock::Verify(
+        std::make_shared<const ledger::Block>(sealed.body()));
+    ASSERT_TRUE(verified.has_value());
+    EXPECT_EQ(verified->encoded_bytes(), sealed.encoded_bytes());
+  }
 }
 
 TEST(ExecuteTest, WriteProducesWriteSet) {
