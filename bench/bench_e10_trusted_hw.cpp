@@ -21,7 +21,6 @@
 namespace {
 
 using namespace pbc;
-using bench::SimWorld;
 
 constexpr uint64_t kSeed = 10;
 
@@ -89,53 +88,40 @@ void BM_Deployment(benchmark::State& state) {
   size_t replicas = static_cast<size_t>(state.range(0));
   double throughput = 0, msgs = 0;
   for (auto _ : state) {
-    SimWorld w(kSeed);
+    sim::World w(kSeed);
+    w.Observe();
     shard::TwoPhaseShardSystem sys(
         &w.net, &w.registry, shard::TwoPhaseConfig::Ahl(2, replicas));
-    bench::LatencyTracker tracker(&w.simulator);
+    bench::LatencyTracker tracker(&w.sim);
     size_t done = 0;
-    sys.set_listener([&](txn::TxnId id, bool) {
-      ++done;
-      tracker.Committed(id);
-    });
-    w.net.Start();
     workload::ShardedTransfers gen(2, 20, 1000, 0.2, 4);
-    size_t total = 0;
-    for (auto& d : gen.InitialDeposits()) {
-      sys.Submit(std::move(d));
-      ++total;
-    }
-    w.simulator.RunUntil([&] { return done >= total; }, 600'000'000);
+    bench::StartAndSettleDeposits(&w, &sys, &gen, &done, &tracker,
+                                  600'000'000);
     w.net.ResetStats();
-    sim::Time start = w.simulator.now();
+    sim::Time start = w.sim.now();
     size_t base = done;
     for (int i = 0; i < 60; ++i) {
       auto t = gen.NextTransfer();
       tracker.Submitted(t.id);
       sys.Submit(std::move(t));
     }
-    bool ok = w.simulator.RunUntil([&] { return done >= base + 60; },
-                                   600'000'000);
-    throughput = ok ? 60.0 / (static_cast<double>(w.simulator.now() - start) /
-                              1e6)
-                    : 0;
+    bool ok = w.sim.RunUntil([&] { return done >= base + 60; }, 600'000'000);
+    throughput = bench::PerSimSecond(ok, 60.0, w.sim.now() - start);
     msgs = static_cast<double>(w.net.stats().messages_sent) / 60.0;
 
     shard::ExportShardStats(sys.stats(), &w.metrics);
-    obs::Json params = obs::Json::Object();
-    params.Set("replicas_per_cluster", replicas);
     obs::Json extra = obs::Json::Object();
     extra.Set("completed", ok);
     extra.Set("msgs_per_txn", msgs);
     extra.Set("abort_rate", sys.stats().AbortRate());
     extra.Set("consensus_rounds",
               w.metrics.CounterValue("shard.consensus_rounds"));
-    obs::GlobalBenchReport().AddSeries(
+    bench::SeriesRow row = bench::CheckedRow(
         "deployment/replicas=" + std::to_string(replicas),
-        std::move(params),
-        obs::BenchReport::StandardMetrics(throughput, tracker.hist(),
-                                          w.net.stats().messages_sent,
-                                          std::move(extra), &w.metrics));
+        obs::Json::Object().Set("replicas_per_cluster", replicas), throughput,
+        tracker.hist(), std::move(extra), &w, bench::ChainsOf(sys.clusters()));
+    obs::GlobalBenchReport().AddSeries(row.name, std::move(row.params),
+                                       std::move(row.metrics));
   }
   state.counters["txn_per_simsec"] = throughput;
   state.counters["msgs_per_txn"] = msgs;

@@ -18,7 +18,6 @@ namespace {
 
 using namespace pbc;
 using bench::LatencyTracker;
-using bench::SimWorld;
 
 constexpr uint64_t kSeed = 12;
 constexpr int kTxns = 150;
@@ -44,9 +43,10 @@ const char* FaultName(Fault fault) {
 // out on the scheduler.
 template <typename ReplicaT>
 bench::SeriesRow FaultedCell(const char* label, Fault fault) {
-  SimWorld w(kSeed);
+  sim::World w(kSeed);
+  w.Observe();
   consensus::Cluster<ReplicaT> cluster(&w.net, &w.registry, 4);
-  LatencyTracker tracker(&w.simulator);
+  LatencyTracker tracker(&w.sim);
   // Replica 1 is healthy under every fault below; use it to observe
   // commits for the latency histogram.
   cluster.replica(1)->set_commit_listener(
@@ -81,31 +81,23 @@ bench::SeriesRow FaultedCell(const char* label, Fault fault) {
     cluster.Submit(t);
   }
   if (fault == Fault::kCrashLeader) {
-    w.simulator.Schedule(500, [&w] { w.net.Crash(0); });
+    w.sim.Schedule(500, [&w] { w.net.Crash(0); });
   }
-  bool ok = w.simulator.RunUntil(
+  bool ok = w.sim.RunUntil(
       [&] { return cluster.MinCommitted(skip) >= kTxns; }, kDeadline);
-  sim::Time elapsed = w.simulator.now();
-  double throughput = ok ? static_cast<double>(kTxns) /
-                               (static_cast<double>(elapsed) / 1e6)
-                         : 0;
-  double view_changes = static_cast<double>(
-      w.metrics.CounterValue("consensus.view_changes"));
-
-  bench::SeriesRow row;
-  row.name = std::string(label) + "/fault=" + FaultName(fault);
-  row.params = obs::Json::Object();
-  row.params.Set("fault", FaultName(fault));
-  row.params.Set("n", 4);
+  sim::Time elapsed = w.sim.now();
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
   extra.Set("sim_elapsed_us", elapsed);
-  extra.Set("view_changes", view_changes);
+  extra.Set("view_changes",
+            static_cast<double>(
+                w.metrics.CounterValue("consensus.view_changes")));
   extra.Set("msgs_dropped", w.net.stats().messages_dropped);
-  row.metrics = obs::BenchReport::StandardMetrics(
-      throughput, tracker.hist(), w.net.stats().messages_sent,
-      std::move(extra), &w.metrics);
-  return row;
+  return bench::CheckedRow(
+      std::string(label) + "/fault=" + FaultName(fault),
+      obs::Json::Object().Set("fault", FaultName(fault)).Set("n", 4),
+      bench::PerSimSecond(ok, kTxns, elapsed), tracker.hist(),
+      std::move(extra), &w, {cluster.chains()});
 }
 
 template <typename ReplicaT>

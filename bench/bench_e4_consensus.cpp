@@ -22,7 +22,6 @@ namespace {
 
 using namespace pbc;
 using bench::LatencyTracker;
-using bench::SimWorld;
 
 constexpr uint64_t kSeed = 42;
 constexpr int kTxns = 200;
@@ -30,45 +29,46 @@ constexpr sim::Time kDeadline = 300'000'000;
 
 constexpr size_t kClusterSizes[] = {4, 7, 13, 25};
 
+// Submits `txns` KV txns at once and runs until every replica has
+// committed them, timing each on replica 0. Returns whether they all did.
+template <typename ReplicaT>
+bool RunKvTxns(sim::World* w, consensus::Cluster<ReplicaT>* cluster,
+               int txns, LatencyTracker* tracker) {
+  cluster->replica(0)->set_commit_listener(
+      [tracker](sim::NodeId, uint64_t, const consensus::Batch& batch) {
+        for (const auto& t : batch.txns) tracker->Committed(t.id);
+      });
+  w->net.Start();
+  for (int i = 0; i < txns; ++i) {
+    auto t = consensus::MakeKvTxn(i + 1, "k" + std::to_string(i % 17), "v");
+    tracker->Submitted(t.id);
+    cluster->Submit(t);
+  }
+  return w->sim.RunUntil(
+      [&] { return cluster->MinCommitted() >= static_cast<uint64_t>(txns); },
+      kDeadline);
+}
+
 // One (protocol, n) cell — pure function of its parameters and kSeed
 // (all metrics are simulated-time), so cells fan out on the scheduler.
 template <typename ReplicaT>
 bench::SeriesRow ConsensusCell(const char* label, size_t n) {
-  SimWorld w(kSeed);
+  sim::World w(kSeed);
+  w.Observe();
   consensus::Cluster<ReplicaT> cluster(&w.net, &w.registry, n);
-  LatencyTracker tracker(&w.simulator);
-  cluster.replica(0)->set_commit_listener(
-      [&](sim::NodeId, uint64_t, const consensus::Batch& batch) {
-        for (const auto& t : batch.txns) tracker.Committed(t.id);
-      });
-  w.net.Start();
-  for (int i = 0; i < kTxns; ++i) {
-    auto t = consensus::MakeKvTxn(i + 1, "k" + std::to_string(i % 17), "v");
-    tracker.Submitted(t.id);
-    cluster.Submit(t);
-  }
-  bool ok = w.simulator.RunUntil(
-      [&] { return cluster.MinCommitted() >= kTxns; }, kDeadline);
-  sim::Time elapsed = w.simulator.now();
-  double throughput = ok ? static_cast<double>(kTxns) /
-                               (static_cast<double>(elapsed) / 1e6)
-                         : 0.0;
-  double msgs_per_txn =
-      static_cast<double>(w.net.stats().messages_sent) / kTxns;
-
-  bench::SeriesRow row;
-  row.name = std::string(label) + "/n=" + std::to_string(n);
-  row.params = obs::Json::Object();
-  row.params.Set("n", n);
+  LatencyTracker tracker(&w.sim);
+  bool ok = RunKvTxns(&w, &cluster, kTxns, &tracker);
+  sim::Time elapsed = w.sim.now();
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
   extra.Set("sim_elapsed_us", elapsed);
-  extra.Set("msgs_per_txn", msgs_per_txn);
+  extra.Set("msgs_per_txn",
+            static_cast<double>(w.net.stats().messages_sent) / kTxns);
   extra.Set("view_changes", w.metrics.CounterValue("consensus.view_changes"));
-  row.metrics = obs::BenchReport::StandardMetrics(
-      throughput, tracker.hist(), w.net.stats().messages_sent,
-      std::move(extra), &w.metrics);
-  return row;
+  return bench::CheckedRow(
+      std::string(label) + "/n=" + std::to_string(n),
+      obs::Json::Object().Set("n", n), bench::PerSimSecond(ok, kTxns, elapsed),
+      tracker.hist(), std::move(extra), &w, {cluster.chains()});
 }
 
 template <typename ReplicaT>
@@ -120,7 +120,8 @@ constexpr int kOfferedLoads[] = {200, 400};
 template <typename ReplicaT>
 bench::SeriesRow BlockPipelineCell(const char* label, size_t block_max,
                                    int offered) {
-  SimWorld w(kSeed);
+  sim::World w(kSeed);
+  w.Observe();
   consensus::ClusterConfig cfg;
   if (block_max == 0) {
     cfg.batch_size = 1;  // per-txn baseline: one consensus round per txn
@@ -130,32 +131,11 @@ bench::SeriesRow BlockPipelineCell(const char* label, size_t block_max,
     cfg.block.max_delay_us = 5000;
   }
   consensus::Cluster<ReplicaT> cluster(&w.net, &w.registry, 4, cfg);
-  LatencyTracker tracker(&w.simulator);
-  cluster.replica(0)->set_commit_listener(
-      [&](sim::NodeId, uint64_t, const consensus::Batch& batch) {
-        for (const auto& t : batch.txns) tracker.Committed(t.id);
-      });
-  w.net.Start();
-  for (int i = 0; i < offered; ++i) {
-    auto t = consensus::MakeKvTxn(i + 1, "k" + std::to_string(i % 17), "v");
-    tracker.Submitted(t.id);
-    cluster.Submit(t);
-  }
-  bool ok = w.simulator.RunUntil(
-      [&] { return cluster.MinCommitted() >= static_cast<uint64_t>(offered); },
-      kDeadline);
-  sim::Time elapsed = w.simulator.now();
-  double throughput = ok ? static_cast<double>(offered) /
-                               (static_cast<double>(elapsed) / 1e6)
-                         : 0.0;
+  LatencyTracker tracker(&w.sim);
+  bool ok = RunKvTxns(&w, &cluster, offered, &tracker);
+  sim::Time elapsed = w.sim.now();
   uint64_t chain_blocks = cluster.replica(0)->chain().height();
 
-  bench::SeriesRow row;
-  row.name = std::string(label) + "/block=" + std::to_string(block_max) +
-             "/offered=" + std::to_string(offered);
-  row.params = obs::Json::Object();
-  row.params.Set("block_max_txns", block_max);
-  row.params.Set("offered", offered);
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
   extra.Set("sim_elapsed_us", elapsed);
@@ -166,10 +146,14 @@ bench::SeriesRow BlockPipelineCell(const char* label, size_t block_max,
                 : static_cast<double>(offered) / chain_blocks);
   extra.Set("msgs_per_txn",
             static_cast<double>(w.net.stats().messages_sent) / offered);
-  row.metrics = obs::BenchReport::StandardMetrics(
-      throughput, tracker.hist(), w.net.stats().messages_sent,
-      std::move(extra), &w.metrics);
-  return row;
+  return bench::CheckedRow(
+      std::string(label) + "/block=" + std::to_string(block_max) +
+          "/offered=" + std::to_string(offered),
+      obs::Json::Object()
+          .Set("block_max_txns", block_max)
+          .Set("offered", offered),
+      bench::PerSimSecond(ok, offered, elapsed), tracker.hist(),
+      std::move(extra), &w, {cluster.chains()});
 }
 
 template <typename ReplicaT>

@@ -22,7 +22,6 @@ namespace {
 
 using namespace pbc;
 using bench::LatencyTracker;
-using bench::SimWorld;
 
 constexpr uint64_t kSeed = 5;
 constexpr uint32_t kEnterprises = 3;
@@ -30,7 +29,7 @@ constexpr int kTxns = 150;
 constexpr sim::Time kDeadline = 600'000'000;
 
 struct CaperWorld {
-  explicit CaperWorld(SimWorld* w, LatencyTracker* tracker)
+  explicit CaperWorld(sim::World* w, LatencyTracker* tracker)
       : caper(kEnterprises), tracker_(tracker) {
     for (uint32_t e = 0; e < kEnterprises; ++e) {
       internal.push_back(
@@ -86,8 +85,9 @@ constexpr int kCrossPercents[] = {0, 10, 30, 50, 100};
 // scheduler.
 bench::SeriesRow CaperCell(int cross_percent) {
   double cross_frac = static_cast<double>(cross_percent) / 100.0;
-  SimWorld w(kSeed);
-  LatencyTracker tracker(&w.simulator);
+  sim::World w(kSeed);
+  w.Observe();
+  LatencyTracker tracker(&w.sim);
   CaperWorld world(&w, &tracker);
   w.net.Start();
   workload::SupplyChain gen(kEnterprises, cross_frac, 9);
@@ -103,41 +103,40 @@ bench::SeriesRow CaperCell(int cross_percent) {
       ++internal_sent;
     }
   }
-  bool ok = w.simulator.RunUntil(
+  bool ok = w.sim.RunUntil(
       [&] {
         return world.caper.internal_committed() +
                    world.caper.cross_committed() >=
                static_cast<uint64_t>(kTxns);
       },
       kDeadline);
-  double throughput = ok ? static_cast<double>(kTxns) /
-                               (static_cast<double>(w.simulator.now()) / 1e6)
-                         : 0;
   double global_load =
       static_cast<double>(world.global->replica(0)->committed_txns());
 
-  bench::SeriesRow row;
-  row.name = "Caper/cross=" + std::to_string(cross_percent);
-  row.params = obs::Json::Object();
-  row.params.Set("cross_frac", cross_frac);
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
   extra.Set("internal_sent", internal_sent);
   extra.Set("cross_sent", cross_sent);
   extra.Set("global_cluster_txns", global_load);
-  row.metrics = obs::BenchReport::StandardMetrics(
-      throughput, tracker.hist(), w.net.stats().messages_sent,
-      std::move(extra), &w.metrics);
-  return row;
+  std::vector<bench::ChainGroup> chains = {world.global->chains()};
+  for (const auto& cluster : world.internal) {
+    chains.push_back(cluster->chains());
+  }
+  return bench::CheckedRow(
+      "Caper/cross=" + std::to_string(cross_percent),
+      obs::Json::Object().Set("cross_frac", cross_frac),
+      bench::PerSimSecond(ok, kTxns, w.sim.now()), tracker.hist(),
+      std::move(extra), &w, std::move(chains));
 }
 
 // Baseline cell: one blockchain — everything is globally ordered.
 bench::SeriesRow SingleBlockchainCell(int cross_percent) {
-  SimWorld w(kSeed);
+  sim::World w(kSeed);
+  w.Observe();
   consensus::Cluster<consensus::PbftReplica> global(
       &w.net, &w.registry, 4 * kEnterprises, consensus::ClusterConfig{},
       1000);
-  LatencyTracker tracker(&w.simulator);
+  LatencyTracker tracker(&w.sim);
   global.replica(0)->set_commit_listener(
       [&](sim::NodeId, uint64_t, const consensus::Batch& batch) {
         for (const auto& t : batch.txns) tracker.Committed(t.id);
@@ -152,22 +151,16 @@ bench::SeriesRow SingleBlockchainCell(int cross_percent) {
     tracker.Submitted(t.id);
     global.Submit(std::move(t));
   }
-  bool ok = w.simulator.RunUntil(
+  bool ok = w.sim.RunUntil(
       [&] { return global.MinCommitted() >= kTxns; }, kDeadline);
-  double throughput = ok ? static_cast<double>(kTxns) /
-                               (static_cast<double>(w.simulator.now()) / 1e6)
-                         : 0;
-
-  bench::SeriesRow row;
-  row.name = "SingleBlockchain/cross=" + std::to_string(cross_percent);
-  row.params = obs::Json::Object();
-  row.params.Set("cross_frac", static_cast<double>(cross_percent) / 100.0);
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
-  row.metrics = obs::BenchReport::StandardMetrics(
-      throughput, tracker.hist(), w.net.stats().messages_sent,
-      std::move(extra), &w.metrics);
-  return row;
+  return bench::CheckedRow(
+      "SingleBlockchain/cross=" + std::to_string(cross_percent),
+      obs::Json::Object().Set("cross_frac",
+                              static_cast<double>(cross_percent) / 100.0),
+      bench::PerSimSecond(ok, kTxns, w.sim.now()), tracker.hist(),
+      std::move(extra), &w, {global.chains()});
 }
 
 void BM_Caper(benchmark::State& state) {

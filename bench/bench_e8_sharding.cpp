@@ -23,7 +23,6 @@ namespace {
 
 using namespace pbc;
 using bench::LatencyTracker;
-using bench::SimWorld;
 
 constexpr uint64_t kSeed = 8;
 constexpr int kTxnsPerShard = 40;
@@ -33,23 +32,14 @@ constexpr uint32_t kShardCounts[] = {1, 2, 4, 8};
 // One SharPer cell — simulated-time metrics only, so cells fan out on
 // the scheduler.
 bench::SeriesRow SharperCell(uint32_t shards) {
-  SimWorld w(kSeed);
+  sim::World w(kSeed);
+  w.Observe();
   shard::SharperSystem sys(&w.net, &w.registry, shards);
-  LatencyTracker tracker(&w.simulator);
+  LatencyTracker tracker(&w.sim);
   size_t done = 0;
-  sys.set_listener([&](txn::TxnId id, bool) {
-    ++done;
-    tracker.Committed(id);
-  });
-  w.net.Start();
   workload::ShardedTransfers gen(shards, 20, 1000, 0.1, 3);
-  size_t total = 0;
-  for (auto& d : gen.InitialDeposits()) {
-    sys.Submit(std::move(d));
-    ++total;
-  }
-  w.simulator.RunUntil([&] { return done >= total; }, kDeadline);
-  sim::Time start = w.simulator.now();
+  bench::StartAndSettleDeposits(&w, &sys, &gen, &done, &tracker, kDeadline);
+  sim::Time start = w.sim.now();
   size_t base = done;
   size_t txns = kTxnsPerShard * shards;
   // Closed-loop burst: measures capacity, not arrival rate.
@@ -58,34 +48,26 @@ bench::SeriesRow SharperCell(uint32_t shards) {
     tracker.Submitted(t.id);
     sys.Submit(std::move(t));
   }
-  bool ok =
-      w.simulator.RunUntil([&] { return done >= base + txns; }, kDeadline);
-  double throughput =
-      ok ? static_cast<double>(txns) /
-               (static_cast<double>(w.simulator.now() - start) / 1e6)
-         : 0;
-
+  bool ok = w.sim.RunUntil([&] { return done >= base + txns; }, kDeadline);
   shard::ExportShardStats(sys.stats(), &w.metrics);
-  bench::SeriesRow row;
-  row.name = "SharPer/shards=" + std::to_string(shards);
-  row.params = obs::Json::Object();
-  row.params.Set("shards", shards);
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
   extra.Set("abort_rate", sys.stats().AbortRate());
   extra.Set("consensus_rounds",
             w.metrics.CounterValue("shard.consensus_rounds"));
-  row.metrics = obs::BenchReport::StandardMetrics(
-      throughput, tracker.hist(), w.net.stats().messages_sent,
-      std::move(extra), &w.metrics);
-  return row;
+  return bench::CheckedRow(
+      "SharPer/shards=" + std::to_string(shards),
+      obs::Json::Object().Set("shards", shards),
+      bench::PerSimSecond(ok, txns, w.sim.now() - start), tracker.hist(),
+      std::move(extra), &w, bench::ChainsOf(sys.clusters()));
 }
 
 // One ResilientDB-style cell (single ledger, full replication).
 bench::SeriesRow ResilientDbCell(uint32_t clusters) {
-  SimWorld w(kSeed);
+  sim::World w(kSeed);
+  w.Observe();
   shard::ResilientDbSystem sys(&w.net, &w.registry, clusters);
-  LatencyTracker tracker(&w.simulator);
+  LatencyTracker tracker(&w.sim);
   size_t done = 0;
   sys.set_listener([&](txn::TxnId id, bool) {
     ++done;
@@ -96,31 +78,23 @@ bench::SeriesRow ResilientDbCell(uint32_t clusters) {
   // is single, so "cross-shard" has no meaning here.
   workload::ShardedTransfers gen(clusters, 20, 1000, 0.1, 3);
   size_t txns = kTxnsPerShard * clusters;
-  sim::Time start = w.simulator.now();
+  sim::Time start = w.sim.now();
   for (size_t i = 0; i < txns; ++i) {
     auto t = gen.NextTransfer();
     tracker.Submitted(t.id);
     sys.Submit(static_cast<uint32_t>(i % clusters), std::move(t));
   }
-  bool ok = w.simulator.RunUntil([&] { return done >= txns; }, kDeadline);
-  double throughput =
-      ok ? static_cast<double>(txns) /
-               (static_cast<double>(w.simulator.now() - start) / 1e6)
-         : 0;
-
-  bench::SeriesRow row;
-  row.name = "ResilientDB/clusters=" + std::to_string(clusters);
-  row.params = obs::Json::Object();
-  row.params.Set("clusters", clusters);
+  bool ok = w.sim.RunUntil([&] { return done >= txns; }, kDeadline);
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
   extra.Set("executed", sys.executed());
   extra.Set("consensus_rounds",
             w.metrics.CounterValue("shard.consensus_rounds"));
-  row.metrics = obs::BenchReport::StandardMetrics(
-      throughput, tracker.hist(), w.net.stats().messages_sent,
-      std::move(extra), &w.metrics);
-  return row;
+  return bench::CheckedRow(
+      "ResilientDB/clusters=" + std::to_string(clusters),
+      obs::Json::Object().Set("clusters", clusters),
+      bench::PerSimSecond(ok, txns, w.sim.now() - start), tracker.hist(),
+      std::move(extra), &w, bench::ChainsOf(sys.clusters()));
 }
 
 void BM_SharPer(benchmark::State& state) {

@@ -24,7 +24,6 @@ namespace {
 
 using namespace pbc;
 using bench::LatencyTracker;
-using bench::SimWorld;
 
 constexpr uint64_t kSeed = 9;
 constexpr uint32_t kShards = 4;
@@ -34,7 +33,7 @@ constexpr sim::Time kDeadline = 900'000'000;
 // WAN flavor for Saguaro/AHL comparison: links between coordinator 0 (the
 // AHL committee, or Saguaro's cloud root) and the shards are slow; fog
 // coordinators stay local.
-void SetupWan(SimWorld* w, shard::TwoPhaseShardSystem* sys) {
+void SetupWan(sim::World* w, shard::TwoPhaseShardSystem* sys) {
   auto nodes = [](shard::ShardCluster* c) {
     std::vector<sim::NodeId> ids;
     for (size_t i = 0; i < c->consensus()->size(); ++i) {
@@ -61,54 +60,40 @@ template <typename MakeSystem>
 bench::SeriesRow CrossCell(const char* label, MakeSystem make,
                            int cross_percent) {
   double cross_frac = static_cast<double>(cross_percent) / 100.0;
-  SimWorld w(kSeed);
+  sim::World w(kSeed);
+  w.Observe();
   auto sys = make(&w);
-  LatencyTracker tracker(&w.simulator);
+  LatencyTracker tracker(&w.sim);
   size_t done = 0;
-  sys->set_listener([&](txn::TxnId id, bool) {
-    tracker.Committed(id);
-    ++done;
-  });
-  w.net.Start();
   workload::ShardedTransfers gen(kShards, 20, 1000, cross_frac, 4);
-  size_t total = 0;
-  for (auto& d : gen.InitialDeposits()) {
-    sys->Submit(std::move(d));
-    ++total;
-  }
-  w.simulator.RunUntil([&] { return done >= total; }, kDeadline);
+  bench::StartAndSettleDeposits(&w, sys.get(), &gen, &done, &tracker,
+                                kDeadline);
   w.net.ResetStats();
   size_t base = done;
   // Open-loop arrivals every 5 ms: keeps no-wait 2PL lock conflicts from
   // dominating the latency comparison.
   for (int i = 0; i < kTxns; ++i) {
-    w.simulator.Schedule(
+    w.sim.Schedule(
         static_cast<sim::Time>(i) * 5000,
         [&sys, &tracker, t = gen.NextTransfer()]() mutable {
           tracker.Submitted(t.id);
           sys->Submit(std::move(t));
         });
   }
-  bool ok =
-      w.simulator.RunUntil([&] { return done >= base + kTxns; }, kDeadline);
-  double msgs = static_cast<double>(w.net.stats().messages_sent) / kTxns;
-
+  bool ok = w.sim.RunUntil([&] { return done >= base + kTxns; }, kDeadline);
   shard::ExportShardStats(sys->stats(), &w.metrics);
-  bench::SeriesRow row;
-  row.name = std::string(label) + "/cross=" + std::to_string(cross_percent);
-  row.params = obs::Json::Object();
-  row.params.Set("cross_frac", cross_frac);
-  row.params.Set("shards", kShards);
   obs::Json extra = obs::Json::Object();
   extra.Set("completed", ok);
-  extra.Set("msgs_per_txn", msgs);
+  extra.Set("msgs_per_txn",
+            static_cast<double>(w.net.stats().messages_sent) / kTxns);
   extra.Set("abort_rate", sys->stats().AbortRate());
   extra.Set("consensus_rounds",
             w.metrics.CounterValue("shard.consensus_rounds"));
-  row.metrics = obs::BenchReport::StandardMetrics(
-      /*throughput_txn_per_s=*/0.0, tracker.hist(),
-      w.net.stats().messages_sent, std::move(extra), &w.metrics);
-  return row;
+  return bench::CheckedRow(
+      std::string(label) + "/cross=" + std::to_string(cross_percent),
+      obs::Json::Object().Set("cross_frac", cross_frac).Set("shards", kShards),
+      /*throughput=*/0.0, tracker.hist(), std::move(extra), &w,
+      bench::ChainsOf(sys->clusters()));
 }
 
 template <typename MakeSystem>
@@ -125,7 +110,7 @@ void RunCross(benchmark::State& state, const char* label, MakeSystem make) {
 }
 
 void BM_AHL(benchmark::State& state) {
-  RunCross(state, "AHL", [](SimWorld* w) {
+  RunCross(state, "AHL", [](sim::World* w) {
     auto sys = std::make_unique<shard::TwoPhaseShardSystem>(
         &w->net, &w->registry, shard::TwoPhaseConfig::Ahl(kShards));
     // The reference committee sits "elsewhere": slow links to it.
@@ -135,14 +120,14 @@ void BM_AHL(benchmark::State& state) {
 }
 
 void BM_SharPer(benchmark::State& state) {
-  RunCross(state, "SharPer", [](SimWorld* w) {
+  RunCross(state, "SharPer", [](sim::World* w) {
     return std::make_unique<shard::SharperSystem>(&w->net, &w->registry,
                                                   kShards);
   });
 }
 
 void BM_Saguaro(benchmark::State& state) {
-  RunCross(state, "Saguaro", [](SimWorld* w) {
+  RunCross(state, "Saguaro", [](sim::World* w) {
     auto sys = std::make_unique<shard::TwoPhaseShardSystem>(
         &w->net, &w->registry, shard::TwoPhaseConfig::Saguaro(kShards, 2));
     // Only the cloud ROOT (coordinator 0) is far; fog coordinators local.

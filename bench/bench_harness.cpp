@@ -1,9 +1,12 @@
 #include "bench/bench_harness.h"
 
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <utility>
 
+#include "check/invariants.h"
 #include "obs/report.h"
 
 namespace pbc::bench {
@@ -25,6 +28,8 @@ std::unique_ptr<ThreadPool>& PoolSlot() {
   return pool;
 }
 
+std::atomic<size_t> dirty_cells{0};
+
 }  // namespace
 
 ThreadPool& BenchPool() {
@@ -45,6 +50,34 @@ void FanSeries(std::vector<SeriesCase> cases) {
     obs::GlobalBenchReport().AddSeries(row.name, std::move(row.params),
                                        std::move(row.metrics));
   }
+}
+
+SeriesRow CheckedRow(std::string name, obs::Json params, double throughput,
+                     const obs::Histogram& latency, obs::Json extra,
+                     sim::World* w, std::vector<ChainGroup> clusters) {
+  SeriesRow row{std::move(name), std::move(params),
+                obs::BenchReport::StandardMetrics(
+                    throughput, latency, w->net.stats().messages_sent,
+                    std::move(extra), &w->metrics)};
+  check::CheckerSuite suite(&w->sim);
+  std::vector<check::ChainAgreementChecker::ChainsFn> groups;
+  for (ChainGroup& chains : clusters) {
+    groups.push_back([chains = std::move(chains)] { return chains; });
+  }
+  suite.AddChainCheckers(std::move(groups));
+  suite.RunFinal();
+  if (!suite.violations().empty()) ++dirty_cells;
+  for (const check::Violation& v : suite.violations()) {
+    std::fprintf(stderr, "chain check failed: %s: %s: %s\n",
+                 row.name.c_str(), v.invariant.c_str(), v.detail.c_str());
+  }
+  return row;
+}
+
+size_t DirtyCells() { return dirty_cells.load(); }
+
+double PerSimSecond(bool ok, double count, sim::Time elapsed_us) {
+  return ok ? count / (static_cast<double>(elapsed_us) / 1e6) : 0.0;
 }
 
 void AttachSchedulerStats() {

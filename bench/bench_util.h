@@ -9,37 +9,27 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench/bench_harness.h"
 #include "consensus/cluster.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/trace.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
+#include "shard/common.h"
+#include "sim/world.h"
+#include "workload/workload.h"
 
 namespace pbc::bench {
 
-/// A simulated world with a fresh network + registry. A metrics registry
-/// and trace log are attached up front, so every instrumented layer
-/// (simulator, network, consensus, sharding) records into `metrics` and
-/// `trace`.
-struct SimWorld {
-  explicit SimWorld(uint64_t seed, sim::Time base_latency_us = 500,
-                    sim::Time jitter_us = 200)
-      : seed(seed), simulator(seed), net(&simulator) {
-    net.SetDefaultLatency({base_latency_us, jitter_us});
-    simulator.AttachMetrics(&metrics);
-    net.AttachObs(&metrics, &trace);
+/// One chain group per cluster of a sharded system (its `clusters()`).
+inline std::vector<ChainGroup> ChainsOf(
+    const std::vector<shard::ShardCluster*>& clusters) {
+  std::vector<ChainGroup> groups;
+  for (shard::ShardCluster* sc : clusters) {
+    groups.push_back(sc->consensus()->chains());
   }
-  uint64_t seed;
-  // Declared before simulator/net so they outlive them on destruction.
-  obs::MetricsRegistry metrics;
-  obs::TraceLog trace;
-  sim::Simulator simulator;
-  sim::Network net;
-  crypto::KeyRegistry registry;
-};
+  return groups;
+}
 
 /// Tracks per-transaction submit→commit latency in simulated time,
 /// including a histogram for percentile reporting.
@@ -74,6 +64,26 @@ class LatencyTracker {
   uint64_t total_us_ = 0;
   uint64_t count_ = 0;
 };
+
+/// Starts a sharded system's run: counts its finished txns in `*done`,
+/// timing each on `tracker`, then submits `gen`'s initial deposits and
+/// runs until they have all finished.
+template <typename System>
+void StartAndSettleDeposits(sim::World* w, System* sys,
+                            workload::ShardedTransfers* gen, size_t* done,
+                            LatencyTracker* tracker, sim::Time deadline) {
+  sys->set_listener([done, tracker](txn::TxnId id, bool) {
+    ++*done;
+    tracker->Committed(id);
+  });
+  w->net.Start();
+  size_t total = 0;
+  for (auto& d : gen->InitialDeposits()) {
+    sys->Submit(std::move(d));
+    ++total;
+  }
+  w->sim.RunUntil([&] { return *done >= total; }, deadline);
+}
 
 /// Times `n` ops in a dedicated pass outside the google-benchmark loop
 /// (per-op chrono reads inside the hot loop would skew ns-scale rates)
@@ -113,7 +123,8 @@ inline void SampleAndEmit(const std::string& name, size_t n,
 /// Replaces BENCHMARK_MAIN() for the experiment binaries: configures the
 /// process-wide BenchReport, runs the registered benchmarks (which add
 /// series rows via obs::GlobalBenchReport().AddSeries), then writes
-/// BENCH_<bench_name>.json into the working directory.
+/// BENCH_<bench_name>.json into the working directory. Exits 1 if any
+/// cell's chain check failed (bench::CheckedRow).
 #define PBC_BENCH_MAIN(bench_name, bench_seed, config_expr)               \
   int main(int argc, char** argv) {                                       \
     ::pbc::obs::GlobalBenchReport().Configure((bench_name), (bench_seed), \
@@ -127,7 +138,7 @@ inline void SampleAndEmit(const std::string& name, size_t n,
     if (!path.empty()) {                                                  \
       std::fprintf(stderr, "bench report: %s\n", path.c_str());           \
     }                                                                     \
-    return 0;                                                             \
+    return ::pbc::bench::DirtyCells() == 0 ? 0 : 1;                       \
   }
 
 #endif  // PBC_BENCH_BENCH_UTIL_H_

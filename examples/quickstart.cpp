@@ -9,21 +9,20 @@
 
 #include "consensus/cluster.h"
 #include "consensus/pbft.h"
+#include "sim/world.h"
 
 using namespace pbc;
 
 int main() {
   std::printf("== pbc quickstart: 5-node permissioned blockchain ==\n\n");
 
-  // A deterministic simulated network; every run reproduces exactly.
-  sim::Simulator simulator(/*seed=*/2026);
-  sim::Network net(&simulator);
-  net.SetDefaultLatency({500, 200});  // 0.5–0.7 ms links
+  // A deterministic simulated world: 0.5–0.7 ms network links, and the
+  // membership service's key registry. Every run reproduces exactly.
+  sim::World w(/*seed=*/2026);
 
-  // The membership service: five registered identities (Figure 1).
-  crypto::KeyRegistry registry;
-  consensus::Cluster<consensus::PbftReplica> cluster(&net, &registry, 5);
-  net.Start();
+  // Five registered identities (Figure 1).
+  consensus::Cluster<consensus::PbftReplica> cluster(&w.net, &w.registry, 5);
+  w.net.Start();
 
   // Clients submit transactions; any replica relays to the primary.
   std::printf("submitting 12 transactions...\n");
@@ -34,11 +33,11 @@ int main() {
   }
 
   // Run the network until every replica committed everything.
-  bool done = simulator.RunUntil(
+  bool done = w.sim.RunUntil(
       [&] { return cluster.MinCommitted() >= 12; }, /*until=*/60'000'000);
-  simulator.Run(simulator.now() + 2'000'000);  // let stragglers drain
+  w.sim.Run(w.sim.now() + 2'000'000);  // let stragglers drain
   std::printf("consensus reached: %s (simulated time: %.1f ms)\n\n",
-              done ? "yes" : "NO", simulator.now() / 1000.0);
+              done ? "yes" : "NO", w.sim.now() / 1000.0);
 
   // Every node now holds an identical hash-chained ledger.
   for (size_t i = 0; i < cluster.size(); ++i) {

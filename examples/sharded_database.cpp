@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "shard/sharper.h"
+#include "sim/world.h"
 #include "workload/workload.h"
 
 using namespace pbc;
@@ -15,27 +16,24 @@ using namespace pbc;
 int main() {
   std::printf("== sharded blockchain database (SharPer-style) ==\n\n");
 
-  sim::Simulator simulator(7);
-  sim::Network net(&simulator);
-  net.SetDefaultLatency({500, 200});
-  crypto::KeyRegistry registry;
+  sim::World w(7);
 
   constexpr uint32_t kShards = 3;
-  shard::SharperSystem db(&net, &registry, kShards);
+  shard::SharperSystem db(&w.net, &w.registry, kShards);
 
   size_t done = 0, committed = 0;
   db.set_listener([&](txn::TxnId, bool ok) {
     ++done;
     committed += ok ? 1 : 0;
   });
-  net.Start();
+  w.net.Start();
 
   // Seed accounts: 8 per shard, 100 coins each.
   workload::ShardedTransfers gen(kShards, 8, 100, /*cross_fraction=*/0.4, 3);
   auto deposits = gen.InitialDeposits();
   size_t total_submitted = deposits.size();
   for (auto& d : deposits) db.Submit(std::move(d));
-  simulator.RunUntil([&] { return done >= total_submitted; }, 120'000'000);
+  w.sim.RunUntil([&] { return done >= total_submitted; }, 120'000'000);
   std::printf("seeded %zu accounts across %u shards (total = %lld coins)\n",
               total_submitted, kShards,
               static_cast<long long>(gen.expected_total()));
@@ -45,19 +43,18 @@ int main() {
   // otherwise abort racing transfers over the same accounts).
   constexpr int kTransfers = 30;
   for (int i = 0; i < kTransfers; ++i) {
-    simulator.Schedule(static_cast<sim::Time>(i) * 5000,
-                       [&db, t = gen.NextTransfer()]() mutable {
-                         db.Submit(std::move(t));
-                       });
+    w.sim.Schedule(static_cast<sim::Time>(i) * 5000,
+                   [&db, t = gen.NextTransfer()]() mutable {
+                     db.Submit(std::move(t));
+                   });
   }
   total_submitted += kTransfers;
-  bool ok = simulator.RunUntil([&] { return done >= total_submitted; },
-                               300'000'000);
-  simulator.Run(simulator.now() + 30'000'000);  // drain commit markers
+  bool ok = w.sim.RunUntil([&] { return done >= total_submitted; },
+                           300'000'000);
+  w.sim.Run(w.sim.now() + 30'000'000);  // drain commit markers
 
   std::printf("processed %d transfers: %s (simulated time %.1f ms)\n",
-              kTransfers, ok ? "done" : "TIMEOUT",
-              simulator.now() / 1000.0);
+              kTransfers, ok ? "done" : "TIMEOUT", w.sim.now() / 1000.0);
   std::printf("  intra-shard committed: %llu, aborted: %llu\n",
               static_cast<unsigned long long>(db.stats().intra_committed),
               static_cast<unsigned long long>(db.stats().intra_aborted));
@@ -81,7 +78,7 @@ int main() {
               balance == gen.expected_total() ? "money conserved"
                                               : "VIOLATION");
   std::printf("network: %llu messages, %llu bytes\n",
-              static_cast<unsigned long long>(net.stats().messages_sent),
-              static_cast<unsigned long long>(net.stats().bytes_sent));
+              static_cast<unsigned long long>(w.net.stats().messages_sent),
+              static_cast<unsigned long long>(w.net.stats().bytes_sent));
   return balance == gen.expected_total() && ok ? 0 : 1;
 }

@@ -16,6 +16,7 @@
 #include "consensus/tendermint.h"
 #include "shard/sharper.h"
 #include "shard/two_phase.h"
+#include "sim/world.h"
 #include "txn/transaction.h"
 
 namespace pbc::check {
@@ -104,25 +105,8 @@ consensus::ClusterConfig ClusterConfigFor(const RunConfig& cfg,
   return cc;
 }
 
-struct World {
-  World(const World&) = delete;
-  World& operator=(const World&) = delete;
-  explicit World(uint64_t seed) : sim(seed), net(&sim) {
-    net.SetDefaultLatency(kDefaultLatency);
-    faults.net = &net;
-    faults.default_latency = kDefaultLatency;
-  }
-  static constexpr sim::LinkLatency kDefaultLatency{500, 200};
-  sim::Simulator sim;
-  sim::Network net;
-  crypto::KeyRegistry registry;
-  /// Every fault of the run goes through here; runs that host Byzantine
-  /// replicas or disks set its hooks.
-  FaultApplier faults;
-};
-
-void FillResult(RunResult* result, const CheckerSuite& suite, const World& w,
-                NemesisSchedule schedule) {
+void FillResult(RunResult* result, const CheckerSuite& suite,
+                const sim::World& w, NemesisSchedule schedule) {
   result->violations = suite.violations();
   result->coverage = suite.coverage();
   result->sim_events = w.sim.executed_events();
@@ -153,7 +137,11 @@ RunResult RunCluster(const RunConfig& cfg,
                      const NemesisSchedule* explicit_schedule) {
   const sim::Time horizon = HorizonFor(cfg);
   const bool bft = InFamily(cfg.protocol, ProtocolFamily::kBft);
-  World w(MixSeed(cfg));
+  sim::World w(MixSeed(cfg));
+  // Every fault of the run goes through here; Byzantine replicas and
+  // disks set its hooks below.
+  FaultApplier faults;
+  faults.net = &w.net;
 
   consensus::ClusterConfig cc = ClusterConfigFor(cfg, 5000);
   cc.batch_size = 8;  // several sequences per run, so faults land mid-stream
@@ -178,15 +166,8 @@ RunResult RunCluster(const RunConfig& cfg,
       StaticSchedule(cfg, topo, horizon, explicit_schedule);
 
   CheckerSuite suite(&w.sim);
-  auto chains = [&cluster] {
-    std::vector<const ledger::Chain*> v;
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      v.push_back(&cluster.replica(i)->chain());
-    }
-    return v;
-  };
-  suite.Add(std::make_unique<ChainAgreementChecker>(chains));
-  suite.Add(std::make_unique<ChainLinkageChecker>(chains));
+  auto chains =
+      suite.AddChainCheckers({[&cluster] { return cluster.chains(); }});
   suite.Add(std::make_unique<CommitValidityChecker>(
       chains, [max_id = cfg.txns](txn::TxnId id) {
         return id >= 1 && id <= max_id;
@@ -262,13 +243,13 @@ RunResult RunCluster(const RunConfig& cfg,
       },
       int64_t{0}));
 
-  w.faults.set_byzantine = [&cluster](const NemesisEvent& ev) {
+  faults.set_byzantine = [&cluster](const NemesisEvent& ev) {
     if (ev.replica_index < cluster.size()) {
       cluster.replica(ev.replica_index)->set_byzantine_mode(ev.mode);
     }
   };
   if (cfg.durable) {
-    w.faults.on_durable = [fs = fs.get()](const NemesisEvent& ev) {
+    faults.on_durable = [fs = fs.get()](const NemesisEvent& ev) {
       std::string prefix = "n" + std::to_string(ev.node) + "/";
       switch (ev.kind) {
         case NemesisKind::kTornWrite:
@@ -285,7 +266,7 @@ RunResult RunCluster(const RunConfig& cfg,
       }
     };
   }
-  schedule.Apply(&w.sim, &w.faults);
+  schedule.Apply(&w.sim, &faults);
 
   std::unique_ptr<ReactiveNemesis> reactive;
   if (!explicit_schedule && cfg.adversary != AdversaryMode::kRandom) {
@@ -319,7 +300,7 @@ RunResult RunCluster(const RunConfig& cfg,
       return obs;
     };
     reactive = std::make_unique<ReactiveNemesis>(std::move(opts), &w.sim,
-                                                 &w.faults, observer);
+                                                 &faults, observer);
     reactive->Arm();
   }
 
@@ -362,7 +343,9 @@ template <typename System>
 RunResult RunShard(const RunConfig& cfg,
                    const NemesisSchedule* explicit_schedule) {
   const sim::Time horizon = HorizonFor(cfg);
-  World w(MixSeed(cfg));
+  sim::World w(MixSeed(cfg));
+  FaultApplier faults;
+  faults.net = &w.net;
 
   // Short block timer cut: 2PC lock/decision markers ride the same pools,
   // so a long cut delay would serialize every cross-shard commit.
@@ -403,27 +386,12 @@ RunResult RunShard(const RunConfig& cfg,
 
   CheckerSuite suite(&w.sim);
   // Replica agreement within each cluster (cross-cluster chains are
-  // independent ledgers, so one checker per cluster).
-  auto add_chains = [](shard::ShardCluster* sc,
-                       std::vector<const ledger::Chain*>* v) {
-    auto* cluster = sc->consensus();
-    for (size_t i = 0; i < cluster->size(); ++i) {
-      v->push_back(&cluster->replica(i)->chain());
-    }
-  };
+  // independent ledgers), linkage over every chain.
+  std::vector<ChainAgreementChecker::ChainsFn> per_cluster;
   for (shard::ShardCluster* sc : clusters) {
-    suite.Add(std::make_unique<ChainAgreementChecker>([add_chains, sc] {
-      std::vector<const ledger::Chain*> v;
-      add_chains(sc, &v);
-      return v;
-    }));
+    per_cluster.push_back([sc] { return sc->consensus()->chains(); });
   }
-  auto all_chains = [add_chains, &clusters] {
-    std::vector<const ledger::Chain*> v;
-    for (shard::ShardCluster* sc : clusters) add_chains(sc, &v);
-    return v;
-  };
-  suite.Add(std::make_unique<ChainLinkageChecker>(all_chains));
+  auto all_chains = suite.AddChainCheckers(std::move(per_cluster));
   // Valid ids: client transactions plus the clusters' marker-id space
   // (ShardCluster::Marker sets bits >= 40).
   suite.Add(std::make_unique<CommitValidityChecker>(
@@ -469,7 +437,7 @@ RunResult RunShard(const RunConfig& cfg,
                atomicity->AllDecided();
       }));
 
-  schedule.Apply(&w.sim, &w.faults);
+  schedule.Apply(&w.sim, &faults);
   w.net.Start();
 
   txn::TxnId next_id = 1;

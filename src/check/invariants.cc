@@ -144,6 +144,23 @@ bool CrossShardAtomicityChecker::AllDecided() const {
 
 // --- CheckerSuite ----------------------------------------------------------
 
+ChainAgreementChecker::ChainsFn CheckerSuite::AddChainCheckers(
+    std::vector<ChainAgreementChecker::ChainsFn> clusters) {
+  for (const auto& chains : clusters) {
+    Add(std::make_unique<ChainAgreementChecker>(chains));
+  }
+  ChainAgreementChecker::ChainsFn all = [clusters = std::move(clusters)] {
+    std::vector<const ledger::Chain*> v;
+    for (const auto& chains : clusters) {
+      std::vector<const ledger::Chain*> c = chains();
+      v.insert(v.end(), c.begin(), c.end());
+    }
+    return v;
+  };
+  Add(std::make_unique<ChainLinkageChecker>(all));
+  return all;
+}
+
 void CheckerSuite::RunOne(InvariantChecker* checker) {
   ++coverage_[checker->name()];
   std::vector<Violation> found;

@@ -233,6 +233,13 @@ class CheckerSuite {
     return raw;
   }
 
+  /// Adds the chain checkers for independent consensus clusters: chain
+  /// agreement within each cluster's replica chains (one checker per
+  /// cluster) and chain linkage over all of them. Returns the function
+  /// that yields every chain, for checkers that audit them all.
+  ChainAgreementChecker::ChainsFn AddChainCheckers(
+      std::vector<ChainAgreementChecker::ChainsFn> clusters);
+
   /// Schedules `RunPeriodic` every `interval_us` until `until`.
   void StartPeriodic(sim::Time interval_us, sim::Time until);
 

@@ -360,7 +360,7 @@ void FaultApplier::operator()(const NemesisEvent& ev) const {
       net->SetDirectionalLinkLatency(ev.from, ev.to, ev.latency);
       break;
     case NemesisKind::kClearDelay:
-      net->SetDirectionalLinkLatency(ev.from, ev.to, default_latency);
+      net->SetDirectionalLinkLatency(ev.from, ev.to, net->default_latency());
       break;
     case NemesisKind::kByzantine:
       if (set_byzantine) set_byzantine(ev);

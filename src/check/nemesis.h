@@ -162,7 +162,6 @@ std::pair<NemesisEvent, NemesisEvent> FaultWindow(NemesisEvent down,
 /// the live run made.
 struct FaultApplier {
   sim::Network* net = nullptr;
-  sim::LinkLatency default_latency;  ///< what kClearDelay restores
   /// Sets a replica's Byzantine mode (kByzantine). Null when the system
   /// hosts no Byzantine replicas; the events are then dropped.
   std::function<void(const NemesisEvent&)> set_byzantine;

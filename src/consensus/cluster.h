@@ -47,6 +47,13 @@ class Cluster {
     for (auto& r : replicas_) r->SubmitTransaction(shared);
   }
 
+  /// Every replica's chain, in replica order.
+  std::vector<const ledger::Chain*> chains() const {
+    std::vector<const ledger::Chain*> out;
+    for (const auto& r : replicas_) out.push_back(&r->chain());
+    return out;
+  }
+
   /// All pairwise chains are prefix-consistent (the core safety check).
   bool ChainsConsistent() const {
     for (size_t i = 0; i < replicas_.size(); ++i) {

@@ -41,6 +41,12 @@ ResilientDbSystem::ResilientDbSystem(sim::Network* net,
   for (auto& m : merge_) m.slots.resize(num_clusters);
 }
 
+std::vector<ShardCluster*> ResilientDbSystem::clusters() const {
+  std::vector<ShardCluster*> out;
+  for (const auto& c : clusters_) out.push_back(c.get());
+  return out;
+}
+
 void ResilientDbSystem::Submit(uint32_t home, txn::Transaction txn) {
   ShardCluster* cluster = clusters_[home].get();
   cluster->OrderAndThen(txn, [this, home](const txn::Transaction& t) {

@@ -43,6 +43,8 @@ class ResilientDbSystem {
   uint32_t num_clusters() const {
     return static_cast<uint32_t>(clusters_.size());
   }
+  /// Every cluster, in cluster order.
+  std::vector<ShardCluster*> clusters() const;
 
   /// The globally-merged state as executed by cluster `i`. All clusters
   /// converge to identical stores (asserted by tests).

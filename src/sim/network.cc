@@ -100,12 +100,6 @@ bool Network::CrossGroup(const std::unordered_map<NodeId, int>& partition,
   return fi->second != ti->second;
 }
 
-bool Network::CanDeliver(NodeId from, NodeId to) const {
-  if (crashed_.count(to) > 0 || crashed_.count(from) > 0) return false;
-  if (partitioned_ && CrossGroup(partition_, from, to)) return false;
-  return true;
-}
-
 void Network::CountDrop(NodeId from, NodeId to, const Message& msg,
                         size_t bytes, const char* reason) {
   ++stats_.messages_dropped;
@@ -172,16 +166,15 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
                          msg = std::move(msg)] {
     // A partition was cut while this message was in flight: if it severed
     // this link, the message died on the wire — even if the partition has
-    // since healed.
+    // since healed. (A partition live at send time dropped it in Send, so
+    // only a cut since then can sever it here.)
     if (partition_cuts_ != cuts_at_send &&
         CrossGroup(last_partition_, from, to)) {
       CountDrop(from, to, *msg, bytes, "partition");
       return;
     }
-    if (!CanDeliver(from, to)) {
-      CountDrop(from, to, *msg, bytes,
-                crashed_.count(to) || crashed_.count(from) ? "crash"
-                                                           : "partition");
+    if (IsCrashed(to) || IsCrashed(from)) {
+      CountDrop(from, to, *msg, bytes, "crash");
       return;
     }
     auto it = nodes_.find(to);

@@ -125,6 +125,7 @@ struct NetworkStats {
   uint64_t messages_delivered = 0;
   uint64_t messages_dropped = 0;
   uint64_t bytes_sent = 0;
+  bool operator==(const NetworkStats&) const = default;
 };
 
 /// \brief The simulated network fabric connecting nodes.
@@ -143,6 +144,7 @@ class Network {
 
   /// Default latency for links without an override.
   void SetDefaultLatency(LinkLatency latency) { default_latency_ = latency; }
+  LinkLatency default_latency() const { return default_latency_; }
 
   /// Per-link latency override, applied to BOTH directions (links are
   /// symmetric by default — e.g. one WAN round trip between distant
@@ -237,7 +239,6 @@ class Network {
   }
 
  private:
-  bool CanDeliver(NodeId from, NodeId to) const;
   LinkLatency LatencyFor(NodeId from, NodeId to) const;
   /// True when `from`/`to` are in different groups of `partition` (nodes
   /// absent from every group are isolated).

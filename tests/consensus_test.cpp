@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "consensus/raft.h"
 #include "consensus/tendermint.h"
 #include "obs/metrics.h"
+#include "sim/world.h"
 #include "store/codec.h"
 
 namespace pbc::consensus {
@@ -22,14 +24,7 @@ namespace {
 
 constexpr sim::Time kMaxSimTime = 60'000'000;  // 60 simulated seconds
 
-struct World {
-  explicit World(uint64_t seed) : sim(seed), net(&sim) {
-    net.SetDefaultLatency({500, 200});
-  }
-  sim::Simulator sim;
-  sim::Network net;
-  crypto::KeyRegistry registry;
-};
+using sim::World;
 
 template <typename R>
 void SubmitN(Cluster<R>* cluster, int count, int base = 0) {
@@ -155,8 +150,7 @@ TYPED_TEST(BftProtocolTest, ToleratesCrashedLeaderViaViewChange) {
 
 TYPED_TEST(BftProtocolTest, SafeUnderSilentByzantineReplica) {
   World w(8);
-  obs::MetricsRegistry metrics;
-  w.net.AttachObs(&metrics, nullptr);
+  w.Observe();
   Cluster<TypeParam> cluster(&w.net, &w.registry, 4);
   cluster.replica(2)->set_byzantine_mode(ByzantineMode::kSilent);
   w.net.Start();
@@ -166,7 +160,7 @@ TYPED_TEST(BftProtocolTest, SafeUnderSilentByzantineReplica) {
   // The silent replica sent nothing on any link.
   const std::string from_silent =
       "net.link." + std::to_string(cluster.replica(2)->id()) + "->";
-  for (const auto& [name, counter] : metrics.counters()) {
+  for (const auto& [name, counter] : w.metrics.counters()) {
     if (name.rfind(from_silent, 0) == 0) {
       EXPECT_EQ(counter.value(), 0u) << name;
     }
@@ -441,8 +435,7 @@ TYPED_TEST(BftProtocolTest, BlockModeSafeUnderEquivocatingLeader) {
 template <typename R>
 void ExpectFaultFreeRunFetchesNoBody(uint64_t seed, size_t n) {
   World w(seed);
-  obs::MetricsRegistry metrics;
-  w.net.AttachObs(&metrics, nullptr);
+  w.Observe();
   Cluster<R> cluster(&w.net, &w.registry, n, BlockConfig(10));
   w.net.Start();
   for (int wave = 0; wave < 10; ++wave) {
@@ -451,8 +444,8 @@ void ExpectFaultFreeRunFetchesNoBody(uint64_t seed, size_t n) {
   }
   ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 200));
   EXPECT_TRUE(cluster.ChainsConsistent());
-  EXPECT_GT(metrics.CounterValue("net.sent.block-body"), 0u);
-  EXPECT_EQ(metrics.CounterValue("net.sent.block-fetch"), 0u);
+  EXPECT_GT(w.metrics.CounterValue("net.sent.block-body"), 0u);
+  EXPECT_EQ(w.metrics.CounterValue("net.sent.block-fetch"), 0u);
   for (size_t i = 0; i < cluster.size(); ++i) {
     EXPECT_FALSE(cluster.replica(i)->delivery_stalled_on_body())
         << "replica " << i;
@@ -596,8 +589,7 @@ void AdvanceTo(World* w, sim::Time t) {
 // clock for a returned txn.
 TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
   World w(56);
-  obs::MetricsRegistry metrics;
-  w.net.AttachObs(&metrics, nullptr);
+  w.Observe();
   ClusterConfig cfg;
   cfg.replicas = {0};
   cfg.batch_size = 2;
@@ -660,7 +652,7 @@ TEST(ReplicaTest, PoolKeepsItsSubmitTakeReturnCommitRules) {
   // Commit latency: one sample per txn submitted here, measured from its
   // first submission (txn 1 was re-submitted at 100, committed at 3000).
   const obs::Histogram* latency =
-      metrics.FindHistogram("consensus.commit_latency_us");
+      w.metrics.FindHistogram("consensus.commit_latency_us");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 3u);
   EXPECT_EQ(latency->sum(), 1000u + 1000u + 3000u);
@@ -877,10 +869,9 @@ TEST(ReplicaTest, MissingBodyIsFetchedOneJitterBoundAfterItsRef) {
   for (bool crash : {false, true}) {
     SCOPED_TRACE(crash ? "crash-recover before the re-sent ref" : "no crash");
     World w(59);
-    obs::MetricsRegistry metrics;
-    w.net.AttachObs(&metrics, nullptr);
-    auto fetches = [&metrics] {
-      return metrics.CounterValue("net.sent.block-fetch");
+    w.Observe();
+    auto fetches = [&w] {
+      return w.metrics.CounterValue("net.sent.block-fetch");
     };
     ClusterConfig cfg;
     cfg.block.enabled = true;
@@ -1035,6 +1026,111 @@ TEST(ReplicaTest, ReplayFilterBuildsOneListForChainAndListener) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[1], (std::vector<txn::Transaction>{txn(3)}));
   EXPECT_EQ(&seen[1].vec(), &filtered.txns.vec());
+}
+
+// Observing a world never changes its run: one seed, observed and not,
+// ends with the same events, traffic and chains.
+TEST(ObservationTest, ObservingAWorldChangesNoRun) {
+  auto run = [](bool observe) {
+    World w(83);
+    if (observe) w.Observe();
+    Cluster<PbftReplica> cluster(&w.net, &w.registry, 4, BlockConfig(10));
+    w.net.Start();
+    SubmitN(&cluster, 40);
+    EXPECT_TRUE(RunUntilCommitted(&w, &cluster, 40));
+    w.sim.Run(w.sim.now() + 1'000'000);
+    EXPECT_EQ(w.metrics.CounterValue("net.sent") > 0, observe);
+    std::vector<std::string> tips;
+    for (const ledger::Chain* chain : cluster.chains()) {
+      tips.push_back(chain->TipHash().ToHex());
+    }
+    return std::make_tuple(w.sim.executed_events(), w.net.stats(), tips);
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+// Known gap (ROADMAP item 2, "timers that die in a crash"), pinned so that
+// the fix must flip it. A crash cancels every timer a replica armed, and
+// Network::Recover does not call OnStart, so a recovered replica runs none
+// of the timers OnStart armed. Each case runs once without and once with
+// the crash-recover cycle; only the cycle shows the gap.
+
+// PBFT's propose tick: a recovered primary pools the txns submitted after
+// its recovery but never pre-prepares them, so nothing commits until the
+// backups' progress timers change the view away from it. (On this seed the
+// old primary then misses view 1's first pre-prepare, which overtakes the
+// NewView, and with no catch-up never commits; so the run waits on the
+// other three.)
+TEST(RecoveryTimerGapTest, PbftRecoveredPrimarySendsNoPrePrepare) {
+  for (bool cycle : {false, true}) {
+    SCOPED_TRACE(cycle ? "primary crash-recovered" : "no crash");
+    World w(80);
+    w.Observe();
+    Cluster<PbftReplica> cluster(&w.net, &w.registry, 4);
+    w.net.Start();
+    if (cycle) {
+      w.net.Crash(0);  // primary of view 0
+      w.net.Recover(0);
+    }
+    SubmitN(&cluster, 10);
+    ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10,
+                                  cycle ? std::vector<size_t>{0}
+                                        : std::vector<size_t>{}));
+    ASSERT_LE(w.trace.recorded(), w.trace.capacity());
+    size_t preprepares = 0;
+    for (const obs::TraceEvent& ev : w.trace.Snapshot()) {
+      if (ev.kind == obs::TraceKind::kSend && ev.a == 0 &&
+          ev.label == PbftPrePrepare::kType) {
+        ++preprepares;
+      }
+    }
+    EXPECT_EQ(preprepares == 0, cycle);
+    EXPECT_EQ(w.metrics.CounterValue("consensus.view_changes") > 0, cycle);
+    EXPECT_EQ(cluster.replica(1)->Status().view > 0, cycle);
+  }
+}
+
+// HotStuff's propose poll: an idle leader learns of new txns only from its
+// poll, so a recovered leader sits on them until the others' view timers
+// fire and a timeout view change hands them to the next leader.
+TEST(RecoveryTimerGapTest, HotStuffRecoveredLeaderNeverPolls) {
+  for (bool cycle : {false, true}) {
+    SCOPED_TRACE(cycle ? "leader crash-recovered" : "no crash");
+    World w(81);
+    w.Observe();
+    Cluster<HotStuffReplica> cluster(&w.net, &w.registry, 4);
+    w.net.Start();
+    w.sim.Run(100'000);  // the view-1 pipeline idles: no txns yet
+    ReplicaStatus idle = cluster.replica(0)->Status();
+    ASSERT_TRUE(idle.knows_leader);
+    const auto leader = static_cast<sim::NodeId>(idle.leader_index);
+    if (cycle) {
+      w.net.Crash(leader);
+      w.net.Recover(leader);
+    }
+    SubmitN(&cluster, 10);
+    ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10));
+    EXPECT_EQ(w.metrics.CounterValue("consensus.view_changes") > 0, cycle);
+  }
+}
+
+// Paxos's liveness timer: it is the only path to an election, so a cluster
+// whose every replica went through one crash-recover cycle never elects a
+// leader and never commits.
+TEST(RecoveryTimerGapTest, PaxosClusterRecoveredWholeNeverCommits) {
+  for (bool cycle : {false, true}) {
+    SCOPED_TRACE(cycle ? "every replica crash-recovered" : "no crash");
+    World w(82);
+    Cluster<PaxosReplica> cluster(&w.net, &w.registry, 3);
+    w.net.Start();
+    for (sim::NodeId id = 0; cycle && id < cluster.size(); ++id) {
+      w.net.Crash(id);
+      w.net.Recover(id);
+    }
+    SubmitN(&cluster, 10);
+    w.sim.Run(kMaxSimTime);
+    EXPECT_EQ(cluster.MinCommitted(), cycle ? 0u : 10u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "consensus/pbft.h"
 #include "consensus/raft.h"
 #include "shard/sharper.h"
+#include "sim/world.h"
 #include "workload/workload.h"
 
 namespace pbc {
@@ -22,11 +23,8 @@ constexpr sim::Time kMaxSimTime = 120'000'000;
 // ---------------------------------------------------------------------------
 
 TEST(IntegrationTest, PbftOrderingFeedsOxiiExecutionConsistently) {
-  sim::Simulator simulator(1);
-  sim::Network net(&simulator);
-  net.SetDefaultLatency({500, 200});
-  crypto::KeyRegistry registry;
-  consensus::Cluster<consensus::PbftReplica> cluster(&net, &registry, 4);
+  sim::World w(1);
+  consensus::Cluster<consensus::PbftReplica> cluster(&w.net, &w.registry, 4);
 
   // One OXII execution engine per replica, fed by that replica's commits.
   ThreadPool pool(4);
@@ -40,7 +38,7 @@ TEST(IntegrationTest, PbftOrderingFeedsOxiiExecutionConsistently) {
           if (!b.txns.empty()) engines[i]->ProcessBlock(b.txns);
         });
   }
-  net.Start();
+  w.net.Start();
 
   workload::ZipfianKv::Options opt;
   opt.hot_probability = 0.5;  // contended: the DAG matters
@@ -48,9 +46,9 @@ TEST(IntegrationTest, PbftOrderingFeedsOxiiExecutionConsistently) {
   workload::ZipfianKv gen(opt, 42);
   for (int i = 0; i < 60; ++i) cluster.Submit(gen.Next());
 
-  ASSERT_TRUE(simulator.RunUntil(
+  ASSERT_TRUE(w.sim.RunUntil(
       [&] { return cluster.MinCommitted() >= 60; }, kMaxSimTime));
-  simulator.Run(simulator.now() + 2'000'000);
+  w.sim.Run(w.sim.now() + 2'000'000);
 
   for (size_t i = 1; i < 4; ++i) {
     EXPECT_TRUE(engines[0]->store().SameLatestState(engines[i]->store()))
@@ -61,11 +59,8 @@ TEST(IntegrationTest, PbftOrderingFeedsOxiiExecutionConsistently) {
 }
 
 TEST(IntegrationTest, RaftOrderingFeedsXovWithIdenticalAborts) {
-  sim::Simulator simulator(2);
-  sim::Network net(&simulator);
-  net.SetDefaultLatency({500, 200});
-  crypto::KeyRegistry registry;
-  consensus::Cluster<consensus::RaftReplica> cluster(&net, &registry, 3);
+  sim::World w(2);
+  consensus::Cluster<consensus::RaftReplica> cluster(&w.net, &w.registry, 3);
 
   ThreadPool pool(4);
   std::vector<std::unique_ptr<arch::XovArchitecture>> engines;
@@ -76,7 +71,7 @@ TEST(IntegrationTest, RaftOrderingFeedsXovWithIdenticalAborts) {
           if (!b.txns.empty()) engines[i]->ProcessBlock(b.txns);
         });
   }
-  net.Start();
+  w.net.Start();
 
   workload::ZipfianKv::Options opt;
   opt.hot_probability = 0.7;
@@ -84,9 +79,9 @@ TEST(IntegrationTest, RaftOrderingFeedsXovWithIdenticalAborts) {
   workload::ZipfianKv gen(opt, 7);
   for (int i = 0; i < 40; ++i) cluster.Submit(gen.Next());
 
-  ASSERT_TRUE(simulator.RunUntil(
+  ASSERT_TRUE(w.sim.RunUntil(
       [&] { return cluster.MinCommitted() >= 40; }, kMaxSimTime));
-  simulator.Run(simulator.now() + 2'000'000);
+  w.sim.Run(w.sim.now() + 2'000'000);
 
   // Fabric's validation is deterministic: every replica aborts the same
   // transactions and reaches the same state.
@@ -105,66 +100,60 @@ TEST(IntegrationTest, RaftOrderingFeedsXovWithIdenticalAborts) {
 struct CaperOverPbft {
   static constexpr uint32_t kEnterprises = 3;
 
-  CaperOverPbft()
-      : simulator(11), net(&simulator), caper(kEnterprises) {
-    net.SetDefaultLatency({500, 200});
+  CaperOverPbft() : w(11), caper(kEnterprises) {
     // Per-enterprise internal clusters + one global cluster.
     for (uint32_t e = 0; e < kEnterprises; ++e) {
       internal.push_back(
           std::make_unique<consensus::Cluster<consensus::PbftReplica>>(
-              &net, &registry, 4, consensus::ClusterConfig{},
+              &w.net, &w.registry, 4, consensus::ClusterConfig{},
               /*base_id=*/100 * (e + 1)));
     }
     global = std::make_unique<consensus::Cluster<consensus::PbftReplica>>(
-        &net, &registry, 4, consensus::ClusterConfig{}, /*base_id=*/1000);
+        &w.net, &w.registry, 4, consensus::ClusterConfig{}, /*base_id=*/1000);
 
     // Wire orderers: Submit → consensus; commit → Caper's commit path.
     for (uint32_t e = 0; e < kEnterprises; ++e) {
       caper.SetInternalOrderer(
           e, [this, e](txn::Transaction t,
                        confidential::CaperSystem::CommitFn commit) {
-            pending_internal[e][t.id] = commit;
+            pending[t.id] = commit;
             internal[e]->Submit(std::move(t));
           });
       internal[e]->replica(0)->set_commit_listener(
-          [this, e](sim::NodeId, uint64_t, const consensus::Batch& batch) {
-            for (const auto& t : batch.txns) {
-              auto it = pending_internal[e].find(t.id);
-              if (it != pending_internal[e].end()) {
-                it->second(t);
-                pending_internal[e].erase(it);
-              }
-            }
+          [this](sim::NodeId, uint64_t, const consensus::Batch& batch) {
+            Drain(batch);
           });
     }
     caper.SetGlobalOrderer([this](txn::Transaction t,
                                   confidential::CaperSystem::CommitFn commit) {
-      pending_global[t.id] = commit;
+      pending[t.id] = commit;
       global->Submit(std::move(t));
     });
     global->replica(0)->set_commit_listener(
         [this](sim::NodeId, uint64_t, const consensus::Batch& batch) {
-          for (const auto& t : batch.txns) {
-            auto it = pending_global.find(t.id);
-            if (it != pending_global.end()) {
-              it->second(t);
-              pending_global.erase(it);
-            }
-          }
+          Drain(batch);
         });
-    net.Start();
+    w.net.Start();
   }
 
-  sim::Simulator simulator;
-  sim::Network net;
-  crypto::KeyRegistry registry;
+  // Hands each txn its orderer delivered to Caper's commit path, once.
+  void Drain(const consensus::Batch& batch) {
+    for (const auto& t : batch.txns) {
+      auto it = pending.find(t.id);
+      if (it != pending.end()) {
+        it->second(t);
+        pending.erase(it);
+      }
+    }
+  }
+
+  sim::World w;
   confidential::CaperSystem caper;
   std::vector<std::unique_ptr<consensus::Cluster<consensus::PbftReplica>>>
       internal;
   std::unique_ptr<consensus::Cluster<consensus::PbftReplica>> global;
-  std::map<uint32_t, std::map<txn::TxnId, confidential::CaperSystem::CommitFn>>
-      pending_internal;
-  std::map<txn::TxnId, confidential::CaperSystem::CommitFn> pending_global;
+  // Txn ids are unique across enterprises, so one map serves all orderers.
+  std::map<txn::TxnId, confidential::CaperSystem::CommitFn> pending;
 };
 
 TEST(IntegrationTest, CaperOverPbftOrderersCommitsBothKinds) {
@@ -182,7 +171,7 @@ TEST(IntegrationTest, CaperOverPbftOrderersCommitsBothKinds) {
       ++internal_sent;
     }
   }
-  ASSERT_TRUE(world.simulator.RunUntil(
+  ASSERT_TRUE(world.w.sim.RunUntil(
       [&] {
         return world.caper.internal_committed() ==
                    static_cast<uint64_t>(internal_sent) &&
@@ -210,7 +199,7 @@ TEST(IntegrationTest, CaperInternalTrafficAvoidsGlobalCluster) {
     auto step = chain.Next();
     ASSERT_TRUE(world.caper.SubmitInternal(step.enterprise, step.txn).ok());
   }
-  ASSERT_TRUE(world.simulator.RunUntil(
+  ASSERT_TRUE(world.w.sim.RunUntil(
       [&] { return world.caper.internal_committed() == 20; }, kMaxSimTime));
   EXPECT_EQ(world.global->replica(0)->committed_txns(), 0u);
 }
@@ -220,23 +209,20 @@ TEST(IntegrationTest, CaperInternalTrafficAvoidsGlobalCluster) {
 // ---------------------------------------------------------------------------
 
 TEST(IntegrationTest, SharperConservesMoneyUnderMixedWorkload) {
-  sim::Simulator simulator(21);
-  sim::Network net(&simulator);
-  net.SetDefaultLatency({500, 200});
-  crypto::KeyRegistry registry;
-  shard::SharperSystem sys(&net, &registry, 3);
+  sim::World w(21);
+  shard::SharperSystem sys(&w.net, &w.registry, 3);
   size_t done = 0;
   sys.set_listener([&](txn::TxnId, bool) { ++done; });
-  net.Start();
+  w.net.Start();
 
   workload::ShardedTransfers gen(3, 5, 100, 0.3, 13);
   auto deposits = gen.InitialDeposits();
   for (auto& d : deposits) sys.Submit(std::move(d));
-  ASSERT_TRUE(simulator.RunUntil([&] { return done >= 15; }, kMaxSimTime));
+  ASSERT_TRUE(w.sim.RunUntil([&] { return done >= 15; }, kMaxSimTime));
 
   for (int i = 0; i < 20; ++i) sys.Submit(gen.NextTransfer());
-  ASSERT_TRUE(simulator.RunUntil([&] { return done >= 35; }, kMaxSimTime));
-  simulator.Run(simulator.now() + 20'000'000);
+  ASSERT_TRUE(w.sim.RunUntil([&] { return done >= 35; }, kMaxSimTime));
+  w.sim.Run(w.sim.now() + 20'000'000);
   EXPECT_EQ(sys.TotalBalance(), gen.expected_total());
 }
 

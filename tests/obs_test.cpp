@@ -14,6 +14,7 @@
 #include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "sim/world.h"
 
 namespace pbc::obs {
 namespace {
@@ -257,24 +258,20 @@ class SinkNode : public sim::Node {
 // returns (registry dump, trace dump). Two same-seed runs must match
 // byte-for-byte; a different seed must diverge.
 std::pair<std::string, std::string> RunInstrumented(uint64_t seed) {
-  sim::Simulator simulator(seed);
-  sim::Network net(&simulator);
-  MetricsRegistry metrics;
-  TraceLog trace(1024);
-  net.AttachObs(&metrics, &trace);
-  simulator.AttachMetrics(&metrics);
-  net.SetDefaultLatency({100, 80});
-  net.SetDropRate(0.2);
-  SinkNode a(0, &net), b(1, &net), c(2, &net);
-  net.Start();
+  sim::World w(seed);
+  w.Observe();
+  w.net.SetDefaultLatency({100, 80});
+  w.net.SetDropRate(0.2);
+  SinkNode a(0, &w.net), b(1, &w.net), c(2, &w.net);
+  w.net.Start();
   for (int i = 0; i < 100; ++i) {
-    net.Send(0, 1, std::make_shared<ObsPingMsg>());
-    net.Send(1, 2, std::make_shared<ObsPingMsg>());
+    w.net.Send(0, 1, std::make_shared<ObsPingMsg>());
+    w.net.Send(1, 2, std::make_shared<ObsPingMsg>());
   }
-  simulator.Schedule(50, [&] { net.Crash(2); });
-  simulator.Schedule(5000, [&] { net.Recover(2); });
-  simulator.RunAll();
-  return {metrics.DebugString(), trace.DumpString()};
+  w.sim.Schedule(50, [&] { w.net.Crash(2); });
+  w.sim.Schedule(5000, [&] { w.net.Recover(2); });
+  w.sim.RunAll();
+  return {w.metrics.DebugString(), w.trace.DumpString()};
 }
 
 TEST(ObsDeterminismTest, SameSeedSameMetricsAndTrace) {
@@ -293,16 +290,14 @@ TEST(ObsDeterminismTest, DifferentSeedDiverges) {
 }
 
 TEST(ObsNetworkTest, TraceTimestampsNonDecreasing) {
-  sim::Simulator simulator(7);
-  sim::Network net(&simulator);
-  TraceLog trace(256);
-  net.AttachObs(nullptr, &trace);
-  net.SetDefaultLatency({100, 50});
-  SinkNode a(0, &net), b(1, &net);
-  net.Start();
-  for (int i = 0; i < 20; ++i) net.Send(0, 1, std::make_shared<ObsPingMsg>());
-  simulator.RunAll();
-  auto events = trace.Snapshot();
+  sim::World w(7);
+  w.Observe();
+  w.net.SetDefaultLatency({100, 50});
+  SinkNode a(0, &w.net), b(1, &w.net);
+  w.net.Start();
+  for (int i = 0; i < 20; ++i) w.net.Send(0, 1, std::make_shared<ObsPingMsg>());
+  w.sim.RunAll();
+  auto events = w.trace.Snapshot();
   ASSERT_FALSE(events.empty());
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].at_us, events[i - 1].at_us);
@@ -318,18 +313,16 @@ TEST(ObsNetworkTest, TraceTimestampsNonDecreasing) {
 }
 
 TEST(ObsNetworkTest, PerTypeAndPerLinkCounters) {
-  sim::Simulator simulator(3);
-  sim::Network net(&simulator);
-  MetricsRegistry metrics;
-  net.AttachObs(&metrics, nullptr);
-  SinkNode a(0, &net), b(1, &net);
-  net.Start();
-  for (int i = 0; i < 5; ++i) net.Send(0, 1, std::make_shared<ObsPingMsg>());
-  simulator.RunAll();
-  EXPECT_EQ(metrics.CounterValue("net.sent"), 5u);
-  EXPECT_EQ(metrics.CounterValue("net.sent.obs-ping"), 5u);
-  EXPECT_EQ(metrics.CounterValue("net.link.0->1.sent"), 5u);
-  EXPECT_EQ(metrics.CounterValue("net.delivered"), 5u);
+  sim::World w(3);
+  w.Observe();
+  SinkNode a(0, &w.net), b(1, &w.net);
+  w.net.Start();
+  for (int i = 0; i < 5; ++i) w.net.Send(0, 1, std::make_shared<ObsPingMsg>());
+  w.sim.RunAll();
+  EXPECT_EQ(w.metrics.CounterValue("net.sent"), 5u);
+  EXPECT_EQ(w.metrics.CounterValue("net.sent.obs-ping"), 5u);
+  EXPECT_EQ(w.metrics.CounterValue("net.link.0->1.sent"), 5u);
+  EXPECT_EQ(w.metrics.CounterValue("net.delivered"), 5u);
 }
 
 }  // namespace

@@ -2,20 +2,14 @@
 
 #include "consensus/cluster.h"
 #include "consensus/paxos.h"
+#include "sim/world.h"
 
 namespace pbc::consensus {
 namespace {
 
 constexpr sim::Time kMaxSimTime = 120'000'000;
 
-struct World {
-  explicit World(uint64_t seed) : sim(seed), net(&sim) {
-    net.SetDefaultLatency({500, 200});
-  }
-  sim::Simulator sim;
-  sim::Network net;
-  crypto::KeyRegistry registry;
-};
+using sim::World;
 
 bool RunUntilCommitted(World* w, Cluster<PaxosReplica>* cluster,
                        uint64_t expect, const std::vector<size_t>& skip = {}) {

@@ -6,20 +6,14 @@
 #include "consensus/hotstuff.h"
 #include "consensus/pbft.h"
 #include "consensus/tendermint.h"
+#include "sim/world.h"
 
 namespace pbc::consensus {
 namespace {
 
 constexpr sim::Time kMaxSimTime = 120'000'000;
 
-struct World {
-  explicit World(uint64_t seed) : sim(seed), net(&sim) {
-    net.SetDefaultLatency({500, 200});
-  }
-  sim::Simulator sim;
-  sim::Network net;
-  crypto::KeyRegistry registry;
-};
+using sim::World;
 
 // --- HotStuff specifics -----------------------------------------------------
 

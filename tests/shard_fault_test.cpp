@@ -7,6 +7,7 @@
 #include "shard/resilientdb.h"
 #include "shard/sharper.h"
 #include "shard/two_phase.h"
+#include "sim/world.h"
 
 namespace pbc::shard {
 namespace {
@@ -16,14 +17,7 @@ using txn::Transaction;
 
 constexpr sim::Time kMaxSimTime = 300'000'000;
 
-struct World {
-  explicit World(uint64_t seed) : sim(seed), net(&sim) {
-    net.SetDefaultLatency({500, 200});
-  }
-  sim::Simulator sim;
-  sim::Network net;
-  crypto::KeyRegistry registry;
-};
+using sim::World;
 
 Transaction Deposit(txn::TxnId id, const std::string& key, int64_t amount) {
   Transaction t;

@@ -9,6 +9,7 @@
 #include "sim/attested_log.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "sim/world.h"
 
 namespace pbc::sim {
 namespace {
@@ -104,9 +105,15 @@ std::shared_ptr<PingMsg> Ping(int v) {
   return m;
 }
 
-TEST(NetworkTest, DeliversWithLatency) {
-  Simulator sim(1);
-  Network net(&sim);
+// Each network test runs on a fresh seed-1 world.
+class NetworkTest : public ::testing::Test {
+ protected:
+  World w{1};
+  Simulator& sim = w.sim;
+  Network& net = w.net;
+};
+
+TEST_F(NetworkTest, DeliversWithLatency) {
   net.SetDefaultLatency({100, 0});
   EchoNode a(0, &net), b(1, &net);
   net.Send(0, 1, Ping(42));
@@ -116,9 +123,7 @@ TEST(NetworkTest, DeliversWithLatency) {
   EXPECT_EQ(sim.now(), 100u);
 }
 
-TEST(NetworkTest, CrashedNodeReceivesNothing) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, CrashedNodeReceivesNothing) {
   EchoNode a(0, &net), b(1, &net);
   net.Crash(1);
   net.Send(0, 1, Ping(1));
@@ -127,9 +132,7 @@ TEST(NetworkTest, CrashedNodeReceivesNothing) {
   EXPECT_EQ(net.stats().messages_dropped, 1u);
 }
 
-TEST(NetworkTest, CrashAfterSendBeforeDeliveryDrops) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, CrashAfterSendBeforeDeliveryDrops) {
   net.SetDefaultLatency({100, 0});
   EchoNode a(0, &net), b(1, &net);
   net.Send(0, 1, Ping(1));
@@ -138,9 +141,7 @@ TEST(NetworkTest, CrashAfterSendBeforeDeliveryDrops) {
   EXPECT_TRUE(b.received.empty());
 }
 
-TEST(NetworkTest, RecoveredNodeReceivesAgain) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, RecoveredNodeReceivesAgain) {
   EchoNode a(0, &net), b(1, &net);
   net.Crash(1);
   net.Send(0, 1, Ping(1));
@@ -151,9 +152,7 @@ TEST(NetworkTest, RecoveredNodeReceivesAgain) {
   EXPECT_EQ(b.received, std::vector<int>{2});
 }
 
-TEST(NetworkTest, PartitionBlocksCrossGroupTraffic) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, PartitionBlocksCrossGroupTraffic) {
   EchoNode a(0, &net), b(1, &net), c(2, &net);
   net.Partition({{0, 1}, {2}});
   net.Send(0, 1, Ping(1));  // same group: delivered
@@ -167,7 +166,7 @@ TEST(NetworkTest, PartitionBlocksCrossGroupTraffic) {
   EXPECT_EQ(c.received, std::vector<int>{3});
 }
 
-TEST(NetworkTest, DropRateDropsRoughlyThatFraction) {
+TEST_F(NetworkTest, DropRateDropsRoughlyThatFraction) {
   Simulator sim(99);
   Network net(&sim);
   net.SetDropRate(0.5);
@@ -177,9 +176,7 @@ TEST(NetworkTest, DropRateDropsRoughlyThatFraction) {
   EXPECT_NEAR(static_cast<double>(b.received.size()), 500.0, 100.0);
 }
 
-TEST(NetworkTest, PerLinkLatencyOverride) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, PerLinkLatencyOverride) {
   net.SetDefaultLatency({10, 0});
   net.SetLinkLatency(0, 2, {1000, 0});
   EchoNode a(0, &net), b(1, &net), c(2, &net);
@@ -192,9 +189,7 @@ TEST(NetworkTest, PerLinkLatencyOverride) {
   EXPECT_EQ(c.received.size(), 1u);
 }
 
-TEST(NetworkTest, StatsCountTraffic) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, StatsCountTraffic) {
   EchoNode a(0, &net), b(1, &net);
   for (int i = 0; i < 10; ++i) net.Send(0, 1, Ping(i));
   sim.RunAll();
@@ -203,9 +198,7 @@ TEST(NetworkTest, StatsCountTraffic) {
   EXPECT_GT(net.stats().bytes_sent, 0u);
 }
 
-TEST(NetworkTest, TimersSkipCrashedNodes) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, TimersSkipCrashedNodes) {
   EchoNode a(0, &net);
   int fired = 0;
   a.SetTimer(100, [&] { fired++; });
@@ -214,7 +207,7 @@ TEST(NetworkTest, TimersSkipCrashedNodes) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(NetworkTest, IdenticalSeedsProduceIdenticalTraceAndMetricsBytes) {
+TEST_F(NetworkTest, IdenticalSeedsProduceIdenticalTraceAndMetricsBytes) {
   // Regression for the detlint `unordered-iter` rule (DESIGN.md §10):
   // Network::Start() used to walk an unordered_map, so the OnStart — and
   // therefore first-send — order depended on heap addresses and could
@@ -222,14 +215,10 @@ TEST(NetworkTest, IdenticalSeedsProduceIdenticalTraceAndMetricsBytes) {
   // trace and metrics dumps are the byte-level observables the seed-sweep
   // reports are built from, so they must match exactly.
   auto run = [](uint64_t seed) {
-    obs::MetricsRegistry metrics;
-    obs::TraceLog trace;
-    Simulator sim(seed);
-    Network net(&sim);
-    sim.AttachMetrics(&metrics);
-    net.AttachObs(&metrics, &trace);
-    net.SetDefaultLatency({100, 50});
-    net.SetDropRate(0.1);
+    World w(seed);
+    w.Observe();
+    w.net.SetDefaultLatency({100, 50});
+    w.net.SetDropRate(0.1);
 
     // Nodes that gossip on start: start order reaches message order.
     class GossipNode : public Node {
@@ -255,17 +244,17 @@ TEST(NetworkTest, IdenticalSeedsProduceIdenticalTraceAndMetricsBytes) {
 
     std::vector<std::unique_ptr<GossipNode>> nodes;
     for (NodeId id = 0; id < 5; ++id) {
-      nodes.push_back(std::make_unique<GossipNode>(id, &net, 2));
+      nodes.push_back(std::make_unique<GossipNode>(id, &w.net, 2));
     }
-    net.Start();
-    sim.Schedule(120, [&net] { net.Crash(3); });
-    sim.Schedule(400, [&net] { net.Partition({{0, 1, 2}, {3, 4}}); });
-    sim.Schedule(900, [&net] {
-      net.Heal();
-      net.Recover(3);
+    w.net.Start();
+    w.sim.Schedule(120, [&w] { w.net.Crash(3); });
+    w.sim.Schedule(400, [&w] { w.net.Partition({{0, 1, 2}, {3, 4}}); });
+    w.sim.Schedule(900, [&w] {
+      w.net.Heal();
+      w.net.Recover(3);
     });
-    sim.RunAll();
-    return trace.DumpString() + "\n---\n" + metrics.DebugString();
+    w.sim.RunAll();
+    return w.trace.DumpString() + "\n---\n" + w.metrics.DebugString();
   };
   std::string first = run(7);
   EXPECT_EQ(first, run(7));
@@ -275,7 +264,7 @@ TEST(NetworkTest, IdenticalSeedsProduceIdenticalTraceAndMetricsBytes) {
   EXPECT_NE(first.find("deliver"), std::string::npos);
 }
 
-TEST(NetworkTest, DeterministicAcrossRuns) {
+TEST_F(NetworkTest, DeterministicAcrossRuns) {
   auto run = [](uint64_t seed) {
     Simulator sim(seed);
     Network net(&sim);
@@ -290,12 +279,10 @@ TEST(NetworkTest, DeterministicAcrossRuns) {
 
 // --- Fault-injection edge cases --------------------------------------------
 
-TEST(NetworkTest, TimerArmedBeforeCrashNeverFiresAfterRecover) {
+TEST_F(NetworkTest, TimerArmedBeforeCrashNeverFiresAfterRecover) {
   // Regression: a timer armed pre-crash used to fire if the node recovered
   // before its deadline, resurrecting stale protocol state. Crash epochs
   // cancel it permanently.
-  Simulator sim(1);
-  Network net(&sim);
   EchoNode a(0, &net);
   int fired = 0;
   a.SetTimer(100, [&] { fired++; });
@@ -306,9 +293,7 @@ TEST(NetworkTest, TimerArmedBeforeCrashNeverFiresAfterRecover) {
   EXPECT_EQ(net.CrashEpoch(0), 1u);
 }
 
-TEST(NetworkTest, TimerArmedAfterRecoverFires) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, TimerArmedAfterRecoverFires) {
   EchoNode a(0, &net);
   int fired = 0;
   net.Crash(0);
@@ -318,11 +303,9 @@ TEST(NetworkTest, TimerArmedAfterRecoverFires) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(NetworkTest, TimerSpanningTwoCrashEpochsStaysDead) {
+TEST_F(NetworkTest, TimerSpanningTwoCrashEpochsStaysDead) {
   // Crash-recover-crash-recover: a timer from epoch 0 must not fire in
   // epoch 2 either.
-  Simulator sim(1);
-  Network net(&sim);
   EchoNode a(0, &net);
   int fired = 0;
   a.SetTimer(200, [&] { fired++; });
@@ -335,11 +318,9 @@ TEST(NetworkTest, TimerSpanningTwoCrashEpochsStaysDead) {
   EXPECT_EQ(net.CrashEpoch(0), 2u);
 }
 
-TEST(NetworkTest, PartitionDropsInFlightCrossGroupMessage) {
+TEST_F(NetworkTest, PartitionDropsInFlightCrossGroupMessage) {
   // A message sent before the partition but still on the wire when the
   // cut happens must be dropped, not delivered late.
-  Simulator sim(1);
-  Network net(&sim);
   net.SetDefaultLatency({100, 0});
   EchoNode a(0, &net), b(1, &net);
   net.Send(0, 1, Ping(1));
@@ -349,11 +330,9 @@ TEST(NetworkTest, PartitionDropsInFlightCrossGroupMessage) {
   EXPECT_EQ(net.stats().messages_dropped, 1u);
 }
 
-TEST(NetworkTest, HealDoesNotResurrectInFlightMessage) {
+TEST_F(NetworkTest, HealDoesNotResurrectInFlightMessage) {
   // Partition cuts the wire; healing before the scheduled delivery time
   // must not bring the datagram back.
-  Simulator sim(1);
-  Network net(&sim);
   net.SetDefaultLatency({100, 0});
   EchoNode a(0, &net), b(1, &net);
   net.Send(0, 1, Ping(1));
@@ -368,9 +347,7 @@ TEST(NetworkTest, HealDoesNotResurrectInFlightMessage) {
   EXPECT_EQ(b.received, std::vector<int>{2});
 }
 
-TEST(NetworkTest, InFlightWithinGroupSurvivesPartition) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, InFlightWithinGroupSurvivesPartition) {
   net.SetDefaultLatency({100, 0});
   EchoNode a(0, &net), b(1, &net), c(2, &net);
   net.Send(0, 1, Ping(1));  // same group once partitioned
@@ -379,11 +356,51 @@ TEST(NetworkTest, InFlightWithinGroupSurvivesPartition) {
   EXPECT_EQ(b.received, std::vector<int>{1});
 }
 
-TEST(NetworkTest, SetLinkLatencyIsSymmetric) {
+TEST_F(NetworkTest, DropLabelsNameWhatKilledAnInFlightMessage) {
+  // Each message is sent at t and meets two faults before it lands at
+  // t + 100. A cut since the send drops it as "partition" if the latest
+  // layout severs its link; otherwise a crashed end drops it as "crash".
+  w.Observe();
+  net.SetDefaultLatency({100, 0});
+  EchoNode a(0, &net), b(1, &net), c(2, &net);
+  auto dropped = [this](const std::string& label) {
+    return w.metrics.CounterValue("net.dropped." + label);
+  };
+
+  // Cut, then healed, in flight: the heal does not resurrect it.
+  net.Send(0, 1, Ping(1));
+  sim.Schedule(30, [&] { net.Partition({{0}, {1, 2}}); });
+  sim.Schedule(60, [&] { net.Heal(); });
+  sim.RunAll();
+  EXPECT_EQ(dropped("partition"), 1u);
+  EXPECT_EQ(dropped("crash"), 0u);
+
+  // The receiver crashes in flight, under a cut that keeps the link.
+  net.Send(0, 1, Ping(2));
+  sim.Schedule(30, [&] { net.Partition({{0, 1}, {2}}); });
+  sim.Schedule(60, [&] { net.Crash(1); });
+  sim.RunAll();
+  EXPECT_EQ(dropped("partition"), 1u);
+  EXPECT_EQ(dropped("crash"), 1u);
+  net.Recover(1);
+  net.Heal();
+
+  // Cut across groups, then re-cut into one group before it lands: only
+  // the latest layout counts, so it is delivered.
+  net.Send(0, 2, Ping(3));
+  sim.Schedule(30, [&] { net.Partition({{0}, {1, 2}}); });
+  sim.Schedule(60, [&] { net.Partition({{0, 1, 2}}); });
+  sim.RunAll();
+  EXPECT_EQ(dropped("partition"), 1u);
+  EXPECT_EQ(dropped("crash"), 1u);
+  EXPECT_EQ(w.metrics.CounterValue("net.dropped"), 2u);
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(c.received, std::vector<int>{3});
+}
+
+TEST_F(NetworkTest, SetLinkLatencyIsSymmetric) {
   // Regression: SetLinkLatency(a, b) used to install only the a→b
   // direction, so "WAN" benches accidentally modelled asymmetric links.
-  Simulator sim(1);
-  Network net(&sim);
   net.SetDefaultLatency({10, 0});
   net.SetLinkLatency(0, 1, {1000, 0});
   EchoNode a(0, &net), b(1, &net);
@@ -398,9 +415,7 @@ TEST(NetworkTest, SetLinkLatencyIsSymmetric) {
   EXPECT_EQ(sim.now(), 1000u);
 }
 
-TEST(NetworkTest, DirectionalLatencyOverridesOneDirection) {
-  Simulator sim(1);
-  Network net(&sim);
+TEST_F(NetworkTest, DirectionalLatencyOverridesOneDirection) {
   net.SetDefaultLatency({10, 0});
   net.SetLinkLatency(0, 1, {1000, 0});
   net.SetDirectionalLinkLatency(1, 0, {50, 0});  // fast downlink only
