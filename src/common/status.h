@@ -79,7 +79,6 @@ class Status {
 
   bool IsConflict() const { return code_ == StatusCode::kConflict; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsPermissionDenied() const {
     return code_ == StatusCode::kPermissionDenied;

@@ -41,10 +41,6 @@ class Channel {
   /// Executes and commits a batch of transactions as one block.
   void CommitBlock(const std::vector<txn::Transaction>& txns);
 
-  /// Number of replicas holding this channel's data (= member count):
-  /// the replication-overhead metric for E5.
-  size_t ReplicationFactor() const { return members_.size(); }
-
   store::LockTable* lock_table() { return &locks_; }
   store::KvStore* mutable_store() { return &store_; }
 
@@ -84,7 +80,6 @@ class ChannelSystem {
                             txn::EnterpriseId submitter);
 
   const Channel& channel(ChannelId id) const { return *channels_.at(id); }
-  bool HasChannel(ChannelId id) const { return channels_.count(id) > 0; }
   size_t num_channels() const { return channels_.size(); }
 
   /// Channels an enterprise belongs to.

@@ -70,9 +70,6 @@ class PdcChannel {
                                      const store::Value& value,
                                      uint64_t salt);
 
-  bool IsChannelMember(txn::EnterpriseId e) const {
-    return members_.count(e) > 0;
-  }
   bool IsCollectionMember(const CollectionId& c, txn::EnterpriseId e) const;
 
   /// Number of peers storing plaintext for a collection (replication /

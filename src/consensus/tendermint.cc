@@ -55,7 +55,8 @@ uint64_t TendermintReplica::TotalTallyPower(
 }
 
 void TendermintReplica::OnStart() {
-  // Validators stay idle until there is work (see Activate()).
+  // Re-arm, not re-run, the round: a restart must not propose twice.
+  if (active_) ArmStepTimeout(step_);
 }
 
 void TendermintReplica::SubmitTransaction(

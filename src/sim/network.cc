@@ -39,6 +39,7 @@ void Node::Broadcast(const std::vector<NodeId>& to, MessagePtr msg) {
 void Network::RegisterNode(Node* node) { nodes_[node->id()] = node; }
 
 void Network::Start() {
+  started_ = true;
   for (auto& [id, node] : nodes_) {
     if (!IsCrashed(id)) node->OnStart();
   }
@@ -125,6 +126,7 @@ void Network::Recover(NodeId id) {
     PBC_OBS_TRACE(trace_, now(), obs::TraceKind::kRecover, id, id, "",
                   CrashEpoch(id));
     if (fault_listener_) fault_listener_(id, /*crashed=*/false);
+    if (Node* n = node(id); started_ && n != nullptr) n->OnStart();
   }
 }
 
@@ -145,7 +147,7 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
 
   // A link severed by an active partition carries nothing: drop at send
   // time so a later Heal() cannot resurrect the message.
-  if (partitioned_ && CrossGroup(partition_, from, to)) {
+  if (partitioned_ && CrossGroup(cuts_.back(), from, to)) {
     CountDrop(from, to, *msg, bytes, "partition");
     return;
   }
@@ -161,17 +163,16 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
                     : sim_->rng()->NextU64(lat.jitter_us + 1);
   Time delay = lat.base_us + jitter;
 
-  uint64_t cuts_at_send = partition_cuts_;
+  size_t cuts_at_send = cuts_.size();
   sim_->Schedule(delay, [this, from, to, cuts_at_send, bytes,
                          msg = std::move(msg)] {
-    // A partition was cut while this message was in flight: if it severed
-    // this link, the message died on the wire — even if the partition has
-    // since healed. (A partition live at send time dropped it in Send, so
-    // only a cut since then can sever it here.)
-    if (partition_cuts_ != cuts_at_send &&
-        CrossGroup(last_partition_, from, to)) {
-      CountDrop(from, to, *msg, bytes, "partition");
-      return;
+    // Any cut since the send that severed this link killed the message on
+    // the wire. (A partition live at send time dropped it in Send.)
+    for (size_t i = cuts_at_send; i < cuts_.size(); ++i) {
+      if (CrossGroup(cuts_[i], from, to)) {
+        CountDrop(from, to, *msg, bytes, "partition");
+        return;
+      }
     }
     if (IsCrashed(to) || IsCrashed(from)) {
       CountDrop(from, to, *msg, bytes, "crash");
@@ -191,22 +192,19 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
 }
 
 void Network::Partition(const std::vector<std::vector<NodeId>>& groups) {
-  partition_.clear();
+  std::unordered_map<NodeId, int>& cut = cuts_.emplace_back();
   int group_index = 0;
   for (const auto& group : groups) {
-    for (NodeId id : group) partition_[id] = group_index;
+    for (NodeId id : group) cut[id] = group_index;
     ++group_index;
   }
   partitioned_ = true;
-  last_partition_ = partition_;
-  ++partition_cuts_;
   PBC_OBS_COUNT(metrics_, "net.partitions", 1);
   PBC_OBS_TRACE(trace_, now(), obs::TraceKind::kPartition, 0, 0, "",
                 groups.size());
 }
 
 void Network::Heal() {
-  partition_.clear();
   partitioned_ = false;
   PBC_OBS_COUNT(metrics_, "net.heals", 1);
   PBC_OBS_TRACE(trace_, now(), obs::TraceKind::kHeal, 0, 0, "", 0);

@@ -8,14 +8,10 @@
 // structured trace of every send/deliver/drop/crash/partition event.
 //
 // Fault-injection semantics (tested in sim_test.cpp):
-//  * Crash(id) starts a new crash epoch for the node: pending timers armed
-//    before the crash never fire, even if the node recovers before their
-//    deadline. Messages to/from a crashed node are dropped at delivery
-//    time.
-//  * Partition(groups) severs in-flight traffic: a message that crosses
-//    group boundaries is dropped even if it was sent before the partition
-//    or would be delivered after Heal() — healing restores the link, it
-//    does not resurrect datagrams that were on the wire when it was cut.
+//  * A crash kills a node's timers, and a recovery restarts the node (runs
+//    OnStart). Messages to/from a crashed node are dropped on delivery.
+//  * A partition cut kills every in-flight message it severed: neither
+//    Heal() nor a later cut that rejoins the link resurrects it.
 #ifndef PBC_SIM_NETWORK_H_
 #define PBC_SIM_NETWORK_H_
 
@@ -97,16 +93,14 @@ class Node {
   NodeId id() const { return id_; }
   Network* network() const { return net_; }
 
-  /// Called once when the simulation starts.
+  /// Called by Start() and again by every Recover(): safe to re-run.
   virtual void OnStart() {}
   /// Called on message delivery. Never invoked on crashed nodes.
   virtual void OnMessage(NodeId from, const MessagePtr& msg) = 0;
 
   /// Schedules `fn` after `delay`. The timer is cancelled if this node is
   /// crashed at firing time OR has crashed at any point since the timer
-  /// was armed (a crash-recover cycle wipes pending timers). Recover does
-  /// not call OnStart, so a recovered node re-arms only the timers its
-  /// message handlers arm.
+  /// was armed (a crash-recover cycle wipes pending timers).
   void SetTimer(Time delay, std::function<void()> fn);
 
  protected:
@@ -185,12 +179,11 @@ class Network {
 
   /// --- Fault injection -------------------------------------------------
 
-  /// Crash-stop: the node receives no further messages or timers, and all
-  /// timers armed before the crash are cancelled permanently (they stay
-  /// dead across a later Recover()).
+  /// Crash-stop: the node receives no further messages, and every timer it
+  /// armed is cancelled for good (a later Recover() does not revive it).
   void Crash(NodeId id);
-  /// Recovers a crashed node (it keeps its pre-crash state, but not its
-  /// pre-crash timers).
+  /// Restarts a crashed node: it keeps its pre-crash state, and OnStart
+  /// runs after the fault listener (if Start() has run).
   void Recover(NodeId id);
   bool IsCrashed(NodeId id) const { return crashed_.count(id) > 0; }
 
@@ -260,13 +253,12 @@ class Network {
   // Ordered map: never iterated today, but keep it address-independent so
   // a future walk (e.g. a skew dump) cannot introduce nondeterminism.
   std::map<NodeId, ClockSkew> clock_skew_;
-  bool partitioned_ = false;
-  std::unordered_map<NodeId, int> partition_;  // node -> group
-  // Most recent partition layout, kept across Heal() so deliveries can
-  // tell whether a cut happened while they were in flight.
-  std::unordered_map<NodeId, int> last_partition_;
+  bool started_ = false;
+  bool partitioned_ = false;  // cuts_.back() is live until Heal()
+  // Every Partition() layout (node -> group), oldest first: a delivery
+  // tests each cut made since its send.
+  std::vector<std::unordered_map<NodeId, int>> cuts_;
   FaultListener fault_listener_;
-  uint64_t partition_cuts_ = 0;  // incremented by every Partition() call
   NetworkStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceLog* trace_ = nullptr;

@@ -64,9 +64,6 @@ class SpendLog {
   /// Consumes a token. Corruption for bad signatures, Conflict for reuse.
   Status Spend(const Token& token);
 
-  bool IsSpent(const crypto::Hash256& serial) const {
-    return spent_.count(serial) > 0;
-  }
   size_t num_spent() const { return spent_.size(); }
 
  private:

@@ -653,7 +653,8 @@ TEST(PbftQuorumGapTest, LargeClustersCommitOnNonIntersectingQuorums) {
   EXPECT_TRUE(ForksChain("--protocol pbft " + at7))
       << "PBFT at n=7 no longer forks: did f start following n? Update "
          "this pin.";
-  for (const char* seed : {"7", "18", "24"}) {
+  // The first three forking seeds of a 0-199 scan.
+  for (const char* seed : {"18", "24", "61"}) {
     EXPECT_TRUE(ForksChain("--protocol pbft --cluster-size 6 --nemesis "
                            "crash,partition --txns 40 --seed-base " +
                            std::string(seed)))

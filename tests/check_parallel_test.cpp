@@ -8,6 +8,8 @@
 // cancellation is exercised, not just clean runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -246,12 +248,21 @@ TEST(CheckParallelTest, AdversaryReportIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(skew_golden, SweepDump(skewed, 8));
 }
 
-// The point of a state-aware adversary: at the same seed budget, chasing
-// the leader finds the seeded quorum bug that random fault schedules
-// miss. Seeds 0-9 at txns=20 are the verified budget — the leader
-// adversary catches the mutation at seed 2 (and 9); the random
-// generator's first catch is crash,partition seed 11, outside it.
-TEST(CheckParallelTest, LeaderAdversaryOuthuntsRandomNemesis) {
+// The point of a state-aware adversary is to find, at the same seed
+// budget, the seeded quorum bug that random fault schedules miss. At
+// txns=20 the leader adversary first catches the mutation at seed 2. Since
+// a recovered replica restarts, the random generator catches it first, at
+// crash,partition seed 1, so the leader adversary no longer outhunts it.
+// Pinned as a gap: this flips the day chasing the leader wins again.
+uint64_t FirstFailingSeed(const SweepReport& report) {
+  uint64_t first = UINT64_MAX;
+  for (const SweepFailure& failure : report.failures) {
+    first = std::min(first, failure.config.seed);
+  }
+  return first;
+}
+
+TEST(CheckParallelTest, RandomNemesisCatchesQuorumMutationBeforeLeader) {
   SweepOptions leader;
   leader.protocols = {Protocol::kPbft};
   leader.nemeses = {{}};
@@ -276,10 +287,12 @@ TEST(CheckParallelTest, LeaderAdversaryOuthuntsRandomNemesis) {
   random.nemeses = {
       {.crash = true, .partition = true},
       {.crash = true, .partition = true, .delay = true, .byzantine = true}};
-  SweepReport missed = RunSweep(random);
-  EXPECT_TRUE(missed.ok())
-      << "random nemesis caught the bug inside the budget — the canary "
-         "comparison needs a new seed range";
+  random.shrink = false;
+  SweepReport caught = RunSweep(random);
+  ASSERT_FALSE(caught.ok());
+  EXPECT_LT(FirstFailingSeed(caught), FirstFailingSeed(hunted))
+      << "the leader adversary catches the mutation first again: flip this "
+         "pin into the outhunt test";
 }
 
 // --- Scheduler observability -------------------------------------------------

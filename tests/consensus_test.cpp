@@ -1049,88 +1049,96 @@ TEST(ObservationTest, ObservingAWorldChangesNoRun) {
   EXPECT_EQ(run(true), run(false));
 }
 
-// Known gap (ROADMAP item 2, "timers that die in a crash"), pinned so that
-// the fix must flip it. A crash cancels every timer a replica armed, and
-// Network::Recover does not call OnStart, so a recovered replica runs none
-// of the timers OnStart armed. Each case runs once without and once with
-// the crash-recover cycle; only the cycle shows the gap.
+// A recovered replica restarts: Network::Recover re-runs OnStart, so the
+// timers a crash killed are armed again and the replica takes up its role.
 
-// PBFT's propose tick: a recovered primary pools the txns submitted after
-// its recovery but never pre-prepares them, so nothing commits until the
-// backups' progress timers change the view away from it. (On this seed the
-// old primary then misses view 1's first pre-prepare, which overtakes the
-// NewView, and with no catch-up never commits; so the run waits on the
-// other three.)
-TEST(RecoveryTimerGapTest, PbftRecoveredPrimarySendsNoPrePrepare) {
-  for (bool cycle : {false, true}) {
-    SCOPED_TRACE(cycle ? "primary crash-recovered" : "no crash");
-    World w(80);
-    w.Observe();
-    Cluster<PbftReplica> cluster(&w.net, &w.registry, 4);
-    w.net.Start();
-    if (cycle) {
-      w.net.Crash(0);  // primary of view 0
-      w.net.Recover(0);
+// PBFT's propose tick: a recovered primary pre-prepares the txns submitted
+// after its recovery, so all four replicas commit in view 0.
+TEST(RecoveryRestartTest, PbftRecoveredPrimaryPrePreparesWithoutViewChange) {
+  World w(80);
+  w.Observe();
+  Cluster<PbftReplica> cluster(&w.net, &w.registry, 4);
+  w.net.Start();
+  w.net.Crash(0);  // primary of view 0
+  w.net.Recover(0);
+  SubmitN(&cluster, 10);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10));
+  ASSERT_LE(w.trace.recorded(), w.trace.capacity());
+  size_t preprepares = 0;
+  for (const obs::TraceEvent& ev : w.trace.Snapshot()) {
+    if (ev.kind == obs::TraceKind::kSend && ev.a == 0 &&
+        ev.label == PbftPrePrepare::kType) {
+      ++preprepares;
     }
-    SubmitN(&cluster, 10);
-    ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10,
-                                  cycle ? std::vector<size_t>{0}
-                                        : std::vector<size_t>{}));
-    ASSERT_LE(w.trace.recorded(), w.trace.capacity());
-    size_t preprepares = 0;
-    for (const obs::TraceEvent& ev : w.trace.Snapshot()) {
-      if (ev.kind == obs::TraceKind::kSend && ev.a == 0 &&
-          ev.label == PbftPrePrepare::kType) {
-        ++preprepares;
-      }
-    }
-    EXPECT_EQ(preprepares == 0, cycle);
-    EXPECT_EQ(w.metrics.CounterValue("consensus.view_changes") > 0, cycle);
-    EXPECT_EQ(cluster.replica(1)->Status().view > 0, cycle);
   }
+  EXPECT_GT(preprepares, 0u);
+  EXPECT_EQ(w.metrics.CounterValue("consensus.view_changes"), 0u);
+  EXPECT_EQ(cluster.replica(1)->Status().view, 0u);
 }
 
-// HotStuff's propose poll: an idle leader learns of new txns only from its
-// poll, so a recovered leader sits on them until the others' view timers
-// fire and a timeout view change hands them to the next leader.
-TEST(RecoveryTimerGapTest, HotStuffRecoveredLeaderNeverPolls) {
-  for (bool cycle : {false, true}) {
-    SCOPED_TRACE(cycle ? "leader crash-recovered" : "no crash");
-    World w(81);
-    w.Observe();
-    Cluster<HotStuffReplica> cluster(&w.net, &w.registry, 4);
-    w.net.Start();
-    w.sim.Run(100'000);  // the view-1 pipeline idles: no txns yet
-    ReplicaStatus idle = cluster.replica(0)->Status();
-    ASSERT_TRUE(idle.knows_leader);
-    const auto leader = static_cast<sim::NodeId>(idle.leader_index);
-    if (cycle) {
-      w.net.Crash(leader);
-      w.net.Recover(leader);
-    }
-    SubmitN(&cluster, 10);
-    ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10));
-    EXPECT_EQ(w.metrics.CounterValue("consensus.view_changes") > 0, cycle);
-  }
+// HotStuff's propose poll: a recovered idle leader polls again, so new txns
+// commit in its view with no timeout view change.
+TEST(RecoveryRestartTest, HotStuffRecoveredLeaderCommitsWithoutViewChange) {
+  World w(81);
+  w.Observe();
+  Cluster<HotStuffReplica> cluster(&w.net, &w.registry, 4);
+  w.net.Start();
+  w.sim.Run(100'000);  // the view-1 pipeline idles: no txns yet
+  ReplicaStatus idle = cluster.replica(0)->Status();
+  ASSERT_TRUE(idle.knows_leader);
+  const auto leader = static_cast<sim::NodeId>(idle.leader_index);
+  w.net.Crash(leader);
+  w.net.Recover(leader);
+  SubmitN(&cluster, 10);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10));
+  EXPECT_EQ(w.metrics.CounterValue("consensus.view_changes"), 0u);
 }
 
-// Paxos's liveness timer: it is the only path to an election, so a cluster
-// whose every replica went through one crash-recover cycle never elects a
-// leader and never commits.
-TEST(RecoveryTimerGapTest, PaxosClusterRecoveredWholeNeverCommits) {
-  for (bool cycle : {false, true}) {
-    SCOPED_TRACE(cycle ? "every replica crash-recovered" : "no crash");
-    World w(82);
-    Cluster<PaxosReplica> cluster(&w.net, &w.registry, 3);
-    w.net.Start();
-    for (sim::NodeId id = 0; cycle && id < cluster.size(); ++id) {
-      w.net.Crash(id);
-      w.net.Recover(id);
-    }
-    SubmitN(&cluster, 10);
-    w.sim.Run(kMaxSimTime);
-    EXPECT_EQ(cluster.MinCommitted(), cycle ? 0u : 10u);
+// Paxos's liveness timer is the only path to an election: a cluster whose
+// every replica went through one crash-recover cycle still elects a leader
+// and commits every txn.
+TEST(RecoveryRestartTest, PaxosClusterRecoveredWholeCommits) {
+  World w(82);
+  Cluster<PaxosReplica> cluster(&w.net, &w.registry, 3);
+  w.net.Start();
+  for (sim::NodeId id = 0; id < cluster.size(); ++id) {
+    w.net.Crash(id);
+    w.net.Recover(id);
   }
+  SubmitN(&cluster, 10);
+  ASSERT_TRUE(RunUntilCommitted(&w, &cluster, 10));
+  EXPECT_TRUE(cluster.ChainsConsistent());
+}
+
+// Known gap (ROADMAP item 2, "HotStuff spins"), pinned so that the fix
+// must flip it. HotStuff's HasPendingWork counts the chained tip, which is
+// always uncommitted, so once the txns have committed an idle leader keeps
+// proposing empty nodes. PBFT, over the same idle second, pre-prepares
+// nothing. Counting only pooled or taken txns stops the spin but lets idle
+// replicas drift apart in view; the fix needs a view-synchronising
+// pacemaker.
+template <typename R>
+uint64_t SendsInTheSecondAfterLastCommit(const char* type) {
+  World w(84);
+  w.Observe();
+  Cluster<R> cluster(&w.net, &w.registry, 4);
+  w.net.Start();
+  SubmitN(&cluster, 10);
+  EXPECT_TRUE(RunUntilCommitted(&w, &cluster, 10));
+  const std::string counter = std::string("net.sent.") + type;
+  const uint64_t before = w.metrics.CounterValue(counter);
+  w.sim.Run(w.sim.now() + 1'000'000);
+  EXPECT_EQ(cluster.MinCommitted(), 10u);
+  return w.metrics.CounterValue(counter) - before;
+}
+
+TEST(HotStuffIdleGapTest, IdleLeaderKeepsProposingWherePbftIdles) {
+  EXPECT_GT(SendsInTheSecondAfterLastCommit<HotStuffReplica>(
+                HsProposal::kType),
+            0u);
+  EXPECT_EQ(SendsInTheSecondAfterLastCommit<PbftReplica>(
+                PbftPrePrepare::kType),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

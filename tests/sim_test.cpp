@@ -358,8 +358,8 @@ TEST_F(NetworkTest, InFlightWithinGroupSurvivesPartition) {
 
 TEST_F(NetworkTest, DropLabelsNameWhatKilledAnInFlightMessage) {
   // Each message is sent at t and meets two faults before it lands at
-  // t + 100. A cut since the send drops it as "partition" if the latest
-  // layout severs its link; otherwise a crashed end drops it as "crash".
+  // t + 100. A cut since the send drops it as "partition" if any such cut
+  // severed its link; otherwise a crashed end drops it as "crash".
   w.Observe();
   net.SetDefaultLatency({100, 0});
   EchoNode a(0, &net), b(1, &net), c(2, &net);
@@ -385,17 +385,55 @@ TEST_F(NetworkTest, DropLabelsNameWhatKilledAnInFlightMessage) {
   net.Recover(1);
   net.Heal();
 
-  // Cut across groups, then re-cut into one group before it lands: only
-  // the latest layout counts, so it is delivered.
+  // Cut across groups, then re-cut into one group before it lands: the
+  // first cut killed it, and the re-cut does not resurrect it.
   net.Send(0, 2, Ping(3));
   sim.Schedule(30, [&] { net.Partition({{0}, {1, 2}}); });
   sim.Schedule(60, [&] { net.Partition({{0, 1, 2}}); });
   sim.RunAll();
-  EXPECT_EQ(dropped("partition"), 1u);
+  EXPECT_EQ(dropped("partition"), 2u);
   EXPECT_EQ(dropped("crash"), 1u);
-  EXPECT_EQ(w.metrics.CounterValue("net.dropped"), 2u);
+  EXPECT_EQ(w.metrics.CounterValue("net.dropped"), 3u);
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(c.received, std::vector<int>{3});
+  EXPECT_TRUE(c.received.empty());
+}
+
+TEST_F(NetworkTest, RecoverRestartsANodeOnce) {
+  // A crash kills a node's timers and a recovery restarts it: Recover runs
+  // OnStart once, after the fault listener, and only for a crashed node.
+  std::vector<std::string> log;
+  class ProbeNode : public Node {
+   public:
+    ProbeNode(NodeId id, Network* net, std::vector<std::string>* log)
+        : Node(id, net), log_(log) {}
+    void OnStart() override {
+      log_->push_back("start " + std::to_string(id()));
+    }
+    void OnMessage(NodeId, const MessagePtr&) override {}
+
+   private:
+    std::vector<std::string>* log_;
+  };
+  ProbeNode early(0, &net, &log), probe(1, &net, &log);
+  net.SetFaultListener([&log](NodeId id, bool crashed) {
+    log.push_back((crashed ? "crash " : "recover ") + std::to_string(id));
+  });
+
+  // Crashed and recovered before Start: Start starts it, once.
+  net.Crash(0);
+  net.Recover(0);
+  EXPECT_EQ(log, (std::vector<std::string>{"crash 0", "recover 0"}));
+  net.Start();
+  EXPECT_EQ(log, (std::vector<std::string>{"crash 0", "recover 0", "start 0",
+                                           "start 1"}));
+
+  log.clear();
+  net.Recover(1);  // not crashed: nothing to restart
+  EXPECT_TRUE(log.empty());
+  net.Crash(1);
+  net.Recover(1);
+  EXPECT_EQ(log,
+            (std::vector<std::string>{"crash 1", "recover 1", "start 1"}));
 }
 
 TEST_F(NetworkTest, SetLinkLatencyIsSymmetric) {

@@ -87,7 +87,8 @@ case "${1:-}" in
     sweep skew --protocol pbft,sharper --nemesis delay,byzantine \
       --clock-skew 150000
     sweep quorum --protocol paxos,tendermint --nemesis none --adversary quorum
-    sweep churn --protocol hotstuff,paxos --nemesis none --adversary churn
+    sweep churn --protocol hotstuff,paxos,tendermint --nemesis none \
+      --adversary churn
     ;;
   *)
     echo "usage: $0 ebench BENCH_DIR [--update] | perfbench [--update]" \
