@@ -33,7 +33,7 @@ using Endorsed = block::Endorsed;
 /// what makes it differ from plain Fabric.
 ///
 /// The phase boundary is explicit: phase X is block::EndorseAll against
-/// the pre-block snapshot (it never reads the live store); the only
+/// the pre-block state (it reads the store before any write); the only
 /// writes happen inside the single serial block::GateAndCommit scan
 /// (phase V). Serial and parallel variants therefore agree by
 /// construction — they run the same gate over order-independent
@@ -85,7 +85,7 @@ class FastFabricArchitecture : public XovBase {
 
   /// Runs the XOV pipeline, then adds the block's conflict-graph shape to
   /// dag_edges/dag_levels. The graph schedules nothing: stage 1 is one
-  /// flat loop, since endorsement only reads the snapshot.
+  /// flat loop, since endorsement only reads the pre-block state.
   void ProcessBlock(const std::vector<txn::Transaction>& block) override;
 
  protected:

@@ -25,11 +25,9 @@ std::vector<Endorsed> EndorseAll(const std::vector<txn::Transaction>& txns,
                                  const store::KvStore& store,
                                  int validation_cost_rounds, ThreadPool* pool) {
   std::vector<Endorsed> endorsed(txns.size());
-  store::Version snapshot = store.last_committed();
   pool->ParallelFor(txns.size(), [&](size_t i) {
     endorsed[i].txn = &txns[i];
-    endorsed[i].result =
-        txn::Execute(txns[i], txn::SnapshotReader(&store, snapshot));
+    endorsed[i].result = txn::Execute(txns[i], store);
     ChargeValidationCost(txns[i], validation_cost_rounds);
   });
   return endorsed;
@@ -56,13 +54,11 @@ size_t GateAndCommit(std::vector<Endorsed>* endorsed,
 
 std::vector<bool> SerialValidator::ProcessBlock(
     const std::vector<txn::Transaction>& txns) {
-  store::Version snapshot = store_->last_committed();
   std::vector<Endorsed> endorsed(txns.size());
   std::vector<size_t> order(txns.size());
   for (size_t i = 0; i < txns.size(); ++i) {
     endorsed[i].txn = &txns[i];
-    endorsed[i].result =
-        txn::Execute(txns[i], txn::SnapshotReader(store_, snapshot));
+    endorsed[i].result = txn::Execute(txns[i], *store_);
     order[i] = i;
   }
   GateAndCommit(&endorsed, order, store_);

@@ -1,10 +1,10 @@
 // Block validation: the Fabric validation phase as two reusable stages.
 //
-//   1. *Endorse/execute* every txn against the immutable pre-block
-//      snapshot (store version at block entry). The snapshot never moves
-//      during the block, so execution results are independent of execution
-//      order — this is what makes parallel endorsement trivially
-//      deterministic.
+//   1. *Endorse/execute* every txn against the pre-block state: stage 1
+//      finishes before the block's first write applies, so the store does
+//      not move under it and execution results are independent of
+//      execution order — this is what makes parallel endorsement
+//      trivially deterministic.
 //   2. *MVCC gate* — a serial scan in a fixed validation order: a txn is
 //      valid iff its read-set (key, version) pairs still match the live
 //      store, i.e. no earlier *valid* txn in this block wrote one of its
@@ -40,7 +40,7 @@ struct Endorsed {
 void ChargeValidationCost(const txn::Transaction& txn, int rounds);
 
 /// \brief Stage 1, the one parallel endorse loop: executes every txn of
-/// `txns` on `pool` against the snapshot at store.last_committed() and
+/// `txns` on `pool` against `store`'s latest state (read only) and
 /// charges `validation_cost_rounds` of ChargeValidationCost in the same
 /// job. Each job writes only its own slot, so the result does not depend
 /// on scheduling.
@@ -64,7 +64,7 @@ class SerialValidator {
  public:
   explicit SerialValidator(store::KvStore* store) : store_(store) {}
 
-  /// Endorses every txn against the pre-block snapshot in block order,
+  /// Endorses every txn against the pre-block state in block order,
   /// then gates in block order. Returns per-txn validity flags.
   std::vector<bool> ProcessBlock(const std::vector<txn::Transaction>& txns);
 

@@ -4,7 +4,7 @@ namespace pbc::confidential {
 
 void CaperEnterprise::ApplyInternal(const ledger::DagVertex& vertex) {
   view_.push_back(vertex);
-  auto r = txn::Execute(vertex.txn, txn::LatestReader(&private_store_));
+  auto r = txn::Execute(vertex.txn, private_store_);
   if (!r.writes.empty()) {
     private_store_.ApplyBatch(r.writes, private_store_.last_committed() + 1);
   }
@@ -12,7 +12,7 @@ void CaperEnterprise::ApplyInternal(const ledger::DagVertex& vertex) {
 
 void CaperEnterprise::ApplyCross(const ledger::DagVertex& vertex) {
   view_.push_back(vertex);
-  auto r = txn::Execute(vertex.txn, txn::LatestReader(&public_store_));
+  auto r = txn::Execute(vertex.txn, public_store_);
   if (!r.writes.empty()) {
     public_store_.ApplyBatch(r.writes, public_store_.last_committed() + 1);
   }

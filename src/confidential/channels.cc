@@ -4,7 +4,7 @@ namespace pbc::confidential {
 
 void Channel::CommitBlock(const std::vector<txn::Transaction>& txns) {
   for (const auto& t : txns) {
-    auto r = txn::Execute(t, txn::LatestReader(&store_));
+    auto r = txn::Execute(t, store_);
     if (!r.writes.empty()) {
       store_.ApplyBatch(r.writes, store_.last_committed() + 1);
     }

@@ -160,7 +160,7 @@ void ShardCluster::OnClusterCommit(const consensus::Batch& batch) {
 }
 
 void ShardCluster::Apply(const txn::Transaction& txn) {
-  auto r = txn::Execute(txn, txn::LatestReader(&store_));
+  auto r = txn::Execute(txn, store_);
   if (!r.writes.empty()) {
     store_.ApplyBatch(r.writes, store_.last_committed() + 1);
   }

@@ -82,7 +82,7 @@ void ResilientDbSystem::DrainRounds(uint32_t at) {
       auto it = m.slots[c].find(m.round);
       const Slot& slot = it->second;
       if (!slot.noop) {
-        auto r = txn::Execute(slot.txn, txn::LatestReader(&state_[at]));
+        auto r = txn::Execute(slot.txn, state_[at]);
         if (!r.writes.empty()) {
           state_[at].ApplyBatch(r.writes, state_[at].last_committed() + 1);
         }

@@ -1,5 +1,7 @@
 #include "store/durable_ledger.h"
 
+#include <algorithm>
+
 #include "store/codec.h"
 #include "txn/transaction.h"
 
@@ -18,15 +20,7 @@ void DurableLedger::ApplyBlockToState(const ledger::Block& block) {
   for (const txn::Transaction& t : block.txns) {
     WriteBatch writes = txn::ApplyCommitted(t, &kv_, &next_version_);
     if (opts_.snapshot_interval == 0) continue;
-    // ApplyCommitted applied the writes at next_version_ - 1.
-    for (const WriteAccess& w : writes.writes()) {
-      std::optional<VersionedValue>& latest = dirty_[w.key];
-      if (w.is_delete) {
-        latest.reset();
-      } else {
-        latest = VersionedValue{w.value, next_version_ - 1};
-      }
-    }
+    for (const WriteAccess& w : writes.writes()) dirty_.push_back(w.key);
   }
   ++kv_height_;
 }
@@ -49,8 +43,10 @@ void DurableLedger::MaybeSnapshot() {
   }
   // kv_ is exactly the state after block durable_height_-1 here: Persist
   // applies blocks and advances durable_height_ in lockstep.
-  EncodeSnapshotDelta(snapshot_, dirty_, durable_height_, next_version_,
-                      kv_.last_committed(), &snapshot_scratch_);
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  EncodeSnapshotDelta(snapshot_, dirty_, kv_, durable_height_, next_version_,
+                      &snapshot_scratch_);
   snapshot_.swap(snapshot_scratch_);
   dirty_.clear();
   WriteSnapshot(fs_, opts_.dir, durable_height_, snapshot_);

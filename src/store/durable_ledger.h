@@ -7,9 +7,9 @@
 // are comparable byte-for-byte), then a single fsync forms the commit
 // barrier; every `snapshot_interval` blocks the state is checkpointed via
 // the temp+fsync+rename protocol (snapshot.h). A snapshot is built from the
-// previous one plus the keys written since and their values
-// (EncodeSnapshotDelta), with no store lookup, so beyond one copy and one
-// CRC of the image its cost follows what changed.
+// previous one plus one store lookup per key written since
+// (EncodeSnapshotDelta), so beyond one copy and one CRC of the image its
+// cost follows what changed.
 //
 // Recovery path (RecoverFromImage / RecoverAndResync): scan the log for
 // its valid chained prefix, truncate the torn tail, and rebuild state
@@ -98,9 +98,9 @@ class DurableLedger {
   uint64_t next_version_ = 1;
   uint64_t durable_height_ = 0;      ///< blocks framed + fsynced in the log
   uint64_t last_snapshot_height_ = 0;
-  /// Keys written to kv_ since the last snapshot, with their latest value
-  /// (empty when snapshot_interval is 0).
-  DirtyKeys dirty_;
+  /// Keys written to kv_ since the last snapshot, once per write (empty
+  /// when snapshot_interval is 0); sorted and de-duplicated at a snapshot.
+  std::vector<Key> dirty_;
   /// Content of the last snapshot written, and a reused build buffer.
   std::string snapshot_;
   std::string snapshot_scratch_;

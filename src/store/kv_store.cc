@@ -6,24 +6,9 @@
 namespace pbc::store {
 
 const VersionedValue* KvStore::Latest(const Key& key) const {
-  auto it = chains_.find(key);
-  if (it == chains_.end() || it->second.empty()) return nullptr;
-  const Entry& e = it->second.back();
-  return e.is_delete ? nullptr : &e.vv;
-}
-
-const VersionedValue* KvStore::LatestAt(const Key& key,
-                                        Version version) const {
-  auto it = chains_.find(key);
-  if (it == chains_.end()) return nullptr;
-  const auto& chain = it->second;
-  // Largest entry with entry.version <= version.
-  auto pos = std::upper_bound(
-      chain.begin(), chain.end(), version,
-      [](Version v, const Entry& e) { return v < e.vv.version; });
-  if (pos == chain.begin()) return nullptr;
-  --pos;
-  return pos->is_delete ? nullptr : &pos->vv;
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.is_delete) return nullptr;
+  return &it->second.vv;
 }
 
 Result<VersionedValue> KvStore::Get(const Key& key) const {
@@ -33,9 +18,8 @@ Result<VersionedValue> KvStore::Get(const Key& key) const {
 }
 
 Version KvStore::VersionOf(const Key& key) const {
-  auto it = chains_.find(key);
-  if (it == chains_.end() || it->second.empty()) return kNeverWritten;
-  return it->second.back().vv.version;
+  auto it = entries_.find(key);
+  return it == entries_.end() ? kNeverWritten : it->second.vv.version;
 }
 
 Status KvStore::ApplyBatch(const WriteBatch& batch, Version commit_version) {
@@ -43,13 +27,12 @@ Status KvStore::ApplyBatch(const WriteBatch& batch, Version commit_version) {
     return Status::InvalidArgument("commit version must increase");
   }
   for (const auto& w : batch.writes()) {
-    auto& chain = chains_[w.key];
-    if (!chain.empty() && chain.back().vv.version == commit_version) {
-      // Last-writer-wins inside one batch.
-      chain.back() = Entry{{w.value, commit_version}, w.is_delete};
-    } else {
-      chain.push_back(Entry{{w.value, commit_version}, w.is_delete});
-    }
+    // In place, so a rewrite reuses the value's buffer; within one batch
+    // the last writer wins.
+    Entry& e = entries_[w.key];
+    e.vv.value = w.value;
+    e.vv.version = commit_version;
+    e.is_delete = w.is_delete;
   }
   last_committed_ = commit_version;
   return Status::OK();
@@ -64,12 +47,10 @@ bool KvStore::ValidateReadSet(const std::vector<ReadAccess>& reads) const {
 
 std::vector<KvStore::LiveEntry> KvStore::SortedLive() const {
   std::vector<LiveEntry> live;
-  live.reserve(chains_.size());
+  live.reserve(entries_.size());
   // detlint:allow(unordered-iter) collected, then sorted by key below
-  for (const auto& [k, chain] : chains_) {
-    if (!chain.empty() && !chain.back().is_delete) {
-      live.emplace_back(&k, &chain.back().vv);
-    }
+  for (const auto& [k, e] : entries_) {
+    if (!e.is_delete) live.emplace_back(&k, &e.vv);
   }
   std::sort(live.begin(), live.end(),
             [](const LiveEntry& a, const LiveEntry& b) {

@@ -1,21 +1,22 @@
-// Multi-versioned key-value store: the "blockchain state" (world state /
-// datastore in Fabric terminology) every architecture executes against.
+// Key-value store: the "blockchain state" (world state / datastore in
+// Fabric terminology) every architecture executes against. It keeps one
+// entry per key, the latest value and the version that wrote it, as
+// Fabric's peers do.
 //
-// Versioning serves three masters:
+// It serves two masters:
 //  * XOV validation — endorsement read-sets carry the version each key was
-//    read at; the validator re-checks them at commit time (Fabric's MVCC
-//    check).
-//  * Snapshots — OXII executors and endorsers simulate against a stable
-//    snapshot while later blocks commit.
+//    read at; the validator re-checks them against the latest version at
+//    commit time (Fabric's MVCC check).
 //  * 2PL — AHL's reference committee locks keys across shards; the lock
 //    table lives beside the store.
+// No reader needs an older version: endorsement and OXII execution read
+// the latest state and finish before the block's first write applies.
 #ifndef PBC_STORE_KV_STORE_H_
 #define PBC_STORE_KV_STORE_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -82,10 +83,10 @@ class WriteBatch {
   std::vector<WriteAccess> writes_;
 };
 
-/// \brief The multi-versioned store.
+/// \brief The world state: one entry per key.
 ///
 /// Not thread-safe: in parallel execution phases, workers read through
-/// `Snapshot` objects (immutable views) and all mutations happen on the
+/// `const` lookups while no batch applies, and all mutations happen on the
 /// single commit thread, matching how Fabric/ParBlockchain pipelines
 /// actually serialize state updates.
 class KvStore {
@@ -93,11 +94,6 @@ class KvStore {
   /// Latest committed value of `key`, or nullptr if never written or
   /// deleted. The pointer stays valid until the next ApplyBatch.
   const VersionedValue* Latest(const Key& key) const;
-
-  /// The value visible at snapshot `version` (largest write ≤ version), or
-  /// nullptr if the key had no write by then or was deleted at it. Valid
-  /// until the next ApplyBatch.
-  const VersionedValue* LatestAt(const Key& key, Version version) const;
 
   /// Latest() as a copy; NotFound if never written or deleted.
   Result<VersionedValue> Get(const Key& key) const;
@@ -107,7 +103,8 @@ class KvStore {
   Version VersionOf(const Key& key) const;
 
   /// Applies all writes in `batch` at `commit_version`, which must exceed
-  /// the store's last committed version.
+  /// the store's last committed version. Each write replaces its key's
+  /// entry; a delete leaves a tombstone that keeps the version.
   Status ApplyBatch(const WriteBatch& batch, Version commit_version);
 
   /// True iff every read in `reads` still observes the current version
@@ -115,7 +112,8 @@ class KvStore {
   bool ValidateReadSet(const std::vector<ReadAccess>& reads) const;
 
   Version last_committed() const { return last_committed_; }
-  size_t num_keys() const { return chains_.size(); }
+  /// Keys ever written, deleted ones included.
+  size_t num_keys() const { return entries_.size(); }
 
   /// Deep equality of latest state (used by replica-consistency checks).
   bool SameLatestState(const KvStore& other) const;
@@ -129,16 +127,16 @@ class KvStore {
  private:
   struct Entry {
     VersionedValue vv;
-    bool is_delete;
+    bool is_delete = false;
   };
   using LiveEntry = std::pair<const Key*, const VersionedValue*>;
 
   // Latest live entries, sorted by key.
   std::vector<LiveEntry> SortedLive() const;
 
-  // Per-key version chain, ascending by version. Hashed: execution only
-  // ever looks keys up, and ordered walks go through SortedLive().
-  std::unordered_map<Key, std::vector<Entry>> chains_;
+  // Latest entry per key. Hashed: execution only ever looks keys up, and
+  // ordered walks go through SortedLive().
+  std::unordered_map<Key, Entry> entries_;
   Version last_committed_ = 0;
 };
 

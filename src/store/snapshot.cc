@@ -60,14 +60,15 @@ void StoreLe(std::string* out, size_t at, uint64_t v, int width) {
 
 }  // namespace
 
-void EncodeSnapshotDelta(const std::string& prev, const DirtyKeys& dirty,
+void EncodeSnapshotDelta(const std::string& prev,
+                         const std::vector<Key>& dirty, const KvStore& kv,
                          uint64_t height, uint64_t next_version,
-                         uint64_t last_committed, std::string* out) {
+                         std::string* out) {
   out->assign(kEntriesStart, '\0');  // header and fields, patched below
   uint64_t count = 0;
-  auto encode = [&](const DirtyKeys::value_type& entry) {
-    const auto& [key, vv] = entry;
-    if (!vv.has_value()) return;  // deleted since `prev`: the entry goes away
+  auto encode = [&](const Key& key) {
+    const VersionedValue* vv = kv.Latest(key);
+    if (vv == nullptr) return;  // deleted since `prev`: the entry goes away
     PutString(out, key);
     PutString(out, vv->value);
     PutU64(out, vv->version);
@@ -87,7 +88,7 @@ void EncodeSnapshotDelta(const std::string& prev, const DirtyKeys& dirty,
     next += 4 + U32At(prev, next) + 8;
     bool replaced = false;
     for (; dirty_it != dirty.end() && !replaced; ++dirty_it) {
-      int cmp = std::string_view(dirty_it->first).compare(key);
+      int cmp = std::string_view(*dirty_it).compare(key);
       if (cmp > 0) break;
       out->append(prev, run, pos - run);
       run = pos;
@@ -106,7 +107,7 @@ void EncodeSnapshotDelta(const std::string& prev, const DirtyKeys& dirty,
 
   StoreLe(out, kFrameHeaderBytes, height, 8);
   StoreLe(out, kFrameHeaderBytes + 8, next_version, 8);
-  StoreLe(out, kFrameHeaderBytes + 16, last_committed, 8);
+  StoreLe(out, kFrameHeaderBytes + 16, kv.last_committed(), 8);
   StoreLe(out, kFrameHeaderBytes + 24, count, 8);
   size_t len = out->size() - kFrameHeaderBytes;
   StoreLe(out, 0, len, 4);

@@ -1,4 +1,4 @@
-// World-state snapshots: periodic checkpoints of the MVCC KvStore's
+// World-state snapshots: periodic checkpoints of the KvStore's
 // latest state so recovery replays a log *tail* instead of the whole log.
 //
 // Protocol (the classic temp + fsync + rename-into-place dance):
@@ -16,8 +16,6 @@
 #define PBC_STORE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,21 +48,18 @@ SnapshotData CaptureSnapshot(const KvStore& kv, uint64_t height,
 std::string EncodeSnapshot(const SnapshotData& snap);
 bool DecodeSnapshot(const std::string& file_content, SnapshotData* out);
 
-/// Keys written since a snapshot, each with its latest (value, version),
-/// or nullopt once it is no longer live.
-using DirtyKeys = std::map<Key, std::optional<VersionedValue>>;
-
-/// Builds a store's snapshot file content at `height` into `*out` by
-/// merging `prev` — an earlier EncodeSnapshotDelta output for the same
-/// store, or empty — with the keys written since: runs of `prev` entries
-/// whose keys are not in `dirty` are copied verbatim, dirty keys are
-/// encoded from their `dirty` value, and nullopt ones are dropped. When
-/// `dirty` holds the latest state of every key written since `prev` was
-/// built, and `last_committed` is the store's, the result byte-equals
+/// Builds `kv`'s snapshot file content at `height` into `*out` by merging
+/// `prev` — an earlier EncodeSnapshotDelta output for the same store, or
+/// empty — with `dirty`, the keys written since, sorted and unique: runs
+/// of `prev` entries whose keys are not dirty are copied verbatim, each
+/// dirty key is encoded from kv.Latest(key), and dropped when that is
+/// nullptr. When `dirty` holds every key written since `prev` was built,
+/// the result byte-equals
 /// EncodeSnapshot(CaptureSnapshot(kv, height, next_version)).
-void EncodeSnapshotDelta(const std::string& prev, const DirtyKeys& dirty,
+void EncodeSnapshotDelta(const std::string& prev,
+                         const std::vector<Key>& dirty, const KvStore& kv,
                          uint64_t height, uint64_t next_version,
-                         uint64_t last_committed, std::string* out);
+                         std::string* out);
 
 /// Rebuilds a KvStore whose latest state equals the captured one:
 /// entries grouped by version, applied in ascending version order.

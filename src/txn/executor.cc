@@ -5,7 +5,7 @@ namespace pbc::txn {
 void ExecuteSerial(const std::vector<Transaction>& txns,
                    store::KvStore* store) {
   for (const auto& t : txns) {
-    ExecResult r = Execute(t, LatestReader(store));
+    ExecResult r = Execute(t, *store);
     if (!r.writes.empty()) {
       store->ApplyBatch(r.writes, store->last_committed() + 1);
     }
@@ -19,13 +19,13 @@ void ExecuteDag(const std::vector<Transaction>& txns,
     // Execute the whole level in parallel against the current state.
     // Transactions within a level are conflict-free, so their reads cannot
     // observe each other's writes and their write sets are disjoint.
+    // Workers only read the store, through Execute's const reference.
     std::vector<ExecResult> results(level.size());
-    const store::KvStore* cstore = store;
     pool->ParallelFor(level.size(), [&](size_t i) {
-      results[i] = Execute(txns[level[i]], LatestReader(cstore));
+      results[i] = Execute(txns[level[i]], *store);
     });
-    // Apply effects in block order (the level is ascending) for a
-    // deterministic version history.
+    // Apply effects in block order (the level is ascending) for
+    // deterministic versions.
     for (const auto& r : results) {
       if (!r.writes.empty()) {
         store->ApplyBatch(r.writes, store->last_committed() + 1);

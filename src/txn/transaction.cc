@@ -130,12 +130,14 @@ int64_t DecodeInt(const store::Value& v) {
   return out;
 }
 
-ExecResult Execute(const Transaction& txn, const Reader& reader) {
+ExecResult Execute(const Transaction& txn, const store::KvStore& store) {
   static const store::Value kMissing;
   ExecResult result;
   // Writes so far, last writer wins per key in first-write order; they are
   // the uncommitted effects later ops of the same transaction observe.
   std::vector<store::WriteAccess> writes;
+  result.reads.reserve(txn.ops.size());
+  writes.reserve(txn.ops.size());
   auto find_write = [&](const store::Key& key) -> store::WriteAccess* {
     for (store::WriteAccess& w : writes) {
       if (w.key == key) return &w;
@@ -146,7 +148,7 @@ ExecResult Execute(const Transaction& txn, const Reader& reader) {
   // Transactions are a handful of ops, so linear scans beat node-based
   // maps here. The returned reference lives until the next write.
   auto read = [&](const store::Key& key) -> const store::Value& {
-    const store::VersionedValue* external = reader(key);
+    const store::VersionedValue* external = store.Latest(key);
     // Record the external version on first touch, even after a local
     // write, so conflict detection sees the read.
     if (std::none_of(result.reads.begin(), result.reads.end(),
@@ -213,16 +215,6 @@ ExecResult Execute(const Transaction& txn, const Reader& reader) {
   }
   result.writes = store::WriteBatch(std::move(writes));
   return result;
-}
-
-Reader LatestReader(const store::KvStore* store) {
-  return [store](const store::Key& key) { return store->Latest(key); };
-}
-
-Reader SnapshotReader(const store::KvStore* store, store::Version version) {
-  return [store, version](const store::Key& key) {
-    return store->LatestAt(key, version);
-  };
 }
 
 }  // namespace pbc::txn

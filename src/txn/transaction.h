@@ -8,7 +8,6 @@
 #define PBC_TXN_TRANSACTION_H_
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -143,12 +142,6 @@ size_t EncodedSize(const Transaction& txn);
 /// \brief Sum of EncodedSize over `txns`: the payload of a batch or body.
 size_t EncodedSize(const TxnList& txns);
 
-/// \brief Read interface execution runs against (latest state or snapshot):
-/// the visible value of a key, or nullptr if it has none. The pointee must
-/// stay unchanged while the execution runs.
-using Reader =
-    std::function<const store::VersionedValue*(const store::Key&)>;
-
 /// \brief Outcome of executing a transaction's program.
 struct ExecResult {
   bool ok = true;  ///< false only on internal errors, not business no-ops
@@ -157,14 +150,12 @@ struct ExecResult {
   int64_t compute_rounds = 0;             ///< total kCompute work performed
 };
 
-/// \brief Executes `txn` deterministically against `reader`.
+/// \brief Executes `txn` deterministically against `store`'s latest state,
+/// which must not change while it runs (concurrent calls may share it).
 ///
 /// Never mutates state itself; the caller decides when/whether to apply
 /// `writes` (immediately in OX, after validation in XOV).
-ExecResult Execute(const Transaction& txn, const Reader& reader);
-
-/// \brief Reader over the latest committed state of a store.
-Reader LatestReader(const store::KvStore* store);
+ExecResult Execute(const Transaction& txn, const store::KvStore& store);
 
 /// \brief Applies a committed `txn` to `kv`: executes it against the latest
 /// state and applies its writes at version `(*next_version)++`, so the
@@ -174,13 +165,10 @@ Reader LatestReader(const store::KvStore* store);
 inline store::WriteBatch ApplyCommitted(const Transaction& txn,
                                         store::KvStore* kv,
                                         store::Version* next_version) {
-  ExecResult result = Execute(txn, LatestReader(kv));
+  ExecResult result = Execute(txn, *kv);
   if (!result.writes.empty()) kv->ApplyBatch(result.writes, (*next_version)++);
   return std::move(result.writes);
 }
-
-/// \brief Reader over the state visible at `version`.
-Reader SnapshotReader(const store::KvStore* store, store::Version version);
 
 /// \brief Encodes an integer value for the store.
 store::Value EncodeInt(int64_t v);

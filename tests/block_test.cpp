@@ -374,11 +374,9 @@ TEST(ConflictGraphTest, ReductionMatchesAllPairsOracle) {
 std::vector<Endorsed> EndorseAgainstSnapshot(
     const std::vector<Transaction>& txns, const store::KvStore& store) {
   std::vector<Endorsed> endorsed(txns.size());
-  store::Version snapshot = store.last_committed();
   for (size_t i = 0; i < txns.size(); ++i) {
     endorsed[i].txn = &txns[i];
-    endorsed[i].result =
-        txn::Execute(txns[i], txn::SnapshotReader(&store, snapshot));
+    endorsed[i].result = txn::Execute(txns[i], store);
   }
   return endorsed;
 }

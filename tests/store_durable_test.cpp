@@ -435,13 +435,8 @@ TEST(SnapshotTest, DeltaDropsKeysNoLongerLive) {
   for (const char* k : {"a", "b", "c", "d"}) first.Put(k, std::string("v") + k);
   ASSERT_TRUE(kv.ApplyBatch(first, 1).ok());
   std::string prev;
-  store::EncodeSnapshotDelta(
-      "",
-      {{"a", store::VersionedValue{"va", 1}},
-       {"b", store::VersionedValue{"vb", 1}},
-       {"c", store::VersionedValue{"vc", 1}},
-       {"d", store::VersionedValue{"vd", 1}}},
-      /*height=*/1, /*next_version=*/2, kv.last_committed(), &prev);
+  store::EncodeSnapshotDelta("", {"a", "b", "c", "d"}, kv, /*height=*/1,
+                             /*next_version=*/2, &prev);
   ASSERT_EQ(prev, store::EncodeSnapshot(store::CaptureSnapshot(kv, 1, 2)));
 
   // Delete a key in the middle and the last one, rewrite one, and delete a
@@ -452,13 +447,10 @@ TEST(SnapshotTest, DeltaDropsKeysNoLongerLive) {
   second.Put("c", "vc2");
   second.Delete("never");
   ASSERT_TRUE(kv.ApplyBatch(second, 2).ok());
-  store::DirtyKeys dirty = {{"b", std::nullopt},
-                            {"c", store::VersionedValue{"vc2", 2}},
-                            {"d", std::nullopt},
-                            {"never", std::nullopt}};
+  std::vector<store::Key> dirty = {"b", "c", "d", "never"};
   std::string out;
-  store::EncodeSnapshotDelta(prev, dirty, /*height=*/2, /*next_version=*/3,
-                             kv.last_committed(), &out);
+  store::EncodeSnapshotDelta(prev, dirty, kv, /*height=*/2,
+                             /*next_version=*/3, &out);
   EXPECT_EQ(out, store::EncodeSnapshot(store::CaptureSnapshot(kv, 2, 3)));
   store::SnapshotData decoded;
   ASSERT_TRUE(store::DecodeSnapshot(out, &decoded));
@@ -665,7 +657,7 @@ TEST(DurableLedgerTest, DeltaSnapshotsByteEqualTheFullEncoding) {
         }
         chain.Append(std::move(txns));
         for (const txn::Transaction& t : chain.at(chain.height() - 1).txns) {
-          txn::ExecResult r = txn::Execute(t, txn::LatestReader(&oracle));
+          txn::ExecResult r = txn::Execute(t, oracle);
           if (!r.writes.empty()) oracle.ApplyBatch(r.writes, next_version++);
         }
         expected[chain.height()] = store::EncodeSnapshot(
@@ -808,7 +800,7 @@ TEST(DurableCheckerTest, ReorderedIntraBlockReplayTripsRecoveryEquivalence) {
     for (const ledger::Block& block : rec.blocks) {
       const std::vector<txn::Transaction>& txns = block.txns;
       for (auto it = txns.rbegin(); it != txns.rend(); ++it) {
-        txn::ExecResult result = txn::Execute(*it, txn::LatestReader(&kv));
+        txn::ExecResult result = txn::Execute(*it, kv);
         if (!result.writes.empty()) {
           kv.ApplyBatch(result.writes, next_version++);
         }

@@ -49,42 +49,6 @@ TEST(KvStoreTest, DeleteHidesKeyButBumpsVersion) {
   EXPECT_EQ(store.VersionOf("a"), 2u);  // deletes are versioned writes
 }
 
-TEST(KvStoreTest, SnapshotReadsSeeOldVersions) {
-  KvStore store;
-  for (Version v = 1; v <= 5; ++v) {
-    WriteBatch b;
-    b.Put("k", "v" + std::to_string(v));
-    store.ApplyBatch(b, v);
-  }
-  for (Version v = 1; v <= 5; ++v) {
-    const VersionedValue* r = store.LatestAt("k", v);
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->value, "v" + std::to_string(v));
-  }
-  EXPECT_EQ(store.LatestAt("k", 0), nullptr);
-}
-
-TEST(KvStoreTest, SnapshotBeforeCreationIsNotFound) {
-  KvStore store;
-  WriteBatch b;
-  b.Put("late", "x");
-  store.ApplyBatch(b, 10);
-  EXPECT_EQ(store.LatestAt("late", 9), nullptr);
-  EXPECT_NE(store.LatestAt("late", 10), nullptr);
-}
-
-TEST(KvStoreTest, SnapshotSeesThroughLaterDelete) {
-  KvStore store;
-  WriteBatch b1;
-  b1.Put("k", "v");
-  store.ApplyBatch(b1, 1);
-  WriteBatch b2;
-  b2.Delete("k");
-  store.ApplyBatch(b2, 2);
-  EXPECT_NE(store.LatestAt("k", 1), nullptr);
-  EXPECT_EQ(store.LatestAt("k", 2), nullptr);
-}
-
 TEST(KvStoreTest, ValidateReadSetDetectsStaleReads) {
   KvStore store;
   WriteBatch b1;
@@ -233,16 +197,40 @@ TEST(KvStoreTest, LatestAgreesWithGet) {
   EXPECT_EQ(store.Latest("hit")->value, "1");
   EXPECT_EQ(store.Latest("gone"), nullptr);  // deleted
   EXPECT_EQ(store.Latest("miss"), nullptr);  // never written
+}
 
-  // A snapshot taken before a key's first write does not see it; one at
-  // the write does, and one before a delete still sees the old value.
-  EXPECT_EQ(store.LatestAt("late", 1), nullptr);
-  ASSERT_NE(store.LatestAt("late", 2), nullptr);
-  EXPECT_EQ(store.LatestAt("late", 2)->version, 2u);
-  ASSERT_NE(store.LatestAt("gone", 1), nullptr);
-  EXPECT_EQ(store.LatestAt("gone", 1)->value, "x");
-  EXPECT_EQ(store.LatestAt("gone", 2), nullptr);
-  EXPECT_EQ(store.LatestAt("miss", 2), nullptr);
+TEST(KvStoreTest, OverwriteKeepsOneEntryPerKey) {
+  // Every write replaces its key's entry: 100 batches over 3 keys leave 3
+  // entries holding the last write, and a delete keeps its version.
+  const Key keys[] = {"a", "b", "c"};
+  KvStore store;
+  for (Version v = 1; v <= 100; ++v) {
+    WriteBatch b;
+    b.Put(keys[v % 3], "v" + std::to_string(v));
+    if (v % 10 == 0) b.Put(keys[(v + 1) % 3], "w" + std::to_string(v));
+    ASSERT_TRUE(store.ApplyBatch(b, v).ok());
+    ASSERT_EQ(store.num_keys(), std::min<size_t>(v, 3)) << v;
+  }
+  // The last writes: a at 99, b and c both in batch 100.
+  EXPECT_EQ(store.Latest("a")->value, "v99");
+  EXPECT_EQ(store.VersionOf("a"), 99u);
+  EXPECT_EQ(store.Latest("b")->value, "v100");
+  EXPECT_EQ(store.Latest("b")->version, 100u);
+  EXPECT_EQ(store.Latest("c")->value, "w100");
+  EXPECT_EQ(store.VersionOf("c"), 100u);
+
+  WriteBatch del;
+  del.Delete("b");
+  ASSERT_TRUE(store.ApplyBatch(del, 101).ok());
+  EXPECT_EQ(store.num_keys(), 3u);
+  EXPECT_EQ(store.Latest("b"), nullptr);
+  EXPECT_EQ(store.VersionOf("b"), 101u);
+  WriteBatch again;
+  again.Put("b", "back");
+  ASSERT_TRUE(store.ApplyBatch(again, 102).ok());
+  EXPECT_EQ(store.Latest("b")->value, "back");
+  EXPECT_EQ(store.VersionOf("b"), 102u);
+  EXPECT_EQ(store.num_keys(), 3u);
 }
 
 // --- LockTable --------------------------------------------------------------

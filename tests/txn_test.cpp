@@ -229,7 +229,7 @@ TEST(TxnEncodingTest, SizesAreEncodedLengths) {
 
 TEST(ExecuteTest, WriteProducesWriteSet) {
   store::KvStore store;
-  auto r = Execute(MakeTxn(1, {Op::Write("k", "v")}), LatestReader(&store));
+  auto r = Execute(MakeTxn(1, {Op::Write("k", "v")}), store);
   ASSERT_EQ(r.writes.size(), 1u);
   EXPECT_EQ(r.writes.writes()[0].key, "k");
   EXPECT_EQ(r.writes.writes()[0].value, "v");
@@ -241,8 +241,7 @@ TEST(ExecuteTest, ReadRecordsObservedVersion) {
   store::WriteBatch b;
   b.Put("k", "v");
   store.ApplyBatch(b, 7);
-  auto r = Execute(MakeTxn(1, {Op::Read("k"), Op::Read("missing")}),
-                   LatestReader(&store));
+  auto r = Execute(MakeTxn(1, {Op::Read("k"), Op::Read("missing")}), store);
   ASSERT_EQ(r.reads.size(), 2u);
   EXPECT_EQ(r.reads[0].version, 7u);
   EXPECT_EQ(r.reads[1].version, store::kNeverWritten);
@@ -253,8 +252,7 @@ TEST(ExecuteTest, IncrementReadsModifiesWrites) {
   store::WriteBatch b;
   b.Put("ctr", EncodeInt(10));
   store.ApplyBatch(b, 1);
-  auto r = Execute(MakeTxn(1, {Op::Increment("ctr", 5)}),
-                   LatestReader(&store));
+  auto r = Execute(MakeTxn(1, {Op::Increment("ctr", 5)}), store);
   ASSERT_EQ(r.writes.size(), 1u);
   EXPECT_EQ(DecodeInt(r.writes.writes()[0].value), 15);
   ASSERT_EQ(r.reads.size(), 1u);
@@ -262,8 +260,7 @@ TEST(ExecuteTest, IncrementReadsModifiesWrites) {
 
 TEST(ExecuteTest, IncrementOfMissingKeyStartsAtZero) {
   store::KvStore store;
-  auto r = Execute(MakeTxn(1, {Op::Increment("new", 3)}),
-                   LatestReader(&store));
+  auto r = Execute(MakeTxn(1, {Op::Increment("new", 3)}), store);
   EXPECT_EQ(DecodeInt(r.writes.writes()[0].value), 3);
 }
 
@@ -272,8 +269,7 @@ TEST(ExecuteTest, GuardedTransferMovesFundsWhenSufficient) {
   store::WriteBatch b;
   b.Put("alice", EncodeInt(100));
   store.ApplyBatch(b, 1);
-  auto r = Execute(MakeTxn(1, {Op::Transfer("alice", "bob", 30)}),
-                   LatestReader(&store));
+  auto r = Execute(MakeTxn(1, {Op::Transfer("alice", "bob", 30)}), store);
   ASSERT_EQ(r.writes.size(), 2u);
   store.ApplyBatch(r.writes, 2);
   EXPECT_EQ(DecodeInt(store.Get("alice").ValueOrDie().value), 70);
@@ -285,17 +281,16 @@ TEST(ExecuteTest, GuardedTransferNoOpWhenInsufficient) {
   store::WriteBatch b;
   b.Put("alice", EncodeInt(10));
   store.ApplyBatch(b, 1);
-  auto r = Execute(MakeTxn(1, {Op::Transfer("alice", "bob", 30)}),
-                   LatestReader(&store));
+  auto r = Execute(MakeTxn(1, {Op::Transfer("alice", "bob", 30)}), store);
   EXPECT_TRUE(r.writes.empty());
   EXPECT_EQ(r.reads.size(), 2u);  // reads still recorded
 }
 
 TEST(ExecuteTest, ReadYourOwnWrites) {
   store::KvStore store;
-  auto r = Execute(MakeTxn(1, {Op::Write("k", EncodeInt(5)),
-                               Op::Increment("k", 1)}),
-                   LatestReader(&store));
+  auto r = Execute(
+      MakeTxn(1, {Op::Write("k", EncodeInt(5)), Op::Increment("k", 1)}),
+      store);
   // Increment sees the in-transaction write of 5, producing 6.
   bool found = false;
   for (const auto& w : r.writes.writes()) {
@@ -310,28 +305,16 @@ TEST(ExecuteTest, ReadYourOwnWrites) {
 
 TEST(ExecuteTest, ComputeBurnsRounds) {
   store::KvStore store;
-  auto r = Execute(MakeTxn(1, {Op::Compute(100)}), LatestReader(&store));
+  auto r = Execute(MakeTxn(1, {Op::Compute(100)}), store);
   EXPECT_GE(r.compute_rounds, 100);
   EXPECT_TRUE(r.writes.empty());
-}
-
-TEST(ExecuteTest, SnapshotReaderIgnoresLaterWrites) {
-  store::KvStore store;
-  store::WriteBatch b1;
-  b1.Put("k", "old");
-  store.ApplyBatch(b1, 1);
-  store::WriteBatch b2;
-  b2.Put("k", "new");
-  store.ApplyBatch(b2, 2);
-  auto r = Execute(MakeTxn(1, {Op::Read("k"), Op::Increment("mirror", 0)}),
-                   SnapshotReader(&store, 1));
-  EXPECT_EQ(r.reads[0].version, 1u);
 }
 
 // The map/set Execute that the allocation-light one replaced, kept as the
 // reference it must agree with: same reads (order, versions), same writes
 // (first-write order, last value) and same compute rounds.
-ExecResult ReferenceExecute(const Transaction& txn, const Reader& reader) {
+ExecResult ReferenceExecute(const Transaction& txn,
+                            const store::KvStore& store) {
   ExecResult result;
   std::map<store::Key, store::Value> local;
   std::set<store::Key> read_recorded;
@@ -340,13 +323,13 @@ ExecResult ReferenceExecute(const Transaction& txn, const Reader& reader) {
     auto local_it = local.find(key);
     if (local_it != local.end()) {
       if (read_recorded.insert(key).second) {
-        const store::VersionedValue* r = reader(key);
+        const store::VersionedValue* r = store.Latest(key);
         result.reads.push_back(
             {key, r != nullptr ? r->version : store::kNeverWritten});
       }
       return local_it->second;
     }
-    const store::VersionedValue* r = reader(key);
+    const store::VersionedValue* r = store.Latest(key);
     if (read_recorded.insert(key).second) {
       result.reads.push_back(
           {key, r != nullptr ? r->version : store::kNeverWritten});
@@ -460,17 +443,12 @@ TEST(ExecuteTest, MatchesReferenceOnRandomPrograms) {
     }
     Transaction txn = MakeTxn(static_cast<TxnId>(trial), std::move(ops));
 
-    const store::Version at = rng.NextU64(version + 1);
-    for (const Reader& reader :
-         {LatestReader(&store), SnapshotReader(&store, at)}) {
-      ExecResult got = Execute(txn, reader);
-      ExecResult want = ReferenceExecute(txn, reader);
-      ASSERT_EQ(got.ok, want.ok) << "trial " << trial;
-      ASSERT_EQ(got.reads, want.reads) << "trial " << trial;
-      ASSERT_EQ(got.writes.writes(), want.writes.writes())
-          << "trial " << trial;
-      ASSERT_EQ(got.compute_rounds, want.compute_rounds) << "trial " << trial;
-    }
+    ExecResult got = Execute(txn, store);
+    ExecResult want = ReferenceExecute(txn, store);
+    ASSERT_EQ(got.ok, want.ok) << "trial " << trial;
+    ASSERT_EQ(got.reads, want.reads) << "trial " << trial;
+    ASSERT_EQ(got.writes.writes(), want.writes.writes()) << "trial " << trial;
+    ASSERT_EQ(got.compute_rounds, want.compute_rounds) << "trial " << trial;
     for (const Op& op : txn.ops) {
       if (op.code != OpCode::kTransferGuarded) continue;
       const store::VersionedValue* src = store.Latest(op.key);

@@ -69,6 +69,18 @@ if [ -n "$hits" ]; then
   exit 1
 fi
 
+# --- One version per key (src/)
+# The world state keeps one entry per key, the latest value
+# and version (DESIGN.md §13): the MVCC gate compares reads
+# with the latest version, and no reader needs an older one. A
+# snapshot read or a reader callback brings the version chains back.
+hits=$(grep -rnE '\bLatestAt\b|\bSnapshotReader\b|\btxn::Reader\b' src || true)
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "the store keeps one version per key: execute against a const store::KvStore&, read KvStore::Latest"
+  exit 1
+fi
+
 # --- Fault-free runs fetch no body
 # A fault-free run fetches no block body (DESIGN.md,
 # "Hash-ordering vs body dissemination"). The body travels beside its
